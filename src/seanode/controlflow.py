@@ -5,7 +5,6 @@ reached, the value inputs selected by that end's position are all
 evaluated under the state *before* the step, then written simultaneously.
 """
 
-import enum
 from dataclasses import dataclass
 
 from . import ir, runtime
@@ -28,14 +27,6 @@ class LocalConfig:
     nid: int
     state: MethodState
     heap: DynamicHeap
-
-
-class LocalOutcome(enum.Enum):
-    RUNNING = "Running"
-    HIT_RETURN = "HitReturn"
-    HIT_UNWIND = "HitUnwind"
-    HIT_INVOKE = "HitInvoke"
-    STUCK = "Stuck"
 
 
 def phis_of(g: Graph, merge: int) -> list[int]:
@@ -148,27 +139,3 @@ def step(g: Graph, params, c: LocalConfig, on_store=None) -> LocalConfig:
         return LocalConfig(node.next, c.state, heap)
 
     raise StepStuck(c.nid, f"no local rule for {node.kind_name()}")
-
-
-# Nodes the local driver stops on; their rules live in the global semantics.
-_GLOBAL_KINDS = {
-    ir.ReturnNode: LocalOutcome.HIT_RETURN,
-    ir.UnwindNode: LocalOutcome.HIT_UNWIND,
-    ir.InvokeNode: LocalOutcome.HIT_INVOKE,
-    ir.InvokeWithExceptionNode: LocalOutcome.HIT_INVOKE,
-}
-
-
-def run_local(g: Graph, params, c: LocalConfig, fuel: int) -> tuple[LocalConfig, LocalOutcome]:
-    """Iterate step until a global-rule node, stuckness, or fuel runs out."""
-    if fuel <= 0:
-        raise ValueError("fuel must be positive")
-    for _ in range(fuel):
-        outcome = _GLOBAL_KINDS.get(type(g.kind(c.nid)))
-        if outcome is not None:
-            return c, outcome
-        try:
-            c = step(g, params, c)
-        except StepStuck:
-            return c, LocalOutcome.STUCK
-    return c, LocalOutcome.RUNNING

@@ -44,32 +44,46 @@ def _as_int(ctx: EvalContext, nid: int) -> IntVal:
 def evaluate(ctx: EvalContext, nid: int) -> Value:
     """Evaluate the expression rooted at nid to a run-time value."""
     node = ctx.graph.kind(nid)
-    if isinstance(node, ir.ConstantNode):
-        return node.const
-    if isinstance(node, ir.ParameterNode):
-        if node.index >= len(ctx.params):
-            raise ParamOutOfRange(nid, node.index, len(ctx.params))
-        return ctx.params[node.index]
-    if ir.is_state_leaf(node):
-        return ctx.state[nid]
-    if isinstance(node, ir.NegateNode):
-        return runtime.int_neg(_as_int(ctx, node.value))
-    if isinstance(node, ir.AddNode):
-        return runtime.int_add(_as_int(ctx, node.x), _as_int(ctx, node.y))
-    if isinstance(node, ir.MulNode):
-        return runtime.int_mul(_as_int(ctx, node.x), _as_int(ctx, node.y))
-    if isinstance(node, ir.IntegerLessThanNode):
-        return runtime.int_less_than(_as_int(ctx, node.x), _as_int(ctx, node.y))
-    if isinstance(node, ir.ConditionalNode):
-        try:
-            took_true = runtime.val_to_bool(evaluate(ctx, node.condition))
-        except TypeMismatch as e:
-            raise EvalStuck(node.condition, str(e)) from e
-        return evaluate(ctx, node.trueValue if took_true else node.falseValue)
-    if isinstance(node, ir.ValueProxyNode):
-        # The loop-exit edge is a scheduling anchor, not a value dependency.
-        return evaluate(ctx, node.value)
-    raise EvalStuck(nid, f"no evaluation rule for {node.kind_name()}")
+    rule = _RULES.get(type(node))
+    if rule is None:
+        raise EvalStuck(nid, f"no evaluation rule for {node.kind_name()}")
+    return rule(ctx, nid, node)
+
+
+def _parameter(ctx: EvalContext, nid: int, node: ir.ParameterNode) -> Value:
+    if node.index >= len(ctx.params):
+        raise ParamOutOfRange(nid, node.index, len(ctx.params))
+    return ctx.params[node.index]
+
+
+def _conditional(ctx: EvalContext, nid: int, node: ir.ConditionalNode) -> Value:
+    try:
+        took_true = runtime.val_to_bool(evaluate(ctx, node.condition))
+    except TypeMismatch as e:
+        raise EvalStuck(node.condition, str(e)) from e
+    return evaluate(ctx, node.trueValue if took_true else node.falseValue)
+
+
+def _arithmetic(op, value_edges):
+    names = [name for name, _ in value_edges]
+    if len(names) == 1:
+        return lambda ctx, nid, node: op(_as_int(ctx, getattr(node, names[0])))
+    a, b = names
+    return lambda ctx, nid, node: op(_as_int(ctx, getattr(node, a)),
+                                     _as_int(ctx, getattr(node, b)))
+
+
+# One rule per evaluable kind, called as rule(ctx, nid, node). Recursion goes
+# through the module-level name evaluate, so wrapping it sees every visit.
+_RULES = {
+    ir.ConstantNode: lambda ctx, nid, node: node.const,
+    ir.ParameterNode: _parameter,
+    ir.ConditionalNode: _conditional,
+    ir.ValueProxyNode: lambda ctx, nid, node: evaluate(ctx, node.value),
+}
+_RULES.update({k: lambda ctx, nid, node: ctx.state[nid]
+               for k in ir.NODE_KINDS.values() if ir.is_state_leaf(k)})
+_RULES.update({k: _arithmetic(k.OP, k.VALUE_EDGES) for k in ir.NODE_KINDS.values() if k.OP})
 
 
 def evaluate_all(ctx: EvalContext, nids) -> list[Value]:

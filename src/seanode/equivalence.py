@@ -15,14 +15,9 @@ from dataclasses import dataclass
 from . import ir
 from .dataflow import EvalContext, EvalStuck, evaluate
 from .interproc import ExecOutcome, run
+from .ir import CyclicExpression  # noqa: F401  raised by free_leaves and data_equiv
 from .ir import Graph, Program, Signature
 from .runtime import FIELD_DEFAULT, INT_MAX, INT_MIN, IntVal, MethodState, Value
-
-
-class CyclicExpression(Exception):
-    def __init__(self, nid: int):
-        super().__init__(f"expression at {nid} has a cycle through data inputs")
-        self.nid = nid
 
 
 @dataclass(frozen=True)
@@ -81,48 +76,20 @@ class EquivVerdict:
         return base
 
 
-_WALK_EDGES = {
-    ir.NegateNode: ("value",),
-    ir.AddNode: ("x", "y"),
-    ir.MulNode: ("x", "y"),
-    ir.IntegerLessThanNode: ("x", "y"),
-    ir.ConditionalNode: ("condition", "trueValue", "falseValue"),
-    ir.ValueProxyNode: ("value",),
-}
-
-
 def free_leaves(g: Graph, nid: int) -> tuple[set[int], set[int]]:
     """(parameter indices, state-slot ids) the expression at nid can read.
 
     The walk follows exactly the edges evaluation follows; a cycle on the
-    walk means evaluation would not terminate.
+    walk means evaluation would not terminate (CyclicExpression).
     """
     params: set[int] = set()
     slots: set[int] = set()
-    on_path: set[int] = set()
-    done: set[int] = set()
-
-    def walk(n: int):
-        if n in done:
-            return
-        if n in on_path:
-            raise CyclicExpression(n)
+    for n in ir.walk_values(g, nid, set()):
         node = g.kind(n)
-        edges = _WALK_EDGES.get(type(node))
-        if edges is None:
-            if isinstance(node, ir.ParameterNode):
-                params.add(node.index)
-            elif ir.is_state_leaf(node):
-                slots.add(n)
-            done.add(n)
-            return
-        on_path.add(n)
-        for name in edges:
-            walk(getattr(node, name))
-        on_path.discard(n)
-        done.add(n)
-
-    walk(nid)
+        if isinstance(node, ir.ParameterNode):
+            params.add(node.index)
+        elif ir.is_state_leaf(node):
+            slots.add(n)
     return params, slots
 
 

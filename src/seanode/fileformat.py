@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import ir
 from .ir import Graph, IRNode, Program, Signature
-from .runtime import INT_MAX, INT_MIN, IntVal
+from .runtime import INT_MAX, INT_MIN, IntVal, Value
 
 FORMAT_VERSION = "seanode/1"
 
@@ -45,36 +45,12 @@ class UnknownKind(FormatError):
         self.kind = kind
 
 
-def _edge_arities(cls) -> dict[str, str]:
-    arities = {name: arity for name, arity in cls.INPUTS}
-    arities.update({name: ir.ONE for name in cls.SUCCESSORS})
-    return arities
-
-
-def _encode_field(name: str, value):
-    if name == "const":
-        if not isinstance(value, IntVal):
-            raise ParseError(f"only integer constants are serializable, got {value}")
-        return {"int": value.value}
-    if name == "targetMethod":
-        return {
-            "class": value.className,
-            "name": value.methodName,
-            "params": list(value.parameterTypes),
-        }
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
 def _node_record(nid: int, node: IRNode) -> dict:
-    arities = _edge_arities(type(node))
     out: dict = {}
-    for f in dc_fields(node):
-        value = getattr(node, f.name)
-        if arities.get(f.name) == ir.OPT and value is None:
-            continue
-        out[f.name] = _encode_field(f.name, value)
+    for name, _, encode, optional in _CODECS[node.kind_name()][1]:
+        value = getattr(node, name)
+        if not (optional and value is None):
+            out[name] = encode(value)
     return {"id": nid, "kind": node.kind_name(), "fields": out}
 
 
@@ -109,9 +85,8 @@ def _req(cond: bool, reason: str):
         raise ParseError(reason)
 
 
-def _node_id(value, reason: str) -> int:
-    _req(isinstance(value, int) and not isinstance(value, bool) and value >= 0, reason)
-    return value
+def _is_id(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _parse_signature(raw, where: str) -> Signature:
@@ -126,58 +101,86 @@ def _parse_signature(raw, where: str) -> Signature:
     return Signature(raw["class"], raw["name"], tuple(params))
 
 
-def _parse_field(cls, name: str, raw, where: str):
-    arities = _edge_arities(cls)
-    if name in arities:
-        if arities[name] == ir.MANY:
-            _req(isinstance(raw, list), f"{where}: field {name} must be an array")
-            return tuple(
-                _node_id(v, f"{where}: field {name} entries must be node ids")
-                for v in raw
-            )
-        return _node_id(raw, f"{where}: field {name} must be a node id")
-    if name == "const":
-        _req(isinstance(raw, dict) and set(raw) == {"int"},
-             f'{where}: const must be {{"int": <decimal>}}')
-        v = raw["int"]
-        _req(isinstance(v, int) and not isinstance(v, bool)
-             and INT_MIN <= v <= INT_MAX,
-             f"{where}: const out of 32-bit range")
-        return IntVal(v)
-    if name == "targetMethod":
-        return _parse_signature(raw, where)
-    if name in ("index", "selfId"):
-        return _node_id(raw, f"{where}: field {name} must be a non-negative integer")
-    if name in ("field", "instanceClass"):
-        _req(isinstance(raw, str), f"{where}: field {name} must be a string")
-        return raw
-    raise ParseError(f"{where}: unhandled field {name}")
+def _same(value):
+    return value
+
+
+def _encode_int(value):
+    if not isinstance(value, IntVal):
+        raise ParseError(f"only integer constants are serializable, got {value}")
+    return {"int": value.value}
+
+
+def _is_id_list(raw) -> bool:
+    return isinstance(raw, list) and all(map(_is_id, raw))
+
+
+def _is_int_record(raw) -> bool:
+    v = raw.get("int") if isinstance(raw, dict) and set(raw) == {"int"} else None
+    return isinstance(v, int) and not isinstance(v, bool) and INT_MIN <= v <= INT_MAX
+
+
+def _checked(name: str, ok, what: str, convert=_same):
+    def parse(raw, where: str):
+        if not ok(raw):
+            raise ParseError(f"{where}: field {name} must be {what}")
+        return convert(raw)
+    return parse
+
+
+def _field_codec(cls, f) -> tuple:
+    """(name, parse, encode, optional) for one declared field of a kind,
+    chosen from its edge arity or, for a plain attribute, its annotated
+    type. parse(raw, where) validates and converts one JSON value."""
+    name = f.name
+    arity = dict(cls.INPUTS + tuple((s, ir.ONE) for s in cls.SUCCESSORS)).get(name)
+    if arity == ir.MANY:
+        return name, _checked(name, _is_id_list, "an array of node ids", tuple), list, False
+    if arity is not None:
+        return name, _checked(name, _is_id, "a node id"), _same, arity == ir.OPT
+    if f.type is int:
+        return name, _checked(name, _is_id, "a non-negative integer"), _same, False
+    if f.type is str:
+        return name, _checked(name, lambda raw: isinstance(raw, str), "a string"), _same, False
+    if f.type is Value:
+        parse = _checked(name, _is_int_record, '{"int": <signed 32-bit decimal>}',
+                         lambda raw: IntVal(raw["int"]))
+        return name, parse, _encode_int, False
+    if f.type is Signature:
+        return name, _parse_signature, _signature_record, False
+    raise TypeError(f"no seanode/1 codec for {cls.__name__}.{name}: {f.type}")
+
+
+# kind name -> (node class, one codec per declared field in declared order)
+_CODECS = {
+    kind: (cls, tuple(_field_codec(cls, f) for f in dc_fields(cls)))
+    for kind, cls in ir.NODE_KINDS.items()
+}
 
 
 def _parse_node(raw, method: str) -> tuple[int, IRNode]:
     where = f"method {method}"
     _req(isinstance(raw, dict) and set(raw) == {"id", "kind", "fields"},
          f"{where}: node records need exactly id/kind/fields")
-    nid = _node_id(raw["id"], f"{where}: node id must be a non-negative integer")
+    nid = raw["id"]
+    _req(_is_id(nid), f"{where}: node id must be a non-negative integer")
     where = f"method {method}, node {nid}"
     kind = raw["kind"]
-    if not isinstance(kind, str) or kind not in ir.NODE_KINDS or kind == "NoNode":
+    if not isinstance(kind, str) or kind not in _CODECS:
         raise UnknownKind(str(kind), method)
-    cls = ir.NODE_KINDS[kind]
+    cls, codecs = _CODECS[kind]
     field_map = raw["fields"]
     _req(isinstance(field_map, dict), f"{where}: fields must be an object")
 
-    arities = _edge_arities(cls)
     kwargs = {}
-    declared = [f.name for f in dc_fields(cls)]
-    for name in declared:
+    for name, parse, _, optional in codecs:
         if name in field_map:
-            kwargs[name] = _parse_field(cls, name, field_map[name], where)
-        elif arities.get(name) == ir.OPT:
+            kwargs[name] = parse(field_map[name], where)
+        elif optional:
             kwargs[name] = None
         else:
             raise ParseError(f"{where}: missing required field {name!r}")
-    unknown = set(field_map) - set(declared)
+    unknown = set(field_map) - set(kwargs)
     if unknown:
         raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
     return nid, cls(**kwargs)

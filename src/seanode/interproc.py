@@ -138,31 +138,16 @@ def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
         callee = Frame(callee_graph, 0, new_map_state(), tuple(args))
         return GlobalConfig((callee,) + c.stack, c.heap)
 
-    if isinstance(node, ir.ReturnNode):
+    if isinstance(node, (ir.ReturnNode, ir.UnwindNode)):
+        raised = isinstance(node, ir.UnwindNode)
         if len(c.stack) < 2:
-            raise UncaughtTopLevel("return with no calling frame")
+            raise UncaughtTopLevel(f"{'unwind' if raised else 'return'} with no calling frame")
         try:
-            v = UNDEF if node.resultOpt is None else _frame_eval(top, node.resultOpt)
+            v = _exit_value(top, node)
         except EvalStuck as e:
-            raise GlobalStuck(f"return value stuck {e}") from e
-        caller = c.stack[1]
-        return GlobalConfig(
-            (_resume_caller(caller, v, after_exception=False),) + c.stack[2:], c.heap
-        )
-
-    if isinstance(node, ir.UnwindNode):
-        if len(c.stack) < 2:
-            raise UncaughtTopLevel("unwind with no calling frame")
-        try:
-            e_val = _frame_eval(top, node.exception)
-        except EvalStuck as e:
-            raise GlobalStuck(f"exception value stuck {e}") from e
-        if not isinstance(e_val, ObjRef):
-            raise GlobalStuck(f"unwound value is not an object reference: {e_val}")
-        caller = c.stack[1]
-        return GlobalConfig(
-            (_resume_caller(caller, e_val, after_exception=True),) + c.stack[2:], c.heap
-        )
+            raise GlobalStuck(f"{'exception' if raised else 'return'} value stuck {e}") from e
+        resumed = _resume_caller(c.stack[1], v, after_exception=raised)
+        return GlobalConfig((resumed,) + c.stack[2:], c.heap)
 
     # Everything else is a local transition promoted to the top frame.
     try:
@@ -172,6 +157,17 @@ def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
         raise GlobalStuck(str(e)) from e
     new_top = Frame(top.graph, local.nid, local.state, top.params)
     return GlobalConfig((new_top,) + c.stack[1:], local.heap)
+
+
+def _exit_value(top: Frame, node: ir.IRNode) -> Value:
+    """The value a ReturnNode or UnwindNode hands to its caller. Raises
+    EvalStuck, or GlobalStuck when an unwound value is not an object."""
+    if isinstance(node, ir.ReturnNode):
+        return UNDEF if node.resultOpt is None else _frame_eval(top, node.resultOpt)
+    v = _frame_eval(top, node.exception)
+    if not isinstance(v, ObjRef):
+        raise GlobalStuck(f"unwound value is not an object reference: {v}")
+    return v
 
 
 def _resume_caller(caller: Frame, v: Value, after_exception: bool) -> Frame:
@@ -227,22 +223,13 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
     while True:
         top = c.stack[0]
         node = top.graph.kind(top.nid)
-        if len(c.stack) == 1 and isinstance(node, ir.ReturnNode):
+        if len(c.stack) == 1 and isinstance(node, (ir.ReturnNode, ir.UnwindNode)):
             try:
-                v = UNDEF if node.resultOpt is None else _frame_eval(top, node.resultOpt)
-            except EvalStuck as e:
+                v = _exit_value(top, node)
+            except (EvalStuck, GlobalStuck) as e:
                 return ExecResult(ExecOutcome.STUCK, None, steps, c.heap, str(e))
-            return ExecResult(ExecOutcome.RETURNED, v, steps, c.heap)
-        if len(c.stack) == 1 and isinstance(node, ir.UnwindNode):
-            try:
-                v = _frame_eval(top, node.exception)
-            except EvalStuck as e:
-                return ExecResult(ExecOutcome.STUCK, None, steps, c.heap, str(e))
-            if not isinstance(v, ObjRef):
-                return ExecResult(
-                    ExecOutcome.STUCK, None, steps, c.heap,
-                    f"unwound value is not an object reference: {v}",
-                )
+            if isinstance(node, ir.ReturnNode):
+                return ExecResult(ExecOutcome.RETURNED, v, steps, c.heap)
             return ExecResult(ExecOutcome.UNCAUGHT_EXCEPTION, v, steps, c.heap)
         if steps == fuel:
             return ExecResult(ExecOutcome.OUT_OF_FUEL, None, steps, c.heap)

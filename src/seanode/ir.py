@@ -1,14 +1,16 @@
 """Graph data model for the sea-of-nodes IR.
 
 A graph is a finite partial map from integer node ids to node values.
-Every node variant declares its input edges (data dependencies) and
-successor edges (control flow) as ordered field lists, so generic
-traversals never need per-kind special cases.
+Each node kind is declared once, as an IRNode subclass, and every per-kind
+table (role predicates, evaluation dispatch, value-edge walk, field
+codecs) is derived from that, so generic code needs no per-kind cases.
 """
 
+import enum
 from dataclasses import dataclass
 from typing import ClassVar
 
+from . import runtime
 from .runtime import Value
 
 # Edge field arities.
@@ -19,6 +21,12 @@ OPT = "opt"
 
 class InvalidEdit(Exception):
     """A graph edit violated its precondition (occupied/unmapped id, NoNode)."""
+
+
+class CyclicExpression(Exception):
+    def __init__(self, nid: int):
+        super().__init__(f"expression at {nid} has a cycle through data inputs")
+        self.nid = nid
 
 
 @dataclass(frozen=True)
@@ -36,17 +44,46 @@ class Signature:
         return f"{self.className}.{self.methodName}({','.join(self.parameterTypes)})"
 
 
+class Role(enum.Enum):
+    """The one part a node kind plays in the semantics."""
+
+    PURE = "pure"  # side-effect-free data; may be stored under a second id
+    STATE_DATA = "state-data"  # data a control step latches into the state (phis)
+    STATE_CONTROL = "state-control"  # control that latches its own value
+    SEQUENTIAL = "sequential"  # control that just goes to its only successor
+    CONTROL = "control"
+    CALL_TARGET = "call-target"
+
+
+# Every storable node kind by name, filled in as the kinds are declared.
+NODE_KINDS: dict[str, type] = {}
+
+
 @dataclass(frozen=True)
 class IRNode:
     """Base of all node variants.
 
     INPUTS lists (field name, arity) pairs in input-edge order; SUCCESSORS
     lists successor-edge field names in order. Remaining dataclass fields
-    are plain data attributes.
+    are plain data attributes. The class keywords give the kind's role (a
+    kind with one is registered in NODE_KINDS), an arithmetic kind's
+    run-time operation on its integer inputs, and a pure kind's anchors:
+    inputs evaluation does not follow. VALUE_EDGES lists the ones it does.
     """
 
     INPUTS: ClassVar[tuple] = ()
     SUCCESSORS: ClassVar[tuple] = ()
+    ROLE: ClassVar[Role | None] = None
+    OP: ClassVar = None
+    VALUE_EDGES: ClassVar[tuple] = ()
+
+    def __init_subclass__(cls, role: Role | None = None, op=None, anchors=()):
+        super().__init_subclass__()
+        cls.ROLE, cls.OP = role, op
+        if role is not None:
+            NODE_KINDS[cls.__name__] = cls
+        if role is Role.PURE:
+            cls.VALUE_EDGES = tuple(e for e in cls.INPUTS if e[0] not in anchors)
 
     @classmethod
     def kind_name(cls) -> str:
@@ -58,18 +95,21 @@ class NoNode(IRNode):
     """Result of looking up an unmapped id; never stored in a graph."""
 
 
+_NO_NODE = NoNode()
+
+
 @dataclass(frozen=True)
-class ConstantNode(IRNode):
+class ConstantNode(IRNode, role=Role.PURE):
     const: Value
 
 
 @dataclass(frozen=True)
-class ParameterNode(IRNode):
+class ParameterNode(IRNode, role=Role.PURE):
     index: int
 
 
 @dataclass(frozen=True)
-class ValuePhiNode(IRNode):
+class ValuePhiNode(IRNode, role=Role.STATE_DATA):
     selfId: int
     values: tuple[int, ...]
     merge: int
@@ -82,14 +122,14 @@ class ValuePhiNode(IRNode):
 
 
 @dataclass(frozen=True)
-class NegateNode(IRNode):
+class NegateNode(IRNode, role=Role.PURE, op=runtime.int_neg):
     value: int
 
     INPUTS = (("value", ONE),)
 
 
 @dataclass(frozen=True)
-class AddNode(IRNode):
+class AddNode(IRNode, role=Role.PURE, op=runtime.int_add):
     x: int
     y: int
 
@@ -97,7 +137,7 @@ class AddNode(IRNode):
 
 
 @dataclass(frozen=True)
-class MulNode(IRNode):
+class SubNode(IRNode, role=Role.PURE, op=runtime.int_sub):
     x: int
     y: int
 
@@ -105,7 +145,7 @@ class MulNode(IRNode):
 
 
 @dataclass(frozen=True)
-class IntegerLessThanNode(IRNode):
+class MulNode(IRNode, role=Role.PURE, op=runtime.int_mul):
     x: int
     y: int
 
@@ -113,7 +153,15 @@ class IntegerLessThanNode(IRNode):
 
 
 @dataclass(frozen=True)
-class ConditionalNode(IRNode):
+class IntegerLessThanNode(IRNode, role=Role.PURE, op=runtime.int_less_than):
+    x: int
+    y: int
+
+    INPUTS = (("x", ONE), ("y", ONE))
+
+
+@dataclass(frozen=True)
+class ConditionalNode(IRNode, role=Role.PURE):
     condition: int
     trueValue: int
     falseValue: int
@@ -122,8 +170,9 @@ class ConditionalNode(IRNode):
 
 
 @dataclass(frozen=True)
-class ValueProxyNode(IRNode):
-    """Forwards the value of a loop-carried node past its loop exit."""
+class ValueProxyNode(IRNode, role=Role.PURE, anchors=("loopExit",)):
+    """Forwards the value of a loop-carried node past its loop exit. The
+    loop-exit edge is a scheduling anchor, not a value dependency."""
 
     value: int
     loopExit: int
@@ -132,21 +181,21 @@ class ValueProxyNode(IRNode):
 
 
 @dataclass(frozen=True)
-class StartNode(IRNode):
+class StartNode(IRNode, role=Role.SEQUENTIAL):
     next: int
 
     SUCCESSORS = ("next",)
 
 
 @dataclass(frozen=True)
-class BeginNode(IRNode):
+class BeginNode(IRNode, role=Role.SEQUENTIAL):
     next: int
 
     SUCCESSORS = ("next",)
 
 
 @dataclass(frozen=True)
-class RefNode(IRNode):
+class RefNode(IRNode, role=Role.SEQUENTIAL):
     """Control no-op; the residue left by branch-removing rewrites."""
 
     next: int
@@ -155,7 +204,7 @@ class RefNode(IRNode):
 
 
 @dataclass(frozen=True)
-class IfNode(IRNode):
+class IfNode(IRNode, role=Role.CONTROL):
     condition: int
     trueSuccessor: int
     falseSuccessor: int
@@ -165,12 +214,12 @@ class IfNode(IRNode):
 
 
 @dataclass(frozen=True)
-class EndNode(IRNode):
+class EndNode(IRNode, role=Role.CONTROL):
     pass
 
 
 @dataclass(frozen=True)
-class MergeNode(IRNode):
+class MergeNode(IRNode, role=Role.SEQUENTIAL):
     ends: tuple[int, ...]
     next: int
 
@@ -182,7 +231,7 @@ class MergeNode(IRNode):
 
 
 @dataclass(frozen=True)
-class LoopBeginNode(IRNode):
+class LoopBeginNode(IRNode, role=Role.SEQUENTIAL):
     ends: tuple[int, ...]
     next: int
 
@@ -194,14 +243,14 @@ class LoopBeginNode(IRNode):
 
 
 @dataclass(frozen=True)
-class LoopEndNode(IRNode):
+class LoopEndNode(IRNode, role=Role.CONTROL):
     loopBegin: int
 
     INPUTS = (("loopBegin", ONE),)
 
 
 @dataclass(frozen=True)
-class LoopExitNode(IRNode):
+class LoopExitNode(IRNode, role=Role.SEQUENTIAL):
     loopBegin: int
     next: int
 
@@ -210,7 +259,7 @@ class LoopExitNode(IRNode):
 
 
 @dataclass(frozen=True)
-class NewInstanceNode(IRNode):
+class NewInstanceNode(IRNode, role=Role.STATE_CONTROL):
     selfId: int
     instanceClass: str
     next: int
@@ -219,7 +268,7 @@ class NewInstanceNode(IRNode):
 
 
 @dataclass(frozen=True)
-class LoadFieldNode(IRNode):
+class LoadFieldNode(IRNode, role=Role.STATE_CONTROL):
     selfId: int
     field: str
     objectOpt: int | None
@@ -230,7 +279,7 @@ class LoadFieldNode(IRNode):
 
 
 @dataclass(frozen=True)
-class StoreFieldNode(IRNode):
+class StoreFieldNode(IRNode, role=Role.CONTROL):
     selfId: int
     field: str
     value: int
@@ -242,14 +291,14 @@ class StoreFieldNode(IRNode):
 
 
 @dataclass(frozen=True)
-class ReturnNode(IRNode):
+class ReturnNode(IRNode, role=Role.CONTROL):
     resultOpt: int | None
 
     INPUTS = (("resultOpt", OPT),)
 
 
 @dataclass(frozen=True)
-class InvokeNode(IRNode):
+class InvokeNode(IRNode, role=Role.STATE_CONTROL):
     selfId: int
     callTarget: int
     next: int
@@ -259,7 +308,7 @@ class InvokeNode(IRNode):
 
 
 @dataclass(frozen=True)
-class InvokeWithExceptionNode(IRNode):
+class InvokeWithExceptionNode(IRNode, role=Role.STATE_CONTROL):
     selfId: int
     callTarget: int
     next: int
@@ -270,7 +319,7 @@ class InvokeWithExceptionNode(IRNode):
 
 
 @dataclass(frozen=True)
-class MethodCallTargetNode(IRNode):
+class MethodCallTargetNode(IRNode, role=Role.CALL_TARGET):
     targetMethod: Signature
     arguments: tuple[int, ...]
 
@@ -281,23 +330,10 @@ class MethodCallTargetNode(IRNode):
 
 
 @dataclass(frozen=True)
-class UnwindNode(IRNode):
+class UnwindNode(IRNode, role=Role.CONTROL):
     exception: int
 
     INPUTS = (("exception", ONE),)
-
-
-NODE_KINDS = {
-    cls.__name__: cls
-    for cls in (
-        ConstantNode, ParameterNode, ValuePhiNode, NegateNode, AddNode,
-        MulNode, IntegerLessThanNode, ConditionalNode, ValueProxyNode,
-        StartNode, BeginNode, RefNode, IfNode, EndNode, MergeNode,
-        LoopBeginNode, LoopEndNode, LoopExitNode, NewInstanceNode,
-        LoadFieldNode, StoreFieldNode, ReturnNode, InvokeNode,
-        InvokeWithExceptionNode, MethodCallTargetNode, UnwindNode,
-    )
-}
 
 
 def _edge_fields(node: IRNode, specs) -> list[int]:
@@ -324,41 +360,62 @@ def successors_of(node: IRNode) -> list[int]:
     return _edge_fields(node, tuple((n, ONE) for n in type(node).SUCCESSORS))
 
 
-SEQUENTIAL_KINDS = (StartNode, BeginNode, RefNode, LoopExitNode, MergeNode, LoopBeginNode)
-BINARY_ARITH_KINDS = (AddNode, MulNode, IntegerLessThanNode)
-DATA_KINDS = (
-    ConstantNode, ParameterNode, ValuePhiNode, NegateNode, AddNode, MulNode,
-    IntegerLessThanNode, ConditionalNode, ValueProxyNode,
-)
-# Nodes whose value is latched into the method state by a control-flow step
-# and read back from it by expression evaluation.
-STATE_LEAF_KINDS = (
-    ValuePhiNode, InvokeNode, InvokeWithExceptionNode, NewInstanceNode, LoadFieldNode,
-)
+def value_inputs(node: IRNode) -> list[int]:
+    """Ordered targets of the input edges that evaluation follows."""
+    return _edge_fields(node, type(node).VALUE_EDGES)
 
 
-def is_sequential(node: IRNode) -> bool:
+def walk_values(g: "Graph", root: int, done: set[int]) -> list[int]:
+    """The nodes not yet in done that evaluating root reaches over value
+    edges, in post-order; adds them to done. Iterative, so depth is not
+    bounded by the recursion limit. Raises CyclicExpression at the first
+    node met again on its own path: evaluation there would not terminate."""
+    if root in done:
+        return []
+    order = []
+    path = {root}
+    stack = [(root, iter(value_inputs(g.kind(root))))]
+    while stack:
+        nid, targets = stack[-1]
+        for target in targets:
+            if target in path:
+                raise CyclicExpression(target)
+            if target not in done:
+                path.add(target)
+                stack.append((target, iter(value_inputs(g.kind(target)))))
+                break
+        else:
+            stack.pop()
+            path.discard(nid)
+            done.add(nid)
+            order.append(nid)
+    return order
+
+
+# The role predicates take a node or a node kind.
+def is_sequential(node) -> bool:
     """True for control nodes whose step is just "go to the only successor"."""
-    return isinstance(node, SEQUENTIAL_KINDS)
+    return node.ROLE is Role.SEQUENTIAL
 
 
-def is_binary_arith(node: IRNode) -> bool:
-    return isinstance(node, BINARY_ARITH_KINDS)
+def is_pure(node) -> bool:
+    """True for data nodes that may be stored under a second id."""
+    return node.ROLE is Role.PURE
 
 
-def is_data(node: IRNode) -> bool:
-    return isinstance(node, DATA_KINDS)
+def is_data(node) -> bool:
+    return node.ROLE in (Role.PURE, Role.STATE_DATA)
 
 
-def is_control(node: IRNode) -> bool:
+def is_control(node) -> bool:
     """True for nodes that can appear as the current point of control."""
-    return bool(type(node).SUCCESSORS) or isinstance(
-        node, (EndNode, LoopEndNode, ReturnNode, UnwindNode)
-    )
+    return node.ROLE in (Role.STATE_CONTROL, Role.SEQUENTIAL, Role.CONTROL)
 
 
-def is_state_leaf(node: IRNode) -> bool:
-    return isinstance(node, STATE_LEAF_KINDS)
+def is_state_leaf(node) -> bool:
+    """True for nodes whose value a control-flow step latches into the
+    method state and expression evaluation reads back."""
+    return node.ROLE in (Role.STATE_DATA, Role.STATE_CONTROL)
 
 
 class Graph:
@@ -378,7 +435,7 @@ class Graph:
         self._nodes = dict(nodes)
 
     def kind(self, nid: int) -> IRNode:
-        return self._nodes.get(nid, NoNode())
+        return self._nodes.get(nid, _NO_NODE)
 
     def ids(self) -> set[int]:
         return set(self._nodes)
@@ -407,8 +464,6 @@ class Graph:
     def insert_node(self, nid: int, node: IRNode) -> "Graph":
         if nid in self._nodes:
             raise InvalidEdit(f"insert on occupied id {nid}")
-        if isinstance(node, NoNode):
-            raise InvalidEdit(f"cannot store NoNode at id {nid}")
         nodes = dict(self._nodes)
         nodes[nid] = node
         return Graph(nodes)
@@ -416,8 +471,6 @@ class Graph:
     def replace_node(self, nid: int, node: IRNode) -> "Graph":
         if nid not in self._nodes:
             raise InvalidEdit(f"replace on unmapped id {nid}")
-        if isinstance(node, NoNode):
-            raise InvalidEdit(f"cannot store NoNode at id {nid}")
         nodes = dict(self._nodes)
         nodes[nid] = node
         return Graph(nodes)

@@ -54,15 +54,6 @@ def apply_rewrite(g: Graph, rw: Rewrite) -> Graph:
     return g.replace_node(rw.target, rw.after)
 
 
-# Pure data nodes that may be stored under a second id without changing
-# meaning. State-leaf nodes (phis, invokes, loads, allocations) read the
-# method state under their own id and must not be duplicated.
-_DUPLICABLE = (
-    ir.ConstantNode, ir.ParameterNode, ir.NegateNode, ir.AddNode, ir.MulNode,
-    ir.IntegerLessThanNode, ir.ConditionalNode, ir.ValueProxyNode,
-)
-
-
 def _const_of(g: Graph, nid: int) -> IntVal | None:
     node = g.kind(nid)
     if isinstance(node, ir.ConstantNode) and isinstance(node.const, IntVal):
@@ -71,8 +62,10 @@ def _const_of(g: Graph, nid: int) -> IntVal | None:
 
 
 def _forward_to(g: Graph, nid: int, node: IRNode, x: int, rule: str) -> Rewrite | None:
+    # State-leaf nodes (phis, invokes, loads, allocations) read the method
+    # state under their own id and must not be duplicated.
     copy = g.kind(x)
-    if not isinstance(copy, _DUPLICABLE):
+    if not ir.is_pure(copy):
         return None
     return Rewrite(nid, node, copy, (), rule)
 
@@ -258,7 +251,16 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
                 added.append(key)
         return added
 
-    def visit(n: int):
+    # Preorder walk with an explicit stack, so depth is not bounded by the
+    # recursion limit: a node id enters a subtree, and the list of fact keys
+    # its root added is popped after the subtree to drop those facts again.
+    stack: list = [0] if 0 in children else []
+    while stack:
+        n = stack.pop()
+        if isinstance(n, list):
+            for key in n:
+                del facts[key]
+            continue
         added = enter_facts(n)
         node = g.kind(n)
         if isinstance(node, ir.IfNode):
@@ -272,13 +274,8 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
                 rewrites.append(
                     Rewrite(n, node, ir.RefNode(target), (), "condelim-implied-branch")
                 )
-        for child in children.get(n, ()):
-            visit(child)
-        for key in added:
-            del facts[key]
-
-    if 0 in children:
-        visit(0)
+        stack.append(added)
+        stack.extend(reversed(children.get(n, ())))
 
     out = g
     for rw in rewrites:

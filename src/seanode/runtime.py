@@ -63,6 +63,10 @@ def int_add(a: IntVal, b: IntVal) -> IntVal:
     return int_val(a.value + b.value)
 
 
+def int_sub(a: IntVal, b: IntVal) -> IntVal:
+    return int_val(a.value - b.value)
+
+
 def int_mul(a: IntVal, b: IntVal) -> IntVal:
     return int_val(a.value * b.value)
 

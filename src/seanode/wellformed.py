@@ -76,40 +76,16 @@ def _check_self_ids(g: Graph):
             yield Violation("wf_selfid", nid, f"selfId field is {self_id}")
 
 
-# Data kinds whose evaluation recurses into input edges. ValuePhiNode is a
-# leaf (it reads the method state), which is what legalizes loop back-edges.
-_RECURSIVE_DATA = (
-    ir.NegateNode, ir.AddNode, ir.MulNode, ir.IntegerLessThanNode,
-    ir.ConditionalNode, ir.ValueProxyNode,
-)
-
-
 def _check_data_acyclic(g: Graph):
     # Expression evaluation terminates only if the data subgraph is a DAG.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {}
-
-    def visit(nid):
-        if not isinstance(g.kind(nid), _RECURSIVE_DATA):
-            return None
-        state = color.get(nid, WHITE)
-        if state == GREY:
-            return nid
-        if state == BLACK:
-            return None
-        color[nid] = GREY
-        for target in ir.inputs_of(g.kind(nid)):
-            hit = visit(target)
-            if hit is not None:
-                return hit
-        color[nid] = BLACK
-        return None
-
-    for nid, _ in sorted(g.items()):
-        hit = visit(nid)
-        if hit is not None:
-            yield Violation("wf_acyclic", hit, "cycle through data input edges")
-            return
+    # Phis are leaves (they read the method state), which is what legalizes
+    # loop back-edges.
+    done: set[int] = set()
+    try:
+        for nid in sorted(g.ids()):
+            ir.walk_values(g, nid, done)
+    except ir.CyclicExpression as e:
+        yield Violation("wf_acyclic", e.nid, "cycle through data input edges")
 
 
 DEFAULT_RULES = (

@@ -152,3 +152,17 @@ DATA_RULES = (
     "add-zero", "mul-one", "mul-zero", "negate-negate",
     "conditional-constant", "conditional-equal-branches",
 )
+
+
+def negate_chain(depth: int) -> Graph:
+    """A well-formed method returning -(-(...(p0))) nested depth times.
+
+    Node ids descend toward the parameter: the returned root is node 2 and
+    the parameter is node depth + 2, so a walk from the lowest id meets
+    the whole chain at once.
+    """
+    nodes = {0: StartNode(next=1), 1: ReturnNode(resultOpt=2)}
+    for i in range(depth):
+        nodes[2 + i] = NegateNode(value=3 + i)
+    nodes[2 + depth] = ParameterNode(0)
+    return Graph(nodes)

@@ -4,8 +4,7 @@ import pytest
 
 from genutil import gen_merge_fixture
 from seanode.controlflow import (
-    LocalConfig, LocalOutcome, StepStuck, merge_of_end, phi_updates, phis_of,
-    run_local, step,
+    LocalConfig, StepStuck, merge_of_end, phi_updates, phis_of, step,
 )
 from seanode.corpus import FACT_SIG, SPIN_SIG, factorial, spin
 from seanode.dataflow import EvalContext, evaluate
@@ -124,32 +123,6 @@ def test_end_with_ambiguous_merges_is_stuck():
 def test_merge_of_end_positions(fact_graph):
     assert merge_of_end(fact_graph, 5) == (6, 0)
     assert merge_of_end(fact_graph, 21) == (6, 1)
-
-
-def test_run_local_factorial_skips_loop(fact_graph):
-    c, outcome = run_local(fact_graph, (IntVal(1),), fresh(0), fuel=10_000)
-    assert outcome is LocalOutcome.HIT_RETURN
-    assert fact_graph.kind(c.nid) == ReturnNode(resultOpt=15)
-    assert c.state[8] == IntVal(1)
-
-
-def test_run_local_fuel_exhaustion():
-    g = spin().graph(SPIN_SIG)
-    c, outcome = run_local(g, (), fresh(0), fuel=1000)
-    assert outcome is LocalOutcome.RUNNING
-
-
-def test_run_local_immediate_return():
-    g = Graph({0: StartNode(next=1), 1: ReturnNode(resultOpt=None)})
-    c, outcome = run_local(g, (), fresh(0), fuel=10)
-    assert outcome is LocalOutcome.HIT_RETURN
-    assert c.nid == 1
-
-
-def test_run_local_stuck_outcome():
-    g = Graph({0: StartNode(next=1), 1: EndNode()})
-    _, outcome = run_local(g, (), fresh(0), fuel=10)
-    assert outcome is LocalOutcome.STUCK
 
 
 def test_heap_untouched_by_seq_if_end(fact_graph):

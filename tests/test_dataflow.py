@@ -5,10 +5,10 @@ from seanode.corpus import FACT_SIG, factorial
 from seanode.dataflow import EvalContext, EvalStuck, ParamOutOfRange, evaluate, evaluate_all
 from seanode.ir import (
     AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode,
-    LoadFieldNode, MulNode, NegateNode, ParameterNode, StartNode,
+    LoadFieldNode, MulNode, NegateNode, ParameterNode, StartNode, SubNode,
     ValuePhiNode, ValueProxyNode,
 )
-from seanode.runtime import UNDEF, IntVal, MethodState, new_map_state
+from seanode.runtime import INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, new_map_state
 
 
 def ctx(nodes, m=None, p=()):
@@ -29,6 +29,13 @@ def test_parameter_out_of_range():
     c = ctx({1: ParameterNode(1)}, p=[IntVal(5)])
     with pytest.raises(ParamOutOfRange):
         evaluate(c, 1)
+
+
+def test_sub_wraps_below_int_min():
+    c = ctx({1: ConstantNode(IntVal(INT_MIN)), 2: ConstantNode(IntVal(1)),
+             3: SubNode(x=1, y=2), 4: SubNode(x=2, y=1)})
+    assert evaluate(c, 3) == IntVal(INT_MAX)
+    assert evaluate(c, 4) == IntVal(INT_MIN + 1)
 
 
 def test_phi_reads_method_state():

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from genutil import DATA_RULES, gen_rule_case
+from genutil import DATA_RULES, gen_rule_case, negate_chain
 from seanode.corpus import (
     IFTRUE_SIG, SPIN_SIG, FACT_SIG, factorial, if_const_true, spin,
 )
@@ -13,7 +14,7 @@ from seanode.equivalence import (
 )
 from seanode.ir import (
     AddNode, ConstantNode, Graph, IfNode, MulNode, ParameterNode, Program,
-    RefNode, ReturnNode, StartNode, StoreFieldNode, ValuePhiNode,
+    RefNode, ReturnNode, StartNode, StoreFieldNode, SubNode, ValuePhiNode,
 )
 from seanode.optimize import apply_pass, apply_rewrite, canonicalize_data
 from seanode.runtime import INT_MAX, INT_MIN, IntVal, MethodState
@@ -42,6 +43,23 @@ def test_cyclic_expression_detected():
         free_leaves(g, 1)
     with pytest.raises(CyclicExpression):
         data_equiv(g, g, 1)
+
+
+def test_free_leaves_deep_chain_is_iterative():
+    start = time.perf_counter()
+    leaves = free_leaves(negate_chain(3000), 2)
+    assert time.perf_counter() - start < 5
+    assert leaves == ({0}, set())
+
+
+def test_sub_refuted_against_add():
+    g1 = Graph({1: ParameterNode(0), 2: ParameterNode(1), 3: SubNode(x=1, y=2)})
+    g2 = Graph({1: ParameterNode(0), 2: ParameterNode(1), 3: AddNode(x=1, y=2)})
+    verdict = data_equiv(g1, g2, 3)
+    assert verdict.status is Equivalence.NOT_EQUIVALENT
+    p0, p1 = verdict.witness.param_assignment
+    assert verdict.witness.left == IntVal(p0.value - p1.value)
+    assert verdict.witness.right == IntVal(p0.value + p1.value)
 
 
 def test_add_zero_equivalent_to_forwarded_parameter():

@@ -6,7 +6,9 @@ from seanode.corpus import corpus_programs
 from seanode.fileformat import (
     FORMAT_VERSION, DuplicateId, ParseError, UnknownKind, dumps, load, loads,
 )
-from seanode.ir import LoadFieldNode, ReturnNode, Signature
+from seanode.interproc import run
+from seanode.ir import LoadFieldNode, ReturnNode, Signature, SubNode
+from seanode.runtime import IntVal
 
 
 def minimal_doc(nodes=None):
@@ -161,3 +163,20 @@ def test_method_call_target_round_trips():
     (g,) = program.methods.values()
     assert g.kind(1).targetMethod == sig
     assert loads(dumps(program)).methods == program.methods
+
+
+def test_sub_node_round_trips_and_runs():
+    doc = minimal_doc([
+        {"id": 0, "kind": "StartNode", "fields": {"next": 4}},
+        {"id": 1, "kind": "ParameterNode", "fields": {"index": 0}},
+        {"id": 2, "kind": "ParameterNode", "fields": {"index": 1}},
+        {"id": 3, "kind": "SubNode", "fields": {"x": 1, "y": 2}},
+        {"id": 4, "kind": "ReturnNode", "fields": {"resultOpt": 3}},
+    ])
+    doc["methods"][0]["signature"]["params"] = ["int", "int"]
+    text = json.dumps(doc, indent=2) + "\n"
+    program = loads(text)
+    (sig, g), = program.methods.items()
+    assert g.kind(3) == SubNode(x=1, y=2)
+    assert dumps(program) == text
+    assert run(program, sig, [IntVal(3), IntVal(10)]).value == IntVal(-7)

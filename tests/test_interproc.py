@@ -10,7 +10,7 @@ from seanode.interproc import (
     UnknownMethod, UnwindWithoutHandler, initial_config, run, step_top,
 )
 from seanode.ir import (
-    AddNode, ConstantNode, Graph, InvokeNode, MethodCallTargetNode, ParameterNode,
+    AddNode, ConstantNode, EndNode, Graph, InvokeNode, MethodCallTargetNode, ParameterNode,
     Program, ReturnNode, Signature, StartNode, UnwindNode,
 )
 from seanode.runtime import UNDEF, DynamicHeap, IntVal, ObjRef, new_map_state
@@ -225,6 +225,36 @@ def test_factorial_through_global_driver():
     p = factorial()
     assert run(p, FACT_SIG, [IntVal(5)]).value == IntVal(120)
     assert run(p, FACT_SIG, [IntVal(13)]).value == IntVal(1932053504)
+
+
+def test_run_factorial_skips_loop():
+    steps = []
+    result = run(factorial(), FACT_SIG, [IntVal(1)], on_step=steps.append)
+    assert result.outcome is ExecOutcome.RETURNED
+    assert result.value == IntVal(1)
+    assert steps[-1].nid_after == 16  # the ReturnNode
+    visited = {s.nid for s in steps}
+    assert 21 not in visited and 13 not in visited  # back edge and loop body
+    loop_entry = next(s for s in steps if s.nid == 5)
+    assert (8, IntVal(1)) in loop_entry.m_delta
+
+
+def test_run_immediate_return():
+    sig = Signature("T", "main", ())
+    g = Graph({0: StartNode(next=1), 1: ReturnNode(resultOpt=None)})
+    result = run(Program({sig: g}), sig, [])
+    assert result.outcome is ExecOutcome.RETURNED
+    assert result.value == UNDEF
+    assert result.steps == 1
+
+
+def test_run_end_without_merge_is_stuck():
+    sig = Signature("T", "main", ())
+    g = Graph({0: StartNode(next=1), 1: EndNode()})
+    result = run(Program({sig: g}), sig, [], fuel=10)
+    assert result.outcome is ExecOutcome.STUCK
+    assert result.steps == 1
+    assert "no merge usage" in result.reason
 
 
 def test_out_of_fuel_at_exact_budget():

@@ -20,6 +20,10 @@ def test_kind_unmapped_is_nonode():
     assert Graph({}).kind(0) == NoNode()
 
 
+def test_kind_unmapped_shares_one_nonode():
+    assert Graph({}).kind(0) is Graph({5: EndNode()}).kind(1)
+
+
 def test_kind_direct_lookup():
     g = Graph({5: EndNode()})
     assert g.kind(5) == EndNode()
@@ -71,11 +75,6 @@ def test_inputs_of_unmapped_id_empty():
 def test_is_sequential():
     assert ir.is_sequential(BeginNode(next=4))
     assert not ir.is_sequential(IfNode(condition=1, trueSuccessor=2, falseSuccessor=3))
-
-
-def test_is_binary_arith():
-    assert ir.is_binary_arith(AddNode(x=1, y=2))
-    assert not ir.is_binary_arith(ConstantNode(IntVal(0)))
 
 
 def test_is_data_and_is_control():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -256,6 +257,27 @@ def test_condelim_straight_line_zero_rewrites():
     g = Graph({0: StartNode(next=1), 1: ReturnNode(resultOpt=None)})
     g2, report = conditional_elimination(g)
     assert report.rewrites == [] and report.fixpoint and g2 == g
+
+
+def test_condelim_long_if_chain_is_iterative():
+    # 600 straight-line tests of one parameter; every test after the first
+    # is dominated by the true branch of the one before.
+    nodes = {0: StartNode(next=2), 1: ParameterNode(0)}
+    ifs = []
+    for i in range(600):
+        nid = 2 + 3 * i
+        nodes[nid] = IfNode(condition=1, trueSuccessor=nid + 1, falseSuccessor=nid + 2)
+        nodes[nid + 1] = BeginNode(next=nid + 3)
+        nodes[nid + 2] = ReturnNode(resultOpt=None)
+        ifs.append(nid)
+    nodes[2 + 3 * 600] = ReturnNode(resultOpt=None)
+    g = Graph(nodes)
+    assert check(g).ok
+    start = time.perf_counter()
+    g2, report = conditional_elimination(g)
+    assert time.perf_counter() - start < 5
+    assert [rw.target for rw in report.rewrites] == ifs[1:]
+    assert all(g2.kind(n) == RefNode(n + 1) for n in ifs[1:])
 
 
 def test_apply_pass_factorial_already_canonical():

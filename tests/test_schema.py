@@ -1,0 +1,129 @@
+"""The node-kind schema: every role table, value edge and field codec is
+derived from one declaration per kind in `ir`.
+
+The oracles below are the hand-written tables the modules kept before the
+schema existed, written out literally, plus SubNode where it belongs.
+"""
+
+import pytest
+
+from seanode import dataflow, ir
+from seanode.fileformat import dumps, loads
+from seanode.ir import (
+    AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode,
+    IntegerLessThanNode, InvokeNode, InvokeWithExceptionNode, LoadFieldNode,
+    LoopBeginNode, LoopEndNode, LoopExitNode, MergeNode, MethodCallTargetNode,
+    MulNode, NegateNode, NewInstanceNode, NoNode, ParameterNode, Program,
+    RefNode, ReturnNode, Signature, StartNode, StoreFieldNode, SubNode,
+    UnwindNode, ValuePhiNode, ValueProxyNode,
+)
+from seanode.runtime import IntVal
+
+SAMPLES = (
+    ConstantNode(IntVal(-7)),
+    ParameterNode(2),
+    ValuePhiNode(1, values=(3, 4), merge=5),
+    NegateNode(value=3),
+    AddNode(x=3, y=4),
+    SubNode(x=4, y=3),
+    MulNode(x=3, y=3),
+    IntegerLessThanNode(x=3, y=4),
+    ConditionalNode(condition=3, trueValue=4, falseValue=5),
+    ValueProxyNode(value=3, loopExit=4),
+    StartNode(next=1),
+    BeginNode(next=2),
+    RefNode(next=2),
+    IfNode(condition=3, trueSuccessor=4, falseSuccessor=5),
+    EndNode(),
+    MergeNode(ends=(3, 4), next=5),
+    LoopBeginNode(ends=(3,), next=5),
+    LoopEndNode(loopBegin=3),
+    LoopExitNode(loopBegin=3, next=4),
+    NewInstanceNode(selfId=1, instanceClass="Point", next=2),
+    LoadFieldNode(selfId=1, field="x", objectOpt=None, next=2),
+    StoreFieldNode(selfId=1, field="x", value=3, objectOpt=4, next=2),
+    ReturnNode(resultOpt=None),
+    InvokeNode(selfId=1, callTarget=3, next=2),
+    InvokeWithExceptionNode(selfId=1, callTarget=3, next=2, exceptionEdge=4),
+    MethodCallTargetNode(targetMethod=Signature("T", "m", ("int",)), arguments=(3, 4)),
+    UnwindNode(exception=3),
+)
+
+SEQUENTIAL = {StartNode, BeginNode, RefNode, LoopExitNode, MergeNode, LoopBeginNode}
+DATA = {
+    ConstantNode, ParameterNode, ValuePhiNode, NegateNode, AddNode, MulNode,
+    IntegerLessThanNode, ConditionalNode, ValueProxyNode, SubNode,
+}
+STATE_LEAF = {
+    ValuePhiNode, InvokeNode, InvokeWithExceptionNode, NewInstanceNode, LoadFieldNode,
+}
+DUPLICABLE = {
+    ConstantNode, ParameterNode, NegateNode, AddNode, MulNode,
+    IntegerLessThanNode, ConditionalNode, ValueProxyNode, SubNode,
+}
+# Control points: kinds with successors, plus the successor-less ends and exits.
+CONTROL = {cls for cls in ir.NODE_KINDS.values() if cls.SUCCESSORS} | {
+    EndNode, LoopEndNode, ReturnNode, UnwindNode,
+}
+WALK_EDGES = {
+    NegateNode: ("value",),
+    AddNode: ("x", "y"),
+    SubNode: ("x", "y"),
+    MulNode: ("x", "y"),
+    IntegerLessThanNode: ("x", "y"),
+    ConditionalNode: ("condition", "trueValue", "falseValue"),
+    ValueProxyNode: ("value",),
+}
+ARITHMETIC = {AddNode, SubNode, MulNode, IntegerLessThanNode, NegateNode}
+
+
+def kinds_where(predicate):
+    return {type(node) for node in SAMPLES if predicate(node)}
+
+
+def test_samples_cover_every_registered_kind():
+    assert sorted(type(n).__name__ for n in SAMPLES) == sorted(ir.NODE_KINDS)
+    assert all(ir.NODE_KINDS[type(n).__name__] is type(n) for n in SAMPLES)
+
+
+def test_nonode_is_not_registered():
+    assert "NoNode" not in ir.NODE_KINDS
+    assert NoNode.ROLE is None
+    assert not any(pred(NoNode()) for pred in (
+        ir.is_data, ir.is_state_leaf, ir.is_pure, ir.is_sequential, ir.is_control))
+
+
+def test_derived_role_sets_equal_the_literal_tables():
+    assert kinds_where(ir.is_sequential) == SEQUENTIAL
+    assert kinds_where(ir.is_data) == DATA
+    assert kinds_where(ir.is_state_leaf) == STATE_LEAF
+    assert kinds_where(ir.is_pure) == DUPLICABLE
+    assert kinds_where(ir.is_control) == CONTROL
+
+
+def test_derived_value_edges_equal_the_walk_table():
+    derived = {
+        cls: tuple(name for name, _ in cls.VALUE_EDGES)
+        for cls in ir.NODE_KINDS.values() if cls.VALUE_EDGES
+    }
+    assert derived == WALK_EDGES
+
+
+def test_arithmetic_kinds_declare_their_operation():
+    assert {cls for cls in ir.NODE_KINDS.values() if cls.OP is not None} == ARITHMETIC
+    assert AddNode.OP(IntVal(2), IntVal(3)) == IntVal(5)
+    assert SubNode.OP(IntVal(2), IntVal(3)) == IntVal(-1)
+
+
+def test_evaluation_has_a_rule_for_exactly_the_readable_kinds():
+    assert set(dataflow._RULES) == DATA | STATE_LEAF
+
+
+@pytest.mark.parametrize("node", SAMPLES, ids=lambda n: type(n).__name__)
+def test_sample_round_trips_through_the_file_format(node):
+    nid = 0 if isinstance(node, StartNode) else 1
+    nodes = {nid: node} if nid == 0 else {0: StartNode(next=1), 1: node}
+    program = Program({Signature("T", "m", ()): Graph(nodes)})
+    text = dumps(program)
+    assert loads(text).methods == program.methods
+    assert dumps(loads(text)) == text

@@ -1,11 +1,14 @@
+import time
+
 import pytest
 
+from genutil import negate_chain
 from seanode import wellformed
 from seanode.corpus import FACT_SIG, corpus_programs, factorial
 from seanode.fileformat import load
 from seanode.ir import (
-    AddNode, BeginNode, EndNode, Graph, LoopBeginNode, MergeNode,
-    ReturnNode, StartNode, ValuePhiNode,
+    AddNode, BeginNode, EndNode, Graph, LoopBeginNode, MergeNode, NegateNode,
+    ParameterNode, ReturnNode, StartNode, SubNode, ValuePhiNode, ValueProxyNode,
 )
 from seanode.wellformed import Violation, check, wf_closed, wf_ends, wf_phis, wf_start
 
@@ -94,6 +97,39 @@ def test_check_self_loop_through_input():
     })
     report = check(g)
     assert any(v.rule == "wf_acyclic" for v in report.violations)
+
+
+def test_check_sub_cycle():
+    g = Graph({
+        0: StartNode(next=3),
+        1: SubNode(x=2, y=4),
+        2: SubNode(x=4, y=1),
+        3: ReturnNode(resultOpt=1),
+        4: ParameterNode(0),
+    })
+    report = check(g)
+    assert [v.rule for v in report.violations] == ["wf_acyclic"]
+    assert report.violations[0].nid == 1
+
+
+def test_cycle_through_an_anchor_edge_is_not_a_data_cycle():
+    # Evaluation does not follow ValueProxyNode.loopExit, so this terminates.
+    g = Graph({
+        0: StartNode(next=3),
+        1: NegateNode(value=2),
+        2: ValueProxyNode(value=4, loopExit=1),
+        3: ReturnNode(resultOpt=1),
+        4: ParameterNode(0),
+    })
+    assert not any(v.rule == "wf_acyclic" for v in check(g).violations)
+
+
+def test_check_deep_chain_is_iterative():
+    g = negate_chain(3000)
+    start = time.perf_counter()
+    report = check(g)
+    assert time.perf_counter() - start < 5
+    assert report.ok
 
 
 def test_check_aggregates_multiple_rules():
