@@ -263,6 +263,16 @@ def test_out_of_fuel_at_exact_budget():
     assert result.steps == 777
 
 
+def test_run_spin_fuel_exhaustion_inside_loop():
+    steps = []
+    result = run(spin(), SPIN_SIG, [], fuel=1000, on_step=steps.append)
+    assert result.outcome is ExecOutcome.OUT_OF_FUEL
+    assert result.steps == len(steps) == 1000
+    # Still inside the loop: the exit path was never taken.
+    assert {s.nid for s in steps}.isdisjoint({8, 9})
+    assert all(s.depth == 1 for s in steps)
+
+
 def test_missing_main_raises():
     with pytest.raises(UnknownMethod):
         run(Program({}), Signature("T", "main", ()), [])
