@@ -129,7 +129,7 @@ def cmd_diff(args) -> int:
     sig = _resolve(left, args.method)
     if right.graph(sig) is None:
         raise CliError(f"{args.file2} has no method {sig}")
-    domain = Domain(_parse_domain(args.domain), seed=args.seed)
+    domain = Domain(_parse_domain(args.domain))
     verdict = behavior_diff(left, right, sig, domain, fuel=args.fuel)
     print(verdict)
     return 0 if verdict.status is Equivalence.EQUIVALENT else 1
@@ -172,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file2")
     p.add_argument("--method", required=True)
     p.add_argument("--domain", default="-2..2", help="parameter range lo..hi")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fuel", type=int, default=100_000)
     p.set_defaults(fn=cmd_diff)
 

@@ -10,16 +10,10 @@ from dataclasses import dataclass
 from . import ir, runtime
 from .dataflow import EvalContext, EvalStuck, evaluate
 from .ir import Graph
-from .runtime import DynamicHeap, MethodState, ObjRef, TypeMismatch, Value
+from .runtime import DynamicHeap, MethodState, ObjRef, TypeMismatch
 
-
-class StepStuck(Exception):
-    """No small-step rule applies to the configuration."""
-
-    def __init__(self, nid: int, reason: str):
-        super().__init__(f"@{nid}: {reason}")
-        self.nid = nid
-        self.reason = reason
+# No local rule applies: the same exception as a stuck evaluation.
+StepStuck = EvalStuck
 
 
 @dataclass(frozen=True)
@@ -32,7 +26,7 @@ class LocalConfig:
 def phis_of(g: Graph, merge: int) -> list[int]:
     """Phi nodes attached to a merge, in ascending id order."""
     node = g.kind(merge)
-    if not isinstance(node, (ir.MergeNode, ir.LoopBeginNode)):
+    if not isinstance(node, ir.AbstractMergeNode):
         raise StepStuck(merge, f"{node.kind_name()} is not a merge")
     return sorted(
         nid for nid in g.usages(merge)
@@ -50,7 +44,7 @@ def merge_of_end(g: Graph, end: int) -> tuple[int, int]:
     elif isinstance(node, ir.EndNode):
         merges = [
             u for u in g.usages(end)
-            if isinstance(g.kind(u), (ir.MergeNode, ir.LoopBeginNode))
+            if isinstance(g.kind(u), ir.AbstractMergeNode)
         ]
         if not merges:
             raise StepStuck(end, "end node has no merge usage")
@@ -65,31 +59,23 @@ def merge_of_end(g: Graph, end: int) -> tuple[int, int]:
     return merge, ends.index(end)
 
 
-def phi_updates(g: Graph, params, state: MethodState, merge: int, index: int):
+def phi_updates(ctx: EvalContext, merge: int, index: int):
     """Evaluate the index-th value input of every phi of the merge, all under
-    the given (pre-step) state."""
-    ctx = EvalContext(g, state, tuple(params))
+    the context's (pre-step) state."""
     updates = []
-    for phi_nid in phis_of(g, merge):
-        phi = g.kind(phi_nid)
+    for phi_nid in phis_of(ctx.graph, merge):
+        phi = ctx.graph.kind(phi_nid)
         if index >= len(phi.values):
             raise StepStuck(phi_nid, f"phi has no value input for end position {index}")
         updates.append((phi_nid, evaluate(ctx, phi.values[index])))
     return updates
 
 
-def _eval(g, params, state, nid) -> Value:
-    try:
-        return evaluate(EvalContext(g, state, tuple(params)), nid)
-    except EvalStuck as e:
-        raise StepStuck(e.nid, e.reason) from e
-
-
-def _resolve_object(g, params, state, node) -> ObjRef | None:
+def _resolve_object(ctx: EvalContext, node) -> ObjRef | None:
     # None addresses the static-field region.
     if node.objectOpt is None:
         return None
-    v = _eval(g, params, state, node.objectOpt)
+    v = evaluate(ctx, node.objectOpt)
     if not isinstance(v, ObjRef):
         raise StepStuck(node.objectOpt, f"expected an object reference, got {v}")
     return v
@@ -106,8 +92,9 @@ def step(g: Graph, params, c: LocalConfig, on_store=None) -> LocalConfig:
     if ir.is_sequential(node):
         return LocalConfig(ir.successors_of(node)[0], c.state, c.heap)
 
+    ctx = EvalContext(g, c.state, tuple(params))
     if isinstance(node, ir.IfNode):
-        cond = _eval(g, params, c.state, node.condition)
+        cond = evaluate(ctx, node.condition)
         try:
             took_true = runtime.val_to_bool(cond)
         except TypeMismatch as e:
@@ -115,9 +102,9 @@ def step(g: Graph, params, c: LocalConfig, on_store=None) -> LocalConfig:
         target = node.trueSuccessor if took_true else node.falseSuccessor
         return LocalConfig(target, c.state, c.heap)
 
-    if isinstance(node, (ir.EndNode, ir.LoopEndNode)):
+    if isinstance(node, ir.AbstractEndNode):
         merge, index = merge_of_end(g, c.nid)
-        updates = phi_updates(g, params, c.state, merge, index)
+        updates = phi_updates(ctx, merge, index)
         return LocalConfig(merge, c.state.set_many(updates), c.heap)
 
     if isinstance(node, ir.NewInstanceNode):
@@ -125,13 +112,13 @@ def step(g: Graph, params, c: LocalConfig, on_store=None) -> LocalConfig:
         return LocalConfig(node.next, c.state.set(c.nid, ref), heap)
 
     if isinstance(node, ir.LoadFieldNode):
-        obj = _resolve_object(g, params, c.state, node)
+        obj = _resolve_object(ctx, node)
         v = c.heap.load_field(node.field, obj)
         return LocalConfig(node.next, c.state.set(c.nid, v), c.heap)
 
     if isinstance(node, ir.StoreFieldNode):
-        val = _eval(g, params, c.state, node.value)
-        obj = _resolve_object(g, params, c.state, node)
+        val = evaluate(ctx, node.value)
+        obj = _resolve_object(ctx, node)
         heap = c.heap.store_field(node.field, obj, val)
         if on_store is not None:
             addr = obj.ref if obj is not None else runtime.STATIC_REF

@@ -13,10 +13,13 @@ from .runtime import IntVal, MethodState, TypeMismatch, Value
 
 
 class EvalStuck(Exception):
-    """No evaluation rule applies at the node."""
+    """No rule applies: the one failure of evaluation, of the local step
+    (controlflow.StepStuck) and of the global step (interproc.GlobalStuck).
+    nid is the node the configuration is stuck at, or None when the reason
+    concerns the frame stack rather than one node."""
 
-    def __init__(self, nid: int, reason: str):
-        super().__init__(f"@{nid}: {reason}")
+    def __init__(self, nid: int | None, reason: str):
+        super().__init__(reason if nid is None else f"@{nid}: {reason}")
         self.nid = nid
         self.reason = reason
 

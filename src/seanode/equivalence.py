@@ -169,8 +169,7 @@ def behavior_diff(p1: Program, p2: Program, main: Signature,
     Inputs on which either side runs out of fuel are inconclusive, not
     counterexamples.
     """
-    sig1 = next((s for s in p1.signatures() if s == main), None)
-    if sig1 is None:
+    if p1.graph(main) is None:
         raise KeyError(f"method {main} not present in the left program")
     arity = len(main.parameterTypes)
     tried = 0

@@ -5,18 +5,17 @@ import enum
 from dataclasses import dataclass, field
 
 from . import ir
-from .controlflow import LocalConfig, StepStuck, step
+from .controlflow import LocalConfig, step
 from .dataflow import EvalContext, EvalStuck, evaluate, evaluate_all
 from .ir import Graph, Program, Signature
 from .runtime import UNDEF, DynamicHeap, MethodState, ObjRef, Value, new_map_state
 
 
-class GlobalStuck(Exception):
+class GlobalStuck(EvalStuck):
     """No global rule applies to the configuration."""
 
     def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+        super().__init__(None, reason)
 
 
 class UnknownMethod(GlobalStuck):
@@ -126,12 +125,7 @@ def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
             raise MalformedCall(
                 f"callTarget of invoke {top.nid} is {target.kind_name()}"
             )
-        try:
-            args = evaluate_all(
-                EvalContext(top.graph, top.state, top.params), target.arguments
-            )
-        except EvalStuck as e:
-            raise GlobalStuck(f"argument evaluation stuck {e}") from e
+        args = evaluate_all(EvalContext(top.graph, top.state, top.params), target.arguments)
         callee_graph = program.graph(target.targetMethod)
         if callee_graph is None:
             raise UnknownMethod(target.targetMethod)
@@ -142,26 +136,19 @@ def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
         raised = isinstance(node, ir.UnwindNode)
         if len(c.stack) < 2:
             raise UncaughtTopLevel(f"{'unwind' if raised else 'return'} with no calling frame")
-        try:
-            v = _exit_value(top, node)
-        except EvalStuck as e:
-            raise GlobalStuck(f"{'exception' if raised else 'return'} value stuck {e}") from e
+        v = _exit_value(top, node)
         resumed = _resume_caller(c.stack[1], v, after_exception=raised)
         return GlobalConfig((resumed,) + c.stack[2:], c.heap)
 
     # Everything else is a local transition promoted to the top frame.
-    try:
-        local = step(top.graph, top.params, LocalConfig(top.nid, top.state, c.heap),
-                     on_store=on_store)
-    except StepStuck as e:
-        raise GlobalStuck(str(e)) from e
+    local = step(top.graph, top.params, LocalConfig(top.nid, top.state, c.heap),
+                 on_store=on_store)
     new_top = Frame(top.graph, local.nid, local.state, top.params)
     return GlobalConfig((new_top,) + c.stack[1:], local.heap)
 
 
 def _exit_value(top: Frame, node: ir.IRNode) -> Value:
-    """The value a ReturnNode or UnwindNode hands to its caller. Raises
-    EvalStuck, or GlobalStuck when an unwound value is not an object."""
+    """The value a ReturnNode or UnwindNode hands to its caller."""
     if isinstance(node, ir.ReturnNode):
         return UNDEF if node.resultOpt is None else _frame_eval(top, node.resultOpt)
     v = _frame_eval(top, node.exception)
@@ -214,7 +201,8 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
     """Drive the global semantics from main's start node to quiescence.
 
     All failure modes are classified in the result; nothing escapes as an
-    exception except a missing main method.
+    exception except a missing main method. A stuck configuration at any
+    layer raises EvalStuck, and the one handler below classifies it.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -223,20 +211,17 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
     while True:
         top = c.stack[0]
         node = top.graph.kind(top.nid)
-        if len(c.stack) == 1 and isinstance(node, (ir.ReturnNode, ir.UnwindNode)):
-            try:
-                v = _exit_value(top, node)
-            except (EvalStuck, GlobalStuck) as e:
-                return ExecResult(ExecOutcome.STUCK, None, steps, c.heap, str(e))
-            if isinstance(node, ir.ReturnNode):
-                return ExecResult(ExecOutcome.RETURNED, v, steps, c.heap)
-            return ExecResult(ExecOutcome.UNCAUGHT_EXCEPTION, v, steps, c.heap)
-        if steps == fuel:
-            return ExecResult(ExecOutcome.OUT_OF_FUEL, None, steps, c.heap)
         try:
+            if len(c.stack) == 1 and isinstance(node, (ir.ReturnNode, ir.UnwindNode)):
+                v = _exit_value(top, node)
+                if isinstance(node, ir.ReturnNode):
+                    return ExecResult(ExecOutcome.RETURNED, v, steps, c.heap)
+                return ExecResult(ExecOutcome.UNCAUGHT_EXCEPTION, v, steps, c.heap)
+            if steps == fuel:
+                return ExecResult(ExecOutcome.OUT_OF_FUEL, None, steps, c.heap)
             c2 = step_top(program, c, on_store=on_store)
-        except GlobalStuck as e:
-            return ExecResult(ExecOutcome.STUCK, None, steps, c.heap, e.reason)
+        except EvalStuck as e:
+            return ExecResult(ExecOutcome.STUCK, None, steps, c.heap, str(e))
         steps += 1
         if on_step is not None:
             on_step(_trace_step(steps, c, c2, node))

@@ -214,36 +214,41 @@ class IfNode(IRNode, role=Role.CONTROL):
 
 
 @dataclass(frozen=True)
-class EndNode(IRNode, role=Role.CONTROL):
+class AbstractEndNode(IRNode):
+    """Base of the control edges into a merge; no role, so not a kind."""
+
+
+@dataclass(frozen=True)
+class AbstractMergeNode(IRNode):
+    """Base of the control-flow merges; no role, so not a kind."""
+
+    ends: tuple[int, ...]
+    next: int
+
+    INPUTS = (("ends", MANY),)
+    SUCCESSORS = ("next",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ends", tuple(self.ends))
+
+
+@dataclass(frozen=True)
+class EndNode(AbstractEndNode, role=Role.CONTROL):
     pass
 
 
 @dataclass(frozen=True)
-class MergeNode(IRNode, role=Role.SEQUENTIAL):
-    ends: tuple[int, ...]
-    next: int
-
-    INPUTS = (("ends", MANY),)
-    SUCCESSORS = ("next",)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ends", tuple(self.ends))
+class MergeNode(AbstractMergeNode, role=Role.SEQUENTIAL):
+    pass
 
 
 @dataclass(frozen=True)
-class LoopBeginNode(IRNode, role=Role.SEQUENTIAL):
-    ends: tuple[int, ...]
-    next: int
-
-    INPUTS = (("ends", MANY),)
-    SUCCESSORS = ("next",)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ends", tuple(self.ends))
+class LoopBeginNode(AbstractMergeNode, role=Role.SEQUENTIAL):
+    pass
 
 
 @dataclass(frozen=True)
-class LoopEndNode(IRNode, role=Role.CONTROL):
+class LoopEndNode(AbstractEndNode, role=Role.CONTROL):
     loopBegin: int
 
     INPUTS = (("loopBegin", ONE),)
@@ -464,16 +469,17 @@ class Graph:
     def insert_node(self, nid: int, node: IRNode) -> "Graph":
         if nid in self._nodes:
             raise InvalidEdit(f"insert on occupied id {nid}")
-        nodes = dict(self._nodes)
-        nodes[nid] = node
-        return Graph(nodes)
+        return self._with(nid, node)
 
     def replace_node(self, nid: int, node: IRNode) -> "Graph":
         if nid not in self._nodes:
             raise InvalidEdit(f"replace on unmapped id {nid}")
-        nodes = dict(self._nodes)
-        nodes[nid] = node
-        return Graph(nodes)
+        return self._with(nid, node)
+
+    def _with(self, nid: int, node: IRNode) -> "Graph":
+        g = Graph({nid: node})  # checks only the new entry
+        g._nodes = {**self._nodes, nid: node}  # the one copy of the map
+        return g
 
     def items(self):
         return self._nodes.items()
@@ -494,9 +500,6 @@ class Program:
 
     def graph(self, sig: Signature) -> Graph | None:
         return self.methods.get(sig)
-
-    def signatures(self) -> list[Signature]:
-        return list(self.methods)
 
     def resolve(self, name: str) -> Signature:
         """Find a signature by "name" or "Class.name"; errors if ambiguous."""

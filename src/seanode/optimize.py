@@ -28,7 +28,6 @@ class Rewrite:
     target: int
     before: IRNode
     after: IRNode
-    new_nodes: tuple = ()
     rule: str = ""
 
     def log_line(self) -> str:
@@ -49,8 +48,6 @@ class PassReport:
 
 
 def apply_rewrite(g: Graph, rw: Rewrite) -> Graph:
-    for nid, node in rw.new_nodes:
-        g = g.insert_node(nid, node)
     return g.replace_node(rw.target, rw.after)
 
 
@@ -67,7 +64,7 @@ def _forward_to(g: Graph, nid: int, node: IRNode, x: int, rule: str) -> Rewrite 
     copy = g.kind(x)
     if not ir.is_pure(copy):
         return None
-    return Rewrite(nid, node, copy, (), rule)
+    return Rewrite(nid, node, copy, rule)
 
 
 def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
@@ -78,7 +75,7 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
     if isinstance(node, ir.AddNode):
         a, b = _const_of(g, node.x), _const_of(g, node.y)
         if a is not None and b is not None:
-            return Rewrite(nid, node, ir.ConstantNode(runtime.int_add(a, b)), (), "fold-add")
+            return Rewrite(nid, node, ir.ConstantNode(runtime.int_add(a, b)), "fold-add")
         if b is not None and b.value == 0:
             return _forward_to(g, nid, node, node.x, "add-zero")
         if a is not None and a.value == 0:
@@ -87,9 +84,9 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
     if isinstance(node, ir.MulNode):
         a, b = _const_of(g, node.x), _const_of(g, node.y)
         if a is not None and b is not None:
-            return Rewrite(nid, node, ir.ConstantNode(runtime.int_mul(a, b)), (), "fold-mul")
+            return Rewrite(nid, node, ir.ConstantNode(runtime.int_mul(a, b)), "fold-mul")
         if (a is not None and a.value == 0) or (b is not None and b.value == 0):
-            return Rewrite(nid, node, ir.ConstantNode(IntVal(0)), (), "mul-zero")
+            return Rewrite(nid, node, ir.ConstantNode(IntVal(0)), "mul-zero")
         if b is not None and b.value == 1:
             return _forward_to(g, nid, node, node.x, "mul-one")
         if a is not None and a.value == 1:
@@ -98,7 +95,7 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
     if isinstance(node, ir.NegateNode):
         a = _const_of(g, node.value)
         if a is not None:
-            return Rewrite(nid, node, ir.ConstantNode(runtime.int_neg(a)), (), "fold-negate")
+            return Rewrite(nid, node, ir.ConstantNode(runtime.int_neg(a)), "fold-negate")
         inner = g.kind(node.value)
         if isinstance(inner, ir.NegateNode):
             return _forward_to(g, nid, node, inner.value, "negate-negate")
@@ -108,7 +105,7 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
         if a is not None and b is not None:
             return Rewrite(
                 nid, node,
-                ir.ConstantNode(runtime.int_less_than(a, b)), (), "fold-less-than",
+                ir.ConstantNode(runtime.int_less_than(a, b)), "fold-less-than",
             )
 
     if isinstance(node, ir.ConditionalNode):
@@ -132,9 +129,9 @@ def canonicalize_if(g: Graph, nid: int) -> Rewrite | None:
     c = _const_of(g, node.condition)
     if c is not None:
         target = node.trueSuccessor if c.value != 0 else node.falseSuccessor
-        return Rewrite(nid, node, ir.RefNode(target), (), "if-constant-condition")
+        return Rewrite(nid, node, ir.RefNode(target), "if-constant-condition")
     if node.trueSuccessor == node.falseSuccessor:
-        return Rewrite(nid, node, ir.RefNode(node.trueSuccessor), (), "if-equal-branches")
+        return Rewrite(nid, node, ir.RefNode(node.trueSuccessor), "if-equal-branches")
     return None
 
 
@@ -144,7 +141,7 @@ def cfg_successors(g: Graph, nid: int) -> list[int]:
     """Successor edges plus the end-to-merge pseudo-successor."""
     node = g.kind(nid)
     succ = ir.successors_of(node)
-    if isinstance(node, (ir.EndNode, ir.LoopEndNode)):
+    if isinstance(node, ir.AbstractEndNode):
         try:
             merge, _ = merge_of_end(g, nid)
         except StepStuck:
@@ -166,16 +163,21 @@ def _reachable(g: Graph) -> list[int]:
     return order
 
 
-def dominators(g: Graph) -> dict[int, set[int]]:
-    """Per-node dominator sets over control flow reachable from node 0."""
-    nodes = _reachable(g)
-    if not nodes:
-        return {}
+def _cfg_predecessors(g: Graph, nodes) -> dict[int, set[int]]:
     preds = {n: set() for n in nodes}
     for n in nodes:
         for s in cfg_successors(g, n):
             if s in preds:
                 preds[s].add(n)
+    return preds
+
+
+def dominators(g: Graph) -> dict[int, set[int]]:
+    """Per-node dominator sets over control flow reachable from node 0."""
+    nodes = _reachable(g)
+    if not nodes:
+        return {}
+    preds = _cfg_predecessors(g, nodes)
     full = set(nodes)
     dom = {n: ({n} if n == 0 else set(full)) for n in nodes}
     changed = True
@@ -220,11 +222,7 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
     branch. Facts are scoped to the dominator subtree that established them.
     """
     children = dominator_tree(g)
-    preds = {n: set() for n in children}
-    for n in children:
-        for s in cfg_successors(g, n):
-            if s in preds:
-                preds[s].add(n)
+    preds = _cfg_predecessors(g, children)
 
     rewrites: list[Rewrite] = []
     facts: dict = {}
@@ -272,7 +270,7 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
             if known is not None:
                 target = node.trueSuccessor if known else node.falseSuccessor
                 rewrites.append(
-                    Rewrite(n, node, ir.RefNode(target), (), "condelim-implied-branch")
+                    Rewrite(n, node, ir.RefNode(target), "condelim-implied-branch")
                 )
         stack.append(added)
         stack.extend(reversed(children.get(n, ())))

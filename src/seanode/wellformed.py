@@ -1,7 +1,7 @@
 """Graph well-formedness rules; the gate for interpreter and optimizer entry.
 
-Rules are registered by name so future invariants can be added without
-touching the checker core. Violations are data, never exceptions.
+check runs every rule in _RULES; each yields violations tagged with its
+name. Violations are data, never exceptions.
 """
 
 from dataclasses import dataclass
@@ -46,7 +46,7 @@ def _check_closed(g: Graph):
 
 def _check_ends(g: Graph):
     for nid, node in sorted(g.items()):
-        if isinstance(node, (ir.EndNode, ir.LoopEndNode)) and not g.usages(nid):
+        if isinstance(node, ir.AbstractEndNode) and not g.usages(nid):
             yield Violation("wf_ends", nid, f"{node.kind_name()} has no usage")
 
 
@@ -55,7 +55,7 @@ def _check_phis(g: Graph):
         if not isinstance(node, ir.ValuePhiNode):
             continue
         merge = g.kind(node.merge)
-        if not isinstance(merge, (ir.MergeNode, ir.LoopBeginNode)):
+        if not isinstance(merge, ir.AbstractMergeNode):
             yield Violation(
                 "wf_phis", nid,
                 f"merge edge {node.merge} is {merge.kind_name()}, expected a merge",
@@ -88,20 +88,14 @@ def _check_data_acyclic(g: Graph):
         yield Violation("wf_acyclic", e.nid, "cycle through data input edges")
 
 
-DEFAULT_RULES = (
-    ("wf_start", _check_start),
-    ("wf_closed", _check_closed),
-    ("wf_ends", _check_ends),
-    ("wf_phis", _check_phis),
-    ("wf_selfid", _check_self_ids),
-    ("wf_acyclic", _check_data_acyclic),
-)
+_RULES = (_check_start, _check_closed, _check_ends, _check_phis, _check_self_ids,
+          _check_data_acyclic)
 
 
-def check(g: Graph, extra_rules=()) -> WfReport:
-    """Run all registered rules and collect every violation."""
+def check(g: Graph) -> WfReport:
+    """Run every rule and collect every violation."""
     violations = []
-    for _, rule in tuple(DEFAULT_RULES) + tuple(extra_rules):
+    for rule in _RULES:
         violations.extend(rule(g))
     return WfReport(ok=not violations, violations=tuple(violations))
 

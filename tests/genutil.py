@@ -6,8 +6,8 @@ import random
 
 from seanode.ir import (
     AddNode, ConditionalNode, ConstantNode, EndNode, Graph, IntegerLessThanNode,
-    MergeNode, MulNode, NegateNode, ParameterNode, ReturnNode, StartNode,
-    ValuePhiNode,
+    MergeNode, MulNode, NegateNode, ParameterNode, Program, ReturnNode, Signature,
+    StartNode, ValuePhiNode,
 )
 from seanode.runtime import INT_MAX, INT_MIN, IntVal
 
@@ -166,3 +166,19 @@ def negate_chain(depth: int) -> Graph:
         nodes[2 + i] = NegateNode(value=3 + i)
     nodes[2 + depth] = ParameterNode(0)
     return Graph(nodes)
+
+
+STUCK_PHI_SIG = Signature("Stuck", "phiUpdate", ())
+
+
+def stuck_phi_program() -> Program:
+    """A well-formed method whose only phi update is stuck: the phi's input
+    reads parameter 3 of a method that has none."""
+    return Program({STUCK_PHI_SIG: Graph({
+        0: StartNode(next=1),
+        1: EndNode(),
+        2: MergeNode(ends=(1,), next=4),
+        3: ValuePhiNode(3, values=(5,), merge=2),
+        4: ReturnNode(resultOpt=3),
+        5: ParameterNode(3),
+    })})

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from genutil import STUCK_PHI_SIG, stuck_phi_program
 from seanode.cli import main
 from seanode.corpus import FACT_SIG, factorial
-from seanode.fileformat import dumps, load
+from seanode.fileformat import dumps, load, save
 from seanode.interproc import run
 from seanode.ir import Program, RefNode
 from seanode.runtime import IntVal
@@ -191,3 +192,14 @@ def test_bad_domain_argument(corpus_dir, capsys):
     code = main(["diff", fact_path(corpus_dir), fact_path(corpus_dir),
                  "--method", "fact", "--domain", "oops"])
     assert code == 2
+
+
+def test_stuck_phi_update_is_classified(tmp_path, capsys):
+    path = str(tmp_path / "stuck.json")
+    save(stuck_phi_program(), path)
+    method = STUCK_PHI_SIG.methodName
+    assert main(["validate", path]) == 0
+    assert main(["run", path, "--method", method]) == 5
+    assert "Stuck: @5: parameter index 3 with 0 parameters" in capsys.readouterr().out
+    assert main(["diff", path, path, "--method", method]) == 0
+    assert capsys.readouterr().out.startswith("Equivalent")

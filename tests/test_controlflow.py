@@ -171,5 +171,5 @@ def test_phi_update_simultaneity_randomized():
 
 def test_phi_updates_all_under_original_state(fact_graph):
     m = new_map_state().set(7, IntVal(3)).set(8, IntVal(2))
-    updates = phi_updates(fact_graph, (IntVal(3),), m, 6, 1)
+    updates = phi_updates(EvalContext(fact_graph, m, (IntVal(3),)), 6, 1)
     assert updates == [(7, IntVal(2)), (8, IntVal(6))]

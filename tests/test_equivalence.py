@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from genutil import DATA_RULES, gen_rule_case, negate_chain
+from genutil import DATA_RULES, STUCK_PHI_SIG, gen_rule_case, negate_chain, stuck_phi_program
 from seanode.corpus import (
     IFTRUE_SIG, SPIN_SIG, FACT_SIG, factorial, if_const_true, spin,
 )
@@ -203,3 +203,9 @@ def test_behavior_diff_missing_method():
     p = factorial()
     with pytest.raises(KeyError):
         behavior_diff(p, p, SPIN_SIG, Domain())
+
+
+def test_behavior_diff_on_a_stuck_phi_update_gives_a_verdict():
+    program = stuck_phi_program()
+    verdict = behavior_diff(program, program, STUCK_PHI_SIG)
+    assert verdict.status is Equivalence.EQUIVALENT

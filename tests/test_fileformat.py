@@ -180,3 +180,10 @@ def test_sub_node_round_trips_and_runs():
     assert g.kind(3) == SubNode(x=1, y=2)
     assert dumps(program) == text
     assert run(program, sig, [IntVal(3), IntVal(10)]).value == IntVal(-7)
+
+
+def test_corpus_files_are_the_builders_output(corpus_dir):
+    programs = corpus_programs()
+    assert sorted(p.name for p in corpus_dir.iterdir()) == sorted(f"{n}.json" for n in programs)
+    for name, program in programs.items():
+        assert (corpus_dir / f"{name}.json").read_text() == dumps(program)

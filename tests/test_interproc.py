@@ -1,14 +1,18 @@
 import pytest
 
+from genutil import STUCK_PHI_SIG, stuck_phi_program
+from seanode.controlflow import StepStuck
 from seanode.corpus import (
     ADD3_SIG, CATCH_SIG, CROSS_SIG, EXPLODE_SIG, FACT_SIG, MAIN_SIG, PAIR_SIG,
     SPIN_SIG, STATICS_SIG, call_chain, catch_exception, cross_frame, factorial,
     heap_pair, spin, static_counter, uncaught,
 )
+from seanode.dataflow import EvalStuck, ParamOutOfRange
 from seanode.interproc import (
     ExecOutcome, Frame, GlobalConfig, GlobalStuck, MalformedCall, UncaughtTopLevel,
     UnknownMethod, UnwindWithoutHandler, initial_config, run, step_top,
 )
+from seanode.wellformed import check
 from seanode.ir import (
     AddNode, ConstantNode, EndNode, Graph, InvokeNode, MethodCallTargetNode, ParameterNode,
     Program, ReturnNode, Signature, StartNode, UnwindNode,
@@ -294,3 +298,42 @@ def test_trace_records_match_steps_and_rerun_identically():
     r2 = run(p, FACT_SIG, [IntVal(6)], on_step=lambda r: second.append(r.line()))
     assert first == second
     assert len(first) == r1.steps == r2.steps
+
+
+def test_one_stuck_exception_for_every_layer():
+    assert StepStuck is EvalStuck
+    for cls in (ParamOutOfRange, GlobalStuck, UnknownMethod, MalformedCall,
+                UnwindWithoutHandler, UncaughtTopLevel):
+        assert issubclass(cls, EvalStuck)
+    e = GlobalStuck("empty frame stack")
+    assert e.nid is None
+    assert str(e) == e.reason == "empty frame stack"
+    e = EvalStuck(5, "no evaluation rule for EndNode")
+    assert (e.nid, str(e)) == (5, "@5: no evaluation rule for EndNode")
+
+
+def test_run_classifies_a_stuck_phi_update():
+    program = stuck_phi_program()
+    assert check(program.graph(STUCK_PHI_SIG)).ok
+    result = run(program, STUCK_PHI_SIG, [])
+    assert result.outcome is ExecOutcome.STUCK
+    assert result.steps == 1
+    assert result.reason == "@5: parameter index 3 with 0 parameters"
+
+
+def test_stuck_argument_evaluation_keeps_its_node():
+    callee = Signature("T", "callee", ("int",))
+    main = Signature("T", "main", ())
+    program = Program({
+        main: Graph({
+            0: StartNode(next=1),
+            1: InvokeNode(1, callTarget=2, next=4),
+            2: MethodCallTargetNode(callee, arguments=(3,)),
+            3: ParameterNode(0),
+            4: ReturnNode(resultOpt=None),
+        }),
+        callee: Graph({0: StartNode(next=1), 1: ReturnNode(resultOpt=None)}),
+    })
+    result = run(program, main, [])
+    assert result.outcome is ExecOutcome.STUCK
+    assert result.reason == "@3: parameter index 0 with 0 parameters"

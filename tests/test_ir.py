@@ -109,12 +109,19 @@ def test_replace_unmapped_rejected():
         Graph({}).replace_node(3, EndNode())
 
 
+def test_insert_negative_id_rejected():
+    with pytest.raises(InvalidEdit):
+        Graph({0: StartNode(next=0)}).insert_node(-1, EndNode())
+
+
 def test_store_nonode_rejected():
     with pytest.raises(InvalidEdit):
         Graph({0: NoNode()})
     g = Graph({0: StartNode(next=0)})
     with pytest.raises(InvalidEdit):
         g.replace_node(0, NoNode())
+    with pytest.raises(InvalidEdit):
+        g.insert_node(1, NoNode())
 
 
 def test_edits_are_persistent(fact_graph):

@@ -18,7 +18,7 @@ from seanode.ir import (
     RefNode, ReturnNode, StartNode, ValuePhiNode,
 )
 from seanode.optimize import (
-    IterationCapExceeded, Rewrite, apply_pass, apply_rewrite, canonicalize_data,
+    IterationCapExceeded, apply_pass, apply_rewrite, canonicalize_data,
     canonicalize_if, conditional_elimination, dominator_tree, dominators,
 )
 from seanode.runtime import INT_MAX, IntVal, new_map_state
@@ -356,18 +356,6 @@ def test_apply_pass_idempotent_at_fixpoint():
         g1, _ = apply_pass(build().graph(sig), "all")
         g2, report = apply_pass(g1, "all")
         assert report.rewrites == [] and g2 == g1
-
-
-def test_new_nodes_machinery():
-    g = Graph({0: StartNode(next=1), 1: ReturnNode(resultOpt=2), 2: ParameterNode(0)})
-    fresh = g.fresh_id()
-    rw = Rewrite(
-        target=2, before=g.kind(2), after=AddNode(x=fresh, y=fresh),
-        new_nodes=((fresh, ConstantNode(IntVal(21))),), rule="synthetic",
-    )
-    g2 = apply_rewrite(g, rw)
-    assert g2.kind(fresh) == ConstantNode(IntVal(21))
-    assert eval_at(g2, 2) == IntVal(42)
 
 
 def test_pass_report_log_format():

@@ -127,3 +127,13 @@ def test_sample_round_trips_through_the_file_format(node):
     text = dumps(program)
     assert loads(text).methods == program.methods
     assert dumps(loads(text)) == text
+
+
+def test_merge_and_end_bases_are_not_kinds():
+    for base in (ir.AbstractMergeNode, ir.AbstractEndNode):
+        assert base.__name__ not in ir.NODE_KINDS
+        assert base.ROLE is None
+    assert {k for k in ir.NODE_KINDS.values() if issubclass(k, ir.AbstractMergeNode)} == {
+        ir.MergeNode, ir.LoopBeginNode}
+    assert {k for k in ir.NODE_KINDS.values() if issubclass(k, ir.AbstractEndNode)} == {
+        ir.EndNode, ir.LoopEndNode}

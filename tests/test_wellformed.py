@@ -7,10 +7,10 @@ from seanode import wellformed
 from seanode.corpus import FACT_SIG, corpus_programs, factorial
 from seanode.fileformat import load
 from seanode.ir import (
-    AddNode, BeginNode, EndNode, Graph, LoopBeginNode, MergeNode, NegateNode,
+    AddNode, BeginNode, EndNode, Graph, MergeNode, NegateNode,
     ParameterNode, ReturnNode, StartNode, SubNode, ValuePhiNode, ValueProxyNode,
 )
-from seanode.wellformed import Violation, check, wf_closed, wf_ends, wf_phis, wf_start
+from seanode.wellformed import check, wf_closed, wf_ends, wf_phis, wf_start
 
 
 def test_wf_start_empty_graph():
@@ -152,17 +152,6 @@ def test_check_ok_implies_predicates():
         for g in program.methods.values():
             assert check(g).ok
             assert wf_start(g) and wf_closed(g) and wf_ends(g) and wf_phis(g)
-
-
-def test_checker_extensible_by_rule_name():
-    def no_loops(g):
-        for nid, node in g.items():
-            if isinstance(node, LoopBeginNode):
-                yield Violation("no_loops", nid, "loops forbidden here")
-
-    report = check(factorial().graph(FACT_SIG), extra_rules=[("no_loops", no_loops)])
-    assert not report.ok
-    assert [v.rule for v in report.violations] == ["no_loops"]
 
 
 @pytest.mark.parametrize("name,rule", [
