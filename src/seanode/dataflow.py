@@ -5,8 +5,6 @@ control-flow nodes whose last value is latched in the method state.
 Evaluation is pure and deterministic; integer arithmetic wraps at 32 bits.
 """
 
-from dataclasses import dataclass
-
 from . import ir, runtime
 from .ir import Graph
 from .runtime import IntVal, MethodState, TypeMismatch, Value
@@ -30,11 +28,18 @@ class ParamOutOfRange(EvalStuck):
         self.index = index
 
 
-@dataclass(frozen=True)
 class EvalContext:
-    graph: Graph
-    state: MethodState
-    params: tuple[Value, ...]
+    """One graph, one method state and one parameter tuple: all an
+    expression's value depends on. memo holds the values of the nodes with
+    value edges evaluated so far under this context."""
+
+    __slots__ = ("graph", "state", "params", "memo")
+
+    def __init__(self, graph: Graph, state: MethodState, params: tuple[Value, ...]):
+        self.graph = graph
+        self.state = state
+        self.params = params
+        self.memo: dict[int, Value] = {}
 
 
 def _as_int(ctx: EvalContext, nid: int) -> IntVal:
@@ -45,12 +50,23 @@ def _as_int(ctx: EvalContext, nid: int) -> IntVal:
 
 
 def evaluate(ctx: EvalContext, nid: int) -> Value:
-    """Evaluate the expression rooted at nid to a run-time value."""
+    """Evaluate the expression rooted at nid to a run-time value.
+
+    A node with value edges is evaluated once per context and its value
+    memoized, so a step costs the distinct nodes of its expressions; leaves
+    are cheaper to evaluate again than to store. A stuck evaluation raises
+    before anything is stored."""
+    v = ctx.memo.get(nid)
+    if v is not None:
+        return v
     node = ctx.graph.kind(nid)
     rule = _RULES.get(type(node))
     if rule is None:
         raise EvalStuck(nid, f"no evaluation rule for {node.kind_name()}")
-    return rule(ctx, nid, node)
+    v = rule(ctx, nid, node)
+    if node.VALUE_EDGES:
+        ctx.memo[nid] = v
+    return v
 
 
 def _parameter(ctx: EvalContext, nid: int, node: ir.ParameterNode) -> Value:

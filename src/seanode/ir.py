@@ -427,9 +427,11 @@ class Graph:
     """Finite partial map from node ids to nodes; immutable after construction.
 
     Lookups are total: unmapped ids yield NoNode. Edits return new graphs.
+    The def-use index (node id -> the ids whose inputs name it) is built
+    by the first usages call and kept; an edit returns a graph without one.
     """
 
-    __slots__ = ("_nodes",)
+    __slots__ = ("_nodes", "_users")
 
     def __init__(self, nodes: dict[int, IRNode]):
         for nid, node in nodes.items():
@@ -438,6 +440,7 @@ class Graph:
             if isinstance(node, NoNode):
                 raise InvalidEdit(f"cannot store NoNode at id {nid}")
         self._nodes = dict(nodes)
+        self._users = None
 
     def kind(self, nid: int) -> IRNode:
         return self._nodes.get(nid, _NO_NODE)
@@ -458,7 +461,19 @@ class Graph:
         return set(successors_of(self.kind(nid)))
 
     def usages(self, nid: int) -> set[int]:
-        return {m for m in self._nodes if nid in self.inputs(m)}
+        users = self._users
+        if users is None:
+            users = self._users = self._index_users()
+        # A new set each call, so a caller cannot change the index.
+        return set(users.get(nid, ()))
+
+    def _index_users(self) -> dict[int, tuple[int, ...]]:
+        users: dict[int, list[int]] = {}
+        for m, node in self._nodes.items():
+            for n in inputs_of(node):
+                users.setdefault(n, []).append(m)
+        # Tuples take about a third of the memory of sets.
+        return {n: tuple(ms) for n, ms in users.items()}
 
     def predecessors(self, nid: int) -> set[int]:
         return {m for m in self._nodes if nid in self.succ(m)}

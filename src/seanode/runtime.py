@@ -103,17 +103,19 @@ class MethodState:
         return self._vals.get(nid, UNDEF)
 
     def set(self, nid: int, v: Value) -> "MethodState":
-        vals = dict(self._vals)
-        if v == UNDEF:
-            vals.pop(nid, None)
-        else:
-            vals[nid] = v
-        return MethodState(vals)
+        return self.set_many(((nid, v),))
 
     def set_many(self, updates) -> "MethodState":
-        state = self
+        """The state with the (nid, value) updates applied in order; copies
+        the map once per call."""
+        vals = dict(self._vals)
         for nid, v in updates:
-            state = state.set(nid, v)
+            if isinstance(v, UndefVal):
+                vals.pop(nid, None)
+            else:
+                vals[nid] = v
+        state = MethodState()
+        state._vals = vals
         return state
 
     def items(self):
@@ -161,4 +163,6 @@ class DynamicHeap:
         ref = ObjRef(self.free)
         classes = dict(self.classes)
         classes[self.free] = class_name
-        return ref, DynamicHeap(dict(self.fields), self.free + 1, classes)
+        # Nothing writes a heap's fields in place (store_field copies), so
+        # the two heaps can share them.
+        return ref, DynamicHeap(self.fields, self.free + 1, classes)

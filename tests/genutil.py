@@ -168,6 +168,19 @@ def negate_chain(depth: int) -> Graph:
     return Graph(nodes)
 
 
+DOUBLING_SIG = Signature("Dag", "doubling", ("int",))
+
+
+def doubling_dag(levels: int) -> Program:
+    """A well-formed method returning p0 * 2**levels (wrapped): node 3 is
+    p0 and each of the next levels nodes is AddNode(prev, prev), so the
+    expression has levels + 1 distinct nodes but 2**(levels + 1) - 1 paths."""
+    nodes = {0: StartNode(next=1), 1: ReturnNode(resultOpt=3 + levels), 3: ParameterNode(0)}
+    for nid in range(4, 4 + levels):
+        nodes[nid] = AddNode(x=nid - 1, y=nid - 1)
+    return Program({DOUBLING_SIG: Graph(nodes)})
+
+
 STUCK_PHI_SIG = Signature("Stuck", "phiUpdate", ())
 
 

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
+from genutil import DOUBLING_SIG, doubling_dag
 from seanode.corpus import FACT_SIG, factorial
 from seanode.dataflow import EvalContext, EvalStuck, ParamOutOfRange, evaluate, evaluate_all
 from seanode.ir import (
@@ -8,7 +11,8 @@ from seanode.ir import (
     LoadFieldNode, MulNode, NegateNode, ParameterNode, StartNode, SubNode,
     ValuePhiNode, ValueProxyNode,
 )
-from seanode.runtime import INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, new_map_state
+from seanode.interproc import ExecOutcome, run
+from seanode.runtime import INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, new_map_state, wrap32
 
 
 def ctx(nodes, m=None, p=()):
@@ -118,6 +122,49 @@ def test_stuck_on_non_integer_operand():
     })
     with pytest.raises(EvalStuck):
         evaluate(c, 3)
+
+
+def test_shared_dag_is_evaluated_once_per_context():
+    # 60 levels of AddNode(prev, prev): 2**61 - 1 paths, 61 distinct nodes.
+    start = time.perf_counter()
+    result = run(doubling_dag(60), DOUBLING_SIG, [IntVal(3)])
+    assert time.perf_counter() - start < 2
+    assert result.outcome is ExecOutcome.RETURNED
+    assert result.value == IntVal(wrap32(3 << 60))
+    assert run(doubling_dag(5), DOUBLING_SIG, [IntVal(3)]).value == IntVal(3 << 5)
+
+
+def test_same_node_under_two_states_gives_two_values():
+    g = Graph({3: ValuePhiNode(3, values=(), merge=0), 4: AddNode(x=3, y=3),
+               5: MulNode(x=4, y=3)})
+    first = EvalContext(g, new_map_state().set(3, IntVal(1)), ())
+    second = EvalContext(g, new_map_state().set(3, IntVal(5)), ())
+    assert evaluate(first, 5) == IntVal(2)
+    assert evaluate(second, 5) == IntVal(50)
+    assert evaluate(first, 5) == IntVal(2)
+
+
+def test_unchosen_arm_is_not_evaluated_when_its_inputs_are_memoized():
+    c = ctx({
+        1: ParameterNode(0),
+        2: ParameterNode(5),  # out of range: stuck if evaluated
+        3: AddNode(x=1, y=1),
+        4: AddNode(x=3, y=2),  # the unchosen arm
+        5: ConstantNode(IntVal(1)),
+        6: ConditionalNode(condition=5, trueValue=3, falseValue=4),
+    }, p=[IntVal(4)])
+    assert evaluate(c, 3) == IntVal(8)
+    assert evaluate(c, 6) == IntVal(8)
+    assert 4 not in c.memo
+
+
+def test_stuck_evaluation_is_not_memoized():
+    c = ctx({1: ParameterNode(0), 2: ParameterNode(5), 3: AddNode(x=1, y=1),
+             4: AddNode(x=3, y=2)}, p=[IntVal(4)])
+    for _ in range(2):
+        with pytest.raises(ParamOutOfRange):
+            evaluate(c, 4)
+    assert set(c.memo) == {3}
 
 
 def test_evaluate_all_empty():

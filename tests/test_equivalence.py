@@ -3,7 +3,10 @@ import time
 
 import pytest
 
-from genutil import DATA_RULES, STUCK_PHI_SIG, gen_rule_case, negate_chain, stuck_phi_program
+from genutil import (
+    DATA_RULES, DOUBLING_SIG, STUCK_PHI_SIG, doubling_dag, gen_rule_case, negate_chain,
+    stuck_phi_program,
+)
 from seanode.corpus import (
     IFTRUE_SIG, SPIN_SIG, FACT_SIG, factorial, if_const_true, spin,
 )
@@ -50,6 +53,22 @@ def test_free_leaves_deep_chain_is_iterative():
     leaves = free_leaves(negate_chain(3000), 2)
     assert time.perf_counter() - start < 5
     assert leaves == ({0}, set())
+
+
+def test_shared_dag_gets_a_verdict_in_bounded_time():
+    # p0 * 2**60 wraps to 0: 60 levels of AddNode(prev, prev) equal the constant 0.
+    dag = doubling_dag(60)
+    g = dag.graph(DOUBLING_SIG)
+    root = g.kind(1).resultOpt
+    zero = g.replace_node(root, ConstantNode(IntVal(0)))
+    one = g.replace_node(root, ConstantNode(IntVal(1)))
+    dom = with_boundary_values(Domain())
+    start = time.perf_counter()
+    assert data_equiv(g, zero, root, dom).status is Equivalence.EQUIVALENT
+    assert data_equiv(g, one, root, dom).status is Equivalence.NOT_EQUIVALENT
+    assert behavior_diff(dag, Program({DOUBLING_SIG: zero}), DOUBLING_SIG,
+                         dom).status is Equivalence.EQUIVALENT
+    assert time.perf_counter() - start < 2
 
 
 def test_sub_refuted_against_add():

@@ -1,11 +1,12 @@
 import pytest
 
 from genutil import STUCK_PHI_SIG, stuck_phi_program
+from seanode import ir
 from seanode.controlflow import StepStuck
 from seanode.corpus import (
     ADD3_SIG, CATCH_SIG, CROSS_SIG, EXPLODE_SIG, FACT_SIG, MAIN_SIG, PAIR_SIG,
-    SPIN_SIG, STATICS_SIG, call_chain, catch_exception, cross_frame, factorial,
-    heap_pair, spin, static_counter, uncaught,
+    SPIN_SIG, STATICS_SIG, SUM_SIG, call_chain, catch_exception, cross_frame, factorial,
+    heap_pair, loop_sum, spin, static_counter, uncaught,
 )
 from seanode.dataflow import EvalStuck, ParamOutOfRange
 from seanode.interproc import (
@@ -337,3 +338,23 @@ def test_stuck_argument_evaluation_keeps_its_node():
     result = run(program, main, [])
     assert result.outcome is ExecOutcome.STUCK
     assert result.reason == "@3: parameter index 0 with 0 parameters"
+
+
+def test_step_cost_does_not_grow_with_unreferenced_nodes(monkeypatch):
+    nodes = dict(loop_sum().graph(SUM_SIG).items())
+    base = max(nodes) + 1
+    g = Graph({**nodes, **{base + i: ConstantNode(IntVal(i)) for i in range(10_000)}})
+    calls = 0
+    inputs_of = ir.inputs_of
+
+    def counting(node):
+        nonlocal calls
+        calls += 1
+        return inputs_of(node)
+
+    monkeypatch.setattr(ir, "inputs_of", counting)
+    result = run(Program({SUM_SIG: g}), SUM_SIG, [IntVal(300)])
+    assert result.value == IntVal(300 * 301 // 2)
+    # Reading every node once (the def-use index) plus a few per step; a
+    # whole-graph scan per loop iteration would be 300 x 10,018.
+    assert calls <= len(g) + 2 * result.steps

@@ -168,6 +168,33 @@ def test_usages_predecessors_are_inverses(g):
             assert (b in g.succ(a)) == (a in g.predecessors(b))
 
 
+def _users_by_definition(g, nid):
+    return {m for m in g.ids() if nid in g.inputs(m)}
+
+
+@given(_graphs, st.lists(st.tuples(st.integers(0, 11), _nodes), max_size=4))
+def test_usages_index_matches_its_definition_across_edits(g, edits):
+    def check(g):
+        for n in range(-1, 13):
+            assert g.usages(n) == _users_by_definition(g, n)
+
+    check(g)
+    for nid, node in edits:
+        # Edit a graph whose index the check above built.
+        g = g.replace_node(nid, node) if nid in g else g.insert_node(nid, node)
+        check(g)
+
+
+def test_usages_answer_cannot_be_changed_by_its_caller():
+    g = factorial().graph(FACT_SIG)
+    before = set(g.usages(6))
+    g.usages(6).add(99)
+    g.usages(6).clear()
+    assert g.usages(6) == before
+    g.usages(42).add(1)
+    assert g.usages(42) == set()
+
+
 @given(_graphs)
 def test_fresh_id_is_unmapped(g):
     assert g.fresh_id() not in g.ids()

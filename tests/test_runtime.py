@@ -105,6 +105,25 @@ def test_store_is_persistent():
     assert heap.load_field("x", ref) == IntVal(0)
 
 
+def test_state_updates_leave_the_receiver_unchanged():
+    m = new_map_state().set(1, IntVal(1)).set(2, IntVal(2))
+    m2 = m.set_many([(1, IntVal(5)), (3, IntVal(3)), (2, UNDEF), (1, IntVal(6))])
+    m3 = m.set(1, UNDEF)
+    assert m == new_map_state().set(1, IntVal(1)).set(2, IntVal(2))
+    assert m2 == new_map_state().set(1, IntVal(6)).set(3, IntVal(3))
+    assert m3 == new_map_state().set(2, IntVal(2))
+
+
+def test_allocation_leaves_the_receiver_unchanged():
+    ref, heap = DynamicHeap().new_instance("A")
+    heap = heap.store_field("x", ref, IntVal(7))
+    r2, heap2 = heap.new_instance("B")
+    heap3 = heap2.store_field("x", r2, IntVal(8))
+    assert (heap.free, heap.classes, heap.fields) == (1, {0: "A"}, {(0, "x"): IntVal(7)})
+    assert heap2.fields == {(0, "x"): IntVal(7)}
+    assert heap3.load_field("x", r2) == IntVal(8)
+
+
 def test_first_allocation_from_empty_heap():
     ref, heap = DynamicHeap().new_instance("Point")
     assert ref == ObjRef(0) and heap.free == 1
