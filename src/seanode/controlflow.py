@@ -8,9 +8,9 @@ evaluated under the state *before* the step, then written simultaneously.
 from dataclasses import dataclass
 
 from . import ir, runtime
-from .dataflow import EvalContext, EvalStuck, evaluate
+from .dataflow import EvalContext, EvalStuck, condition_holds, evaluate
 from .ir import Graph
-from .runtime import DynamicHeap, MethodState, ObjRef, TypeMismatch
+from .runtime import DynamicHeap, MethodState, ObjRef
 
 # No local rule applies: the same exception as a stuck evaluation.
 StepStuck = EvalStuck
@@ -94,11 +94,7 @@ def step(g: Graph, params, c: LocalConfig, on_store=None) -> LocalConfig:
 
     ctx = EvalContext(g, c.state, tuple(params))
     if isinstance(node, ir.IfNode):
-        cond = evaluate(ctx, node.condition)
-        try:
-            took_true = runtime.val_to_bool(cond)
-        except TypeMismatch as e:
-            raise StepStuck(node.condition, str(e)) from e
+        took_true = condition_holds(ctx, node.condition)
         target = node.trueSuccessor if took_true else node.falseSuccessor
         return LocalConfig(target, c.state, c.heap)
 
@@ -108,7 +104,7 @@ def step(g: Graph, params, c: LocalConfig, on_store=None) -> LocalConfig:
         return LocalConfig(merge, c.state.set_many(updates), c.heap)
 
     if isinstance(node, ir.NewInstanceNode):
-        ref, heap = c.heap.new_instance(node.instanceClass)
+        ref, heap = c.heap.new_instance()
         return LocalConfig(node.next, c.state.set(c.nid, ref), heap)
 
     if isinstance(node, ir.LoadFieldNode):

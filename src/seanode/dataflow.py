@@ -75,11 +75,18 @@ def _parameter(ctx: EvalContext, nid: int, node: ir.ParameterNode) -> Value:
     return ctx.params[node.index]
 
 
-def _conditional(ctx: EvalContext, nid: int, node: ir.ConditionalNode) -> Value:
+def condition_holds(ctx: EvalContext, cond: int) -> bool:
+    """Whether the branch condition at cond holds: an integer holds when it
+    is nonzero, and any other value is stuck at cond."""
+    v = evaluate(ctx, cond)
     try:
-        took_true = runtime.val_to_bool(evaluate(ctx, node.condition))
+        return runtime.val_to_bool(v)
     except TypeMismatch as e:
-        raise EvalStuck(node.condition, str(e)) from e
+        raise EvalStuck(cond, str(e)) from e
+
+
+def _conditional(ctx: EvalContext, nid: int, node: ir.ConditionalNode) -> Value:
+    took_true = condition_holds(ctx, node.condition)
     return evaluate(ctx, node.trueValue if took_true else node.falseValue)
 
 

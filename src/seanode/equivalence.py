@@ -22,11 +22,9 @@ from .runtime import FIELD_DEFAULT, INT_MAX, INT_MIN, IntVal, MethodState, Value
 
 @dataclass(frozen=True)
 class Domain:
-    """Finite assignment domain; deterministic for a given seed."""
+    """Finite assignment domain."""
 
     int_values: tuple[int, ...] = (-2, -1, 0, 1, 2)
-    random_samples: int = 256
-    seed: int = 0
 
     def __post_init__(self):
         if not self.int_values:
@@ -41,7 +39,7 @@ def with_boundary_values(dom: Domain) -> Domain:
     """Extend a domain with the wrap-sensitive integers; arithmetic bugs
     live at the edges of the 32-bit range."""
     extra = tuple(v for v in BOUNDARY_VALUES if v not in dom.int_values)
-    return Domain(dom.int_values + extra, dom.random_samples, dom.seed)
+    return Domain(dom.int_values + extra)
 
 
 class Equivalence(enum.Enum):
@@ -94,6 +92,10 @@ def free_leaves(g: Graph, nid: int) -> tuple[set[int], set[int]]:
 
 
 _EXHAUSTIVE_CAP = 10 ** 6
+# Past the cap, a reduced product plus this many draws from a fixed seed,
+# so verdicts are deterministic.
+_RANDOM_SAMPLES = 256
+_SAMPLE_SEED = 0
 
 
 def _assignments(dom: Domain, k: int):
@@ -107,8 +109,8 @@ def _assignments(dom: Domain, k: int):
         return
     reduced = values[: max(1, int(_EXHAUSTIVE_CAP ** (1.0 / k)))]
     yield from itertools.product(reduced, repeat=k)
-    rng = random.Random(dom.seed)
-    for _ in range(dom.random_samples):
+    rng = random.Random(_SAMPLE_SEED)
+    for _ in range(_RANDOM_SAMPLES):
         yield tuple(rng.choice(values) for _ in range(k))
 
 

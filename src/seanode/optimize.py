@@ -150,64 +150,61 @@ def cfg_successors(g: Graph, nid: int) -> list[int]:
     return succ
 
 
-def _reachable(g: Graph) -> list[int]:
-    seen, work = set(), [0]
-    order = []
-    while work:
-        nid = work.pop()
-        if nid in seen or nid not in g:
-            continue
-        seen.add(nid)
-        order.append(nid)
-        work.extend(reversed(cfg_successors(g, nid)))
-    return order
-
-
-def _cfg_predecessors(g: Graph, nodes) -> dict[int, set[int]]:
-    preds = {n: set() for n in nodes}
-    for n in nodes:
-        for s in cfg_successors(g, n):
+def _cfg(g: Graph) -> tuple[list[int], dict[int, set[int]]]:
+    """One iterative depth-first walk of the control flow reachable from
+    node 0: those nodes in reverse postorder, and each one's predecessors
+    among them. Edges to unmapped ids are dropped."""
+    if 0 not in g:
+        return [], {}
+    preds: dict[int, set[int]] = {0: set()}
+    postorder = []
+    stack = [(0, iter(cfg_successors(g, 0)))]
+    while stack:
+        n, succs = stack[-1]
+        for s in succs:
             if s in preds:
                 preds[s].add(n)
-    return preds
+            elif s in g:
+                preds[s] = {n}
+                stack.append((s, iter(cfg_successors(g, s))))
+                break
+        else:
+            stack.pop()
+            postorder.append(n)
+    postorder.reverse()
+    return postorder, preds
 
 
-def dominators(g: Graph) -> dict[int, set[int]]:
-    """Per-node dominator sets over control flow reachable from node 0."""
-    nodes = _reachable(g)
-    if not nodes:
-        return {}
-    preds = _cfg_predecessors(g, nodes)
-    full = set(nodes)
-    dom = {n: ({n} if n == 0 else set(full)) for n in nodes}
+def dominators(g: Graph) -> dict[int, int]:
+    """Immediate dominator of each control node reachable from node 0, which
+    maps to itself. The iteration is Cooper, Harvey and Kennedy's, "A Simple,
+    Fast Dominance Algorithm" (2001): in reverse postorder, meet the
+    processed predecessors by walking up the idoms until they agree."""
+    order, preds = _cfg(g)
+    rank = {n: i for i, n in enumerate(order)}
+    idom = {0: 0} if order else {}
+
+    def meet(a: int, b: int) -> int:
+        while a != b:
+            while rank[a] > rank[b]:
+                a = idom[a]
+            while rank[b] > rank[a]:
+                b = idom[b]
+        return a
+
     changed = True
     while changed:
         changed = False
-        for n in nodes:
-            if n == 0:
-                continue
-            meet = set.intersection(*(dom[p] for p in preds[n])) if preds[n] else set()
-            new = {n} | meet
-            if new != dom[n]:
-                dom[n] = new
+        for n in order[1:]:
+            # A node's depth-first parent precedes it, so new is never None.
+            new = None
+            for p in preds[n]:
+                if p in idom:
+                    new = p if new is None else meet(p, new)
+            if idom.get(n) != new:
+                idom[n] = new
                 changed = True
-    return dom
-
-
-def dominator_tree(g: Graph) -> dict[int, list[int]]:
-    """Children map of the immediate-dominator tree rooted at node 0."""
-    dom = dominators(g)
-    children = {n: [] for n in dom}
-    for n, ds in dom.items():
-        if n == 0:
-            continue
-        # The immediate dominator is the strict dominator closest to n.
-        strict = ds - {n}
-        idom = max(strict, key=lambda d: len(dom[d])) if strict else 0
-        children[idom].append(n)
-    for kids in children.values():
-        kids.sort()
-    return children
+    return idom
 
 
 def _fact_keys(g: Graph, cond: int) -> list:
@@ -221,14 +218,18 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
     whose condition is already decided becomes a RefNode to the implied
     branch. Facts are scoped to the dominator subtree that established them.
     """
-    children = dominator_tree(g)
-    preds = _cfg_predecessors(g, children)
+    idom = dominators(g)
+    _, preds = _cfg(g)
+    children: dict[int, list[int]] = {n: [] for n in idom}
+    # Ascending ids, so each child list is sorted; the root 0 comes first.
+    for n in sorted(idom)[1:]:
+        children[idom[n]].append(n)
 
     rewrites: list[Rewrite] = []
     facts: dict = {}
 
     def enter_facts(n: int) -> list:
-        if len(preds.get(n, ())) != 1:
+        if len(preds[n]) != 1:
             return []
         (p,) = preds[n]
         branch = g.kind(p)
@@ -236,12 +237,8 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
             return []
         if branch.trueSuccessor == branch.falseSuccessor:
             return []
-        if n == branch.trueSuccessor:
-            value = True
-        elif n == branch.falseSuccessor:
-            value = False
-        else:
-            return []
+        # The branch is n's one predecessor, so n is one of its successors.
+        value = n == branch.trueSuccessor
         added = []
         for key in _fact_keys(g, branch.condition):
             if key not in facts:
@@ -252,7 +249,7 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
     # Preorder walk with an explicit stack, so depth is not bounded by the
     # recursion limit: a node id enters a subtree, and the list of fact keys
     # its root added is popped after the subtree to drop those facts again.
-    stack: list = [0] if 0 in children else []
+    stack: list = [0] if idom else []
     while stack:
         n = stack.pop()
         if isinstance(n, list):
@@ -273,12 +270,14 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
                     Rewrite(n, node, ir.RefNode(target), "condelim-implied-branch")
                 )
         stack.append(added)
-        stack.extend(reversed(children.get(n, ())))
+        stack.extend(reversed(children[n]))
 
-    out = g
-    for rw in rewrites:
-        out = apply_rewrite(out, rw)
-    return out, PassReport(rewrites=rewrites, iterations=1, fixpoint=not rewrites)
+    if rewrites:
+        # Every rewrite was decided on g, so they all go into one build.
+        nodes = dict(g.items())
+        nodes.update((rw.target, rw.after) for rw in rewrites)
+        g = Graph(nodes)
+    return g, PassReport(rewrites=rewrites, iterations=1, fixpoint=not rewrites)
 
 
 def _sweep_canonicalize(g: Graph) -> tuple[Graph, list[Rewrite]]:

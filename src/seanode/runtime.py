@@ -141,13 +141,12 @@ class DynamicHeap:
     """Heap mapping (object reference, field name) to values, plus the next
     free object reference.
 
-    Unwritten fields read as IntVal 0. Instance classes are recorded per
-    reference but carry no semantics (no dynamic dispatch).
+    Unwritten fields read as IntVal 0. An instance's class is not recorded:
+    it carries no semantics (no dynamic dispatch).
     """
 
     fields: dict = field(default_factory=dict)
     free: int = 0
-    classes: dict = field(default_factory=dict)
 
     def load_field(self, fname: str, obj: ObjRef | None) -> Value:
         addr = obj.ref if obj is not None else STATIC_REF
@@ -157,12 +156,9 @@ class DynamicHeap:
         addr = obj.ref if obj is not None else STATIC_REF
         fields = dict(self.fields)
         fields[(addr, fname)] = v
-        return DynamicHeap(fields, self.free, self.classes)
+        return DynamicHeap(fields, self.free)
 
-    def new_instance(self, class_name: str) -> tuple[ObjRef, "DynamicHeap"]:
-        ref = ObjRef(self.free)
-        classes = dict(self.classes)
-        classes[self.free] = class_name
+    def new_instance(self) -> tuple[ObjRef, "DynamicHeap"]:
         # Nothing writes a heap's fields in place (store_field copies), so
         # the two heaps can share them.
-        return ref, DynamicHeap(self.fields, self.free + 1, classes)
+        return ObjRef(self.free), DynamicHeap(self.fields, self.free + 1)

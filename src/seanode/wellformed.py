@@ -99,18 +99,3 @@ def check(g: Graph) -> WfReport:
         violations.extend(rule(g))
     return WfReport(ok=not violations, violations=tuple(violations))
 
-
-def wf_start(g: Graph) -> bool:
-    return not list(_check_start(g))
-
-
-def wf_closed(g: Graph) -> bool:
-    return not list(_check_closed(g))
-
-
-def wf_ends(g: Graph) -> bool:
-    return not list(_check_ends(g))
-
-
-def wf_phis(g: Graph) -> bool:
-    return not list(_check_phis(g))

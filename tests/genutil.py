@@ -10,6 +10,7 @@ from seanode.ir import (
     StartNode, ValuePhiNode,
 )
 from seanode.runtime import INT_MAX, INT_MIN, IntVal
+from seanode.wellformed import check
 
 
 def gen_merge_fixture(rng: random.Random):
@@ -195,3 +196,8 @@ def stuck_phi_program() -> Program:
         4: ReturnNode(resultOpt=3),
         5: ParameterNode(3),
     })})
+
+
+def violated_rules(g: Graph) -> set[str]:
+    """Names of the well-formedness rules that check reports g breaking."""
+    return {v.rule for v in check(g).violations}

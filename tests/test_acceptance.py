@@ -7,7 +7,7 @@ import itertools
 import random
 import time
 
-from genutil import DATA_RULES, gen_merge_fixture, gen_rule_case
+from genutil import DATA_RULES, gen_merge_fixture, gen_rule_case, violated_rules
 from seanode.cli import main
 from seanode.controlflow import LocalConfig, merge_of_end, step
 from seanode.corpus import (
@@ -29,7 +29,7 @@ from seanode.optimize import apply_pass, apply_rewrite, canonicalize_data, canon
 from seanode.runtime import (
     STATIC_REF, DynamicHeap, IntVal, ObjRef, new_map_state, wrap32,
 )
-from seanode.wellformed import check, wf_closed, wf_ends, wf_phis, wf_start
+from seanode.wellformed import check
 
 
 def _announce(n, text):
@@ -171,10 +171,13 @@ def test_criterion_06_well_formedness(fixtures_dir):
         for sig, g in program.methods.items():
             assert check(g).ok, (name, sig)
 
-    assert not wf_start(Graph({0: EndNode()}))
-    assert not wf_closed(load(fixtures_dir / "dangling-edge.json").methods.popitem()[1])
-    assert not wf_ends(load(fixtures_dir / "orphan-end.json").methods.popitem()[1])
-    assert not wf_phis(load(fixtures_dir / "broken-phi.json").methods.popitem()[1])
+    def fixture_rules(name):
+        return violated_rules(load(fixtures_dir / name).methods.popitem()[1])
+
+    assert "wf_start" in violated_rules(Graph({0: EndNode()}))
+    assert "wf_closed" in fixture_rules("dangling-edge.json")
+    assert "wf_ends" in fixture_rules("orphan-end.json")
+    assert "wf_phis" in fixture_rules("broken-phi.json")
 
     revalidated = 0
     for name, program in programs.items():

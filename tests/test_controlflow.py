@@ -9,8 +9,8 @@ from seanode.controlflow import (
 from seanode.corpus import FACT_SIG, SPIN_SIG, factorial, spin
 from seanode.dataflow import EvalContext, evaluate
 from seanode.ir import (
-    BeginNode, ConstantNode, EndNode, Graph, IfNode, MergeNode, ReturnNode,
-    StartNode, StoreFieldNode, ValuePhiNode,
+    BeginNode, ConstantNode, EndNode, Graph, IfNode, MergeNode, NewInstanceNode,
+    ReturnNode, StartNode, StoreFieldNode, ValuePhiNode,
 )
 from seanode.runtime import DynamicHeap, IntVal, ObjRef, new_map_state, wrap32
 
@@ -41,6 +41,18 @@ def test_if_false_branch_forced():
     c2 = step(g, (), fresh(2))
     assert c2.nid == 4
     assert c2.state == new_map_state()
+
+
+def test_if_on_an_object_reference_is_stuck_at_the_condition():
+    g = Graph({
+        1: NewInstanceNode(1, "A", next=2),
+        2: IfNode(condition=1, trueSuccessor=3, falseSuccessor=3),
+        3: ReturnNode(resultOpt=None),
+    })
+    c = LocalConfig(2, new_map_state().set(1, ObjRef(0)), DynamicHeap())
+    with pytest.raises(StepStuck) as e:
+        step(g, (), c)
+    assert (e.value.nid, e.value.reason) == (1, "expected an integer condition, got ObjRef 0")
 
 
 def test_phis_of_factorial_merge(fact_graph):

@@ -8,11 +8,13 @@ from seanode.corpus import FACT_SIG, factorial
 from seanode.dataflow import EvalContext, EvalStuck, ParamOutOfRange, evaluate, evaluate_all
 from seanode.ir import (
     AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode,
-    LoadFieldNode, MulNode, NegateNode, ParameterNode, StartNode, SubNode,
-    ValuePhiNode, ValueProxyNode,
+    LoadFieldNode, MulNode, NegateNode, NewInstanceNode, ParameterNode, StartNode,
+    SubNode, ValuePhiNode, ValueProxyNode,
 )
 from seanode.interproc import ExecOutcome, run
-from seanode.runtime import INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, new_map_state, wrap32
+from seanode.runtime import (
+    INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, ObjRef, new_map_state, wrap32,
+)
 
 
 def ctx(nodes, m=None, p=()):
@@ -122,6 +124,17 @@ def test_stuck_on_non_integer_operand():
     })
     with pytest.raises(EvalStuck):
         evaluate(c, 3)
+
+
+def test_conditional_on_an_object_reference_is_stuck_at_the_condition():
+    c = ctx({
+        1: NewInstanceNode(1, "A", next=4),
+        2: ConstantNode(IntVal(7)),
+        3: ConditionalNode(condition=1, trueValue=2, falseValue=2),
+    }, new_map_state().set(1, ObjRef(0)))
+    with pytest.raises(EvalStuck) as e:
+        evaluate(c, 3)
+    assert (e.value.nid, e.value.reason) == (1, "expected an integer condition, got ObjRef 0")
 
 
 def test_shared_dag_is_evaluated_once_per_context():

@@ -137,7 +137,7 @@ def test_symmetry_over_generated_rewrites():
 def test_determinism_of_verdicts():
     g1 = Graph({1: ParameterNode(0), 2: ConstantNode(IntVal(0)), 3: AddNode(x=1, y=2)})
     g2 = g1.replace_node(3, ParameterNode(0))
-    dom = Domain(seed=9)
+    dom = Domain()
     v1, v2 = data_equiv(g1, g2, 3, dom), data_equiv(g1, g2, 3, dom)
     assert (v1.status, v1.samples_tried) == (v2.status, v2.samples_tried)
 
@@ -148,6 +148,7 @@ def test_large_leaf_count_uses_reduced_product_plus_samples(monkeypatch):
     # draws. The cap is lowered here to keep the test fast.
     import seanode.equivalence as eq_mod
     monkeypatch.setattr(eq_mod, "_EXHAUSTIVE_CAP", 1000)
+    monkeypatch.setattr(eq_mod, "_RANDOM_SAMPLES", 64)
     nodes = {i: ParameterNode(i - 1) for i in range(1, 8)}
     acc = 1
     nid = 8
@@ -157,7 +158,7 @@ def test_large_leaf_count_uses_reduced_product_plus_samples(monkeypatch):
         nid += 1
     g1 = Graph(nodes)
     g2 = Graph({**nodes, acc: AddNode(x=nodes[acc].x, y=nodes[acc].y)})
-    dom = Domain(int_values=tuple(range(-5, 5)), random_samples=64, seed=3)
+    dom = Domain(int_values=tuple(range(-5, 5)))
     verdict = data_equiv(g1, g2, acc, dom)
     assert verdict.status is Equivalence.EQUIVALENT
     # reduced width is floor(1000 ** (1/7)) = 2, so 2^7 plus 64 samples

@@ -286,7 +286,7 @@ def test_missing_main_raises():
 def test_allocations_and_statics_observable_in_result_heap():
     result = run(heap_pair(), PAIR_SIG, [])
     assert result.value == IntVal(14)
-    assert result.heap.classes == {0: "Point", 1: "Point"}
+    assert result.heap.free == 2
 
     result = run(static_counter(), STATICS_SIG, [])
     assert result.value == IntVal(3)

@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genutil import DATA_RULES, gen_rule_case
 from seanode.corpus import (
@@ -14,12 +15,13 @@ from seanode.dataflow import EvalContext, evaluate
 from seanode.equivalence import Domain, Equivalence, behavior_diff
 from seanode.ir import (
     AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode,
-    IntegerLessThanNode, MergeNode, MulNode, NegateNode, ParameterNode, Program,
-    RefNode, ReturnNode, StartNode, ValuePhiNode,
+    IntegerLessThanNode, LoopBeginNode, LoopEndNode, MergeNode, MulNode,
+    NegateNode, ParameterNode, Program, RefNode, ReturnNode, StartNode,
+    ValuePhiNode,
 )
 from seanode.optimize import (
     IterationCapExceeded, apply_pass, apply_rewrite, canonicalize_data,
-    canonicalize_if, conditional_elimination, dominator_tree, dominators,
+    canonicalize_if, cfg_successors, conditional_elimination, dominators,
 )
 from seanode.runtime import INT_MAX, IntVal, new_map_state
 from seanode.wellformed import check
@@ -186,11 +188,100 @@ def test_dominators_on_diamond():
         7: ReturnNode(resultOpt=None),
         8: ParameterNode(0),
     })
-    dom = dominators(g)
-    assert dom[7] == {0, 1, 6, 7}
-    assert dom[4] == {0, 1, 2, 4}
-    tree = dominator_tree(g)
-    assert set(tree[1]) == {2, 3, 6}
+    assert dominators(g) == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 3, 6: 1, 7: 6}
+
+
+def test_dominators_on_a_loop_with_two_entries():
+    # The cycle 4 -> 1 -> 3 -> 4 is entered at 4 and at 3, so the branch at 5
+    # dominates all three; one pass in reverse postorder does not find that.
+    g = Graph({
+        0: StartNode(next=5),
+        1: LoopBeginNode(ends=(2,), next=3),
+        2: LoopEndNode(loopBegin=1),
+        3: IfNode(condition=6, trueSuccessor=4, falseSuccessor=2),
+        4: BeginNode(next=1),
+        5: IfNode(condition=6, trueSuccessor=4, falseSuccessor=3),
+        6: ParameterNode(0),
+    })
+    assert dominators(g) == {0: 0, 5: 0, 4: 5, 1: 5, 3: 5, 2: 3}
+
+
+def _dominator_sets(g):
+    """Oracle: the set-intersection fixpoint. Each node reachable from node 0
+    maps to the set of nodes that dominate it."""
+    seen, work, nodes = set(), [0], []
+    while work:
+        nid = work.pop()
+        if nid in seen or nid not in g:
+            continue
+        seen.add(nid)
+        nodes.append(nid)
+        work.extend(reversed(cfg_successors(g, nid)))
+    preds = {n: {m for m in nodes if n in cfg_successors(g, m)} for n in nodes}
+    dom = {n: ({n} if n == 0 else set(nodes)) for n in nodes}
+    changed = True
+    while changed:
+        changed = False
+        for n in nodes:
+            if n == 0:
+                continue
+            new = {n} | set.intersection(*(dom[p] for p in preds[n]))
+            if new != dom[n]:
+                dom[n] = new
+                changed = True
+    return dom
+
+
+# IfNode three times over, so that more of the graphs reach a join.
+_CFG_KINDS = (IfNode, IfNode, IfNode, BeginNode, MergeNode, LoopBeginNode, EndNode,
+              LoopEndNode, ReturnNode)
+
+
+@st.composite
+def _cfgs(draw):
+    """Control flow over ids 0..n-1, node 0 a StartNode. A successor edge
+    goes to the next id or to any id, so it may point back to node 0 or to
+    the unmapped ids n and n + 1, and leave nodes unreachable; merges list
+    end nodes (an end listed by two merges has none) and loop ends name loop
+    begins (not always one that lists them)."""
+    kinds = [StartNode] + draw(st.lists(st.sampled_from(_CFG_KINDS), min_size=3, max_size=15))
+    mapped, anywhere = st.integers(0, len(kinds) - 1), st.integers(0, len(kinds) + 1)
+
+    def pick(*ks):
+        pool = [i for i, k in enumerate(kinds) if k in ks]
+        return st.sampled_from(pool) if pool else anywhere
+
+    nodes = {}
+    for nid, kind in enumerate(kinds):
+        target = st.one_of(st.just(nid + 1), mapped, anywhere)
+        if kind in (StartNode, BeginNode):
+            nodes[nid] = kind(next=draw(target))
+        elif kind is IfNode:
+            nodes[nid] = IfNode(condition=nid, trueSuccessor=draw(target),
+                                falseSuccessor=draw(target))
+        elif kind is ReturnNode:
+            nodes[nid] = ReturnNode(resultOpt=None)
+        elif kind is EndNode:
+            nodes[nid] = EndNode()
+        elif kind is LoopEndNode:
+            nodes[nid] = LoopEndNode(loopBegin=draw(pick(LoopBeginNode)))
+        else:
+            ends = draw(st.lists(pick(EndNode, LoopEndNode), max_size=3, unique=True))
+            nodes[nid] = kind(ends=ends, next=draw(target))
+    return Graph(nodes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cfgs())
+def test_idom_chains_match_the_dominator_set_oracle(g):
+    idom = dominators(g)
+    oracle = _dominator_sets(g)
+    assert idom.keys() == oracle.keys()
+    for n in idom:
+        chain = [n]
+        while idom[chain[-1]] != chain[-1] and len(chain) <= len(idom):
+            chain.append(idom[chain[-1]])
+        assert set(chain) == oracle[n] and len(chain) == len(oracle[n])
 
 
 def test_condelim_nested_duplicate():
@@ -260,24 +351,27 @@ def test_condelim_straight_line_zero_rewrites():
 
 
 def test_condelim_long_if_chain_is_iterative():
-    # 600 straight-line tests of one parameter; every test after the first
-    # is dominated by the true branch of the one before.
-    nodes = {0: StartNode(next=2), 1: ParameterNode(0)}
-    ifs = []
-    for i in range(600):
-        nid = 2 + 3 * i
-        nodes[nid] = IfNode(condition=1, trueSuccessor=nid + 1, falseSuccessor=nid + 2)
-        nodes[nid + 1] = BeginNode(next=nid + 3)
-        nodes[nid + 2] = ReturnNode(resultOpt=None)
-        ifs.append(nid)
-    nodes[2 + 3 * 600] = ReturnNode(resultOpt=None)
-    g = Graph(nodes)
-    assert check(g).ok
-    start = time.perf_counter()
-    g2, report = conditional_elimination(g)
-    assert time.perf_counter() - start < 5
-    assert [rw.target for rw in report.rewrites] == ifs[1:]
-    assert all(g2.kind(n) == RefNode(n + 1) for n in ifs[1:])
+    # Straight-line tests of one parameter; every test after the first is
+    # dominated by the true branch of the one before.
+    passes = (conditional_elimination, lambda g: apply_pass(g, "all"))
+    for length in (600, 5000):
+        nodes = {0: StartNode(next=2), 1: ParameterNode(0)}
+        ifs = []
+        for i in range(length):
+            nid = 2 + 3 * i
+            nodes[nid] = IfNode(condition=1, trueSuccessor=nid + 1, falseSuccessor=nid + 2)
+            nodes[nid + 1] = BeginNode(next=nid + 3)
+            nodes[nid + 2] = ReturnNode(resultOpt=None)
+            ifs.append(nid)
+        nodes[2 + 3 * length] = ReturnNode(resultOpt=None)
+        g = Graph(nodes)
+        assert check(g).ok
+        for run_pass in passes:
+            start = time.perf_counter()
+            g2, report = run_pass(g)
+            assert time.perf_counter() - start < 2
+            assert [rw.target for rw in report.rewrites] == ifs[1:]
+            assert all(g2.kind(n) == RefNode(n + 1) for n in ifs[1:])
 
 
 def test_apply_pass_factorial_already_canonical():

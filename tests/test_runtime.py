@@ -71,12 +71,12 @@ def test_val_to_bool():
 
 
 def test_load_fresh_field_defaults_to_zero():
-    ref, heap = DynamicHeap().new_instance("Point")
+    ref, heap = DynamicHeap().new_instance()
     assert heap.load_field("x", ref) == IntVal(0)
 
 
 def test_store_load_round_trip():
-    ref, heap = DynamicHeap().new_instance("Point")
+    ref, heap = DynamicHeap().new_instance()
     heap = heap.store_field("x", ref, IntVal(9))
     assert heap.load_field("x", ref) == IntVal(9)
 
@@ -88,19 +88,19 @@ def test_static_region_round_trip():
 
 
 def test_store_does_not_alias_other_fields():
-    ref, heap = DynamicHeap().new_instance("Point")
+    ref, heap = DynamicHeap().new_instance()
     heap = heap.store_field("x", ref, IntVal(9))
     assert heap.load_field("y", ref) == IntVal(0)
 
 
 def test_overwrite_last_wins():
-    ref, heap = DynamicHeap().new_instance("Point")
+    ref, heap = DynamicHeap().new_instance()
     heap = heap.store_field("x", ref, IntVal(1)).store_field("x", ref, IntVal(2))
     assert heap.load_field("x", ref) == IntVal(2)
 
 
 def test_store_is_persistent():
-    ref, heap = DynamicHeap().new_instance("Point")
+    ref, heap = DynamicHeap().new_instance()
     heap.store_field("x", ref, IntVal(9))
     assert heap.load_field("x", ref) == IntVal(0)
 
@@ -115,32 +115,32 @@ def test_state_updates_leave_the_receiver_unchanged():
 
 
 def test_allocation_leaves_the_receiver_unchanged():
-    ref, heap = DynamicHeap().new_instance("A")
+    ref, heap = DynamicHeap().new_instance()
     heap = heap.store_field("x", ref, IntVal(7))
-    r2, heap2 = heap.new_instance("B")
+    r2, heap2 = heap.new_instance()
     heap3 = heap2.store_field("x", r2, IntVal(8))
-    assert (heap.free, heap.classes, heap.fields) == (1, {0: "A"}, {(0, "x"): IntVal(7)})
+    assert (heap.free, heap.fields) == (1, {(0, "x"): IntVal(7)})
     assert heap2.fields == {(0, "x"): IntVal(7)}
     assert heap3.load_field("x", r2) == IntVal(8)
 
 
 def test_first_allocation_from_empty_heap():
-    ref, heap = DynamicHeap().new_instance("Point")
+    ref, heap = DynamicHeap().new_instance()
     assert ref == ObjRef(0) and heap.free == 1
 
 
 def test_successive_allocations():
     heap = DynamicHeap()
-    r0, heap = heap.new_instance("A")
-    r1, heap = heap.new_instance("B")
+    r0, heap = heap.new_instance()
+    r1, heap = heap.new_instance()
     assert (r0, r1) == (ObjRef(0), ObjRef(1))
-    assert heap.classes == {0: "A", 1: "B"}
+    assert heap.free == 2
 
 
 def test_allocation_preserves_fields():
-    ref, heap = DynamicHeap().new_instance("A")
+    ref, heap = DynamicHeap().new_instance()
     heap = heap.store_field("x", ref, IntVal(7))
-    _, heap2 = heap.new_instance("B")
+    _, heap2 = heap.new_instance()
     assert heap2.load_field("x", ref) == IntVal(7)
 
 
@@ -148,7 +148,7 @@ def test_allocation_monotonicity():
     heap = DynamicHeap()
     seen = []
     for _ in range(20):
-        ref, heap = heap.new_instance("A")
+        ref, heap = heap.new_instance()
         assert ref.ref < heap.free
         seen.append(ref.ref)
     assert len(set(seen)) == len(seen)
@@ -161,7 +161,7 @@ def test_heap_frame_property_fuzz():
     fields = ["a", "b", "c"]
     heap = DynamicHeap()
     for _ in range(4):
-        _, heap = heap.new_instance("T")
+        _, heap = heap.new_instance()
     for _ in range(200):
         before = dict(heap.fields)
         addr, fname = rng.choice(refs), rng.choice(fields)

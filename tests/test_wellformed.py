@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from genutil import negate_chain
+from genutil import negate_chain, violated_rules
 from seanode import wellformed
 from seanode.corpus import FACT_SIG, corpus_programs, factorial
 from seanode.fileformat import load
@@ -10,33 +10,33 @@ from seanode.ir import (
     AddNode, BeginNode, EndNode, Graph, MergeNode, NegateNode,
     ParameterNode, ReturnNode, StartNode, SubNode, ValuePhiNode, ValueProxyNode,
 )
-from seanode.wellformed import check, wf_closed, wf_ends, wf_phis, wf_start
+from seanode.wellformed import check
 
 
 def test_wf_start_empty_graph():
-    assert not wf_start(Graph({}))
+    assert "wf_start" in violated_rules(Graph({}))
 
 
 def test_wf_start_ok():
-    assert wf_start(Graph({0: StartNode(next=1), 1: EndNode()}))
+    assert "wf_start" not in violated_rules(Graph({0: StartNode(next=1), 1: EndNode()}))
 
 
 def test_wf_start_wrong_kind():
-    assert not wf_start(Graph({0: EndNode()}))
+    assert "wf_start" in violated_rules(Graph({0: EndNode()}))
 
 
 def test_wf_closed_dangling():
-    assert not wf_closed(Graph({0: StartNode(next=99)}))
+    assert "wf_closed" in violated_rules(Graph({0: StartNode(next=99)}))
 
 
 def test_wf_closed_factorial():
-    assert wf_closed(factorial().graph(FACT_SIG))
+    assert "wf_closed" not in violated_rules(factorial().graph(FACT_SIG))
 
 
 def test_wf_closed_empty_vacuous():
-    g = Graph({})
-    assert wf_closed(g)
-    assert not wf_start(g)
+    rules = violated_rules(Graph({}))
+    assert "wf_closed" not in rules
+    assert "wf_start" in rules
 
 
 def test_wf_ends_used_end():
@@ -46,32 +46,32 @@ def test_wf_ends_used_end():
         6: MergeNode(ends=(5,), next=7),
         7: ReturnNode(resultOpt=None),
     })
-    assert wf_ends(g)
+    assert "wf_ends" not in violated_rules(g)
 
 
 def test_wf_ends_orphan_end():
-    assert not wf_ends(Graph({0: StartNode(next=5), 5: EndNode()}))
+    assert "wf_ends" in violated_rules(Graph({0: StartNode(next=5), 5: EndNode()}))
 
 
 def test_wf_ends_factorial_loop_ends():
     g = factorial().graph(FACT_SIG)
-    assert wf_ends(g)
+    assert "wf_ends" not in violated_rules(g)
     assert g.usages(5) == {6} and g.usages(21) == {6}
 
 
 def test_wf_phis_factorial():
-    assert wf_phis(factorial().graph(FACT_SIG))
+    assert "wf_phis" not in violated_rules(factorial().graph(FACT_SIG))
 
 
 def test_wf_phis_count_mismatch():
     g = factorial().graph(FACT_SIG).replace_node(
         7, ValuePhiNode(7, values=(1,), merge=6)
     )
-    assert not wf_phis(g)
+    assert "wf_phis" in violated_rules(g)
 
 
 def test_wf_phis_vacuous_without_phis():
-    assert wf_phis(Graph({0: StartNode(next=1), 1: EndNode()}))
+    assert "wf_phis" not in violated_rules(Graph({0: StartNode(next=1), 1: EndNode()}))
 
 
 def test_wf_phis_merge_edge_must_be_merge():
@@ -81,7 +81,7 @@ def test_wf_phis_merge_edge_must_be_merge():
         2: ReturnNode(resultOpt=None),
         3: ValuePhiNode(3, values=(0,), merge=1),
     })
-    assert not wf_phis(g)
+    assert "wf_phis" in violated_rules(g)
 
 
 def test_check_factorial_ok():
@@ -150,8 +150,7 @@ def test_check_selfid_mismatch():
 def test_check_ok_implies_predicates():
     for program in corpus_programs().values():
         for g in program.methods.values():
-            assert check(g).ok
-            assert wf_start(g) and wf_closed(g) and wf_ends(g) and wf_phis(g)
+            assert violated_rules(g) == set()
 
 
 @pytest.mark.parametrize("name,rule", [
