@@ -13,11 +13,11 @@ import random
 from dataclasses import dataclass
 
 from . import ir
-from .dataflow import EvalContext, EvalStuck, evaluate
+from .dataflow import BINARY, CHECK, COND, CONST, PARAM, PROXY, STATE, UNARY, EvalStuck, schedule
 from .interproc import ExecOutcome, run
 from .ir import CyclicExpression  # noqa: F401  raised by free_leaves and data_equiv
 from .ir import Graph, Program, Signature
-from .runtime import FIELD_DEFAULT, INT_MAX, INT_MIN, IntVal, MethodState, Value
+from .runtime import FIELD_DEFAULT, INT_MAX, INT_MIN, IntVal, Value
 
 
 @dataclass(frozen=True)
@@ -114,39 +114,159 @@ def _assignments(dom: Domain, k: int):
         yield tuple(rng.choice(values) for _ in range(k))
 
 
-def _try_eval(g: Graph, state: MethodState, params, nid: int):
-    try:
-        return evaluate(EvalContext(g, state, params), nid)
-    except EvalStuck as e:
-        return f"stuck:{type(e).__name__}"
+# Assignments decided per pass over a schedule. A refutation is found only
+# after its whole chunk is evaluated; this keeps that waste small while the
+# per-pass cost is spread over many assignments.
+_CHUNK = 1024
+
+# The outcome of a stuck lane. With every free leaf assigned an integer,
+# evaluation can only get stuck as a plain EvalStuck.
+_STUCK = f"stuck:{EvalStuck.__name__}"
+
+
+class _Lanes:
+    """A set of assignments evaluated together, one lane each: the column of
+    every leaf and of every node computed so far, one value per lane (an int
+    for an IntVal, any other Value as it is, _STUCK for a stuck lane)."""
+
+    __slots__ = ("width", "params", "slots", "cols", "odd")
+
+    def __init__(self, width: int, params: dict, slots: dict):
+        self.width = width
+        self.params = params  # parameter index -> column
+        self.slots = slots  # state-slot id -> column
+        self.cols: dict[int, list] = {}
+        self.odd: set[int] = set()  # nodes whose column may hold a non-int
+
+    def subset(self, lanes: list[int]) -> "_Lanes":
+        def pick(col):
+            return [col[j] for j in lanes]
+        return _Lanes(len(lanes), {i: pick(c) for i, c in self.params.items()},
+                      {n: pick(c) for n, c in self.slots.items()})
+
+
+def _apply(op, cols: list[list], odd: bool) -> list:
+    """A derived lane rule: op, declared on ints, on every lane; a lane with
+    a non-int operand is stuck."""
+    if not odd:
+        return list(map(op, *cols))
+    return [op(*vs) if all(type(v) is int for v in vs) else _STUCK for vs in zip(*cols)]
+
+
+def _arms(lanes: _Lanes, cond: list, odd: bool, arms: tuple) -> list:
+    """Split the lanes by the condition into one (arm, lanes, indices) per
+    arm some lane chooses: the arm runs on lanes, the chosen lanes alone, or
+    all of them with indices None. A lane whose condition is not an int
+    chooses neither: it is stuck."""
+    true_arm, false_arm = arms
+    if not odd:
+        if true_arm == false_arm or all(cond):
+            return [(true_arm, lanes, None)]
+        if not any(cond):
+            return [(false_arm, lanes, None)]
+    chosen: dict[int, list[int]] = {}
+    for j, c in enumerate(cond):
+        if type(c) is int:
+            chosen.setdefault(true_arm if c else false_arm, []).append(j)
+    return [(arm, lanes, None) if len(idx) == lanes.width else (arm, lanes.subset(idx), idx)
+            for arm, idx in chosen.items()]
+
+
+def _merge(width: int, parts: list, results: list) -> tuple[list, bool]:
+    """The conditional's column from its arms' columns on their lanes."""
+    if len(parts) == 1 and parts[0][2] is None:
+        return results[0]
+    out = [_STUCK] * width
+    odd = sum(len(idx) for _, _, idx in parts) < width
+    for (_, _, idx), (col, col_odd) in zip(parts, results):
+        for j, v in zip(idx, col):
+            out[j] = v
+        odd = odd or col_odd
+    return out, odd
+
+
+def _column(g: Graph, root: int, top: _Lanes) -> list:
+    """The value of the expression at root on every lane of top. Runs the
+    schedule evaluate runs, on all lanes at once; a conditional's arms run
+    on the lanes that choose them, from an explicit work stack."""
+    waiting = []  # (entries, lanes, conditional, its arms, the arms' columns so far)
+    entries, lanes = iter(schedule(g, root)), top
+    while True:
+        cols, odd = lanes.cols, lanes.odd
+        for code, n, arg, x, y in entries:
+            if n in cols or code == CHECK:  # lanes check operands where used
+                continue
+            if code == BINARY or code == UNARY:
+                ins = (x,) if code == UNARY else (x, y)
+                is_odd = not odd.isdisjoint(ins)
+                cols[n] = _apply(arg, [cols[i] for i in ins], is_odd)
+            elif code == CONST:
+                is_odd = not isinstance(arg, IntVal)
+                cols[n] = [arg if is_odd else arg.value] * lanes.width
+            elif code == PARAM:
+                cols[n], is_odd = lanes.params[arg], False
+            elif code == STATE:
+                cols[n], is_odd = lanes.slots[n], False
+            elif code == PROXY:
+                cols[n], is_odd = cols[x], x in odd
+            elif code == COND:
+                waiting.append((entries, lanes, n, _arms(lanes, cols[x], x in odd, arg), []))
+                break
+            else:
+                cols[n], is_odd = [_STUCK] * lanes.width, True
+            if is_odd:
+                odd.add(n)
+        else:
+            if not waiting:
+                return cols[root]
+            parts, results = waiting[-1][3:]
+            arm, sub, _ = parts[len(results)]
+            results.append((sub.cols[arm], arm in sub.odd))
+        parent, parent_lanes, n, parts, results = waiting[-1]
+        if len(results) < len(parts):
+            arm, lanes, _ = parts[len(results)]
+            entries = iter(schedule(g, arm))
+            continue
+        waiting.pop()
+        entries, lanes = parent, parent_lanes
+        lanes.cols[n], is_odd = _merge(lanes.width, parts, results)
+        if is_odd:
+            lanes.odd.add(n)
+
+
+def _boxed(v):
+    return IntVal(v) if type(v) is int else v
 
 
 def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivVerdict:
     """Decide whether the expressions at nid agree on every tried assignment
-    of the union of both graphs' free leaves."""
+    of the union of both graphs' free leaves. Assignments are tried in
+    chunks, all lanes of a chunk at once; the verdict is the one trying
+    them one by one, in order, gives."""
     p1, s1 = free_leaves(g1, nid)
     p2, s2 = free_leaves(g2, nid)
     param_keys = sorted(p1 | p2)
     slot_keys = sorted(s1 | s2)
-    keys = len(param_keys) + len(slot_keys)
     arity = max(param_keys) + 1 if param_keys else 0
 
+    stream = _assignments(dom, len(param_keys) + len(slot_keys))
     tried = 0
-    for raw in _assignments(dom, keys):
-        tried += 1
-        vals = [IntVal(v) for v in raw]
-        params: list[Value] = [IntVal(0)] * arity
-        for index, v in zip(param_keys, vals):
-            params[index] = v
-        state = MethodState(dict(zip(slot_keys, vals[len(param_keys):])))
-        left = _try_eval(g1, state, tuple(params), nid)
-        right = _try_eval(g2, state, tuple(params), nid)
+    while chunk := list(itertools.islice(stream, _CHUNK)):
+        columns = [list(c) for c in zip(*chunk)]
+        params = dict(zip(param_keys, columns))
+        slots = dict(zip(slot_keys, columns[len(param_keys):]))
+        left = _column(g1, nid, _Lanes(len(chunk), params, slots))
+        right = _column(g2, nid, _Lanes(len(chunk), params, slots))
         if left != right:
-            witness = Witness(
-                tuple(zip(slot_keys, vals[len(param_keys):])),
-                tuple(params), left, right,
-            )
-            return EquivVerdict(Equivalence.NOT_EQUIVALENT, witness, tried)
+            j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
+            vals = [IntVal(v) for v in chunk[j]]
+            param_vals: list[Value] = [IntVal(0)] * arity
+            for index, v in zip(param_keys, vals):
+                param_vals[index] = v
+            witness = Witness(tuple(zip(slot_keys, vals[len(param_keys):])),
+                              tuple(param_vals), _boxed(left[j]), _boxed(right[j]))
+            return EquivVerdict(Equivalence.NOT_EQUIVALENT, witness, tried + j + 1)
+        tried += len(chunk)
     return EquivVerdict(Equivalence.EQUIVALENT, None, tried)
 
 

@@ -188,10 +188,11 @@ def _state_delta(before: MethodState, after: MethodState):
     )
 
 
-def _heap_delta(before: DynamicHeap, after: DynamicHeap):
+def _heap_delta(before: DynamicHeap, stores):
+    """The cells the step's stores changed, by address and field name."""
+    written = {(addr, fname): v for addr, fname, v in stores}
     return tuple(
-        (addr, fname, v)
-        for (addr, fname), v in sorted(after.fields.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        (addr, fname, v) for (addr, fname), v in sorted(written.items())
         if before.fields.get((addr, fname)) != v
     )
 
@@ -208,6 +209,13 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
         raise ValueError("fuel must be positive")
     c = initial_config(program, main, args)
     steps = 0
+    stores = []  # the current step's heap writes, for its trace record
+    store_hook = on_store
+    if on_step is not None:
+        def store_hook(addr, fname, v):
+            stores.append((addr, fname, v))
+            if on_store is not None:
+                on_store(addr, fname, v)
     while True:
         top = c.stack[0]
         node = top.graph.kind(top.nid)
@@ -219,17 +227,18 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
                 return ExecResult(ExecOutcome.UNCAUGHT_EXCEPTION, v, steps, c.heap)
             if steps == fuel:
                 return ExecResult(ExecOutcome.OUT_OF_FUEL, None, steps, c.heap)
-            c2 = step_top(program, c, on_store=on_store)
+            c2 = step_top(program, c, on_store=store_hook)
         except EvalStuck as e:
             return ExecResult(ExecOutcome.STUCK, None, steps, c.heap, str(e))
         steps += 1
         if on_step is not None:
-            on_step(_trace_step(steps, c, c2, node))
+            on_step(_trace_step(steps, c, c2, node, stores))
+            stores.clear()
         c = c2
 
 
 def _trace_step(index: int, before: GlobalConfig, after: GlobalConfig,
-                node: ir.IRNode) -> TraceStep:
+                node: ir.IRNode, stores) -> TraceStep:
     top_b, top_a = before.stack[0], after.stack[0]
     if len(after.stack) > len(before.stack):
         m_delta = ()  # callee starts with an empty state
@@ -244,5 +253,5 @@ def _trace_step(index: int, before: GlobalConfig, after: GlobalConfig,
         nid_after=top_a.nid,
         depth=len(after.stack),
         m_delta=m_delta,
-        h_delta=_heap_delta(before.heap, after.heap),
+        h_delta=_heap_delta(before.heap, stores),
     )

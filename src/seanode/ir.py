@@ -427,11 +427,13 @@ class Graph:
     """Finite partial map from node ids to nodes; immutable after construction.
 
     Lookups are total: unmapped ids yield NoNode. Edits return new graphs.
-    The def-use index (node id -> the ids whose inputs name it) is built
-    by the first usages call and kept; an edit returns a graph without one.
+    Two derived tables are built on first use and kept: the def-use index
+    (node id -> the ids whose inputs name it), by the first usages call, and
+    the evaluation schedules by root, filled in by dataflow.schedule. An
+    edit returns a graph without either.
     """
 
-    __slots__ = ("_nodes", "_users")
+    __slots__ = ("_nodes", "_users", "schedules")
 
     def __init__(self, nodes: dict[int, IRNode]):
         for nid, node in nodes.items():
@@ -441,6 +443,7 @@ class Graph:
                 raise InvalidEdit(f"cannot store NoNode at id {nid}")
         self._nodes = dict(nodes)
         self._users = None
+        self.schedules: dict = {}  # root -> evaluation schedule; see dataflow.schedule
 
     def kind(self, nid: int) -> IRNode:
         return self._nodes.get(nid, _NO_NODE)
@@ -453,12 +456,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def inputs(self, nid: int) -> set[int]:
-        return set(inputs_of(self.kind(nid)))
-
-    def succ(self, nid: int) -> set[int]:
-        return set(successors_of(self.kind(nid)))
 
     def usages(self, nid: int) -> set[int]:
         users = self._users
@@ -474,12 +471,6 @@ class Graph:
                 users.setdefault(n, []).append(m)
         # Tuples take about a third of the memory of sets.
         return {n: tuple(ms) for n, ms in users.items()}
-
-    def predecessors(self, nid: int) -> set[int]:
-        return {m for m in self._nodes if nid in self.succ(m)}
-
-    def fresh_id(self) -> int:
-        return max(self._nodes) + 1 if self._nodes else 0
 
     def insert_node(self, nid: int, node: IRNode) -> "Graph":
         if nid in self._nodes:

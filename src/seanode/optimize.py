@@ -10,7 +10,7 @@ forwarded node is a pure data node that may legally appear twice.
 
 from dataclasses import dataclass, field
 
-from . import ir, runtime
+from . import ir
 from .controlflow import StepStuck, merge_of_end
 from .ir import Graph, IRNode
 from .runtime import IntVal
@@ -58,6 +58,11 @@ def _const_of(g: Graph, nid: int) -> IntVal | None:
     return None
 
 
+def _folded(node: IRNode, *args: IntVal) -> ir.ConstantNode:
+    """The constant an arithmetic node computes from constant inputs."""
+    return ir.ConstantNode(IntVal(type(node).OP(*(a.value for a in args))))
+
+
 def _forward_to(g: Graph, nid: int, node: IRNode, x: int, rule: str) -> Rewrite | None:
     # State-leaf nodes (phis, invokes, loads, allocations) read the method
     # state under their own id and must not be duplicated.
@@ -75,7 +80,7 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
     if isinstance(node, ir.AddNode):
         a, b = _const_of(g, node.x), _const_of(g, node.y)
         if a is not None and b is not None:
-            return Rewrite(nid, node, ir.ConstantNode(runtime.int_add(a, b)), "fold-add")
+            return Rewrite(nid, node, _folded(node, a, b), "fold-add")
         if b is not None and b.value == 0:
             return _forward_to(g, nid, node, node.x, "add-zero")
         if a is not None and a.value == 0:
@@ -84,7 +89,7 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
     if isinstance(node, ir.MulNode):
         a, b = _const_of(g, node.x), _const_of(g, node.y)
         if a is not None and b is not None:
-            return Rewrite(nid, node, ir.ConstantNode(runtime.int_mul(a, b)), "fold-mul")
+            return Rewrite(nid, node, _folded(node, a, b), "fold-mul")
         if (a is not None and a.value == 0) or (b is not None and b.value == 0):
             return Rewrite(nid, node, ir.ConstantNode(IntVal(0)), "mul-zero")
         if b is not None and b.value == 1:
@@ -95,7 +100,7 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
     if isinstance(node, ir.NegateNode):
         a = _const_of(g, node.value)
         if a is not None:
-            return Rewrite(nid, node, ir.ConstantNode(runtime.int_neg(a)), "fold-negate")
+            return Rewrite(nid, node, _folded(node, a), "fold-negate")
         inner = g.kind(node.value)
         if isinstance(inner, ir.NegateNode):
             return _forward_to(g, nid, node, inner.value, "negate-negate")
@@ -103,10 +108,7 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
     if isinstance(node, ir.IntegerLessThanNode):
         a, b = _const_of(g, node.x), _const_of(g, node.y)
         if a is not None and b is not None:
-            return Rewrite(
-                nid, node,
-                ir.ConstantNode(runtime.int_less_than(a, b)), "fold-less-than",
-            )
+            return Rewrite(nid, node, _folded(node, a, b), "fold-less-than")
 
     if isinstance(node, ir.ConditionalNode):
         c = _const_of(g, node.condition)

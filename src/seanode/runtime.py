@@ -55,28 +55,27 @@ class UndefVal(Value):
 UNDEF = UndefVal()
 
 
-def int_val(n: int) -> IntVal:
-    return IntVal(wrap32(n))
+# The arithmetic operations, each declared once on plain 32-bit ints. An
+# arithmetic node kind names its operation (ir, op=...); evaluation derives
+# its rule on IntVals from it, and data_equiv its rule on lanes of ints.
+def int_add(a: int, b: int) -> int:
+    return wrap32(a + b)
 
 
-def int_add(a: IntVal, b: IntVal) -> IntVal:
-    return int_val(a.value + b.value)
+def int_sub(a: int, b: int) -> int:
+    return wrap32(a - b)
 
 
-def int_sub(a: IntVal, b: IntVal) -> IntVal:
-    return int_val(a.value - b.value)
+def int_mul(a: int, b: int) -> int:
+    return wrap32(a * b)
 
 
-def int_mul(a: IntVal, b: IntVal) -> IntVal:
-    return int_val(a.value * b.value)
+def int_neg(a: int) -> int:
+    return wrap32(-a)
 
 
-def int_neg(a: IntVal) -> IntVal:
-    return int_val(-a.value)
-
-
-def int_less_than(a: IntVal, b: IntVal) -> IntVal:
-    return IntVal(1 if a.value < b.value else 0)
+def int_less_than(a: int, b: int) -> int:
+    return 1 if a < b else 0
 
 
 def val_to_bool(v: Value) -> bool:

@@ -2,10 +2,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 REPO = Path(__file__).parent.parent
+
+# The default profile keeps tier-1 fast. CI also runs the differential
+# property of test_equivalence under this one:
+#   pytest tests/test_equivalence.py -k differential --hypothesis-profile=differential
+settings.register_profile("differential", max_examples=2000)
 
 
 @pytest.fixture(scope="session")

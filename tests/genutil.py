@@ -5,9 +5,10 @@ canonicalization rule."""
 import random
 
 from seanode.ir import (
-    AddNode, ConditionalNode, ConstantNode, EndNode, Graph, IntegerLessThanNode,
-    MergeNode, MulNode, NegateNode, ParameterNode, Program, ReturnNode, Signature,
-    StartNode, ValuePhiNode,
+    AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode,
+    IntegerLessThanNode, LoopBeginNode, LoopEndNode, LoopExitNode, MergeNode, MulNode,
+    NegateNode, NewInstanceNode, ParameterNode, Program, ReturnNode, Signature,
+    StartNode, StoreFieldNode, ValuePhiNode, ValueProxyNode,
 )
 from seanode.runtime import INT_MAX, INT_MIN, IntVal
 from seanode.wellformed import check
@@ -167,6 +168,50 @@ def negate_chain(depth: int) -> Graph:
         nodes[2 + i] = NegateNode(value=3 + i)
     nodes[2 + depth] = ParameterNode(0)
     return Graph(nodes)
+
+
+CHAIN_SIG = Signature("Chain", "deep", ("int",))
+
+
+def conditional_chain(depth: int) -> Graph:
+    """A well-formed method of depth ConditionalNodes nested through their
+    true arms: node 2 + i is p0 ? (node 3 + i) : i, and the innermost true
+    arm is p0. It returns p0 when p0 is nonzero and 0 otherwise, after
+    choosing depth true arms, each inside the one before."""
+    param = 2 + depth
+    nodes = {0: StartNode(next=1), 1: ReturnNode(resultOpt=2), param: ParameterNode(0)}
+    for i in range(depth):
+        nodes[param + 1 + i] = ConstantNode(IntVal(i))
+        nodes[2 + i] = ConditionalNode(condition=param, trueValue=3 + i,
+                                       falseValue=param + 1 + i)
+    return Graph(nodes)
+
+
+STORE_LOOP_SIG = Signature("Heap", "storeLoop", ())
+
+
+def store_loop(trips: int) -> Program:
+    """A well-formed method whose loop allocates one object and stores the
+    trip count into it, trips times; it returns trips."""
+    return Program({STORE_LOOP_SIG: Graph({
+        0: StartNode(next=2),
+        1: ConstantNode(IntVal(trips)),
+        2: EndNode(),
+        3: LoopBeginNode(ends=(2, 12), next=6),
+        4: ValuePhiNode(4, values=(13, 10), merge=3),
+        6: BeginNode(next=8),
+        7: IntegerLessThanNode(x=4, y=1),
+        8: IfNode(condition=7, trueSuccessor=9, falseSuccessor=14),
+        9: NewInstanceNode(9, "Cell", next=11),
+        10: AddNode(x=4, y=15),
+        11: StoreFieldNode(11, field="trip", value=4, objectOpt=9, next=12),
+        12: LoopEndNode(loopBegin=3),
+        13: ConstantNode(IntVal(0)),
+        14: LoopExitNode(loopBegin=3, next=17),
+        15: ConstantNode(IntVal(1)),
+        16: ValueProxyNode(value=4, loopExit=14),
+        17: ReturnNode(resultOpt=16),
+    })})
 
 
 DOUBLING_SIG = Signature("Dag", "doubling", ("int",))

@@ -180,6 +180,17 @@ def test_stuck_evaluation_is_not_memoized():
     assert set(c.memo) == {3}
 
 
+@pytest.mark.parametrize("nodes", [
+    {1: AddNode(x=2, y=2), 2: NegateNode(value=1)},
+    # Through a chosen arm, which is a schedule of its own.
+    {1: ConstantNode(IntVal(1)), 2: ConditionalNode(condition=1, trueValue=3, falseValue=1),
+     3: AddNode(x=2, y=1)},
+], ids=["value-edges", "conditional-arm"])
+def test_cyclic_expression_is_stuck(nodes):
+    with pytest.raises(EvalStuck, match="cycle"):
+        evaluate(ctx(nodes), 2)
+
+
 def test_evaluate_all_empty():
     assert evaluate_all(ctx({}), []) == []
 

@@ -1,26 +1,31 @@
 import random
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
+import seanode.equivalence as eq_mod
 from genutil import (
-    DATA_RULES, DOUBLING_SIG, STUCK_PHI_SIG, doubling_dag, gen_rule_case, negate_chain,
-    stuck_phi_program,
+    CHAIN_SIG, DATA_RULES, DOUBLING_SIG, STUCK_PHI_SIG, conditional_chain, doubling_dag,
+    gen_rule_case, negate_chain, stuck_phi_program,
 )
 from seanode.corpus import (
     IFTRUE_SIG, SPIN_SIG, FACT_SIG, factorial, if_const_true, spin,
 )
-from seanode.dataflow import EvalContext, evaluate
+from seanode.dataflow import EvalContext, EvalStuck, evaluate
 from seanode.equivalence import (
-    CyclicExpression, Domain, Equivalence, behavior_diff, data_equiv,
-    free_leaves, with_boundary_values,
+    CyclicExpression, Domain, Equivalence, EquivVerdict, Witness, behavior_diff,
+    data_equiv, free_leaves, with_boundary_values,
 )
+from seanode.interproc import run
 from seanode.ir import (
-    AddNode, ConstantNode, Graph, IfNode, MulNode, ParameterNode, Program,
-    RefNode, ReturnNode, StartNode, StoreFieldNode, SubNode, ValuePhiNode,
+    AddNode, ConditionalNode, ConstantNode, Graph, IfNode, IntegerLessThanNode, MulNode,
+    NegateNode, ParameterNode, Program, RefNode, ReturnNode, StartNode, StoreFieldNode,
+    SubNode, ValuePhiNode, ValueProxyNode,
 )
 from seanode.optimize import apply_pass, apply_rewrite, canonicalize_data
-from seanode.runtime import INT_MAX, INT_MIN, IntVal, MethodState
+from seanode.runtime import INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, ObjRef
 
 
 def test_domain_defaults():
@@ -229,3 +234,127 @@ def test_behavior_diff_on_a_stuck_phi_update_gives_a_verdict():
     program = stuck_phi_program()
     verdict = behavior_diff(program, program, STUCK_PHI_SIG)
     assert verdict.status is Equivalence.EQUIVALENT
+
+
+def _timed(f, *args):
+    start = time.perf_counter()
+    result = f(*args)
+    assert time.perf_counter() - start < 2
+    return result
+
+
+@pytest.mark.parametrize("chain", [negate_chain, conditional_chain])
+def test_deep_chains_get_classified_results_in_bounded_time(chain):
+    # 10,000 negations, or conditionals nested through their true arms:
+    # either way node 2 computes p0, as the parameter itself does.
+    g = chain(10_000)
+    same = g.replace_node(2, ParameterNode(0))
+    assert _timed(run, Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(-7)]).value == IntVal(-7)
+    verdict = _timed(data_equiv, g, same, 2)
+    assert (verdict.status, verdict.samples_tried) == (Equivalence.EQUIVALENT, 5)
+    verdict = _timed(behavior_diff, Program({CHAIN_SIG: g}), Program({CHAIN_SIG: same}), CHAIN_SIG)
+    assert verdict.status is Equivalence.EQUIVALENT
+
+
+# Differential property: the column-wise data_equiv against data_equiv
+# written one assignment at a time over evaluate, kept here as the oracle.
+
+def _outcome(g, state, params, nid):
+    try:
+        return evaluate(EvalContext(g, state, params), nid)
+    except EvalStuck as e:
+        return f"stuck:{type(e).__name__}"
+
+
+def _data_equiv_one_by_one(g1, g2, nid, dom):
+    p1, s1 = free_leaves(g1, nid)
+    p2, s2 = free_leaves(g2, nid)
+    param_keys = sorted(p1 | p2)
+    slot_keys = sorted(s1 | s2)
+    arity = max(param_keys) + 1 if param_keys else 0
+    tried = 0
+    for raw in eq_mod._assignments(dom, len(param_keys) + len(slot_keys)):
+        tried += 1
+        vals = [IntVal(v) for v in raw]
+        params = [IntVal(0)] * arity
+        for index, v in zip(param_keys, vals):
+            params[index] = v
+        slots = tuple(zip(slot_keys, vals[len(param_keys):]))
+        state = MethodState(dict(slots))
+        left = _outcome(g1, state, tuple(params), nid)
+        right = _outcome(g2, state, tuple(params), nid)
+        if left != right:
+            witness = Witness(slots, tuple(params), left, right)
+            return EquivVerdict(Equivalence.NOT_EQUIVALENT, witness, tried)
+    return EquivVerdict(Equivalence.EQUIVALENT, None, tried)
+
+
+@st.composite
+def _expression(draw, inputs):
+    # Favouring the latest nodes makes deeper expressions.
+    pick = st.one_of(st.sampled_from(inputs[-3:]), st.sampled_from(inputs))
+    kind = draw(st.sampled_from(["add", "sub", "mul", "neg", "lt", "cond", "guard", "guard", "proxy"]))
+    if kind == "neg":
+        return NegateNode(value=draw(pick))
+    if kind == "cond":
+        return ConditionalNode(condition=draw(pick), trueValue=draw(pick), falseValue=draw(pick))
+    if kind == "guard":  # one arm stuck wherever it is chosen
+        arms = draw(st.permutations([draw(pick), 6]))
+        return ConditionalNode(condition=draw(pick), trueValue=arms[0], falseValue=arms[1])
+    if kind == "proxy":
+        return ValueProxyNode(value=draw(pick), loopExit=draw(pick))
+    cls = {"add": AddNode, "sub": SubNode, "mul": MulNode, "lt": IntegerLessThanNode}[kind]
+    return cls(x=draw(pick), y=draw(pick))
+
+
+@st.composite
+def _graph_pairs(draw):
+    """Two expression graphs over the same ids, and the root they share:
+    the second is the first canonicalized, or with some of its nodes drawn
+    again."""
+    # The leaves: two parameters, two state slots, a constant that may not
+    # be an integer, and a node with no evaluation rule (stuck wherever it
+    # is evaluated).
+    nodes = {
+        1: ParameterNode(0),
+        2: ParameterNode(1),
+        3: ValuePhiNode(3, values=(), merge=0),
+        4: ValuePhiNode(4, values=(), merge=0),
+        5: ConstantNode(draw(st.sampled_from(
+            [IntVal(0), IntVal(1), IntVal(-3), IntVal(INT_MAX), ObjRef(0), UNDEF]))),
+        6: StartNode(next=6),
+    }
+    count = draw(st.integers(2, 8))
+    for nid in range(7, 7 + count):
+        nodes[nid] = draw(_expression(list(nodes)))
+    g = Graph(nodes)
+    if draw(st.booleans()):
+        return g, apply_pass(g, "canonicalize")[0], 6 + count
+    for nid in sorted(draw(st.sets(st.integers(7, 6 + count), max_size=2))):
+        nodes[nid] = draw(_expression(list(range(1, nid))))
+    return g, Graph(nodes), 6 + count
+
+
+def _unstuck(g):
+    """g with p0 in place of every arm that is stuck wherever it is chosen:
+    equal to g on the assignments that choose none."""
+    def arm(a):
+        return 1 if a == 6 else a
+    return Graph({nid: ConditionalNode(node.condition, arm(node.trueValue), arm(node.falseValue))
+                  if isinstance(node, ConditionalNode) else node for nid, node in g.items()})
+
+
+@given(_graph_pairs(),
+       st.lists(st.sampled_from([-2, -1, 0, 1, 2, INT_MIN, INT_MAX]),
+                min_size=1, max_size=4, unique=True),
+       st.integers(1, 70), st.booleans())
+def test_differential_column_wise_data_equiv_matches_one_by_one(pair, values, chunk, sampled):
+    g1, g2, root = pair
+    dom = Domain(tuple(values))
+    patches = {"_CHUNK": chunk}
+    if sampled:  # past the cap: a reduced product, then seeded draws
+        patches.update(_EXHAUSTIVE_CAP=4, _RANDOM_SAMPLES=6)
+    with mock.patch.multiple(eq_mod, **patches):
+        for left, right in ((g1, g2), (g2, g1), (g1, _unstuck(g1))):
+            assert data_equiv(left, right, root, dom) == _data_equiv_one_by_one(
+                left, right, root, dom)

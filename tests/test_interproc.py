@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from genutil import STUCK_PHI_SIG, stuck_phi_program
+from genutil import STORE_LOOP_SIG, STUCK_PHI_SIG, store_loop, stuck_phi_program
 from seanode import ir
 from seanode.controlflow import StepStuck
 from seanode.corpus import (
@@ -299,6 +301,18 @@ def test_trace_records_match_steps_and_rerun_identically():
     r2 = run(p, FACT_SIG, [IntVal(6)], on_step=lambda r: second.append(r.line()))
     assert first == second
     assert len(first) == r1.steps == r2.steps
+
+
+def test_trace_cost_does_not_grow_with_the_heap():
+    # 3,000 trips, each storing into a fresh cell: a heap delta built by
+    # scanning the heap on every traced step takes about 20 s here.
+    program = store_loop(3000)
+    deltas = []
+    start = time.perf_counter()
+    result = run(program, STORE_LOOP_SIG, [], on_step=lambda r: deltas.extend(r.h_delta))
+    assert time.perf_counter() - start < 2
+    assert result.value == IntVal(3000)
+    assert deltas == [(k, "trip", IntVal(k)) for k in range(3000)]
 
 
 def test_one_stuck_exception_for_every_layer():

@@ -65,11 +65,11 @@ def test_usages_factorial_merge(fact_graph):
 
 def test_predecessors_single_edge():
     g = Graph({0: StartNode(next=5), 5: EndNode()})
-    assert g.predecessors(5) == {0}
+    assert {m for m, node in g.items() if 5 in ir.successors_of(node)} == {0}
 
 
 def test_inputs_of_unmapped_id_empty():
-    assert Graph({}).inputs(42) == set()
+    assert ir.inputs_of(Graph({}).kind(42)) == []
 
 
 def test_is_sequential():
@@ -85,12 +85,6 @@ def test_is_data_and_is_control():
     assert ir.is_control(EndNode())  # no successors, still a control point
     assert not ir.is_control(AddNode(x=1, y=2))
     assert not ir.is_control(ir.MethodCallTargetNode(targetMethod=Signature("C", "m"), arguments=()))
-
-
-def test_fresh_id():
-    g = Graph({0: EndNode(), 1: EndNode(), 7: EndNode()})
-    assert g.fresh_id() == 8
-    assert Graph({}).fresh_id() == 0
 
 
 def test_replace_read_back(fact_graph):
@@ -128,8 +122,9 @@ def test_edits_are_persistent(fact_graph):
     before = fact_graph.kind(12)
     g2 = fact_graph.replace_node(12, RefNode(next=13))
     assert fact_graph.kind(12) == before
-    g3 = g2.insert_node(g2.fresh_id(), EndNode())
-    assert g2.fresh_id() not in g2.ids()
+    fresh = max(g2.ids()) + 1
+    g3 = g2.insert_node(fresh, EndNode())
+    assert fresh not in g2
     assert len(g3) == len(g2) + 1
 
 
@@ -160,16 +155,8 @@ _nodes = st.one_of(
 _graphs = st.dictionaries(st.integers(0, 9), _nodes, max_size=8).map(Graph)
 
 
-@given(_graphs)
-def test_usages_predecessors_are_inverses(g):
-    for a in g.ids():
-        for b in g.ids():
-            assert (b in g.inputs(a)) == (a in g.usages(b))
-            assert (b in g.succ(a)) == (a in g.predecessors(b))
-
-
 def _users_by_definition(g, nid):
-    return {m for m in g.ids() if nid in g.inputs(m)}
+    return {m for m, node in g.items() if nid in ir.inputs_of(node)}
 
 
 @given(_graphs, st.lists(st.tuples(st.integers(0, 11), _nodes), max_size=4))
@@ -193,8 +180,3 @@ def test_usages_answer_cannot_be_changed_by_its_caller():
     assert g.usages(6) == before
     g.usages(42).add(1)
     assert g.usages(42) == set()
-
-
-@given(_graphs)
-def test_fresh_id_is_unmapped(g):
-    assert g.fresh_id() not in g.ids()

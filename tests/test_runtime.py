@@ -42,11 +42,11 @@ def test_intval_range_checked():
 
 
 def test_add_wraps_at_max():
-    assert int_add(IntVal(2147483647), IntVal(1)) == IntVal(-2147483648)
+    assert int_add(2147483647, 1) == -2147483648
 
 
 def test_neg_wraps_min_int():
-    assert int_neg(IntVal(INT_MIN)) == IntVal(INT_MIN)
+    assert int_neg(INT_MIN) == INT_MIN
 
 
 @given(st.integers(), st.integers())
@@ -58,7 +58,7 @@ def test_wrap32_is_twos_complement(a, b):
 
 @given(st.integers(INT_MIN, INT_MAX), st.integers(INT_MIN, INT_MAX))
 def test_mul_matches_java_semantics(a, b):
-    assert int_mul(IntVal(a), IntVal(b)).value == wrap32(a * b)
+    assert int_mul(a, b) == wrap32(a * b)
 
 
 def test_val_to_bool():

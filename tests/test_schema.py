@@ -111,8 +111,8 @@ def test_derived_value_edges_equal_the_walk_table():
 
 def test_arithmetic_kinds_declare_their_operation():
     assert {cls for cls in ir.NODE_KINDS.values() if cls.OP is not None} == ARITHMETIC
-    assert AddNode.OP(IntVal(2), IntVal(3)) == IntVal(5)
-    assert SubNode.OP(IntVal(2), IntVal(3)) == IntVal(-1)
+    assert AddNode.OP(2, 3) == 5
+    assert SubNode.OP(2, 3) == -1
 
 
 def test_evaluation_has_a_rule_for_exactly_the_readable_kinds():
