@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from seanode import ir
+from seanode import ir, optimize
 from seanode.corpus import FACT_SIG, factorial
 from seanode.ir import (
     AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, InvalidEdit,
@@ -153,6 +153,18 @@ _nodes = st.one_of(
               st.lists(st.integers(0, 9), max_size=3), st.integers(0, 9)),
 )
 _graphs = st.dictionaries(st.integers(0, 9), _nodes, max_size=8).map(Graph)
+
+
+@given(_graphs)
+def test_usages_predecessors_are_inverses(g):
+    for a in g.ids():
+        for b in g.ids():
+            assert (b in ir.inputs_of(g.kind(a))) == (a in g.usages(b))
+    # The control-flow predecessors are those of the reachable nodes.
+    order, preds = optimize._cfg(g)
+    for a in order:
+        for b in order:
+            assert (b in optimize.cfg_successors(g, a)) == (a in preds[b])
 
 
 def _users_by_definition(g, nid):
