@@ -291,8 +291,9 @@ def behavior_diff(p1: Program, p2: Program, main: Signature,
     Inputs on which either side runs out of fuel are inconclusive, not
     counterexamples.
     """
-    if p1.graph(main) is None:
-        raise KeyError(f"method {main} not present in the left program")
+    for side, p in (("left", p1), ("right", p2)):
+        if p.graph(main) is None:
+            raise KeyError(f"method {main} not present in the {side} program")
     arity = len(main.parameterTypes)
     tried = 0
     inconclusive = 0

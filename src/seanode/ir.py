@@ -95,7 +95,7 @@ class NoNode(IRNode):
     """Result of looking up an unmapped id; never stored in a graph."""
 
 
-_NO_NODE = NoNode()
+NO_NODE = NoNode()
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class ValuePhiNode(IRNode, role=Role.STATE_DATA):
 
 
 @dataclass(frozen=True)
-class NegateNode(IRNode, role=Role.PURE, op=runtime.int_neg):
+class NegateNode(IRNode, role=Role.PURE, op=runtime.int_negate):
     value: int
 
     INPUTS = (("value", ONE),)
@@ -446,7 +446,7 @@ class Graph:
         self.schedules: dict = {}  # root -> evaluation schedule; see dataflow.schedule
 
     def kind(self, nid: int) -> IRNode:
-        return self._nodes.get(nid, _NO_NODE)
+        return self._nodes.get(nid, NO_NODE)
 
     def ids(self) -> set[int]:
         return set(self._nodes)

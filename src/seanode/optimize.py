@@ -1,6 +1,12 @@
 """Canonicalization rewrites and a dominating-branch conditional-elimination
 pass.
 
+Each canonicalization rule is declared once in RULES: its name, its node
+kind, and the replacement it gives, a new node or the input it forwards to.
+Every kind with an arithmetic `OP` gets a constant fold first, named after
+the operation (`fold-add` for `runtime.int_add`). `canonicalize_data` tries
+a node's rules in declaration order; the first replacement wins.
+
 Rewrites replace the node stored at an id; nodes that become unreferenced
 stay in the graph (other ids may still use them, and ids must remain
 stable). A rewrite that forwards to an existing node duplicates that node
@@ -8,6 +14,7 @@ at the rewritten id instead of rewiring usages, so it only fires when the
 forwarded node is a pure data node that may legally appear twice.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import ir
@@ -47,93 +54,84 @@ class PassReport:
         return [rw.log_line() for rw in self.rewrites]
 
 
-def apply_rewrite(g: Graph, rw: Rewrite) -> Graph:
-    return g.replace_node(rw.target, rw.after)
+@dataclass(frozen=True)
+class Rule:
+    """A canonicalization rule for nodes of one kind. replace(node, at) reads
+    inputs through at (id -> node, as Graph.kind) and gives a new node, the
+    id of the input to forward to, or None where the rule does not match."""
+
+    name: str
+    kind: type
+    replace: Callable
 
 
-def _const_of(g: Graph, nid: int) -> IntVal | None:
-    node = g.kind(nid)
+def _int(at, nid: int) -> int | None:
+    node = at(nid)
     if isinstance(node, ir.ConstantNode) and isinstance(node.const, IntVal):
-        return node.const
+        return node.const.value
     return None
 
 
-def _folded(node: IRNode, *args: IntVal) -> ir.ConstantNode:
-    """The constant an arithmetic node computes from constant inputs."""
-    return ir.ConstantNode(IntVal(type(node).OP(*(a.value for a in args))))
+def _fold(node, at):
+    args = [_int(at, x) for x in ir.value_inputs(node)]
+    return None if None in args else ir.ConstantNode(IntVal(type(node).OP(*args)))
 
 
-def _forward_to(g: Graph, nid: int, node: IRNode, x: int, rule: str) -> Rewrite | None:
-    # State-leaf nodes (phis, invokes, loads, allocations) read the method
-    # state under their own id and must not be duplicated.
-    copy = g.kind(x)
-    if not ir.is_pure(copy):
-        return None
-    return Rewrite(nid, node, copy, rule)
+def _identity(unit: int):
+    """x op unit and unit op x forward to x."""
+    return lambda n, at: (n.x if _int(at, n.y) == unit
+                          else n.y if _int(at, n.x) == unit else None)
+
+
+def _choose(at, cond: int, if_true: int, if_false: int) -> int | None:
+    c = _int(at, cond)
+    return None if c is None else if_true if c != 0 else if_false
+
+
+def _ref(successor: int | None) -> ir.RefNode | None:
+    return None if successor is None else ir.RefNode(successor)
+
+
+# The IfNode rules leave a RefNode to the surviving successor. They bypass
+# the condition's evaluation, which is sound because data conditions are
+# side-effect free.
+RULES = (
+    *(Rule("fold-" + k.OP.__name__.removeprefix("int_").replace("_", "-"), k, _fold)
+      for k in ir.NODE_KINDS.values() if k.OP),
+    Rule("add-zero", ir.AddNode, _identity(0)),
+    Rule("mul-zero", ir.MulNode, lambda n, at: (
+        ir.ConstantNode(IntVal(0)) if 0 in (_int(at, n.x), _int(at, n.y)) else None)),
+    Rule("mul-one", ir.MulNode, _identity(1)),
+    Rule("negate-negate", ir.NegateNode, lambda n, at: (
+        at(n.value).value if isinstance(at(n.value), ir.NegateNode) else None)),
+    Rule("conditional-constant", ir.ConditionalNode, lambda n, at: (
+        _choose(at, n.condition, n.trueValue, n.falseValue))),
+    Rule("conditional-equal-branches", ir.ConditionalNode, lambda n, at: (
+        n.trueValue if n.trueValue == n.falseValue else None)),
+    Rule("if-constant-condition", ir.IfNode, lambda n, at: (
+        _ref(_choose(at, n.condition, n.trueSuccessor, n.falseSuccessor)))),
+    Rule("if-equal-branches", ir.IfNode, lambda n, at: (
+        ir.RefNode(n.trueSuccessor) if n.trueSuccessor == n.falseSuccessor else None)),
+)
+
+_RULES_OF = {k: [r for r in RULES if r.kind is k] for k in {r.kind for r in RULES}}
 
 
 def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
-    """First matching data rewrite at nid: constant folds, then arithmetic
-    identities, then conditional-expression simplifications."""
-    node = g.kind(nid)
-
-    if isinstance(node, ir.AddNode):
-        a, b = _const_of(g, node.x), _const_of(g, node.y)
-        if a is not None and b is not None:
-            return Rewrite(nid, node, _folded(node, a, b), "fold-add")
-        if b is not None and b.value == 0:
-            return _forward_to(g, nid, node, node.x, "add-zero")
-        if a is not None and a.value == 0:
-            return _forward_to(g, nid, node, node.y, "add-zero")
-
-    if isinstance(node, ir.MulNode):
-        a, b = _const_of(g, node.x), _const_of(g, node.y)
-        if a is not None and b is not None:
-            return Rewrite(nid, node, _folded(node, a, b), "fold-mul")
-        if (a is not None and a.value == 0) or (b is not None and b.value == 0):
-            return Rewrite(nid, node, ir.ConstantNode(IntVal(0)), "mul-zero")
-        if b is not None and b.value == 1:
-            return _forward_to(g, nid, node, node.x, "mul-one")
-        if a is not None and a.value == 1:
-            return _forward_to(g, nid, node, node.y, "mul-one")
-
-    if isinstance(node, ir.NegateNode):
-        a = _const_of(g, node.value)
-        if a is not None:
-            return Rewrite(nid, node, _folded(node, a), "fold-negate")
-        inner = g.kind(node.value)
-        if isinstance(inner, ir.NegateNode):
-            return _forward_to(g, nid, node, inner.value, "negate-negate")
-
-    if isinstance(node, ir.IntegerLessThanNode):
-        a, b = _const_of(g, node.x), _const_of(g, node.y)
-        if a is not None and b is not None:
-            return Rewrite(nid, node, _folded(node, a, b), "fold-less-than")
-
-    if isinstance(node, ir.ConditionalNode):
-        c = _const_of(g, node.condition)
-        if c is not None:
-            chosen = node.trueValue if c.value != 0 else node.falseValue
-            return _forward_to(g, nid, node, chosen, "conditional-constant")
-        if node.trueValue == node.falseValue:
-            return _forward_to(g, nid, node, node.trueValue, "conditional-equal-branches")
-
-    return None
-
-
-def canonicalize_if(g: Graph, nid: int) -> Rewrite | None:
-    """IfNode rewrites: a constant condition or equal branches leave a
-    RefNode to the surviving successor (condition evaluation is bypassed,
-    which is sound because data conditions are side-effect free)."""
-    node = g.kind(nid)
-    if not isinstance(node, ir.IfNode):
-        return None
-    c = _const_of(g, node.condition)
-    if c is not None:
-        target = node.trueSuccessor if c.value != 0 else node.falseSuccessor
-        return Rewrite(nid, node, ir.RefNode(target), "if-constant-condition")
-    if node.trueSuccessor == node.falseSuccessor:
-        return Rewrite(nid, node, ir.RefNode(node.trueSuccessor), "if-equal-branches")
+    """The rewrite at nid of the first rule declared for its kind that
+    gives a replacement, or None. g is a Graph or a sweep's working map."""
+    at = g.kind
+    node = at(nid)
+    for rule in _RULES_OF.get(type(node), ()):
+        after = rule.replace(node, at)
+        if isinstance(after, int):
+            # State-leaf nodes (phis, invokes, loads, allocations) read the
+            # method state under their own id and must not be duplicated.
+            after = at(after)
+            if not ir.is_pure(after):
+                continue
+        if after is not None:
+            return Rewrite(nid, node, after, rule.name)
     return None
 
 
@@ -148,7 +146,7 @@ def cfg_successors(g: Graph, nid: int) -> list[int]:
             merge, _ = merge_of_end(g, nid)
         except StepStuck:
             return succ
-        succ = succ + [merge]
+        return succ + [merge]
     return succ
 
 
@@ -261,11 +259,7 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
         added = enter_facts(n)
         node = g.kind(n)
         if isinstance(node, ir.IfNode):
-            known = None
-            for key in _fact_keys(g, node.condition):
-                if key in facts:
-                    known = facts[key]
-                    break
+            known = next((facts[k] for k in _fact_keys(g, node.condition) if k in facts), None)
             if known is not None:
                 target = node.trueSuccessor if known else node.falseSuccessor
                 rewrites.append(
@@ -276,26 +270,29 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
 
     if rewrites:
         # Every rewrite was decided on g, so they all go into one build.
-        nodes = dict(g.items())
-        nodes.update((rw.target, rw.after) for rw in rewrites)
-        g = Graph(nodes)
+        g = Graph(dict(g.items()) | {rw.target: rw.after for rw in rewrites})
     return g, PassReport(rewrites=rewrites, iterations=1, fixpoint=not rewrites)
 
 
+class _Working(dict):
+    """A sweep's node map as its rewrites change it, read like a Graph."""
+
+    def kind(self, nid: int) -> IRNode:
+        return self.get(nid, ir.NO_NODE)
+
+
 def _sweep_canonicalize(g: Graph) -> tuple[Graph, list[Rewrite]]:
+    """One rewrite attempt per id in ascending order. Each rewrite goes into
+    one working map, so later ones see it; one graph is built at the end,
+    and a sweep without rewrites returns g itself, caches and all."""
+    work = _Working(g.items())
     applied = []
-    for nid in sorted(g.ids()):
-        node = g.kind(nid)
-        if isinstance(node, ir.IfNode):
-            rw = canonicalize_if(g, nid)
-        elif ir.is_data(node):
-            rw = canonicalize_data(g, nid)
-        else:
-            rw = None
+    for nid in sorted(work):
+        rw = canonicalize_data(work, nid)
         if rw is not None:
-            g = apply_rewrite(g, rw)
+            work[nid] = rw.after
             applied.append(rw)
-    return g, applied
+    return (Graph(work) if applied else g), applied
 
 
 PASS_NAMES = ("canonicalize", "condelim", "all")

@@ -56,8 +56,8 @@ UNDEF = UndefVal()
 
 
 # The arithmetic operations, each declared once on plain 32-bit ints. An
-# arithmetic node kind names its operation (ir, op=...); evaluation derives
-# its rule on IntVals from it, and data_equiv its rule on lanes of ints.
+# arithmetic node kind names its operation (ir, op=...); evaluation, the
+# lanes of data_equiv and optimize's constant folds are derived from it.
 def int_add(a: int, b: int) -> int:
     return wrap32(a + b)
 
@@ -70,7 +70,7 @@ def int_mul(a: int, b: int) -> int:
     return wrap32(a * b)
 
 
-def int_neg(a: int) -> int:
+def int_negate(a: int) -> int:
     return wrap32(-a)
 
 

@@ -1,6 +1,6 @@
 """Seeded random builders for property-style tests: merge/phi fixtures for
-the simultaneity property and instance generators for each shipped
-canonicalization rule."""
+the simultaneity property and instance generators for each declared
+canonicalization rule of a data kind."""
 
 import random
 
@@ -8,8 +8,9 @@ from seanode.ir import (
     AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode,
     IntegerLessThanNode, LoopBeginNode, LoopEndNode, LoopExitNode, MergeNode, MulNode,
     NegateNode, NewInstanceNode, ParameterNode, Program, ReturnNode, Signature,
-    StartNode, StoreFieldNode, ValuePhiNode, ValueProxyNode,
+    StartNode, StoreFieldNode, ValuePhiNode, ValueProxyNode, is_data,
 )
+from seanode.optimize import RULES
 from seanode.runtime import INT_MAX, INT_MIN, IntVal
 from seanode.wellformed import check
 
@@ -106,14 +107,10 @@ def _base(rng: random.Random):
 
 def gen_rule_case(rule: str, rng: random.Random) -> RuleCase:
     nodes, alloc, const, operand = _base(rng)
-    if rule == "fold-add":
-        target = alloc(AddNode(x=const(), y=const()))
-    elif rule == "fold-mul":
-        target = alloc(MulNode(x=const(), y=const()))
-    elif rule == "fold-negate":
-        target = alloc(NegateNode(value=const()))
-    elif rule == "fold-less-than":
-        target = alloc(IntegerLessThanNode(x=const(), y=const()))
+    if rule.startswith("fold-"):
+        # Every arithmetic kind's fold: its value inputs all constants.
+        kind = _RULE_KINDS[rule]
+        target = alloc(kind(*(const() for _ in kind.VALUE_EDGES)))
     elif rule == "add-zero":
         x = operand(allow_const=False)
         if rng.random() < 0.5:
@@ -149,11 +146,11 @@ def gen_rule_case(rule: str, rng: random.Random) -> RuleCase:
     return RuleCase(Graph(nodes), target, rule)
 
 
-DATA_RULES = (
-    "fold-add", "fold-mul", "fold-negate", "fold-less-than",
-    "add-zero", "mul-one", "mul-zero", "negate-negate",
-    "conditional-constant", "conditional-equal-branches",
-)
+_RULE_KINDS = {rule.name: rule.kind for rule in RULES}
+
+# Every rule optimize declares for a data kind, so a new one without a
+# generator above fails the soundness tests.
+DATA_RULES = tuple(name for name, kind in _RULE_KINDS.items() if is_data(kind))
 
 
 def negate_chain(depth: int) -> Graph:

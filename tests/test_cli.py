@@ -178,6 +178,15 @@ def test_run_rejects_malformed_program_as_validation_failure(fixtures_dir, capsy
     assert "wf_phis" in capsys.readouterr().err
 
 
+def test_opt_folds_a_sub_node(fixtures_dir, tmp_path, capsys):
+    src = str(fixtures_dir / "sub-fold.json")
+    out_path = str(tmp_path / "sub-fold-opt.json")
+    assert main(["opt", src, "--pass", "canonicalize", "-o", out_path]) == 0
+    assert "fold-sub @3: SubNode -> ConstantNode" in capsys.readouterr().out.splitlines()
+    assert main(["diff", src, out_path, "--method", "subFold"]) == 0
+    assert capsys.readouterr().out.strip() == "Equivalent (1 assignments tried)"
+
+
 def test_opt_then_diff_factorial(corpus_dir, tmp_path, capsys):
     src = fact_path(corpus_dir)
     out_path = str(tmp_path / "factorial-opt.json")

@@ -11,7 +11,7 @@ from genutil import (
     gen_rule_case, negate_chain, stuck_phi_program,
 )
 from seanode.corpus import (
-    IFTRUE_SIG, SPIN_SIG, FACT_SIG, factorial, if_const_true, spin,
+    IFTRUE_SIG, SPIN_SIG, FACT_SIG, factorial, if_const_true, loop_sum, spin,
 )
 from seanode.dataflow import EvalContext, EvalStuck, evaluate
 from seanode.equivalence import (
@@ -24,7 +24,7 @@ from seanode.ir import (
     NegateNode, ParameterNode, Program, RefNode, ReturnNode, StartNode, StoreFieldNode,
     SubNode, ValuePhiNode, ValueProxyNode,
 )
-from seanode.optimize import apply_pass, apply_rewrite, canonicalize_data
+from seanode.optimize import apply_pass, canonicalize_data
 from seanode.runtime import INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, ObjRef
 
 
@@ -133,7 +133,7 @@ def test_symmetry_over_generated_rewrites():
     for rule in DATA_RULES:
         case = gen_rule_case(rule, rng)
         rw = canonicalize_data(case.graph, case.nid)
-        g2 = apply_rewrite(case.graph, rw)
+        g2 = case.graph.replace_node(rw.target, rw.after)
         a = data_equiv(case.graph, g2, case.nid)
         b = data_equiv(g2, case.graph, case.nid)
         assert a.status == b.status == Equivalence.EQUIVALENT
@@ -228,6 +228,14 @@ def test_behavior_diff_missing_method():
     p = factorial()
     with pytest.raises(KeyError):
         behavior_diff(p, p, SPIN_SIG, Domain())
+
+
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_behavior_diff_missing_method_on_either_side(side):
+    # FACT_SIG is in factorial() only; loop_sum() has another method.
+    p1, p2 = (loop_sum(), factorial()) if side == "left" else (factorial(), loop_sum())
+    with pytest.raises(KeyError, match=f"not present in the {side} program"):
+        behavior_diff(p1, p2, FACT_SIG, Domain())
 
 
 def test_behavior_diff_on_a_stuck_phi_update_gives_a_verdict():

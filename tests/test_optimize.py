@@ -12,18 +12,18 @@ from seanode.corpus import (
     nested_duplicate_test,
 )
 from seanode.dataflow import EvalContext, evaluate
-from seanode.equivalence import Domain, Equivalence, behavior_diff
+from seanode.equivalence import Domain, Equivalence, behavior_diff, with_boundary_values
 from seanode.ir import (
-    AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode,
+    NODE_KINDS, AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode,
     IntegerLessThanNode, LoopBeginNode, LoopEndNode, MergeNode, MulNode,
-    NegateNode, ParameterNode, Program, RefNode, ReturnNode, StartNode,
-    ValuePhiNode,
+    NegateNode, NewInstanceNode, ParameterNode, Program, RefNode, ReturnNode, StartNode,
+    SubNode, ValuePhiNode, is_pure,
 )
 from seanode.optimize import (
-    IterationCapExceeded, apply_pass, apply_rewrite, canonicalize_data,
-    canonicalize_if, cfg_successors, conditional_elimination, dominators,
+    PASS_NAMES, RULES, IterationCapExceeded, apply_pass, canonicalize_data,
+    cfg_successors, conditional_elimination, dominators,
 )
-from seanode.runtime import INT_MAX, IntVal, new_map_state
+from seanode.runtime import INT_MAX, INT_MIN, IntVal, ObjRef, new_map_state
 from seanode.wellformed import check
 import seanode.optimize as optimize_mod
 
@@ -57,7 +57,7 @@ def test_conditional_equal_branches_value_preserved():
     })
     rw = canonicalize_data(g, 4)
     assert rw.rule == "conditional-equal-branches"
-    g2 = apply_rewrite(g, rw)
+    g2 = g.replace_node(rw.target, rw.after)
     for a, b in itertools.product(range(-2, 3), repeat=2):
         p = (IntVal(a), IntVal(b))
         assert eval_at(g, 4, p) == eval_at(g2, 4, p)
@@ -69,7 +69,7 @@ def test_mul_one_identity_over_domain():
     })
     rw = canonicalize_data(g, 3)
     assert rw.rule == "mul-one"
-    g2 = apply_rewrite(g, rw)
+    g2 = g.replace_node(rw.target, rw.after)
     for x in range(-2, 3):
         assert eval_at(g2, 3, (IntVal(x),)) == eval_at(g, 3, (IntVal(x),)) == IntVal(x)
 
@@ -119,7 +119,7 @@ def test_every_data_rule_is_generable_and_sound():
             case = gen_rule_case(rule, rng)
             rw = canonicalize_data(case.graph, case.nid)
             assert rw is not None and rw.rule == rule, (rule, rw)
-            g2 = apply_rewrite(case.graph, rw)
+            g2 = case.graph.replace_node(rw.target, rw.after)
             verdict = data_equiv(case.graph, g2, case.nid, with_boundary_values(Domain()))
             assert verdict.status is Equivalence.EQUIVALENT, (rule, verdict)
 
@@ -130,7 +130,7 @@ def test_if_constant_true_to_ref():
         2: IfNode(condition=1, trueSuccessor=3, falseSuccessor=4),
         3: BeginNode(next=2), 4: BeginNode(next=2),
     })
-    rw = canonicalize_if(g, 2)
+    rw = canonicalize_data(g, 2)
     assert rw.rule == "if-constant-condition"
     assert rw.after == RefNode(next=3)
 
@@ -141,7 +141,7 @@ def test_if_constant_false_to_ref():
         2: IfNode(condition=1, trueSuccessor=3, falseSuccessor=4),
         3: BeginNode(next=2), 4: BeginNode(next=2),
     })
-    assert canonicalize_if(g, 2).after == RefNode(next=4)
+    assert canonicalize_data(g, 2).after == RefNode(next=4)
 
 
 def test_if_equal_branches_to_ref():
@@ -150,7 +150,7 @@ def test_if_equal_branches_to_ref():
         2: IfNode(condition=1, trueSuccessor=3, falseSuccessor=3),
         3: BeginNode(next=2),
     })
-    rw = canonicalize_if(g, 2)
+    rw = canonicalize_data(g, 2)
     assert rw.rule == "if-equal-branches"
     assert rw.after == RefNode(next=3)
 
@@ -172,7 +172,8 @@ def test_if_rewrite_bypasses_condition_evaluation():
     cfg = LocalConfig(2, new_map_state(), DynamicHeap())
     with pytest.raises(StepStuck):
         step(g, (), cfg)
-    g2 = apply_rewrite(g, canonicalize_if(g, 2))
+    rw = canonicalize_data(g, 2)
+    g2 = g.replace_node(rw.target, rw.after)
     assert step(g2, (), cfg).nid == 3
 
 
@@ -456,3 +457,138 @@ def test_pass_report_log_format():
     g = canon_chain().graph(FOLD_SIG)
     _, report = apply_pass(g, "canonicalize")
     assert report.log_lines()[0] == "fold-add @3: AddNode -> ConstantNode"
+
+
+def _chain_rewrite(g, nid):
+    """Oracle: the isinstance chain the rule declarations replaced, plus
+    fold-sub. A forward that fails the purity guard ends the search at the
+    node. Gives (rule, replacement) or None."""
+    node = g.kind(nid)
+
+    def c(i):
+        n = g.kind(i)
+        ok = isinstance(n, ConstantNode) and isinstance(n.const, IntVal)
+        return n.const.value if ok else None
+
+    def forward(i, rule):
+        return (rule, g.kind(i)) if is_pure(g.kind(i)) else None
+
+    def fold(rule, *ids):
+        if any(c(i) is None for i in ids):
+            return None
+        return rule, ConstantNode(IntVal(type(node).OP(*(c(i) for i in ids))))
+
+    if isinstance(node, NegateNode):
+        if c(node.value) is not None:
+            return fold("fold-negate", node.value)
+        if isinstance(g.kind(node.value), NegateNode):
+            return forward(g.kind(node.value).value, "negate-negate")
+    elif isinstance(node, (AddNode, SubNode, MulNode, IntegerLessThanNode)):
+        name = {AddNode: "add", SubNode: "sub", MulNode: "mul",
+                IntegerLessThanNode: "less-than"}[type(node)]
+        a, b = c(node.x), c(node.y)
+        if a is not None and b is not None:
+            return fold("fold-" + name, node.x, node.y)
+        if isinstance(node, AddNode):
+            if b == 0:
+                return forward(node.x, "add-zero")
+            if a == 0:
+                return forward(node.y, "add-zero")
+        if isinstance(node, MulNode):
+            if 0 in (a, b):
+                return "mul-zero", ConstantNode(IntVal(0))
+            if b == 1:
+                return forward(node.x, "mul-one")
+            if a == 1:
+                return forward(node.y, "mul-one")
+    elif isinstance(node, ConditionalNode):
+        k = c(node.condition)
+        if k is not None:
+            return forward(node.trueValue if k else node.falseValue, "conditional-constant")
+        if node.trueValue == node.falseValue:
+            return forward(node.trueValue, "conditional-equal-branches")
+    elif isinstance(node, IfNode):
+        k = c(node.condition)
+        if k is not None:
+            target = node.trueSuccessor if k else node.falseSuccessor
+            return "if-constant-condition", RefNode(target)
+        if node.trueSuccessor == node.falseSuccessor:
+            return "if-equal-branches", RefNode(node.trueSuccessor)
+    return None
+
+
+# Inputs for the oracle comparison: constants 0, 1 and 3, an ObjRef constant,
+# a parameter, a phi and an allocation (state leaves, not pure), negations of
+# the parameter and of the phi, and the unmapped id 99.
+_OPERANDS = {
+    1: ConstantNode(IntVal(0)), 2: ConstantNode(IntVal(1)), 3: ConstantNode(IntVal(3)),
+    4: ConstantNode(ObjRef(0)), 5: ParameterNode(0), 6: ValuePhiNode(6, values=(), merge=0),
+    7: NewInstanceNode(7, "C", next=0), 8: NegateNode(value=5), 9: NegateNode(value=6),
+}
+
+
+def test_first_match_over_declarations_equals_the_chain_it_replaced():
+    ids = (*_OPERANDS, 99)
+    cases = 0
+    for kind in (NegateNode, AddNode, SubNode, MulNode, IntegerLessThanNode,
+                 ConditionalNode, IfNode):
+        if kind is IfNode:
+            shapes = [IfNode(condition=c, trueSuccessor=t, falseSuccessor=f)
+                      for c in ids for t in (30, 31) for f in (30, 31)]
+        else:
+            shapes = [kind(*args) for args in itertools.product(ids, repeat=len(kind.INPUTS))]
+        for node in shapes:
+            g = Graph({**_OPERANDS, 20: node})
+            rw = canonicalize_data(g, 20)
+            assert (rw and (rw.rule, rw.after)) == _chain_rewrite(g, 20), node
+            cases += 1
+    # Forwards that fail the guard were reached, and fell through to None.
+    assert canonicalize_data(Graph({**_OPERANDS, 20: AddNode(x=6, y=1)}), 20) is None
+    assert canonicalize_data(Graph({**_OPERANDS, 20: NegateNode(value=9)}), 20) is None
+    assert cases > 1000
+
+
+def test_each_arithmetic_kind_has_one_fold_named_after_its_operation():
+    folds = {r.name: r.kind for r in RULES if r.name.startswith("fold-")}
+    assert folds == {"fold-negate": NegateNode, "fold-add": AddNode, "fold-sub": SubNode,
+                     "fold-mul": MulNode, "fold-less-than": IntegerLessThanNode}
+    assert {k for k in NODE_KINDS.values() if k.OP} == set(folds.values())
+    assert len({r.name for r in RULES}) == len(RULES)
+
+
+def test_fold_equals_evaluation_over_the_boundary_domain():
+    values = with_boundary_values(Domain()).int_values
+    for kind in (k for k in NODE_KINDS.values() if k.OP):
+        for args in itertools.product(values, repeat=len(kind.INPUTS)):
+            nodes = {i + 1: ConstantNode(IntVal(v)) for i, v in enumerate(args)}
+            g = Graph({**nodes, 10: kind(*nodes)})
+            rw = canonicalize_data(g, 10)
+            assert rw.rule.startswith("fold-") and isinstance(rw.after, ConstantNode)
+            assert rw.after.const == eval_at(g, 10), (kind, args)
+    g = Graph({1: ConstantNode(IntVal(INT_MIN)), 2: ConstantNode(IntVal(1)), 3: SubNode(x=1, y=2)})
+    rw = canonicalize_data(g, 3)
+    assert (rw.rule, rw.after) == ("fold-sub", ConstantNode(IntVal(INT_MAX)))
+
+
+def test_canonicalize_sweep_is_linear_on_a_fold_chain():
+    # Node 3 + i is AddNode(prev, 1); each fold makes the next one foldable,
+    # so one sweep folds the whole chain and a second finds nothing.
+    n = 32_000
+    nodes = {0: StartNode(next=1), 1: ReturnNode(resultOpt=n - 1), 2: ConstantNode(IntVal(1))}
+    for nid in range(3, n):
+        nodes[nid] = AddNode(x=nid - 1, y=2)
+    g = Graph(nodes)
+    start = time.perf_counter()
+    g2, report = apply_pass(g, "canonicalize")
+    assert time.perf_counter() - start < 2
+    assert report.iterations == 2 and len(report.rewrites) == n - 3
+    assert g2.kind(n - 1) == ConstantNode(IntVal(n - 2))
+
+
+def test_a_sweep_without_rewrites_returns_the_same_graph():
+    g = factorial().graph(FACT_SIG)
+    users = g.usages(1)
+    for which in PASS_NAMES:
+        g2, report = apply_pass(g, which)
+        assert g2 is g and report.rewrites == []
+    assert g.usages(1) == users

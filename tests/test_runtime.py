@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from seanode.runtime import (
     INT_MAX, INT_MIN, STATIC_REF, UNDEF, DynamicHeap, IntVal, MethodState,
-    ObjRef, TypeMismatch, int_add, int_mul, int_neg, new_map_state,
+    ObjRef, TypeMismatch, int_add, int_mul, int_negate, new_map_state,
     val_to_bool, wrap32,
 )
 
@@ -46,7 +46,7 @@ def test_add_wraps_at_max():
 
 
 def test_neg_wraps_min_int():
-    assert int_neg(INT_MIN) == INT_MIN
+    assert int_negate(INT_MIN) == INT_MIN
 
 
 @given(st.integers(), st.integers())
