@@ -64,7 +64,15 @@ def _parse_domain(text):
         raise CliError(f"domain bounds must be integers: {text!r}")
     if lo > hi:
         raise CliError(f"empty domain {text!r}")
+    if lo < INT_MIN or hi > INT_MAX:
+        raise CliError(f"domain bounds out of 32-bit range: {text!r}")
     return tuple(range(lo, hi + 1))
+
+
+def _fuel(args):
+    if args.fuel <= 0:
+        raise CliError(f"fuel must be positive, got {args.fuel}")
+    return args.fuel
 
 
 def cmd_validate(args) -> int:
@@ -92,6 +100,7 @@ def _checked_program(path):
 
 
 def cmd_run(args, trace=False) -> int:
+    fuel = _fuel(args)
     program = _checked_program(args.file)
     sig = _resolve(program, args.method)
     params = _parse_args_list(args.args)
@@ -100,7 +109,7 @@ def cmd_run(args, trace=False) -> int:
             f"{sig} expects {len(sig.parameterTypes)} argument(s), got {len(params)}"
         )
     on_step = (lambda rec: print(rec.line())) if trace else None
-    result = run(program, sig, params, fuel=args.fuel, on_step=on_step)
+    result = run(program, sig, params, fuel=fuel, on_step=on_step)
     print(result)
     return EXIT_CODES[result.outcome]
 
@@ -124,13 +133,14 @@ def cmd_opt(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    fuel = _fuel(args)
+    domain = Domain(_parse_domain(args.domain))
     left = _checked_program(args.file1)
     right = _checked_program(args.file2)
     sig = _resolve(left, args.method)
     if right.graph(sig) is None:
         raise CliError(f"{args.file2} has no method {sig}")
-    domain = Domain(_parse_domain(args.domain))
-    verdict = behavior_diff(left, right, sig, domain, fuel=args.fuel)
+    verdict = behavior_diff(left, right, sig, domain, fuel=fuel)
     print(verdict)
     return 0 if verdict.status is Equivalence.EQUIVALENT else 1
 

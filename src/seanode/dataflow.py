@@ -16,9 +16,9 @@ recursion limit. equivalence.data_equiv runs the same schedules over many
 assignments at once.
 """
 
-from . import ir, runtime
+from . import ir
 from .ir import Graph
-from .runtime import IntVal, MethodState, TypeMismatch, Value
+from .runtime import IntVal, MethodState, Value
 
 
 class EvalStuck(Exception):
@@ -144,10 +144,9 @@ def _not_an_integer(nid: int, v: Value) -> EvalStuck:
 
 
 def _truth(v: Value, cond: int) -> bool:
-    try:
-        return runtime.val_to_bool(v)
-    except TypeMismatch as e:
-        raise EvalStuck(cond, str(e)) from e
+    if not isinstance(v, IntVal):
+        raise EvalStuck(cond, f"expected an integer condition, got {v}")
+    return v.value != 0
 
 
 def evaluate(ctx: EvalContext, nid: int) -> Value:

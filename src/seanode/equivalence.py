@@ -22,14 +22,20 @@ from .runtime import FIELD_DEFAULT, INT_MAX, INT_MIN, IntVal, Value
 
 @dataclass(frozen=True)
 class Domain:
-    """Finite assignment domain."""
+    """Finite assignment domain: distinct 32-bit integers, tried in order."""
 
     int_values: tuple[int, ...] = (-2, -1, 0, 1, 2)
 
     def __post_init__(self):
-        if not self.int_values:
+        values = tuple(self.int_values)
+        if not values:
             raise ValueError("domain must contain at least one value")
-        object.__setattr__(self, "int_values", tuple(self.int_values))
+        for v in values:
+            if type(v) is not int or not INT_MIN <= v <= INT_MAX:
+                raise ValueError(f"domain value {v!r} is not a 32-bit integer")
+        if len(set(values)) < len(values):
+            raise ValueError(f"domain values repeat: {values}")
+        object.__setattr__(self, "int_values", values)
 
 
 BOUNDARY_VALUES = (INT_MIN, INT_MAX, -1)
@@ -124,27 +130,6 @@ _CHUNK = 1024
 _STUCK = f"stuck:{EvalStuck.__name__}"
 
 
-class _Lanes:
-    """A set of assignments evaluated together, one lane each: the column of
-    every leaf and of every node computed so far, one value per lane (an int
-    for an IntVal, any other Value as it is, _STUCK for a stuck lane)."""
-
-    __slots__ = ("width", "params", "slots", "cols", "odd")
-
-    def __init__(self, width: int, params: dict, slots: dict):
-        self.width = width
-        self.params = params  # parameter index -> column
-        self.slots = slots  # state-slot id -> column
-        self.cols: dict[int, list] = {}
-        self.odd: set[int] = set()  # nodes whose column may hold a non-int
-
-    def subset(self, lanes: list[int]) -> "_Lanes":
-        def pick(col):
-            return [col[j] for j in lanes]
-        return _Lanes(len(lanes), {i: pick(c) for i, c in self.params.items()},
-                      {n: pick(c) for n, c in self.slots.items()})
-
-
 def _apply(op, cols: list[list], odd: bool) -> list:
     """A derived lane rule: op, declared on ints, on every lane; a lane with
     a non-int operand is stuck."""
@@ -153,47 +138,31 @@ def _apply(op, cols: list[list], odd: bool) -> list:
     return [op(*vs) if all(type(v) is int for v in vs) else _STUCK for vs in zip(*cols)]
 
 
-def _arms(lanes: _Lanes, cond: list, odd: bool, arms: tuple) -> list:
-    """Split the lanes by the condition into one (arm, lanes, indices) per
-    arm some lane chooses: the arm runs on lanes, the chosen lanes alone, or
-    all of them with indices None. A lane whose condition is not an int
-    chooses neither: it is stuck."""
-    true_arm, false_arm = arms
+def _select(cond: list, odd: bool, t: list | None, f: list | None) -> list:
+    """A conditional's column: each lane takes the value of the arm its
+    condition chose (t or f, None for an arm no lane chose); a lane whose
+    condition is not an int is stuck."""
+    if t is None or f is None:
+        t = f = t or f or [_STUCK] * len(cond)
     if not odd:
-        if true_arm == false_arm or all(cond):
-            return [(true_arm, lanes, None)]
-        if not any(cond):
-            return [(false_arm, lanes, None)]
-    chosen: dict[int, list[int]] = {}
-    for j, c in enumerate(cond):
-        if type(c) is int:
-            chosen.setdefault(true_arm if c else false_arm, []).append(j)
-    return [(arm, lanes, None) if len(idx) == lanes.width else (arm, lanes.subset(idx), idx)
-            for arm, idx in chosen.items()]
+        return t if t is f else [a if c else b for c, a, b in zip(cond, t, f)]
+    return [(a if c else b) if type(c) is int else _STUCK for c, a, b in zip(cond, t, f)]
 
 
-def _merge(width: int, parts: list, results: list) -> tuple[list, bool]:
-    """The conditional's column from its arms' columns on their lanes."""
-    if len(parts) == 1 and parts[0][2] is None:
-        return results[0]
-    out = [_STUCK] * width
-    odd = sum(len(idx) for _, _, idx in parts) < width
-    for (_, _, idx), (col, col_odd) in zip(parts, results):
-        for j, v in zip(idx, col):
-            out[j] = v
-        odd = odd or col_odd
-    return out, odd
-
-
-def _column(g: Graph, root: int, top: _Lanes) -> list:
-    """The value of the expression at root on every lane of top. Runs the
-    schedule evaluate runs, on all lanes at once; a conditional's arms run
-    on the lanes that choose them, from an explicit work stack."""
-    waiting = []  # (entries, lanes, conditional, its arms, the arms' columns so far)
-    entries, lanes = iter(schedule(g, root)), top
-    while True:
-        cols, odd = lanes.cols, lanes.odd
-        for code, n, arg, x, y in entries:
+def _column(g: Graph, root: int, width: int, params: dict, slots: dict) -> list:
+    """The value of the expression at root on each of width lanes, given the
+    column of every parameter index and state-slot id. Runs the schedule
+    evaluate runs, on all lanes at once, keeping one column per node: an int
+    for an IntVal, any other Value as it is, _STUCK for a stuck lane. A
+    conditional runs each arm some lane chooses on every lane, then selects
+    per lane; arms are pure, so the values an unchosen arm gives a lane are
+    dropped unobserved, and an arm no lane chooses never runs."""
+    cols: dict[int, list] = {}
+    odd: set[int] = set()  # nodes whose column may hold a non-int
+    stack = [iter(schedule(g, root))]  # the schedules being run, innermost last
+    while stack:
+        for entry in stack[-1]:
+            code, n, arg, x, y = entry
             if n in cols or code == CHECK:  # lanes check operands where used
                 continue
             if code == BINARY or code == UNARY:
@@ -202,36 +171,31 @@ def _column(g: Graph, root: int, top: _Lanes) -> list:
                 cols[n] = _apply(arg, [cols[i] for i in ins], is_odd)
             elif code == CONST:
                 is_odd = not isinstance(arg, IntVal)
-                cols[n] = [arg if is_odd else arg.value] * lanes.width
+                cols[n] = [arg if is_odd else arg.value] * width
             elif code == PARAM:
-                cols[n], is_odd = lanes.params[arg], False
+                cols[n], is_odd = params[arg], False
             elif code == STATE:
-                cols[n], is_odd = lanes.slots[n], False
+                cols[n], is_odd = slots[n], False
             elif code == PROXY:
                 cols[n], is_odd = cols[x], x in odd
             elif code == COND:
-                waiting.append((entries, lanes, n, _arms(lanes, cols[x], x in odd, arg), []))
-                break
+                cond = cols[x]
+                ints = [c for c in cond if type(c) is int] if x in odd else cond
+                arms = [a for a, chosen in zip(arg, (any(ints), not all(ints))) if chosen]
+                todo = [schedule(g, a) for a in arms if a not in cols]
+                if todo:  # run the chosen arms, then come back to this entry
+                    stack.append(itertools.chain(*todo, (entry,)))
+                    break
+                t, f = (cols[a] if a in arms else None for a in arg)
+                cols[n] = _select(cond, x in odd, t, f)
+                is_odd = x in odd or not odd.isdisjoint(arms)
             else:
-                cols[n], is_odd = [_STUCK] * lanes.width, True
+                cols[n], is_odd = [_STUCK] * width, True
             if is_odd:
                 odd.add(n)
         else:
-            if not waiting:
-                return cols[root]
-            parts, results = waiting[-1][3:]
-            arm, sub, _ = parts[len(results)]
-            results.append((sub.cols[arm], arm in sub.odd))
-        parent, parent_lanes, n, parts, results = waiting[-1]
-        if len(results) < len(parts):
-            arm, lanes, _ = parts[len(results)]
-            entries = iter(schedule(g, arm))
-            continue
-        waiting.pop()
-        entries, lanes = parent, parent_lanes
-        lanes.cols[n], is_odd = _merge(lanes.width, parts, results)
-        if is_odd:
-            lanes.odd.add(n)
+            stack.pop()
+    return cols[root]
 
 
 def _boxed(v):
@@ -241,8 +205,9 @@ def _boxed(v):
 def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivVerdict:
     """Decide whether the expressions at nid agree on every tried assignment
     of the union of both graphs' free leaves. Assignments are tried in
-    chunks, all lanes of a chunk at once; the verdict is the one trying
-    them one by one, in order, gives."""
+    chunks, all lanes of a chunk at once, so a chunk costs at most the nodes
+    of both cones times its lanes; the verdict is the one trying them one by
+    one, in order, gives."""
     p1, s1 = free_leaves(g1, nid)
     p2, s2 = free_leaves(g2, nid)
     param_keys = sorted(p1 | p2)
@@ -255,8 +220,8 @@ def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivV
         columns = [list(c) for c in zip(*chunk)]
         params = dict(zip(param_keys, columns))
         slots = dict(zip(slot_keys, columns[len(param_keys):]))
-        left = _column(g1, nid, _Lanes(len(chunk), params, slots))
-        right = _column(g2, nid, _Lanes(len(chunk), params, slots))
+        left = _column(g1, nid, len(chunk), params, slots)
+        right = _column(g2, nid, len(chunk), params, slots)
         if left != right:
             j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
             vals = [IntVal(v) for v in chunk[j]]

@@ -177,10 +177,15 @@ def _cfg(g: Graph) -> tuple[list[int], dict[int, set[int]]]:
 
 def dominators(g: Graph) -> dict[int, int]:
     """Immediate dominator of each control node reachable from node 0, which
-    maps to itself. The iteration is Cooper, Harvey and Kennedy's, "A Simple,
-    Fast Dominance Algorithm" (2001): in reverse postorder, meet the
-    processed predecessors by walking up the idoms until they agree."""
-    order, preds = _cfg(g)
+    maps to itself."""
+    return _idoms(*_cfg(g))
+
+
+def _idoms(order: list[int], preds: dict[int, set[int]]) -> dict[int, int]:
+    """dominators from one _cfg walk. The iteration is Cooper, Harvey and
+    Kennedy's, "A Simple, Fast Dominance Algorithm" (2001): in reverse
+    postorder, meet the processed predecessors by walking up the idoms until
+    they agree."""
     rank = {n: i for i, n in enumerate(order)}
     idom = {0: 0} if order else {}
 
@@ -218,8 +223,8 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
     whose condition is already decided becomes a RefNode to the implied
     branch. Facts are scoped to the dominator subtree that established them.
     """
-    idom = dominators(g)
-    _, preds = _cfg(g)
+    order, preds = _cfg(g)
+    idom = _idoms(order, preds)
     children: dict[int, list[int]] = {n: [] for n in idom}
     # Ascending ids, so each child list is sorted; the root 0 comes first.
     for n in sorted(idom)[1:]:

@@ -12,10 +12,6 @@ INT_MAX = 2 ** 31 - 1
 STATIC_REF = -1
 
 
-class TypeMismatch(Exception):
-    """A value had the wrong runtime kind for the requested operation."""
-
-
 def wrap32(n: int) -> int:
     """Reduce an unbounded integer to signed 32-bit two's complement."""
     return ((n + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
@@ -76,13 +72,6 @@ def int_negate(a: int) -> int:
 
 def int_less_than(a: int, b: int) -> int:
     return 1 if a < b else 0
-
-
-def val_to_bool(v: Value) -> bool:
-    """Interpret an integer value as a branch condition (nonzero is true)."""
-    if not isinstance(v, IntVal):
-        raise TypeMismatch(f"expected an integer condition, got {v}")
-    return v.value != 0
 
 
 class MethodState:

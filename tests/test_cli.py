@@ -203,6 +203,20 @@ def test_bad_domain_argument(corpus_dir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["diff", "FACT", "FACT", "--method", "fact", "--domain", "2147483647..2147483648"],
+    ["diff", "FACT", "FACT", "--method", "fact", "--domain=-2147483649..0"],
+    ["diff", "FACT", "FACT", "--method", "fact", "--fuel", "0"],
+    ["run", "FACT", "--method", "fact", "--args", "3", "--fuel", "0"],
+    ["trace", "FACT", "--method", "fact", "--args", "3", "--fuel", "-1"],
+])
+def test_bad_numeric_option_is_a_usage_error(corpus_dir, capsys, argv):
+    argv = [fact_path(corpus_dir) if a == "FACT" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("seanode: ") and captured.out == ""
+
+
 def test_stuck_phi_update_is_classified(tmp_path, capsys):
     path = str(tmp_path / "stuck.json")
     save(stuck_phi_program(), path)

@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from genutil import DOUBLING_SIG, doubling_dag
 from seanode.corpus import FACT_SIG, factorial
-from seanode.dataflow import EvalContext, EvalStuck, ParamOutOfRange, evaluate, evaluate_all
+from seanode.dataflow import (
+    EvalContext, EvalStuck, ParamOutOfRange, condition_holds, evaluate, evaluate_all,
+)
 from seanode.ir import (
     AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode,
     LoadFieldNode, MulNode, NegateNode, NewInstanceNode, ParameterNode, StartNode,
@@ -135,6 +137,17 @@ def test_conditional_on_an_object_reference_is_stuck_at_the_condition():
     with pytest.raises(EvalStuck) as e:
         evaluate(c, 3)
     assert (e.value.nid, e.value.reason) == (1, "expected an integer condition, got ObjRef 0")
+
+
+def test_condition_holds_on_integers_only():
+    def holds(value):
+        return condition_holds(ctx({1: ConstantNode(value)}), 1)
+    assert holds(IntVal(1)) is True
+    assert holds(IntVal(0)) is False
+    for value in (UNDEF, ObjRef(0)):
+        with pytest.raises(EvalStuck) as e:
+            holds(value)
+        assert (e.value.nid, e.value.reason) == (1, f"expected an integer condition, got {value}")
 
 
 def test_shared_dag_is_evaluated_once_per_context():

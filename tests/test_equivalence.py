@@ -34,6 +34,24 @@ def test_domain_defaults():
     assert with_boundary_values(dom).int_values == (-2, -1, 0, 1, 2, INT_MIN, INT_MAX)
 
 
+@pytest.mark.parametrize("values", [(1, True), (0, 1.0), ("2",)])
+def test_domain_rejects_values_that_are_not_ints(values):
+    with pytest.raises(ValueError, match="not a 32-bit integer"):
+        Domain(values)
+
+
+@pytest.mark.parametrize("values", [(2 ** 40,), (0, INT_MAX + 1), (INT_MIN - 1,)])
+def test_domain_rejects_values_outside_32_bits(values):
+    with pytest.raises(ValueError, match="not a 32-bit integer"):
+        Domain(values)
+
+
+def test_domain_rejects_repeated_values():
+    with pytest.raises(ValueError, match="repeat"):
+        Domain((1, 1, 1))
+    assert with_boundary_values(Domain((INT_MIN, -1))).int_values == (INT_MIN, -1, INT_MAX)
+
+
 def test_free_leaves_union_of_params_and_slots():
     g = Graph({
         1: ParameterNode(0),
@@ -264,6 +282,24 @@ def test_deep_chains_get_classified_results_in_bounded_time(chain):
     assert verdict.status is Equivalence.EQUIVALENT
 
 
+def test_an_arm_no_lane_chooses_never_runs():
+    # A constant condition over a 20,000-node dead arm that reads four
+    # parameters: 7 ** 4 lanes, every one choosing the live arm p0 + p1.
+    nodes = {1 + i: ParameterNode(i) for i in range(4)}
+    nodes[5] = ConstantNode(IntVal(1))
+    nodes[6] = AddNode(x=1, y=2)
+    nodes[7] = AddNode(x=3, y=4)
+    dead = 7 + 20_000 - 1
+    for nid in range(8, dead + 1):
+        nodes[nid] = AddNode(x=nid - 1, y=1 + nid % 4)
+    root = dead + 1
+    g = Graph({**nodes, root: ConditionalNode(condition=5, trueValue=6, falseValue=dead)})
+    folded = g.replace_node(root, AddNode(x=1, y=2))
+    verdict = _timed(data_equiv, g, folded, root, with_boundary_values(Domain()))
+    assert (verdict.status, verdict.samples_tried) == (Equivalence.EQUIVALENT, 7 ** 4)
+    assert 6 in g.schedules and dead not in g.schedules
+
+
 # Differential property: the column-wise data_equiv against data_equiv
 # written one assignment at a time over evaluate, kept here as the oracle.
 
@@ -363,6 +399,9 @@ def test_differential_column_wise_data_equiv_matches_one_by_one(pair, values, ch
     if sampled:  # past the cap: a reduced product, then seeded draws
         patches.update(_EXHAUSTIVE_CAP=4, _RANDOM_SAMPLES=6)
     with mock.patch.multiple(eq_mod, **patches):
-        for left, right in ((g1, g2), (g2, g1), (g1, _unstuck(g1))):
+        # Against a root stuck on every lane, the first lane where g1 is not
+        # stuck is the witness, so each lane's stuck-or-value is checked too.
+        stuck = g1.replace_node(root, g1.kind(6))
+        for left, right in ((g1, g2), (g2, g1), (g1, _unstuck(g1)), (g1, stuck)):
             assert data_equiv(left, right, root, dom) == _data_equiv_one_by_one(
                 left, right, root, dom)

@@ -297,6 +297,14 @@ def test_condelim_nested_duplicate():
     assert verdict.status is Equivalence.EQUIVALENT
 
 
+def test_condelim_walks_the_control_flow_once(monkeypatch):
+    walks = []
+    cfg = optimize_mod._cfg
+    monkeypatch.setattr(optimize_mod, "_cfg", lambda g: walks.append(g) or cfg(g))
+    conditional_elimination(nested_duplicate_test().graph(NESTED_SIG))
+    assert len(walks) == 1
+
+
 def test_condelim_keyed_by_node_id_too():
     # Shared condition node (same id) between both ifs.
     g = Graph({

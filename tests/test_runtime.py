@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from seanode.runtime import (
     INT_MAX, INT_MIN, STATIC_REF, UNDEF, DynamicHeap, IntVal, MethodState,
-    ObjRef, TypeMismatch, int_add, int_mul, int_negate, new_map_state,
-    val_to_bool, wrap32,
+    ObjRef, int_add, int_mul, int_negate, new_map_state, wrap32,
 )
 
 
@@ -59,15 +58,6 @@ def test_wrap32_is_twos_complement(a, b):
 @given(st.integers(INT_MIN, INT_MAX), st.integers(INT_MIN, INT_MAX))
 def test_mul_matches_java_semantics(a, b):
     assert int_mul(a, b) == wrap32(a * b)
-
-
-def test_val_to_bool():
-    assert val_to_bool(IntVal(1)) is True
-    assert val_to_bool(IntVal(0)) is False
-    with pytest.raises(TypeMismatch):
-        val_to_bool(UNDEF)
-    with pytest.raises(TypeMismatch):
-        val_to_bool(ObjRef(0))
 
 
 def test_load_fresh_field_defaults_to_zero():
