@@ -38,18 +38,60 @@ class UncaughtTopLevel(GlobalStuck):
 
 @dataclass(frozen=True)
 class Frame:
+    """One activation. The frame stack is linked through `caller` (None at
+    the bottom); `depth` counts the frames from the bottom up to this one.
+    Frames compare and print without their callers."""
+
     graph: Graph
     nid: int
     state: MethodState
     params: tuple[Value, ...]
+    caller: "Frame | None" = field(default=None, repr=False, compare=False)
+    depth: int = 1
 
 
-@dataclass(frozen=True)
+class FrameStack:
+    """The frames from a top frame down (index 0 is the top), read-only:
+    len and [0] cost O(1), [i] walks i callers."""
+
+    __slots__ = ("_top",)
+
+    def __init__(self, top: Frame):
+        self._top = top
+
+    def __len__(self):
+        return self._top.depth
+
+    def __getitem__(self, i: int) -> Frame:
+        if not 0 <= i < self._top.depth:
+            raise IndexError(i)
+        frame = self._top
+        for _ in range(i):
+            frame = frame.caller
+        return frame
+
+    def __iter__(self):
+        frame = self._top
+        while frame is not None:
+            yield frame
+            frame = frame.caller
+
+
+@dataclass(frozen=True, eq=False)
 class GlobalConfig:
-    """Stack of frames (index 0 is the top) and the shared heap."""
+    """The top frame, which links to the frames below it, and the shared
+    heap. Configurations compare by every frame of the stack and the heap."""
 
-    stack: tuple[Frame, ...]
+    top: Frame
     heap: DynamicHeap
+
+    @property
+    def stack(self) -> FrameStack:
+        return FrameStack(self.top)
+
+    def __eq__(self, other):
+        return (isinstance(other, GlobalConfig) and self.heap == other.heap
+                and list(self.stack) == list(other.stack))
 
 
 class ExecOutcome(enum.Enum):
@@ -114,9 +156,7 @@ def _frame_eval(frame: Frame, nid: int) -> Value:
 def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
     """Apply the one matching global rule: lift a local step, invoke,
     return, or unwind."""
-    if not c.stack:
-        raise GlobalStuck("empty frame stack")
-    top = c.stack[0]
+    top = c.top
     node = top.graph.kind(top.nid)
 
     if isinstance(node, (ir.InvokeNode, ir.InvokeWithExceptionNode)):
@@ -129,22 +169,21 @@ def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
         callee_graph = program.graph(target.targetMethod)
         if callee_graph is None:
             raise UnknownMethod(target.targetMethod)
-        callee = Frame(callee_graph, 0, new_map_state(), tuple(args))
-        return GlobalConfig((callee,) + c.stack, c.heap)
+        callee = Frame(callee_graph, 0, new_map_state(), tuple(args), top, top.depth + 1)
+        return GlobalConfig(callee, c.heap)
 
     if isinstance(node, (ir.ReturnNode, ir.UnwindNode)):
         raised = isinstance(node, ir.UnwindNode)
-        if len(c.stack) < 2:
+        if top.caller is None:
             raise UncaughtTopLevel(f"{'unwind' if raised else 'return'} with no calling frame")
         v = _exit_value(top, node)
-        resumed = _resume_caller(c.stack[1], v, after_exception=raised)
-        return GlobalConfig((resumed,) + c.stack[2:], c.heap)
+        return GlobalConfig(_resume_caller(top.caller, v, after_exception=raised), c.heap)
 
     # Everything else is a local transition promoted to the top frame.
     local = step(top.graph, top.params, LocalConfig(top.nid, top.state, c.heap),
                  on_store=on_store)
-    new_top = Frame(top.graph, local.nid, local.state, top.params)
-    return GlobalConfig((new_top,) + c.stack[1:], local.heap)
+    new_top = Frame(top.graph, local.nid, local.state, top.params, top.caller, top.depth)
+    return GlobalConfig(new_top, local.heap)
 
 
 def _exit_value(top: Frame, node: ir.IRNode) -> Value:
@@ -171,14 +210,15 @@ def _resume_caller(caller: Frame, v: Value, after_exception: bool) -> Frame:
         if not isinstance(node, (ir.InvokeNode, ir.InvokeWithExceptionNode)):
             raise GlobalStuck(f"return into non-invoke caller node {caller.nid}")
         resume = node.next
-    return Frame(caller.graph, resume, caller.state.set(caller.nid, v), caller.params)
+    return Frame(caller.graph, resume, caller.state.set(caller.nid, v), caller.params,
+                 caller.caller, caller.depth)
 
 
 def initial_config(program: Program, main: Signature, args) -> GlobalConfig:
     g = program.graph(main)
     if g is None:
         raise UnknownMethod(main)
-    return GlobalConfig((Frame(g, 0, new_map_state(), tuple(args)),), DynamicHeap())
+    return GlobalConfig(Frame(g, 0, new_map_state(), tuple(args)), DynamicHeap())
 
 
 def _state_delta(before: MethodState, after: MethodState):
@@ -191,9 +231,10 @@ def _state_delta(before: MethodState, after: MethodState):
 def _heap_delta(before: DynamicHeap, stores):
     """The cells the step's stores changed, by address and field name."""
     written = {(addr, fname): v for addr, fname, v in stores}
+    cells = before.fields
     return tuple(
         (addr, fname, v) for (addr, fname), v in sorted(written.items())
-        if before.fields.get((addr, fname)) != v
+        if cells.get((addr, fname)) != v
     )
 
 
@@ -217,10 +258,10 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
             if on_store is not None:
                 on_store(addr, fname, v)
     while True:
-        top = c.stack[0]
+        top = c.top
         node = top.graph.kind(top.nid)
         try:
-            if len(c.stack) == 1 and isinstance(node, (ir.ReturnNode, ir.UnwindNode)):
+            if top.caller is None and isinstance(node, (ir.ReturnNode, ir.UnwindNode)):
                 v = _exit_value(top, node)
                 if isinstance(node, ir.ReturnNode):
                     return ExecResult(ExecOutcome.RETURNED, v, steps, c.heap)
@@ -239,11 +280,11 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
 
 def _trace_step(index: int, before: GlobalConfig, after: GlobalConfig,
                 node: ir.IRNode, stores) -> TraceStep:
-    top_b, top_a = before.stack[0], after.stack[0]
-    if len(after.stack) > len(before.stack):
+    top_b, top_a = before.top, after.top
+    if top_a.depth > top_b.depth:
         m_delta = ()  # callee starts with an empty state
-    elif len(after.stack) < len(before.stack):
-        m_delta = _state_delta(before.stack[1].state, top_a.state)
+    elif top_a.depth < top_b.depth:
+        m_delta = _state_delta(top_b.caller.state, top_a.state)
     else:
         m_delta = _state_delta(top_b.state, top_a.state)
     return TraceStep(
@@ -251,7 +292,7 @@ def _trace_step(index: int, before: GlobalConfig, after: GlobalConfig,
         nid=top_b.nid,
         kind_name=node.kind_name(),
         nid_after=top_a.nid,
-        depth=len(after.stack),
+        depth=top_a.depth,
         m_delta=m_delta,
         h_delta=_heap_delta(before.heap, stores),
     )

@@ -1,7 +1,8 @@
 """Run-time value domain: 32-bit wrapping integers, object references,
 method state, and the dynamic heap."""
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 INT_WIDTH = 32
 INT_MIN = -(2 ** 31)
@@ -85,7 +86,8 @@ class MethodState:
     __slots__ = ("_vals",)
 
     def __init__(self, vals: dict[int, Value] | None = None):
-        self._vals = dict(vals) if vals else {}
+        self._vals = {nid: v for nid, v in vals.items()
+                      if not isinstance(v, UndefVal)} if vals else {}
 
     def __getitem__(self, nid: int) -> Value:
         return self._vals.get(nid, UNDEF)
@@ -124,29 +126,107 @@ def new_map_state() -> MethodState:
 FIELD_DEFAULT = IntVal(0)
 
 
-@dataclass(frozen=True)
+_ABSENT = object()  # a cell a diff unsets
+
+
+def _reroot(version: list) -> dict:
+    """Make the shared dict hold this heap version, and return the dict.
+
+    A version is a one-item list. It holds either the dict (it is the
+    root) or a diff (key, value, next): the version `next` with key set to
+    value, or unset when value is _ABSENT. Rerooting walks the diffs to the
+    root, then applies them back toward this version, leaving each
+    version it passes as the inverse diff.
+    """
+    data = version[0]
+    if type(data) is dict:
+        return data
+    path = []
+    while type(data) is not dict:
+        path.append(version)
+        version = data[2]
+        data = version[0]
+    for version in reversed(path):
+        key, value, root = version[0]
+        root[0] = (key, data.get(key, _ABSENT), version)
+        if value is _ABSENT:
+            del data[key]
+        else:
+            data[key] = value
+        version[0] = data
+    return data
+
+
+class _Fields(Mapping):
+    """One heap version's cells, read-only; every access reroots to it."""
+
+    __slots__ = ("_version",)
+
+    def __init__(self, version: list):
+        self._version = version
+
+    def __getitem__(self, key):
+        return _reroot(self._version)[key]
+
+    def get(self, key, default=None):
+        return _reroot(self._version).get(key, default)
+
+    def __iter__(self):
+        return iter(_reroot(self._version))
+
+    def __len__(self):
+        return len(_reroot(self._version))
+
+
 class DynamicHeap:
     """Heap mapping (object reference, field name) to values, plus the next
     free object reference.
 
     Unwritten fields read as IntVal 0. An instance's class is not recorded:
     it carries no semantics (no dynamic dispatch).
+
+    Persistent by rerooting (Baker's shallow binding): a store writes the
+    dict all versions share and turns its receiver into a one-cell diff, so
+    it costs O(1) while only the newest version is used; using an older
+    version first reroots to it, at a cost proportional to the stores in
+    between. The versions of one heap must not be shared across threads.
     """
 
-    fields: dict = field(default_factory=dict)
-    free: int = 0
+    __slots__ = ("_version", "free")
+
+    def __init__(self, fields: Mapping | None = None, free: int = 0):
+        self._version = [dict(fields) if fields else {}]
+        self.free = free
+
+    @classmethod
+    def _at(cls, version: list, free: int) -> "DynamicHeap":
+        heap = cls.__new__(cls)
+        heap._version, heap.free = version, free
+        return heap
+
+    @property
+    def fields(self) -> Mapping:
+        """This version's cells: (address, field name) -> value."""
+        return _Fields(self._version)
 
     def load_field(self, fname: str, obj: ObjRef | None) -> Value:
         addr = obj.ref if obj is not None else STATIC_REF
-        return self.fields.get((addr, fname), FIELD_DEFAULT)
+        return _reroot(self._version).get((addr, fname), FIELD_DEFAULT)
 
     def store_field(self, fname: str, obj: ObjRef | None, v: Value) -> "DynamicHeap":
-        addr = obj.ref if obj is not None else STATIC_REF
-        fields = dict(self.fields)
-        fields[(addr, fname)] = v
-        return DynamicHeap(fields, self.free)
+        key = (obj.ref if obj is not None else STATIC_REF, fname)
+        data = _reroot(self._version)
+        version = [data]
+        self._version[0] = (key, data.get(key, _ABSENT), version)
+        data[key] = v
+        return DynamicHeap._at(version, self.free)
 
     def new_instance(self) -> tuple[ObjRef, "DynamicHeap"]:
-        # Nothing writes a heap's fields in place (store_field copies), so
-        # the two heaps can share them.
-        return ObjRef(self.free), DynamicHeap(self.fields, self.free + 1)
+        return ObjRef(self.free), DynamicHeap._at(self._version, self.free + 1)
+
+    def __eq__(self, other):
+        return (isinstance(other, DynamicHeap) and self.free == other.free
+                and self.fields == other.fields)
+
+    def __repr__(self):
+        return f"DynamicHeap(fields={dict(self.fields)!r}, free={self.free})"

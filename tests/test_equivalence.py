@@ -333,18 +333,29 @@ def _data_equiv_one_by_one(g1, g2, nid, dom):
     return EquivVerdict(Equivalence.EQUIVALENT, None, tried)
 
 
+def _is_guard(node):
+    return isinstance(node, ConditionalNode) and 6 in (node.trueValue, node.falseValue)
+
+
 @st.composite
-def _expression(draw, inputs):
-    # Favouring the latest nodes makes deeper expressions.
+def _expression(draw, inputs, nodes):
+    # Favouring the latest nodes makes deeper expressions. A guard tests a
+    # comparison or a parameter or slot, which vary across lanes (the domain
+    # holds 0), and a conditional tests an earlier guard when there is one:
+    # a condition that is an int on some lanes and stuck on the others.
     pick = st.one_of(st.sampled_from(inputs[-3:]), st.sampled_from(inputs))
-    kind = draw(st.sampled_from(["add", "sub", "mul", "neg", "lt", "cond", "guard", "guard", "proxy"]))
+    guards = [n for n in inputs if _is_guard(nodes[n])]
+    cond = st.sampled_from(guards) if guards else pick
+    lts = [n for n in inputs if isinstance(nodes[n], IntegerLessThanNode)]
+    guard_cond = st.sampled_from(lts + [1, 2, 3, 4])
+    kind = draw(st.sampled_from(["add", "sub", "mul", "neg", "lt", "cond", "cond", "guard", "guard", "proxy"]))
     if kind == "neg":
         return NegateNode(value=draw(pick))
     if kind == "cond":
-        return ConditionalNode(condition=draw(pick), trueValue=draw(pick), falseValue=draw(pick))
+        return ConditionalNode(condition=draw(cond), trueValue=draw(pick), falseValue=draw(pick))
     if kind == "guard":  # one arm stuck wherever it is chosen
         arms = draw(st.permutations([draw(pick), 6]))
-        return ConditionalNode(condition=draw(pick), trueValue=arms[0], falseValue=arms[1])
+        return ConditionalNode(condition=draw(guard_cond), trueValue=arms[0], falseValue=arms[1])
     if kind == "proxy":
         return ValueProxyNode(value=draw(pick), loopExit=draw(pick))
     cls = {"add": AddNode, "sub": SubNode, "mul": MulNode, "lt": IntegerLessThanNode}[kind]
@@ -370,12 +381,12 @@ def _graph_pairs(draw):
     }
     count = draw(st.integers(2, 8))
     for nid in range(7, 7 + count):
-        nodes[nid] = draw(_expression(list(nodes)))
+        nodes[nid] = draw(_expression(list(nodes), nodes))
     g = Graph(nodes)
     if draw(st.booleans()):
         return g, apply_pass(g, "canonicalize")[0], 6 + count
     for nid in sorted(draw(st.sets(st.integers(7, 6 + count), max_size=2))):
-        nodes[nid] = draw(_expression(list(range(1, nid))))
+        nodes[nid] = draw(_expression(list(range(1, nid)), nodes))
     return g, Graph(nodes), 6 + count
 
 
@@ -394,7 +405,7 @@ def _unstuck(g):
        st.integers(1, 70), st.booleans())
 def test_differential_column_wise_data_equiv_matches_one_by_one(pair, values, chunk, sampled):
     g1, g2, root = pair
-    dom = Domain(tuple(values))
+    dom = Domain(tuple(values) if 0 in values else (0, *values))
     patches = {"_CHUNK": chunk}
     if sampled:  # past the cap: a reduced product, then seeded draws
         patches.update(_EXHAUSTIVE_CAP=4, _RANDOM_SAMPLES=6)

@@ -17,8 +17,9 @@ from seanode.interproc import (
 )
 from seanode.wellformed import check
 from seanode.ir import (
-    AddNode, ConstantNode, EndNode, Graph, InvokeNode, MethodCallTargetNode, ParameterNode,
-    Program, ReturnNode, Signature, StartNode, UnwindNode,
+    AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, IntegerLessThanNode, InvokeNode,
+    MethodCallTargetNode, NewInstanceNode, ParameterNode, Program, ReturnNode, Signature,
+    StartNode, StoreFieldNode, SubNode, UnwindNode,
 )
 from seanode.runtime import UNDEF, DynamicHeap, IntVal, ObjRef, new_map_state
 
@@ -372,3 +373,72 @@ def test_step_cost_does_not_grow_with_unreferenced_nodes(monkeypatch):
     # Reading every node once (the def-use index) plus a few per step; a
     # whole-graph scan per loop iteration would be 300 x 10,018.
     assert calls <= len(g) + 2 * result.steps
+
+
+REC_SIG = Signature("T", "rec", ("int",))
+
+
+def recursive_alloc_store() -> Program:
+    """rec(n): if n < 1 return n; allocate a cell, store n into it, return
+    rec(n - 1). Each level pushes a frame and grows the heap by one cell."""
+    return Program({REC_SIG: Graph({
+        0: StartNode(next=3),
+        1: ParameterNode(0),
+        2: ConstantNode(IntVal(1)),
+        3: IfNode(condition=4, trueSuccessor=5, falseSuccessor=6),
+        4: IntegerLessThanNode(x=1, y=2),
+        5: BeginNode(next=7),
+        6: BeginNode(next=8),
+        7: ReturnNode(resultOpt=1),
+        8: NewInstanceNode(selfId=8, instanceClass="Cell", next=9),
+        9: StoreFieldNode(selfId=9, field="v", value=1, objectOpt=8, next=10),
+        10: InvokeNode(selfId=10, callTarget=11, next=13),
+        11: MethodCallTargetNode(targetMethod=REC_SIG, arguments=(12,)),
+        12: SubNode(x=1, y=2),
+        13: ReturnNode(resultOpt=10),
+    })})
+
+
+def test_old_configurations_read_back_unchanged_after_later_steps():
+    p = recursive_alloc_store()
+
+    def snapshot(c):
+        frames = [(f.graph, f.nid, f.state, f.params) for f in c.stack]
+        return frames, len(c.stack), dict(c.heap.fields), c.heap.free
+
+    c = initial_config(p, REC_SIG, [IntVal(4)])
+    seen = [(c, snapshot(c))]
+    while not (c.top.caller is None and isinstance(c.top.graph.kind(c.top.nid), ReturnNode)):
+        c = step_top(p, c)
+        seen.append((c, snapshot(c)))
+    assert max(depth for _, (_, depth, _, _) in seen) == 5
+    assert seen[-1][1][2] == {(k, "v"): IntVal(4 - k) for k in range(4)}
+    for old, snap in seen:
+        assert snapshot(old) == snap
+    # A step from an old configuration branches; the later ones still read back.
+    old, _ = seen[len(seen) // 2]
+    assert step_top(p, old) == seen[len(seen) // 2 + 1][0]
+    step_top(p, step_top(p, old))
+    for old, snap in seen:
+        assert snapshot(old) == snap
+    assert seen[2][0] != seen[3][0]
+
+
+def test_step_rate_does_not_fall_with_recursion_depth():
+    # Each step once copied the frame stack and each store the heap, so the
+    # rate at depth 6,400 was several times lower than at depth 400.
+    # A timing at depth 400 runs 4 times, so a slow spell of the machine is
+    # less likely to hit one depth's timings only.
+    p = recursive_alloc_store()
+    best = {}
+    for _ in range(3):
+        for depth, times in ((400, 4), (6400, 1)):
+            start = time.perf_counter()
+            steps = 0
+            for _ in range(times):
+                result = run(p, REC_SIG, [IntVal(depth)])
+                assert result.value == IntVal(0) and result.heap.free == depth
+                steps += result.steps
+            rate = steps / (time.perf_counter() - start)
+            best[depth] = max(best.get(depth, 0.0), rate)
+    assert best[400] <= 1.5 * best[6400], best

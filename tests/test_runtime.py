@@ -162,3 +162,45 @@ def test_heap_frame_property_fuzz():
         for key, old in before.items():
             if key != (addr, fname):
                 assert heap.fields[key] == old
+
+
+def test_state_constructor_drops_undef_entries():
+    assert MethodState({1: UNDEF}) == MethodState() == new_map_state()
+    assert MethodState({1: UNDEF, 2: IntVal(2)}) == new_map_state().set(2, IntVal(2))
+    assert list(MethodState({1: UNDEF}).items()) == []
+
+
+_ADDRS = (STATIC_REF, 0, 1, 2)
+_NAMES = ("a", "b")
+_heap_ops = st.lists(st.tuples(
+    st.sampled_from(("store", "store", "new", "load", "fields")),
+    st.integers(0, 10 ** 6),  # which version, counted back from the newest
+    st.sampled_from(_ADDRS), st.sampled_from(_NAMES), st.integers(-3, 3),
+), max_size=60)
+
+
+@given(_heap_ops)
+def test_heap_persistence_matches_a_dict_model(ops):
+    # Every version stays readable after any later operation on any version,
+    # stores that branch from an old version included.
+    versions = [(DynamicHeap(), {}, 0)]
+    for op, pick, addr, fname, v in ops:
+        heap, model, free = versions[-1 - pick % len(versions)]
+        obj = None if addr == STATIC_REF else ObjRef(addr)
+        if op == "store":
+            versions.append((heap.store_field(fname, obj, IntVal(v)),
+                             {**model, (addr, fname): IntVal(v)}, free))
+        elif op == "new":
+            ref, heap2 = heap.new_instance()
+            assert ref == ObjRef(free)
+            versions.append((heap2, model, free + 1))
+        elif op == "load":
+            assert heap.load_field(fname, obj) == model.get((addr, fname), IntVal(0))
+        else:
+            cells = heap.fields
+            assert len(cells) == len(model) and dict(cells.items()) == model
+            assert cells.get((addr, fname)) == model.get((addr, fname))
+    for heap, model, free in reversed(versions):
+        assert heap.free == free and dict(heap.fields) == model
+        assert heap == DynamicHeap(model, free)
+        assert heap != DynamicHeap(model, free + 1)
