@@ -28,6 +28,8 @@ def _load(path):
         return load(path)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
+    except OSError as e:
+        raise CliError(f"{path}: {e.strerror or e}")
     except FormatError as e:
         raise CliError(f"{path}: {e}")
 

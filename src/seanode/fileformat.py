@@ -77,7 +77,7 @@ def dumps(program: Program) -> str:
 
 
 def save(program: Program, path) -> None:
-    Path(path).write_text(dumps(program))
+    Path(path).write_text(dumps(program), encoding="utf-8")
 
 
 def _req(cond: bool, reason: str):
@@ -191,6 +191,8 @@ def loads(text: str) -> Program:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno) from e
+    except RecursionError as e:
+        raise ParseError("JSON nested too deeply") from e
     _req(isinstance(doc, dict) and set(doc) == {"version", "methods"},
          "top level needs exactly version/methods")
     _req(doc["version"] == FORMAT_VERSION,
@@ -218,4 +220,8 @@ def loads(text: str) -> Program:
 
 
 def load(path) -> Program:
-    return loads(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8: {e.reason} at byte {e.start}") from e
+    return loads(text)

@@ -412,11 +412,6 @@ def is_data(node) -> bool:
     return node.ROLE in (Role.PURE, Role.STATE_DATA)
 
 
-def is_control(node) -> bool:
-    """True for nodes that can appear as the current point of control."""
-    return node.ROLE in (Role.STATE_CONTROL, Role.SEQUENTIAL, Role.CONTROL)
-
-
 def is_state_leaf(node) -> bool:
     """True for nodes whose value a control-flow step latches into the
     method state and expression evaluation reads back."""

@@ -4,7 +4,6 @@ method state, and the dynamic heap."""
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-INT_WIDTH = 32
 INT_MIN = -(2 ** 31)
 INT_MAX = 2 ** 31 - 1
 

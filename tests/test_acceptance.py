@@ -7,16 +7,10 @@ import itertools
 import random
 import time
 
+from conftest import CORPUS_FILES, corpus
 from genutil import DATA_RULES, gen_merge_fixture, gen_rule_case, violated_rules
 from seanode.cli import main
 from seanode.controlflow import LocalConfig, merge_of_end, step
-from seanode.corpus import (
-    FACT_SIG, IFFALSE_SIG, IFSAME_SIG, IFTRUE_SIG, INDEP_SIG, MAIN_SIG,
-    NESTED_SIG, CATCH_SIG, CROSS_SIG, PAIR_SIG, SPIN_SIG,
-    call_chain, catch_exception, corpus_programs, cross_frame, factorial,
-    heap_pair, if_const_false, if_const_true, if_equal_branches,
-    independent_conditions, nested_duplicate_test, spin,
-)
 from seanode.dataflow import EvalContext, evaluate
 from seanode.equivalence import (
     BOUNDARY_VALUES, Domain, Equivalence, behavior_diff, data_equiv,
@@ -47,20 +41,22 @@ def wrapping_factorial(n: int) -> int:
 
 def test_criterion_01_factorial_end_to_end():
     started = time.monotonic()
-    p = factorial()
+    p = corpus("factorial")
+    fact = p.resolve("fact")
     for n in range(0, 16):
-        got = run(p, FACT_SIG, [IntVal(n)])
+        got = run(p, fact, [IntVal(n)])
         assert got.outcome is ExecOutcome.RETURNED
         assert got.value == IntVal(wrapping_factorial(n)), n
-    assert run(p, FACT_SIG, [IntVal(5)]).value == IntVal(120)
-    assert run(p, FACT_SIG, [IntVal(13)]).value == IntVal(1932053504)
+    assert run(p, fact, [IntVal(5)]).value == IntVal(120)
+    assert run(p, fact, [IntVal(13)]).value == IntVal(1932053504)
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"factorial suite took {elapsed:.2f}s"
     _announce(1, f"fact(0..15) matches the wrapping oracle in {elapsed:.2f}s")
 
 
 def test_criterion_02_phi_update_protocol():
-    g = factorial().graph(FACT_SIG)
+    p = corpus("factorial")
+    g = p.graph(p.resolve("fact"))
     after = step(g, (IntVal(5),), LocalConfig(5, new_map_state(), DynamicHeap()))
     assert after.nid == 6
     assert after.state[7] == IntVal(5)   # phi for n latches p[0]
@@ -112,14 +108,15 @@ def test_criterion_03_canonicalization_soundness():
             checked += 1
 
     # Deliberate bug: a constant-true IfNode rewritten to its *false* branch.
-    p = if_const_true()
-    g = p.graph(IFTRUE_SIG)
-    broken = Program({IFTRUE_SIG: g.replace_node(3, RefNode(next=g.kind(3).falseSuccessor))})
-    verdict = behavior_diff(p, broken, IFTRUE_SIG, Domain())
+    p = corpus("if-const-true")
+    sig = p.resolve("constTrue")
+    g = p.graph(sig)
+    broken = Program({sig: g.replace_node(3, RefNode(next=g.kind(3).falseSuccessor))})
+    verdict = behavior_diff(p, broken, sig, Domain())
     assert verdict.status is Equivalence.NOT_EQUIVALENT
     args = list(verdict.witness.param_assignment)
-    replay_good = run(p, IFTRUE_SIG, args)
-    replay_bad = run(broken, IFTRUE_SIG, args)
+    replay_good = run(p, sig, args)
+    replay_bad = run(broken, sig, args)
     assert replay_good.value != replay_bad.value
 
     elapsed = time.monotonic() - started
@@ -130,11 +127,13 @@ def test_criterion_03_canonicalization_soundness():
 
 def test_criterion_04_if_node_rules():
     cases = [
-        (if_const_true(), IFTRUE_SIG, 3, "trueSuccessor"),
-        (if_const_false(), IFFALSE_SIG, 3, "falseSuccessor"),
-        (if_equal_branches(), IFSAME_SIG, 4, "trueSuccessor"),
+        ("if-const-true", "constTrue", 3, "trueSuccessor"),
+        ("if-const-false", "constFalse", 3, "falseSuccessor"),
+        ("if-equal-branches", "sameTarget", 4, "trueSuccessor"),
     ]
-    for program, sig, if_nid, attr in cases:
+    for name, method, if_nid, attr in cases:
+        program = corpus(name)
+        sig = program.resolve(method)
         g = program.graph(sig)
         expected = getattr(g.kind(if_nid), attr)
         rw = canonicalize_data(g, if_nid)
@@ -148,24 +147,26 @@ def test_criterion_04_if_node_rules():
 
 
 def test_criterion_05_conditional_elimination():
-    p = nested_duplicate_test()
-    g = p.graph(NESTED_SIG)
+    p = corpus("nested-duplicate-test")
+    sig = p.resolve("nestedDup")
+    g = p.graph(sig)
     g2, report = apply_pass(g, "condelim")
     assert [rw.target for rw in report.rewrites] == [8]
     assert g2.kind(8) == RefNode(next=10)
-    verdict = behavior_diff(p, Program({NESTED_SIG: g2}), NESTED_SIG, Domain())
+    verdict = behavior_diff(p, Program({sig: g2}), sig, Domain())
     assert verdict.status is Equivalence.EQUIVALENT
     assert verdict.samples_tried == 25  # {-2..2}^2
 
-    indep = independent_conditions()
-    g3, report3 = apply_pass(indep.graph(INDEP_SIG), "condelim")
-    assert report3.rewrites == [] and g3 == indep.graph(INDEP_SIG)
+    indep = corpus("independent-conditions")
+    g = indep.graph(indep.resolve("independent"))
+    g3, report3 = apply_pass(g, "condelim")
+    assert report3.rewrites == [] and g3 == g
     _announce(5, "dominated duplicate test eliminated (equivalent over "
                  "{-2..2}^2); independent conditions untouched")
 
 
 def test_criterion_06_well_formedness(fixtures_dir):
-    programs = corpus_programs()
+    programs = {path.stem: load(path) for path in CORPUS_FILES}
     assert len(programs) >= 15
     for name, program in programs.items():
         for sig, g in program.methods.items():
@@ -193,14 +194,16 @@ def test_criterion_06_well_formedness(fixtures_dir):
 
 def test_criterion_07_interprocedural(corpus_dir, capsys):
     records = []
-    result = run(call_chain(), MAIN_SIG, [IntVal(5)], on_step=records.append)
+    calls = corpus("call-chain")
+    result = run(calls, calls.resolve("main"), [IntVal(5)], on_step=records.append)
     assert result.value == IntVal(13)
     depths = [1] + [r.depth for r in records]
     collapsed = [depths[0]] + [d for i, d in enumerate(depths[1:], 1) if d != depths[i - 1]]
     assert collapsed == [1, 2, 3, 2, 1]
 
     records = []
-    result = run(catch_exception(), CATCH_SIG, [], on_step=records.append)
+    catch = corpus("catch-exception")
+    result = run(catch, catch.resolve("catchIt"), [], on_step=records.append)
     assert result.outcome is ExecOutcome.RETURNED and result.value == IntVal(99)
     unwind = [r for r in records if r.kind_name == "UnwindNode"]
     assert unwind and unwind[0].nid_after == 5
@@ -215,12 +218,14 @@ def test_criterion_07_interprocedural(corpus_dir, capsys):
 
 def test_criterion_08_heap_semantics():
     records = []
-    result = run(heap_pair(), PAIR_SIG, [], on_step=records.append)
+    pair = corpus("heap-pair")
+    result = run(pair, pair.resolve("pairSum"), [], on_step=records.append)
     assert result.value == IntVal(14)
     latched = [d for r in records for d in r.m_delta if isinstance(d[1], ObjRef)]
     assert latched == [(1, ObjRef(0)), (2, ObjRef(1))]
 
-    assert run(cross_frame(), CROSS_SIG, []).value == IntVal(42)
+    cross = corpus("cross-frame")
+    assert run(cross, cross.resolve("crossFrame"), []).value == IntVal(42)
 
     rng = random.Random(99)
     refs = [STATIC_REF, 0, 1, 2, 3]
@@ -253,7 +258,8 @@ def test_criterion_09_determinism_and_fuel(corpus_dir, capsys):
     second = capsys.readouterr().out.encode()
     assert first == second and first
 
-    result = run(spin(), SPIN_SIG, [], fuel=321)
+    spin = corpus("spin")
+    result = run(spin, spin.resolve("spin"), [], fuel=321)
     assert result.outcome is ExecOutcome.OUT_OF_FUEL and result.steps == 321
     code = main(["run", str(corpus_dir / "spin.json"), "--method", "spin",
                  "--fuel", "321"])

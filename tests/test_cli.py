@@ -2,9 +2,9 @@ import json
 
 import pytest
 
+from conftest import corpus
 from genutil import STUCK_PHI_SIG, stuck_phi_program
 from seanode.cli import main
-from seanode.corpus import FACT_SIG, factorial
 from seanode.fileformat import dumps, load, save
 from seanode.interproc import run
 from seanode.ir import Program, RefNode
@@ -92,13 +92,27 @@ def test_run_unloadable_file(tmp_path, capsys):
     assert "broken.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff\xfe"),
+    lambda path: path.write_text("[" * 200_000),
+], ids=["directory", "non-utf8", "deep-nesting"])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, make):
+    path = tmp_path / "input.json"
+    make(path)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"seanode: {path}: ") and captured.out == ""
+
+
 def test_trace_line_count_matches_steps(corpus_dir, capsys):
     code = main(["trace", fact_path(corpus_dir), "--method", "fact", "--args", "3"])
     assert code == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
     step_lines = [l for l in lines if l.startswith("step ")]
-    result = run(factorial(), FACT_SIG, [IntVal(3)])
+    p = corpus("factorial")
+    result = run(p, p.resolve("fact"), [IntVal(3)])
     assert len(step_lines) == result.steps
     assert lines[-1] == "Returned IntVal 6"
     assert step_lines[0] == "step 1: 0 StartNode -> 2"

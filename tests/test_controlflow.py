@@ -6,7 +6,6 @@ from genutil import gen_merge_fixture
 from seanode.controlflow import (
     LocalConfig, StepStuck, merge_of_end, phi_updates, phis_of, step,
 )
-from seanode.corpus import FACT_SIG, SPIN_SIG, factorial, spin
 from seanode.dataflow import EvalContext, evaluate
 from seanode.ir import (
     BeginNode, ConstantNode, EndNode, Graph, IfNode, MergeNode, NewInstanceNode,
@@ -14,11 +13,6 @@ from seanode.ir import (
 )
 from seanode.runtime import DynamicHeap, IntVal, ObjRef, new_map_state, wrap32
 
-
-
-@pytest.fixture
-def fact_graph():
-    return factorial().graph(FACT_SIG)
 
 
 def fresh(nid=0):

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from genutil import DOUBLING_SIG, doubling_dag
-from seanode.corpus import FACT_SIG, factorial
 from seanode.dataflow import (
     EvalContext, EvalStuck, ParamOutOfRange, condition_holds, evaluate, evaluate_all,
 )
@@ -213,9 +212,8 @@ def test_evaluate_all_order():
     assert evaluate_all(c, [1, 2]) == [IntVal(1), IntVal(2)]
 
 
-def test_evaluate_all_factorial_first_phi_inputs():
-    g = factorial().graph(FACT_SIG)
-    c = EvalContext(g, new_map_state(), (IntVal(5),))
+def test_evaluate_all_factorial_first_phi_inputs(fact_graph):
+    c = EvalContext(fact_graph, new_map_state(), (IntVal(5),))
     assert evaluate_all(c, [1, 3]) == [IntVal(5), IntVal(1)]
 
 

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import seanode.equivalence as eq_mod
+from conftest import corpus
 from genutil import (
     CHAIN_SIG, DATA_RULES, DOUBLING_SIG, STUCK_PHI_SIG, conditional_chain, doubling_dag,
     gen_rule_case, negate_chain, stuck_phi_program,
-)
-from seanode.corpus import (
-    IFTRUE_SIG, SPIN_SIG, FACT_SIG, factorial, if_const_true, loop_sum, spin,
 )
 from seanode.dataflow import EvalContext, EvalStuck, evaluate
 from seanode.equivalence import (
@@ -191,33 +189,35 @@ def test_large_leaf_count_uses_reduced_product_plus_samples(monkeypatch):
 
 
 def test_behavior_diff_program_vs_itself():
-    p = factorial()
-    verdict = behavior_diff(p, p, FACT_SIG, Domain(int_values=tuple(range(0, 6))))
+    p = corpus("factorial")
+    verdict = behavior_diff(p, p, p.resolve("fact"), Domain(int_values=tuple(range(0, 6))))
     assert verdict.status is Equivalence.EQUIVALENT
     assert verdict.samples_tried == 6
 
 
 def test_behavior_diff_optimized_factorial():
-    p = factorial()
-    g2, _ = apply_pass(p.graph(FACT_SIG), "all")
-    verdict = behavior_diff(p, Program({FACT_SIG: g2}), FACT_SIG,
+    p = corpus("factorial")
+    sig = p.resolve("fact")
+    g2, _ = apply_pass(p.graph(sig), "all")
+    verdict = behavior_diff(p, Program({sig: g2}), sig,
                             Domain(int_values=tuple(range(0, 7))))
     assert verdict.status is Equivalence.EQUIVALENT
 
 
 def test_behavior_diff_broken_if_rewrite():
-    p = if_const_true()
-    g = p.graph(IFTRUE_SIG)
+    p = corpus("if-const-true")
+    sig = p.resolve("constTrue")
+    g = p.graph(sig)
     node = g.kind(3)
-    broken = Program({IFTRUE_SIG: g.replace_node(3, RefNode(next=node.falseSuccessor))})
-    verdict = behavior_diff(p, broken, IFTRUE_SIG, Domain())
+    broken = Program({sig: g.replace_node(3, RefNode(next=node.falseSuccessor))})
+    verdict = behavior_diff(p, broken, sig, Domain())
     assert verdict.status is Equivalence.NOT_EQUIVALENT
     assert verdict.witness is not None
 
 
 def test_behavior_diff_out_of_fuel_is_inconclusive():
-    p = spin()
-    verdict = behavior_diff(p, p, SPIN_SIG, Domain(), fuel=500)
+    p = corpus("spin")
+    verdict = behavior_diff(p, p, p.resolve("spin"), Domain(), fuel=500)
     assert verdict.status is Equivalence.INCONCLUSIVE
 
 
@@ -243,17 +243,18 @@ def test_behavior_diff_sensitive_to_store_order():
 
 
 def test_behavior_diff_missing_method():
-    p = factorial()
+    p = corpus("factorial")
     with pytest.raises(KeyError):
-        behavior_diff(p, p, SPIN_SIG, Domain())
+        behavior_diff(p, p, corpus("spin").resolve("spin"), Domain())
 
 
 @pytest.mark.parametrize("side", ("left", "right"))
 def test_behavior_diff_missing_method_on_either_side(side):
-    # FACT_SIG is in factorial() only; loop_sum() has another method.
-    p1, p2 = (loop_sum(), factorial()) if side == "left" else (factorial(), loop_sum())
+    # fact is in factorial only; loop-sum has another method.
+    fact = corpus("factorial")
+    p1, p2 = (corpus("loop-sum"), fact) if side == "left" else (fact, corpus("loop-sum"))
     with pytest.raises(KeyError, match=f"not present in the {side} program"):
-        behavior_diff(p1, p2, FACT_SIG, Domain())
+        behavior_diff(p1, p2, fact.resolve("fact"), Domain())
 
 
 def test_behavior_diff_on_a_stuck_phi_update_gives_a_verdict():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from seanode.corpus import corpus_programs
+from conftest import CORPUS_FILES
 from seanode.fileformat import (
     FORMAT_VERSION, DuplicateId, ParseError, UnknownKind, dumps, load, loads,
 )
@@ -40,9 +40,10 @@ def test_round_trip_is_byte_identity_on_corpus(corpus_dir):
 
 
 def test_dumps_loads_is_program_identity():
-    for name, program in corpus_programs().items():
+    for path in CORPUS_FILES:
+        program = load(path)
         again = loads(dumps(program))
-        assert again.methods == program.methods, name
+        assert again.methods == program.methods, path.name
 
 
 def test_duplicate_node_id_rejected():
@@ -182,8 +183,14 @@ def test_sub_node_round_trips_and_runs():
     assert run(program, sig, [IntVal(3), IntVal(10)]).value == IntVal(-7)
 
 
-def test_corpus_files_are_the_builders_output(corpus_dir):
-    programs = corpus_programs()
-    assert sorted(p.name for p in corpus_dir.iterdir()) == sorted(f"{n}.json" for n in programs)
-    for name, program in programs.items():
-        assert (corpus_dir / f"{name}.json").read_text() == dumps(program)
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        loads("[" * 200_000)
+
+
+def test_undecodable_bytes_are_a_parse_error(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load(path)
+

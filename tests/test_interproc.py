@@ -2,14 +2,10 @@ import time
 
 import pytest
 
+from conftest import corpus
 from genutil import STORE_LOOP_SIG, STUCK_PHI_SIG, store_loop, stuck_phi_program
 from seanode import ir
 from seanode.controlflow import StepStuck
-from seanode.corpus import (
-    ADD3_SIG, CATCH_SIG, CROSS_SIG, EXPLODE_SIG, FACT_SIG, MAIN_SIG, PAIR_SIG,
-    SPIN_SIG, STATICS_SIG, SUM_SIG, call_chain, catch_exception, cross_frame, factorial,
-    heap_pair, loop_sum, spin, static_counter, uncaught,
-)
 from seanode.dataflow import EvalStuck, ParamOutOfRange
 from seanode.interproc import (
     ExecOutcome, Frame, GlobalConfig, GlobalStuck, MalformedCall, UncaughtTopLevel,
@@ -34,8 +30,8 @@ def drive_to_invoke(program, sig, args):
 
 
 def test_invoke_pushes_fresh_frame():
-    p = call_chain()
-    c = drive_to_invoke(p, MAIN_SIG, [IntVal(5)])
+    p = corpus("call-chain")
+    c = drive_to_invoke(p, p.resolve("main"), [IntVal(5)])
     assert len(c.stack) == 1
     c2 = step_top(p, c)
     assert len(c2.stack) == 2
@@ -43,7 +39,7 @@ def test_invoke_pushes_fresh_frame():
     assert callee.nid == 0
     assert callee.state == new_map_state()
     assert callee.params == (IntVal(5),)
-    assert callee.graph is p.graph(ADD3_SIG)
+    assert callee.graph is p.graph(p.resolve("add3"))
     # The caller's state is not extended by the call itself.
     assert c2.stack[1].state == c.stack[0].state
 
@@ -73,13 +69,14 @@ def test_return_stores_value_under_invoke_id():
 
 
 def test_unwind_routes_to_exception_edge():
-    p = catch_exception()
-    result = run(p, CATCH_SIG, [])
+    p = corpus("catch-exception")
+    sig = p.resolve("catchIt")
+    result = run(p, sig, [])
     assert result.outcome is ExecOutcome.RETURNED
     assert result.value == IntVal(99)
 
     records = []
-    run(p, CATCH_SIG, [], on_step=lambda r: records.append(r))
+    run(p, sig, [], on_step=lambda r: records.append(r))
     unwind_steps = [r for r in records if r.kind_name == "UnwindNode"]
     assert len(unwind_steps) == 1
     rec = unwind_steps[0]
@@ -108,15 +105,16 @@ def test_normal_return_through_invoke_with_exception():
 
 
 def test_uncaught_exception_outcome():
-    result = run(uncaught(), EXPLODE_SIG, [])
+    p = corpus("uncaught")
+    result = run(p, p.resolve("explode"), [])
     assert result.outcome is ExecOutcome.UNCAUGHT_EXCEPTION
     assert result.value == ObjRef(0)
 
 
 def test_call_chain_value_and_depths():
-    p = call_chain()
+    p = corpus("call-chain")
     records = []
-    result = run(p, MAIN_SIG, [IntVal(5)], on_step=lambda r: records.append(r))
+    result = run(p, p.resolve("main"), [IntVal(5)], on_step=lambda r: records.append(r))
     assert result.outcome is ExecOutcome.RETURNED
     assert result.value == IntVal(13)  # (5 * 2) + 3
     depths = [1] + [r.depth for r in records]
@@ -126,8 +124,8 @@ def test_call_chain_value_and_depths():
 
 
 def test_stack_discipline_per_rule():
-    p = call_chain()
-    c = initial_config(p, MAIN_SIG, [IntVal(1)])
+    p = corpus("call-chain")
+    c = initial_config(p, p.resolve("main"), [IntVal(1)])
     depths = [len(c.stack)]
     while True:
         top = c.stack[0]
@@ -142,15 +140,16 @@ def test_stack_discipline_per_rule():
 
 
 def test_heap_is_global_across_frames():
-    result = run(cross_frame(), CROSS_SIG, [])
+    p = corpus("cross-frame")
+    result = run(p, p.resolve("crossFrame"), [])
     assert result.outcome is ExecOutcome.RETURNED
     assert result.value == IntVal(42)
 
 
 def test_void_return_stores_undef():
-    p = cross_frame()
+    p = corpus("cross-frame")
     records = []
-    run(p, CROSS_SIG, [], on_step=lambda r: records.append(r))
+    run(p, p.resolve("crossFrame"), [], on_step=lambda r: records.append(r))
     returns = [r for r in records if r.kind_name == "ReturnNode"]
     assert len(returns) == 1
     assert returns[0].m_delta == ()  # undef never materializes in the state
@@ -230,14 +229,16 @@ def test_top_level_return_and_unwind_raise_in_step_top():
 
 
 def test_factorial_through_global_driver():
-    p = factorial()
-    assert run(p, FACT_SIG, [IntVal(5)]).value == IntVal(120)
-    assert run(p, FACT_SIG, [IntVal(13)]).value == IntVal(1932053504)
+    p = corpus("factorial")
+    fact = p.resolve("fact")
+    assert run(p, fact, [IntVal(5)]).value == IntVal(120)
+    assert run(p, fact, [IntVal(13)]).value == IntVal(1932053504)
 
 
 def test_run_factorial_skips_loop():
     steps = []
-    result = run(factorial(), FACT_SIG, [IntVal(1)], on_step=steps.append)
+    p = corpus("factorial")
+    result = run(p, p.resolve("fact"), [IntVal(1)], on_step=steps.append)
     assert result.outcome is ExecOutcome.RETURNED
     assert result.value == IntVal(1)
     assert steps[-1].nid_after == 16  # the ReturnNode
@@ -266,14 +267,16 @@ def test_run_end_without_merge_is_stuck():
 
 
 def test_out_of_fuel_at_exact_budget():
-    result = run(spin(), SPIN_SIG, [], fuel=777)
+    p = corpus("spin")
+    result = run(p, p.resolve("spin"), [], fuel=777)
     assert result.outcome is ExecOutcome.OUT_OF_FUEL
     assert result.steps == 777
 
 
 def test_run_spin_fuel_exhaustion_inside_loop():
     steps = []
-    result = run(spin(), SPIN_SIG, [], fuel=1000, on_step=steps.append)
+    p = corpus("spin")
+    result = run(p, p.resolve("spin"), [], fuel=1000, on_step=steps.append)
     assert result.outcome is ExecOutcome.OUT_OF_FUEL
     assert result.steps == len(steps) == 1000
     # Still inside the loop: the exit path was never taken.
@@ -287,19 +290,22 @@ def test_missing_main_raises():
 
 
 def test_allocations_and_statics_observable_in_result_heap():
-    result = run(heap_pair(), PAIR_SIG, [])
+    p = corpus("heap-pair")
+    result = run(p, p.resolve("pairSum"), [])
     assert result.value == IntVal(14)
     assert result.heap.free == 2
 
-    result = run(static_counter(), STATICS_SIG, [])
+    p = corpus("static-counter")
+    result = run(p, p.resolve("statics"), [])
     assert result.value == IntVal(3)
 
 
 def test_trace_records_match_steps_and_rerun_identically():
-    p = factorial()
+    p = corpus("factorial")
+    fact = p.resolve("fact")
     first, second = [], []
-    r1 = run(p, FACT_SIG, [IntVal(6)], on_step=lambda r: first.append(r.line()))
-    r2 = run(p, FACT_SIG, [IntVal(6)], on_step=lambda r: second.append(r.line()))
+    r1 = run(p, fact, [IntVal(6)], on_step=lambda r: first.append(r.line()))
+    r2 = run(p, fact, [IntVal(6)], on_step=lambda r: second.append(r.line()))
     assert first == second
     assert len(first) == r1.steps == r2.steps
 
@@ -356,7 +362,9 @@ def test_stuck_argument_evaluation_keeps_its_node():
 
 
 def test_step_cost_does_not_grow_with_unreferenced_nodes(monkeypatch):
-    nodes = dict(loop_sum().graph(SUM_SIG).items())
+    p = corpus("loop-sum")
+    sig = p.resolve("sumTo")
+    nodes = dict(p.graph(sig).items())
     base = max(nodes) + 1
     g = Graph({**nodes, **{base + i: ConstantNode(IntVal(i)) for i in range(10_000)}})
     calls = 0
@@ -368,7 +376,7 @@ def test_step_cost_does_not_grow_with_unreferenced_nodes(monkeypatch):
         return inputs_of(node)
 
     monkeypatch.setattr(ir, "inputs_of", counting)
-    result = run(Program({SUM_SIG: g}), SUM_SIG, [IntVal(300)])
+    result = run(Program({sig: g}), sig, [IntVal(300)])
     assert result.value == IntVal(300 * 301 // 2)
     # Reading every node once (the def-use index) plus a few per step; a
     # whole-graph scan per loop iteration would be 300 x 10,018.

@@ -2,18 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seanode import ir, optimize
-from seanode.corpus import FACT_SIG, factorial
 from seanode.ir import (
     AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, InvalidEdit,
     InvokeWithExceptionNode, NoNode, RefNode, Signature, StartNode,
     ValuePhiNode,
 )
 from seanode.runtime import IntVal
-
-
-@pytest.fixture(scope="module")
-def fact_graph():
-    return factorial().graph(FACT_SIG)
 
 
 def test_kind_unmapped_is_nonode():
@@ -77,14 +71,10 @@ def test_is_sequential():
     assert not ir.is_sequential(IfNode(condition=1, trueSuccessor=2, falseSuccessor=3))
 
 
-def test_is_data_and_is_control():
+def test_is_data():
     assert ir.is_data(ValuePhiNode(0, values=(), merge=1))
     assert ir.is_data(AddNode(x=1, y=2))
     assert not ir.is_data(StartNode(next=1))
-    assert ir.is_control(StartNode(next=1))
-    assert ir.is_control(EndNode())  # no successors, still a control point
-    assert not ir.is_control(AddNode(x=1, y=2))
-    assert not ir.is_control(ir.MethodCallTargetNode(targetMethod=Signature("C", "m"), arguments=()))
 
 
 def test_replace_read_back(fact_graph):
@@ -184,8 +174,8 @@ def test_usages_index_matches_its_definition_across_edits(g, edits):
         check(g)
 
 
-def test_usages_answer_cannot_be_changed_by_its_caller():
-    g = factorial().graph(FACT_SIG)
+def test_usages_answer_cannot_be_changed_by_its_caller(fact_graph):
+    g = fact_graph
     before = set(g.usages(6))
     g.usages(6).add(99)
     g.usages(6).clear()

@@ -5,14 +5,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import CORPUS_FILES, corpus
 from genutil import DATA_RULES, gen_rule_case
-from seanode.corpus import (
-    FACT_SIG, FOLD_SIG, IDENT_SIG, INDEP_SIG, NESTED_SIG, canon_chain,
-    corpus_programs, factorial, identity_chain, independent_conditions,
-    nested_duplicate_test,
-)
 from seanode.dataflow import EvalContext, evaluate
 from seanode.equivalence import Domain, Equivalence, behavior_diff, with_boundary_values
+from seanode.fileformat import load
 from seanode.ir import (
     NODE_KINDS, AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode,
     IntegerLessThanNode, LoopBeginNode, LoopEndNode, MergeNode, MulNode,
@@ -286,14 +283,15 @@ def test_idom_chains_match_the_dominator_set_oracle(g):
 
 
 def test_condelim_nested_duplicate():
-    p = nested_duplicate_test()
-    g = p.graph(NESTED_SIG)
+    p = corpus("nested-duplicate-test")
+    sig = p.resolve("nestedDup")
+    g = p.graph(sig)
     g2, report = conditional_elimination(g)
     assert [rw.log_line() for rw in report.rewrites] == [
         "condelim-implied-branch @8: IfNode -> RefNode"
     ]
     assert g2.kind(8) == RefNode(next=10)
-    verdict = behavior_diff(p, Program({NESTED_SIG: g2}), NESTED_SIG, Domain())
+    verdict = behavior_diff(p, Program({sig: g2}), sig, Domain())
     assert verdict.status is Equivalence.EQUIVALENT
 
 
@@ -301,7 +299,8 @@ def test_condelim_walks_the_control_flow_once(monkeypatch):
     walks = []
     cfg = optimize_mod._cfg
     monkeypatch.setattr(optimize_mod, "_cfg", lambda g: walks.append(g) or cfg(g))
-    conditional_elimination(nested_duplicate_test().graph(NESTED_SIG))
+    (g,) = corpus("nested-duplicate-test").methods.values()
+    conditional_elimination(g)
     assert len(walks) == 1
 
 
@@ -347,7 +346,7 @@ def test_condelim_false_branch_fact():
 
 
 def test_condelim_independent_conditions_untouched():
-    g = independent_conditions().graph(INDEP_SIG)
+    (g,) = corpus("independent-conditions").methods.values()
     g2, report = conditional_elimination(g)
     assert report.rewrites == [] and report.fixpoint
     assert g2 == g
@@ -383,15 +382,15 @@ def test_condelim_long_if_chain_is_iterative():
             assert all(g2.kind(n) == RefNode(n + 1) for n in ifs[1:])
 
 
-def test_apply_pass_factorial_already_canonical():
-    g = factorial().graph(FACT_SIG)
+def test_apply_pass_factorial_already_canonical(fact_graph):
+    g = fact_graph
     g2, report = apply_pass(g, "all")
     assert report.rewrites == [] and report.fixpoint
     assert g2 == g
 
 
 def test_apply_pass_fold_chain():
-    g = canon_chain().graph(FOLD_SIG)
+    (g,) = corpus("canon-chain").methods.values()
     g2, report = apply_pass(g, "canonicalize")
     assert [rw.rule for rw in report.rewrites] == ["fold-add", "fold-mul"]
     assert report.fixpoint
@@ -400,7 +399,7 @@ def test_apply_pass_fold_chain():
 
 
 def test_apply_pass_identity_chain_to_parameter():
-    g = identity_chain().graph(IDENT_SIG)
+    (g,) = corpus("identity-chain").methods.values()
     g2, report = apply_pass(g, "canonicalize")
     assert g2.kind(5) == ParameterNode(0)
     assert report.fixpoint
@@ -446,23 +445,23 @@ def test_apply_pass_unknown_name():
 
 
 def test_rewrites_never_delete_nodes():
-    for program in corpus_programs().values():
-        for g in program.methods.values():
+    for path in CORPUS_FILES:
+        for g in load(path).methods.values():
             for which in ("canonicalize", "condelim", "all"):
                 g2, _ = apply_pass(g, which)
-                assert g.ids() <= g2.ids()
+                assert g.ids() <= g2.ids(), (path.name, which)
 
 
 def test_apply_pass_idempotent_at_fixpoint():
-    for build, sig in ((canon_chain, FOLD_SIG), (identity_chain, IDENT_SIG),
-                       (nested_duplicate_test, NESTED_SIG)):
-        g1, _ = apply_pass(build().graph(sig), "all")
+    for name in ("canon-chain", "identity-chain", "nested-duplicate-test"):
+        (g,) = corpus(name).methods.values()
+        g1, _ = apply_pass(g, "all")
         g2, report = apply_pass(g1, "all")
         assert report.rewrites == [] and g2 == g1
 
 
 def test_pass_report_log_format():
-    g = canon_chain().graph(FOLD_SIG)
+    (g,) = corpus("canon-chain").methods.values()
     _, report = apply_pass(g, "canonicalize")
     assert report.log_lines()[0] == "fold-add @3: AddNode -> ConstantNode"
 
@@ -593,8 +592,8 @@ def test_canonicalize_sweep_is_linear_on_a_fold_chain():
     assert g2.kind(n - 1) == ConstantNode(IntVal(n - 2))
 
 
-def test_a_sweep_without_rewrites_returns_the_same_graph():
-    g = factorial().graph(FACT_SIG)
+def test_a_sweep_without_rewrites_returns_the_same_graph(fact_graph):
+    g = fact_graph
     users = g.usages(1)
     for which in PASS_NAMES:
         g2, report = apply_pass(g, which)

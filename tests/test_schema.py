@@ -61,10 +61,6 @@ DUPLICABLE = {
     ConstantNode, ParameterNode, NegateNode, AddNode, MulNode,
     IntegerLessThanNode, ConditionalNode, ValueProxyNode, SubNode,
 }
-# Control points: kinds with successors, plus the successor-less ends and exits.
-CONTROL = {cls for cls in ir.NODE_KINDS.values() if cls.SUCCESSORS} | {
-    EndNode, LoopEndNode, ReturnNode, UnwindNode,
-}
 WALK_EDGES = {
     NegateNode: ("value",),
     AddNode: ("x", "y"),
@@ -90,7 +86,7 @@ def test_nonode_is_not_registered():
     assert "NoNode" not in ir.NODE_KINDS
     assert NoNode.ROLE is None
     assert not any(pred(NoNode()) for pred in (
-        ir.is_data, ir.is_state_leaf, ir.is_pure, ir.is_sequential, ir.is_control))
+        ir.is_data, ir.is_state_leaf, ir.is_pure, ir.is_sequential))
 
 
 def test_derived_role_sets_equal_the_literal_tables():
@@ -98,7 +94,6 @@ def test_derived_role_sets_equal_the_literal_tables():
     assert kinds_where(ir.is_data) == DATA
     assert kinds_where(ir.is_state_leaf) == STATE_LEAF
     assert kinds_where(ir.is_pure) == DUPLICABLE
-    assert kinds_where(ir.is_control) == CONTROL
 
 
 def test_derived_value_edges_equal_the_walk_table():

@@ -2,9 +2,9 @@ import time
 
 import pytest
 
+from conftest import CORPUS_FILES
 from genutil import negate_chain, violated_rules
 from seanode import wellformed
-from seanode.corpus import FACT_SIG, corpus_programs, factorial
 from seanode.fileformat import load
 from seanode.ir import (
     AddNode, BeginNode, EndNode, Graph, MergeNode, NegateNode,
@@ -29,8 +29,8 @@ def test_wf_closed_dangling():
     assert "wf_closed" in violated_rules(Graph({0: StartNode(next=99)}))
 
 
-def test_wf_closed_factorial():
-    assert "wf_closed" not in violated_rules(factorial().graph(FACT_SIG))
+def test_wf_closed_factorial(fact_graph):
+    assert "wf_closed" not in violated_rules(fact_graph)
 
 
 def test_wf_closed_empty_vacuous():
@@ -53,18 +53,18 @@ def test_wf_ends_orphan_end():
     assert "wf_ends" in violated_rules(Graph({0: StartNode(next=5), 5: EndNode()}))
 
 
-def test_wf_ends_factorial_loop_ends():
-    g = factorial().graph(FACT_SIG)
+def test_wf_ends_factorial_loop_ends(fact_graph):
+    g = fact_graph
     assert "wf_ends" not in violated_rules(g)
     assert g.usages(5) == {6} and g.usages(21) == {6}
 
 
-def test_wf_phis_factorial():
-    assert "wf_phis" not in violated_rules(factorial().graph(FACT_SIG))
+def test_wf_phis_factorial(fact_graph):
+    assert "wf_phis" not in violated_rules(fact_graph)
 
 
-def test_wf_phis_count_mismatch():
-    g = factorial().graph(FACT_SIG).replace_node(
+def test_wf_phis_count_mismatch(fact_graph):
+    g = fact_graph.replace_node(
         7, ValuePhiNode(7, values=(1,), merge=6)
     )
     assert "wf_phis" in violated_rules(g)
@@ -84,8 +84,8 @@ def test_wf_phis_merge_edge_must_be_merge():
     assert "wf_phis" in violated_rules(g)
 
 
-def test_check_factorial_ok():
-    report = check(factorial().graph(FACT_SIG))
+def test_check_factorial_ok(fact_graph):
+    report = check(fact_graph)
     assert report.ok and report.violations == ()
 
 
@@ -140,17 +140,17 @@ def test_check_aggregates_multiple_rules():
     assert len(report.violations) >= 2
 
 
-def test_check_selfid_mismatch():
-    g = factorial().graph(FACT_SIG).replace_node(
+def test_check_selfid_mismatch(fact_graph):
+    g = fact_graph.replace_node(
         7, ValuePhiNode(8, values=(1, 20), merge=6)
     )
     assert any(v.rule == "wf_selfid" for v in check(g).violations)
 
 
 def test_check_ok_implies_predicates():
-    for program in corpus_programs().values():
-        for g in program.methods.values():
-            assert violated_rules(g) == set()
+    for path in CORPUS_FILES:
+        for g in load(path).methods.values():
+            assert violated_rules(g) == set(), path.name
 
 
 @pytest.mark.parametrize("name,rule", [
