@@ -130,7 +130,10 @@ def cmd_opt(args) -> int:
               f"{report.iterations} iteration(s), fixpoint={report.fixpoint}")
         for line in report.log_lines():
             print(line)
-    save(Program(out_methods), args.output)
+    try:
+        save(Program(out_methods), args.output)
+    except OSError as e:
+        raise CliError(f"{args.output}: {e.strerror or e}")
     return 0
 
 

@@ -36,7 +36,6 @@ class EvalStuck(Exception):
 class ParamOutOfRange(EvalStuck):
     def __init__(self, nid: int, index: int, count: int):
         super().__init__(nid, f"parameter index {index} with {count} parameters")
-        self.index = index
 
 
 class EvalContext:
@@ -227,8 +226,3 @@ def condition_holds(ctx: EvalContext, cond: int) -> bool:
     """Whether the branch condition at cond holds: an integer holds when it
     is nonzero, and any other value is stuck at cond."""
     return _truth(evaluate(ctx, cond), cond)
-
-
-def evaluate_all(ctx: EvalContext, nids) -> list[Value]:
-    """Pointwise evaluation of a list of expressions under one state."""
-    return [evaluate(ctx, nid) for nid in nids]

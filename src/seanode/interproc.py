@@ -2,13 +2,13 @@
 whole-program driver with a fuel bound and step tracing."""
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 
-from . import ir
-from .controlflow import LocalConfig, step
-from .dataflow import EvalContext, EvalStuck, evaluate, evaluate_all
-from .ir import Graph, Program, Signature
-from .runtime import UNDEF, DynamicHeap, MethodState, ObjRef, Value, new_map_state
+from .controlflow import INVOKE, RETURN, UNWIND, LocalConfig, plan, step
+from .dataflow import EvalContext, EvalStuck, evaluate
+from .ir import Graph, MethodCallTargetNode, Program, Signature
+from .runtime import UNDEF, DynamicHeap, MethodState, ObjRef, Value
 
 
 class GlobalStuck(EvalStuck):
@@ -21,7 +21,6 @@ class GlobalStuck(EvalStuck):
 class UnknownMethod(GlobalStuck):
     def __init__(self, sig: Signature):
         super().__init__(f"no graph for method {sig}")
-        self.signature = sig
 
 
 class MalformedCall(GlobalStuck):
@@ -65,10 +64,7 @@ class FrameStack:
     def __getitem__(self, i: int) -> Frame:
         if not 0 <= i < self._top.depth:
             raise IndexError(i)
-        frame = self._top
-        for _ in range(i):
-            frame = frame.caller
-        return frame
+        return next(itertools.islice(self, i, None))
 
     def __iter__(self):
         frame = self._top
@@ -119,13 +115,11 @@ class ExecResult:
     reason: str | None = None
 
     def __str__(self):
-        if self.outcome is ExecOutcome.RETURNED:
-            return f"Returned {self.value}"
-        if self.outcome is ExecOutcome.UNCAUGHT_EXCEPTION:
-            return f"UncaughtException {self.value}"
         if self.outcome is ExecOutcome.OUT_OF_FUEL:
             return f"OutOfFuel after {self.steps} steps"
-        return f"Stuck: {self.reason}"
+        if self.outcome is ExecOutcome.STUCK:
+            return f"Stuck: {self.reason}"
+        return f"{self.outcome.value} {self.value}"  # Returned or UncaughtException
 
 
 @dataclass(frozen=True)
@@ -141,42 +135,35 @@ class TraceStep:
     def line(self) -> str:
         parts = [f"step {self.index}: {self.nid} {self.kind_name} -> {self.nid_after}"]
         parts += [f"[m: {nid}<-{v}]" for nid, v in self.m_delta]
-        parts += [f"[h: ({_addr(a)},{f})<-{v}]" for a, f, v in self.h_delta]
+        parts += [f"[h: ({'static' if a < 0 else a},{f})<-{v}]"
+                  for a, f, v in self.h_delta]
         return " ".join(parts)
-
-
-def _addr(a: int) -> str:
-    return "static" if a < 0 else str(a)
-
-
-def _frame_eval(frame: Frame, nid: int) -> Value:
-    return evaluate(EvalContext(frame.graph, frame.state, frame.params), nid)
 
 
 def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
     """Apply the one matching global rule: lift a local step, invoke,
-    return, or unwind."""
+    return, or unwind, as the top node's step entry says."""
     top = c.top
-    node = top.graph.kind(top.nid)
+    e = plan(top.graph, top.nid)
+    code = e[0]
 
-    if isinstance(node, (ir.InvokeNode, ir.InvokeWithExceptionNode)):
-        target = top.graph.kind(node.callTarget)
-        if not isinstance(target, ir.MethodCallTargetNode):
-            raise MalformedCall(
-                f"callTarget of invoke {top.nid} is {target.kind_name()}"
-            )
-        args = evaluate_all(EvalContext(top.graph, top.state, top.params), target.arguments)
+    if code == INVOKE:
+        target = e[1]
+        if not isinstance(target, MethodCallTargetNode):
+            raise MalformedCall(f"callTarget of invoke {top.nid} is {target.kind_name()}")
+        ctx = EvalContext(top.graph, top.state, top.params)
+        args = tuple([evaluate(ctx, root) for root in target.arguments])
         callee_graph = program.graph(target.targetMethod)
         if callee_graph is None:
             raise UnknownMethod(target.targetMethod)
-        callee = Frame(callee_graph, 0, new_map_state(), tuple(args), top, top.depth + 1)
+        callee = Frame(callee_graph, 0, MethodState(), args, top, top.depth + 1)
         return GlobalConfig(callee, c.heap)
 
-    if isinstance(node, (ir.ReturnNode, ir.UnwindNode)):
-        raised = isinstance(node, ir.UnwindNode)
+    if code == RETURN or code == UNWIND:
+        raised = code == UNWIND
         if top.caller is None:
             raise UncaughtTopLevel(f"{'unwind' if raised else 'return'} with no calling frame")
-        v = _exit_value(top, node)
+        v = _exit_value(top, e)
         return GlobalConfig(_resume_caller(top.caller, v, after_exception=raised), c.heap)
 
     # Everything else is a local transition promoted to the top frame.
@@ -186,30 +173,25 @@ def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
     return GlobalConfig(new_top, local.heap)
 
 
-def _exit_value(top: Frame, node: ir.IRNode) -> Value:
-    """The value a ReturnNode or UnwindNode hands to its caller."""
-    if isinstance(node, ir.ReturnNode):
-        return UNDEF if node.resultOpt is None else _frame_eval(top, node.resultOpt)
-    v = _frame_eval(top, node.exception)
-    if not isinstance(v, ObjRef):
+def _exit_value(top: Frame, e: tuple) -> Value:
+    """The value a RETURN or UNWIND step entry hands to its caller."""
+    code, root = e
+    if root is None:
+        return UNDEF
+    v = evaluate(EvalContext(top.graph, top.state, top.params), root)
+    if code == UNWIND and not isinstance(v, ObjRef):
         raise GlobalStuck(f"unwound value is not an object reference: {v}")
     return v
 
 
 def _resume_caller(caller: Frame, v: Value, after_exception: bool) -> Frame:
-    node = caller.graph.kind(caller.nid)
-    if after_exception:
-        if isinstance(node, ir.InvokeNode):
-            raise UnwindWithoutHandler(
-                f"invoke {caller.nid} has no exception edge"
-            )
-        if not isinstance(node, ir.InvokeWithExceptionNode):
-            raise GlobalStuck(f"unwind into non-invoke caller node {caller.nid}")
-        resume = node.exceptionEdge
-    else:
-        if not isinstance(node, (ir.InvokeNode, ir.InvokeWithExceptionNode)):
-            raise GlobalStuck(f"return into non-invoke caller node {caller.nid}")
-        resume = node.next
+    e = plan(caller.graph, caller.nid)
+    if e[0] != INVOKE:
+        exit_kind = "unwind" if after_exception else "return"
+        raise GlobalStuck(f"{exit_kind} into non-invoke caller node {caller.nid}")
+    resume = e[3] if after_exception else e[2]
+    if resume is None:
+        raise UnwindWithoutHandler(f"invoke {caller.nid} has no exception edge")
     return Frame(caller.graph, resume, caller.state.set(caller.nid, v), caller.params,
                  caller.caller, caller.depth)
 
@@ -218,24 +200,7 @@ def initial_config(program: Program, main: Signature, args) -> GlobalConfig:
     g = program.graph(main)
     if g is None:
         raise UnknownMethod(main)
-    return GlobalConfig(Frame(g, 0, new_map_state(), tuple(args)), DynamicHeap())
-
-
-def _state_delta(before: MethodState, after: MethodState):
-    prior = dict(before.items())
-    return tuple(
-        (nid, v) for nid, v in sorted(after.items()) if prior.get(nid) != v
-    )
-
-
-def _heap_delta(before: DynamicHeap, stores):
-    """The cells the step's stores changed, by address and field name."""
-    written = {(addr, fname): v for addr, fname, v in stores}
-    cells = before.fields
-    return tuple(
-        (addr, fname, v) for (addr, fname), v in sorted(written.items())
-        if cells.get((addr, fname)) != v
-    )
+    return GlobalConfig(Frame(g, 0, MethodState(), tuple(args)), DynamicHeap())
 
 
 def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
@@ -259,13 +224,12 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
                 on_store(addr, fname, v)
     while True:
         top = c.top
-        node = top.graph.kind(top.nid)
+        e = plan(top.graph, top.nid)
         try:
-            if top.caller is None and isinstance(node, (ir.ReturnNode, ir.UnwindNode)):
-                v = _exit_value(top, node)
-                if isinstance(node, ir.ReturnNode):
-                    return ExecResult(ExecOutcome.RETURNED, v, steps, c.heap)
-                return ExecResult(ExecOutcome.UNCAUGHT_EXCEPTION, v, steps, c.heap)
+            if top.caller is None and (e[0] == RETURN or e[0] == UNWIND):
+                outcome = (ExecOutcome.RETURNED if e[0] == RETURN
+                           else ExecOutcome.UNCAUGHT_EXCEPTION)
+                return ExecResult(outcome, _exit_value(top, e), steps, c.heap)
             if steps == fuel:
                 return ExecResult(ExecOutcome.OUT_OF_FUEL, None, steps, c.heap)
             c2 = step_top(program, c, on_store=store_hook)
@@ -273,26 +237,26 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
             return ExecResult(ExecOutcome.STUCK, None, steps, c.heap, str(e))
         steps += 1
         if on_step is not None:
-            on_step(_trace_step(steps, c, c2, node, stores))
+            on_step(_trace_step(steps, c, c2, stores))
             stores.clear()
         c = c2
 
 
 def _trace_step(index: int, before: GlobalConfig, after: GlobalConfig,
-                node: ir.IRNode, stores) -> TraceStep:
+                stores) -> TraceStep:
     top_b, top_a = before.top, after.top
-    if top_a.depth > top_b.depth:
-        m_delta = ()  # callee starts with an empty state
-    elif top_a.depth < top_b.depth:
-        m_delta = _state_delta(top_b.caller.state, top_a.state)
-    else:
-        m_delta = _state_delta(top_b.state, top_a.state)
+    # A return diffs against its caller's state; a callee starts empty.
+    prior = top_b.caller.state if top_a.depth < top_b.depth else top_b.state
+    # The cells the step's stores changed, by address and field name.
+    written = {(addr, fname): v for addr, fname, v in stores}
+    cells = before.heap.fields
     return TraceStep(
         index=index,
         nid=top_b.nid,
-        kind_name=node.kind_name(),
+        kind_name=top_b.graph.kind(top_b.nid).kind_name(),
         nid_after=top_a.nid,
         depth=top_a.depth,
-        m_delta=m_delta,
-        h_delta=_heap_delta(before.heap, stores),
+        m_delta=tuple((nid, v) for nid, v in sorted(top_a.state.items()) if prior[nid] != v),
+        h_delta=tuple((addr, fname, v) for (addr, fname), v in sorted(written.items())
+                      if cells.get((addr, fname)) != v),
     )

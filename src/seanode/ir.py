@@ -347,10 +347,7 @@ def _edge_fields(node: IRNode, specs) -> list[int]:
         v = getattr(node, name)
         if arity == MANY:
             out.extend(v)
-        elif arity == OPT:
-            if v is not None:
-                out.append(v)
-        else:
+        elif arity == ONE or v is not None:
             out.append(v)
     return out
 
@@ -422,13 +419,13 @@ class Graph:
     """Finite partial map from node ids to nodes; immutable after construction.
 
     Lookups are total: unmapped ids yield NoNode. Edits return new graphs.
-    Two derived tables are built on first use and kept: the def-use index
-    (node id -> the ids whose inputs name it), by the first usages call, and
-    the evaluation schedules by root, filled in by dataflow.schedule. An
-    edit returns a graph without either.
+    Derived tables are built on first use and kept: the def-use index (node
+    id -> the ids whose inputs name it), by the first users call, and the
+    evaluation schedules by root and step entries by node, filled in by
+    dataflow.schedule and controlflow.plan. An edit returns a graph with none.
     """
 
-    __slots__ = ("_nodes", "_users", "schedules")
+    __slots__ = ("_nodes", "_users", "schedules", "steps")
 
     def __init__(self, nodes: dict[int, IRNode]):
         for nid, node in nodes.items():
@@ -439,6 +436,7 @@ class Graph:
         self._nodes = dict(nodes)
         self._users = None
         self.schedules: dict = {}  # root -> evaluation schedule; see dataflow.schedule
+        self.steps: dict = {}  # nid -> step entry; see controlflow.plan
 
     def kind(self, nid: int) -> IRNode:
         return self._nodes.get(nid, NO_NODE)
@@ -453,19 +451,20 @@ class Graph:
         return len(self._nodes)
 
     def usages(self, nid: int) -> set[int]:
-        users = self._users
-        if users is None:
-            users = self._users = self._index_users()
         # A new set each call, so a caller cannot change the index.
-        return set(users.get(nid, ()))
+        return set(self.users(nid))
 
-    def _index_users(self) -> dict[int, tuple[int, ...]]:
-        users: dict[int, list[int]] = {}
-        for m, node in self._nodes.items():
-            for n in inputs_of(node):
-                users.setdefault(n, []).append(m)
-        # Tuples take about a third of the memory of sets.
-        return {n: tuple(ms) for n, ms in users.items()}
+    def users(self, nid: int) -> tuple[int, ...]:
+        """The def-use index's own entry for nid: the ids whose inputs name
+        it, once per naming input. Read-only, so it is not copied."""
+        if self._users is None:
+            users: dict[int, list[int]] = {}
+            for m, node in self._nodes.items():
+                for n in inputs_of(node):
+                    users.setdefault(n, []).append(m)
+            # Tuples take about a third of the memory of sets.
+            self._users = {n: tuple(ms) for n, ms in users.items()}
+        return self._users.get(nid, ())
 
     def insert_node(self, nid: int, node: IRNode) -> "Graph":
         if nid in self._nodes:

@@ -18,7 +18,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import ir
-from .controlflow import StepStuck, merge_of_end
+from .controlflow import END, plan
+from .controlflow import merge_of_end  # noqa: F401  kept for bench/tests/test_bench.py
 from .ir import Graph, IRNode
 from .runtime import IntVal
 
@@ -138,16 +139,10 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
 # -- control-flow graph and dominators ------------------------------------
 
 def cfg_successors(g: Graph, nid: int) -> list[int]:
-    """Successor edges plus the end-to-merge pseudo-successor."""
-    node = g.kind(nid)
-    succ = ir.successors_of(node)
-    if isinstance(node, ir.AbstractEndNode):
-        try:
-            merge, _ = merge_of_end(g, nid)
-        except StepStuck:
-            return succ
-        return succ + [merge]
-    return succ
+    """Successor edges plus the end-to-merge pseudo-successor, which an
+    end's step entry names."""
+    e = plan(g, nid)
+    return ir.successors_of(g.kind(nid)) + ([e[1]] if e[0] == END else [])
 
 
 def _cfg(g: Graph) -> tuple[list[int], dict[int, set[int]]]:
@@ -238,9 +233,7 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
             return []
         (p,) = preds[n]
         branch = g.kind(p)
-        if not isinstance(branch, ir.IfNode):
-            return []
-        if branch.trueSuccessor == branch.falseSuccessor:
+        if not isinstance(branch, ir.IfNode) or branch.trueSuccessor == branch.falseSuccessor:
             return []
         # The branch is n's one predecessor, so n is one of its successors.
         value = n == branch.trueSuccessor

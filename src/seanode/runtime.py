@@ -118,10 +118,6 @@ class MethodState:
         return f"MethodState({{{inner}}})"
 
 
-def new_map_state() -> MethodState:
-    return MethodState()
-
-
 FIELD_DEFAULT = IntVal(0)
 
 

@@ -37,10 +37,9 @@ def _check_start(g: Graph):
 
 
 def _check_closed(g: Graph):
-    ids = g.ids()
     for nid, node in sorted(g.items()):
         for target in ir.inputs_of(node) + ir.successors_of(node):
-            if target not in ids:
+            if target not in g:
                 yield Violation("wf_closed", nid, f"edge to unmapped id {target}")
 
 

@@ -21,7 +21,7 @@ from seanode.interproc import ExecOutcome, run
 from seanode.ir import EndNode, Graph, Program, RefNode, StartNode
 from seanode.optimize import apply_pass, canonicalize_data
 from seanode.runtime import (
-    STATIC_REF, DynamicHeap, IntVal, ObjRef, new_map_state, wrap32,
+    STATIC_REF, DynamicHeap, IntVal, MethodState, ObjRef, wrap32,
 )
 from seanode.wellformed import check
 
@@ -57,7 +57,7 @@ def test_criterion_01_factorial_end_to_end():
 def test_criterion_02_phi_update_protocol():
     p = corpus("factorial")
     g = p.graph(p.resolve("fact"))
-    after = step(g, (IntVal(5),), LocalConfig(5, new_map_state(), DynamicHeap()))
+    after = step(g, (IntVal(5),), LocalConfig(5, MethodState(), DynamicHeap()))
     assert after.nid == 6
     assert after.state[7] == IntVal(5)   # phi for n latches p[0]
     assert after.state[8] == IntVal(1)   # phi for result latches 1
@@ -67,7 +67,7 @@ def test_criterion_02_phi_update_protocol():
     for _ in range(110):
         graph, merge, end_ids, phi_ids, n_params = gen_merge_fixture(rng)
         params = tuple(IntVal(rng.randint(-4, 4)) for _ in range(n_params))
-        m = new_map_state().set_many((p, IntVal(rng.randint(-4, 4))) for p in phi_ids)
+        m = MethodState().set_many((p, IntVal(rng.randint(-4, 4))) for p in phi_ids)
         end = rng.choice(end_ids)
         stepped = step(graph, params, LocalConfig(end, m, DynamicHeap()))
         _, index = merge_of_end(graph, end)

@@ -146,6 +146,17 @@ def test_opt_writes_equivalent_program(corpus_dir, tmp_path, capsys):
     assert "Equivalent" in capsys.readouterr().out
 
 
+# A directory, and a file in a directory that does not exist.
+@pytest.mark.parametrize("name", ["dir.json", "missing/out.json"])
+def test_unwritable_output_is_a_usage_error(corpus_dir, tmp_path, capsys, name):
+    (tmp_path / "dir.json").mkdir()
+    out_path = tmp_path / name
+    code = main(["opt", str(corpus_dir / "canon-chain.json"), "--pass", "canonicalize",
+                 "-o", str(out_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"seanode: {out_path}: ")
+
+
 def test_diff_detects_broken_rewrite(corpus_dir, tmp_path, capsys):
     src = corpus_dir / "if-const-true.json"
     program = load(src)

@@ -4,25 +4,25 @@ import pytest
 
 from genutil import gen_merge_fixture
 from seanode.controlflow import (
-    LocalConfig, StepStuck, merge_of_end, phi_updates, phis_of, step,
+    LocalConfig, StepStuck, merge_of_end, phis_of, step,
 )
 from seanode.dataflow import EvalContext, evaluate
 from seanode.ir import (
     BeginNode, ConstantNode, EndNode, Graph, IfNode, MergeNode, NewInstanceNode,
     ReturnNode, StartNode, StoreFieldNode, ValuePhiNode,
 )
-from seanode.runtime import DynamicHeap, IntVal, ObjRef, new_map_state, wrap32
+from seanode.runtime import DynamicHeap, IntVal, MethodState, ObjRef, wrap32
 
 
 
 def fresh(nid=0):
-    return LocalConfig(nid, new_map_state(), DynamicHeap())
+    return LocalConfig(nid, MethodState(), DynamicHeap())
 
 
 def test_sequential_step():
     g = Graph({1: BeginNode(next=4), 4: ReturnNode(resultOpt=None)})
     c2 = step(g, (), fresh(1))
-    assert (c2.nid, c2.state, c2.heap) == (4, new_map_state(), DynamicHeap())
+    assert (c2.nid, c2.state, c2.heap) == (4, MethodState(), DynamicHeap())
 
 
 def test_if_false_branch_forced():
@@ -34,7 +34,7 @@ def test_if_false_branch_forced():
     })
     c2 = step(g, (), fresh(2))
     assert c2.nid == 4
-    assert c2.state == new_map_state()
+    assert c2.state == MethodState()
 
 
 def test_if_on_an_object_reference_is_stuck_at_the_condition():
@@ -43,7 +43,7 @@ def test_if_on_an_object_reference_is_stuck_at_the_condition():
         2: IfNode(condition=1, trueSuccessor=3, falseSuccessor=3),
         3: ReturnNode(resultOpt=None),
     })
-    c = LocalConfig(2, new_map_state().set(1, ObjRef(0)), DynamicHeap())
+    c = LocalConfig(2, MethodState().set(1, ObjRef(0)), DynamicHeap())
     with pytest.raises(StepStuck) as e:
         step(g, (), c)
     assert (e.value.nid, e.value.reason) == (1, "expected an integer condition, got ObjRef 0")
@@ -79,7 +79,7 @@ def test_first_end_step_latches_phi_initials(fact_graph):
 
 
 def test_loop_end_step_uses_original_state(fact_graph):
-    m = new_map_state().set(7, IntVal(5)).set(8, IntVal(1))
+    m = MethodState().set(7, IntVal(5)).set(8, IntVal(1))
     c2 = step(fact_graph, (IntVal(5),), LocalConfig(21, m, DynamicHeap()))
     # Hand-evaluated under the original m: n' = n + (-1), result' = result * n.
     assert c2.nid == 6
@@ -96,7 +96,7 @@ def test_store_step_writes_heap_and_advances():
     })
     # Object operand must evaluate to a reference: route through the state.
     g = g.replace_node(3, ValuePhiNode(3, values=(), merge=0))
-    m = new_map_state().set(3, ObjRef(0))
+    m = MethodState().set(3, ObjRef(0))
     c2 = step(g, (), LocalConfig(2, m, DynamicHeap(free=1)))
     assert c2.nid == 4
     assert c2.heap.load_field("x", ObjRef(0)) == IntVal(9)
@@ -134,7 +134,7 @@ def test_merge_of_end_positions(fact_graph):
 def test_heap_untouched_by_seq_if_end(fact_graph):
     heap = DynamicHeap().store_field("x", None, IntVal(1))
     for nid in (0, 5, 12, 6):
-        m = new_map_state().set(7, IntVal(2)).set(8, IntVal(1))
+        m = MethodState().set(7, IntVal(2)).set(8, IntVal(1))
         c2 = step(fact_graph, (IntVal(2),), LocalConfig(nid, m, heap))
         assert c2.heap == heap
 
@@ -147,7 +147,7 @@ def test_phi_update_simultaneity_randomized():
     for _ in range(120):
         g, merge, end_ids, phi_ids, n_params = gen_merge_fixture(rng)
         params = tuple(IntVal(rng.randint(-4, 4)) for _ in range(n_params))
-        m = new_map_state().set_many(
+        m = MethodState().set_many(
             (p, IntVal(rng.randint(-4, 4))) for p in phi_ids
         )
         end = rng.choice(end_ids)
@@ -176,6 +176,6 @@ def test_phi_update_simultaneity_randomized():
 
 
 def test_phi_updates_all_under_original_state(fact_graph):
-    m = new_map_state().set(7, IntVal(3)).set(8, IntVal(2))
-    updates = phi_updates(EvalContext(fact_graph, m, (IntVal(3),)), 6, 1)
-    assert updates == [(7, IntVal(2)), (8, IntVal(6))]
+    m = MethodState().set(7, IntVal(3)).set(8, IntVal(2))
+    c2 = step(fact_graph, (IntVal(3),), LocalConfig(21, m, DynamicHeap()))
+    assert (c2.nid, c2.state) == (6, MethodState().set(7, IntVal(2)).set(8, IntVal(6)))

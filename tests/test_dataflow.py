@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from genutil import DOUBLING_SIG, doubling_dag
 from seanode.dataflow import (
-    EvalContext, EvalStuck, ParamOutOfRange, condition_holds, evaluate, evaluate_all,
+    EvalContext, EvalStuck, ParamOutOfRange, condition_holds, evaluate,
 )
 from seanode.ir import (
     AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode,
@@ -14,12 +14,12 @@ from seanode.ir import (
 )
 from seanode.interproc import ExecOutcome, run
 from seanode.runtime import (
-    INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, ObjRef, new_map_state, wrap32,
+    INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, ObjRef, wrap32,
 )
 
 
 def ctx(nodes, m=None, p=()):
-    return EvalContext(Graph(nodes), m or new_map_state(), tuple(p))
+    return EvalContext(Graph(nodes), m or MethodState(), tuple(p))
 
 
 def test_constant():
@@ -46,7 +46,7 @@ def test_sub_wraps_below_int_min():
 
 
 def test_phi_reads_method_state():
-    m = new_map_state().set(7, IntVal(42))
+    m = MethodState().set(7, IntVal(42))
     c = ctx({7: ValuePhiNode(7, values=(), merge=0)}, m=m)
     assert evaluate(c, 7) == IntVal(42)
 
@@ -57,7 +57,7 @@ def test_state_leaf_defaults_to_undef():
 
 
 def test_load_field_leaf_reads_state():
-    m = new_map_state().set(4, IntVal(9))
+    m = MethodState().set(4, IntVal(9))
     c = ctx({4: LoadFieldNode(selfId=4, field="x", objectOpt=None, next=5)}, m=m)
     assert evaluate(c, 4) == IntVal(9)
 
@@ -102,7 +102,7 @@ def test_conditional_selects_branch():
 
 
 def test_value_proxy_is_transparent():
-    m = new_map_state().set(8, IntVal(120))
+    m = MethodState().set(8, IntVal(120))
     c = ctx({
         8: ValuePhiNode(8, values=(), merge=0),
         15: ValueProxyNode(value=8, loopExit=14),
@@ -132,7 +132,7 @@ def test_conditional_on_an_object_reference_is_stuck_at_the_condition():
         1: NewInstanceNode(1, "A", next=4),
         2: ConstantNode(IntVal(7)),
         3: ConditionalNode(condition=1, trueValue=2, falseValue=2),
-    }, new_map_state().set(1, ObjRef(0)))
+    }, MethodState().set(1, ObjRef(0)))
     with pytest.raises(EvalStuck) as e:
         evaluate(c, 3)
     assert (e.value.nid, e.value.reason) == (1, "expected an integer condition, got ObjRef 0")
@@ -162,8 +162,8 @@ def test_shared_dag_is_evaluated_once_per_context():
 def test_same_node_under_two_states_gives_two_values():
     g = Graph({3: ValuePhiNode(3, values=(), merge=0), 4: AddNode(x=3, y=3),
                5: MulNode(x=4, y=3)})
-    first = EvalContext(g, new_map_state().set(3, IntVal(1)), ())
-    second = EvalContext(g, new_map_state().set(3, IntVal(5)), ())
+    first = EvalContext(g, MethodState().set(3, IntVal(1)), ())
+    second = EvalContext(g, MethodState().set(3, IntVal(5)), ())
     assert evaluate(first, 5) == IntVal(2)
     assert evaluate(second, 5) == IntVal(50)
     assert evaluate(first, 5) == IntVal(2)
@@ -203,26 +203,6 @@ def test_cyclic_expression_is_stuck(nodes):
         evaluate(ctx(nodes), 2)
 
 
-def test_evaluate_all_empty():
-    assert evaluate_all(ctx({}), []) == []
-
-
-def test_evaluate_all_order():
-    c = ctx({1: ConstantNode(IntVal(1)), 2: ConstantNode(IntVal(2))})
-    assert evaluate_all(c, [1, 2]) == [IntVal(1), IntVal(2)]
-
-
-def test_evaluate_all_factorial_first_phi_inputs(fact_graph):
-    c = EvalContext(fact_graph, new_map_state(), (IntVal(5),))
-    assert evaluate_all(c, [1, 3]) == [IntVal(5), IntVal(1)]
-
-
-def test_evaluate_all_propagates_stuck():
-    c = ctx({1: ConstantNode(IntVal(1)), 2: StartNode(next=2)})
-    with pytest.raises(EvalStuck):
-        evaluate_all(c, [1, 2])
-
-
 # Random expression DAGs: evaluation is deterministic and leaves state alone.
 
 @st.composite
@@ -255,7 +235,7 @@ def _expr_graphs(draw):
 @given(_expr_graphs(), st.integers(-3, 3), st.integers(-3, 3))
 def test_evaluation_is_deterministic_and_pure(gr, p0, phi_val):
     g, root = gr
-    m = new_map_state().set(3, IntVal(phi_val))
+    m = MethodState().set(3, IntVal(phi_val))
     c = EvalContext(g, m, (IntVal(p0),))
     assert evaluate(c, root) == evaluate(c, root)
-    assert m == new_map_state().set(3, IntVal(phi_val))
+    assert m == MethodState().set(3, IntVal(phi_val))

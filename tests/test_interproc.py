@@ -17,7 +17,7 @@ from seanode.ir import (
     MethodCallTargetNode, NewInstanceNode, ParameterNode, Program, ReturnNode, Signature,
     StartNode, StoreFieldNode, SubNode, UnwindNode,
 )
-from seanode.runtime import UNDEF, DynamicHeap, IntVal, ObjRef, new_map_state
+from seanode.runtime import UNDEF, DynamicHeap, IntVal, MethodState, ObjRef
 
 
 def drive_to_invoke(program, sig, args):
@@ -37,7 +37,7 @@ def test_invoke_pushes_fresh_frame():
     assert len(c2.stack) == 2
     callee = c2.stack[0]
     assert callee.nid == 0
-    assert callee.state == new_map_state()
+    assert callee.state == MethodState()
     assert callee.params == (IntVal(5),)
     assert callee.graph is p.graph(p.resolve("add3"))
     # The caller's state is not extended by the call itself.
@@ -171,6 +171,30 @@ def test_arguments_evaluated_in_caller_context():
     p = Program({caller_sig: caller, callee_sig: callee})
     result = run(p, caller_sig, [IntVal(7)])
     assert result.value == IntVal(17)
+
+
+def test_invoke_evaluates_its_arguments_in_order():
+    # The callee computes p0 - p1, so swapped arguments would show.
+    callee_sig = Signature("T", "sub", ("int", "int"))
+    callee = Graph({0: StartNode(next=3), 1: ParameterNode(0), 2: ParameterNode(1),
+                    3: ReturnNode(resultOpt=4), 4: SubNode(x=1, y=2)})
+    caller_sig = Signature("T", "caller", ("int",))
+
+    def caller(second):
+        return Graph({
+            0: StartNode(next=5),
+            1: ParameterNode(0),
+            3: second,
+            4: MethodCallTargetNode(targetMethod=callee_sig, arguments=(1, 3)),
+            5: InvokeNode(selfId=5, callTarget=4, next=6),
+            6: ReturnNode(resultOpt=5),
+        })
+
+    p = Program({caller_sig: caller(ConstantNode(IntVal(3))), callee_sig: callee})
+    assert str(run(p, caller_sig, [IntVal(10)])) == "Returned IntVal 7"
+    # A stuck argument makes the call stuck, at the argument.
+    p = Program({caller_sig: caller(ParameterNode(1)), callee_sig: callee})
+    assert str(run(p, caller_sig, [IntVal(10)])) == "Stuck: @3: parameter index 1 with 1 parameters"
 
 
 def test_unknown_method_is_stuck():
@@ -381,6 +405,29 @@ def test_step_cost_does_not_grow_with_unreferenced_nodes(monkeypatch):
     # Reading every node once (the def-use index) plus a few per step; a
     # whole-graph scan per loop iteration would be 300 x 10,018.
     assert calls <= len(g) + 2 * result.steps
+
+
+def test_a_rerun_calls_what_the_first_run_called(monkeypatch):
+    # Step entries are decoded once per graph, on the first run; decoding
+    # calls none of the functions below, so a rerun of the same graphs
+    # calls each of them as often as the first run did.
+    from seanode import controlflow, interproc
+    calls = []
+    for owner, name in ((ir.Graph, "usages"), (controlflow, "merge_of_end"),
+                        (controlflow, "phis_of"), (interproc, "step")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    p = corpus("factorial")
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        assert run(p, p.resolve("fact"), [IntVal(4)]).value == IntVal(24)
+        runs.append(sorted(calls))
+    assert runs[0] == runs[1] and "step" in runs[0]
 
 
 REC_SIG = Signature("T", "rec", ("int",))

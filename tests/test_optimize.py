@@ -20,13 +20,13 @@ from seanode.optimize import (
     PASS_NAMES, RULES, IterationCapExceeded, apply_pass, canonicalize_data,
     cfg_successors, conditional_elimination, dominators,
 )
-from seanode.runtime import INT_MAX, INT_MIN, IntVal, ObjRef, new_map_state
+from seanode.runtime import INT_MAX, INT_MIN, IntVal, MethodState, ObjRef
 from seanode.wellformed import check
 import seanode.optimize as optimize_mod
 
 
 def eval_at(g, nid, p=()):
-    return evaluate(EvalContext(g, new_map_state(), tuple(p)), nid)
+    return evaluate(EvalContext(g, MethodState(), tuple(p)), nid)
 
 
 def test_fold_add_constants():
@@ -158,7 +158,7 @@ def test_if_rewrite_bypasses_condition_evaluation():
     # effect; it can only widen definedness (here: the original step is
     # stuck on an unevaluatable condition, the rewritten one proceeds).
     from seanode.controlflow import LocalConfig, StepStuck, step
-    from seanode.runtime import DynamicHeap, new_map_state
+    from seanode.runtime import DynamicHeap, MethodState
     g = Graph({
         0: StartNode(next=2),
         1: ValuePhiNode(1, values=(), merge=0),  # never latched: undefined
@@ -166,7 +166,7 @@ def test_if_rewrite_bypasses_condition_evaluation():
         3: BeginNode(next=4),
         4: ReturnNode(resultOpt=None),
     })
-    cfg = LocalConfig(2, new_map_state(), DynamicHeap())
+    cfg = LocalConfig(2, MethodState(), DynamicHeap())
     with pytest.raises(StepStuck):
         step(g, (), cfg)
     rw = canonicalize_data(g, 2)

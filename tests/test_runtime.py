@@ -5,32 +5,32 @@ from hypothesis import given, strategies as st
 
 from seanode.runtime import (
     INT_MAX, INT_MIN, STATIC_REF, UNDEF, DynamicHeap, IntVal, MethodState,
-    ObjRef, int_add, int_mul, int_negate, new_map_state, wrap32,
+    ObjRef, int_add, int_mul, int_negate, wrap32,
 )
 
 
 def test_fresh_state_reads_undef():
-    assert new_map_state()[42] == UNDEF
+    assert MethodState()[42] == UNDEF
 
 
 def test_state_update_read_back():
-    m = new_map_state().set(7, IntVal(1))
+    m = MethodState().set(7, IntVal(1))
     assert m[7] == IntVal(1)
 
 
 def test_fresh_states_equal():
-    assert new_map_state() == new_map_state()
+    assert MethodState() == MethodState()
 
 
 def test_state_set_is_persistent():
-    m = new_map_state()
+    m = MethodState()
     m2 = m.set(1, IntVal(5))
     assert m[1] == UNDEF and m2[1] == IntVal(5)
 
 
 def test_state_undef_write_normalizes():
-    m = new_map_state().set(1, IntVal(5)).set(1, UNDEF)
-    assert m == new_map_state()
+    m = MethodState().set(1, IntVal(5)).set(1, UNDEF)
+    assert m == MethodState()
 
 
 def test_intval_range_checked():
@@ -96,12 +96,12 @@ def test_store_is_persistent():
 
 
 def test_state_updates_leave_the_receiver_unchanged():
-    m = new_map_state().set(1, IntVal(1)).set(2, IntVal(2))
+    m = MethodState().set(1, IntVal(1)).set(2, IntVal(2))
     m2 = m.set_many([(1, IntVal(5)), (3, IntVal(3)), (2, UNDEF), (1, IntVal(6))])
     m3 = m.set(1, UNDEF)
-    assert m == new_map_state().set(1, IntVal(1)).set(2, IntVal(2))
-    assert m2 == new_map_state().set(1, IntVal(6)).set(3, IntVal(3))
-    assert m3 == new_map_state().set(2, IntVal(2))
+    assert m == MethodState().set(1, IntVal(1)).set(2, IntVal(2))
+    assert m2 == MethodState().set(1, IntVal(6)).set(3, IntVal(3))
+    assert m3 == MethodState().set(2, IntVal(2))
 
 
 def test_allocation_leaves_the_receiver_unchanged():
@@ -165,8 +165,8 @@ def test_heap_frame_property_fuzz():
 
 
 def test_state_constructor_drops_undef_entries():
-    assert MethodState({1: UNDEF}) == MethodState() == new_map_state()
-    assert MethodState({1: UNDEF, 2: IntVal(2)}) == new_map_state().set(2, IntVal(2))
+    assert MethodState({1: UNDEF}) == MethodState()
+    assert MethodState({1: UNDEF, 2: IntVal(2)}) == MethodState().set(2, IntVal(2))
     assert list(MethodState({1: UNDEF}).items()) == []
 
 

@@ -7,8 +7,9 @@ schema existed, written out literally, plus SubNode where it belongs.
 
 import pytest
 
-from seanode import dataflow, ir
+from seanode import controlflow, dataflow, ir
 from seanode.fileformat import dumps, loads
+from seanode.optimize import apply_pass
 from seanode.ir import (
     AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode,
     IntegerLessThanNode, InvokeNode, InvokeWithExceptionNode, LoadFieldNode,
@@ -112,6 +113,28 @@ def test_arithmetic_kinds_declare_their_operation():
 
 def test_evaluation_has_a_rule_for_exactly_the_readable_kinds():
     assert set(dataflow._RULES) == DATA | STATE_LEAF
+
+
+def test_stepping_has_a_rule_for_exactly_the_control_kinds():
+    control = {ir.Role.SEQUENTIAL, ir.Role.CONTROL, ir.Role.STATE_CONTROL}
+    assert set(controlflow._STEPS) == {k for k in ir.NODE_KINDS.values() if k.ROLE in control}
+    assert set(controlflow._STEPS) == SEQUENTIAL | {
+        IfNode, EndNode, LoopEndNode, NewInstanceNode, LoadFieldNode, StoreFieldNode,
+        InvokeNode, InvokeWithExceptionNode, ReturnNode, UnwindNode}
+
+
+def test_an_edit_returns_a_graph_without_step_entries(fact_graph):
+    nodes = dict(fact_graph.items())
+    for nid in nodes:
+        controlflow.plan(fact_graph, nid)
+    assert fact_graph.steps
+    assert not fact_graph.replace_node(16, ReturnNode(resultOpt=None)).steps
+    assert not fact_graph.insert_node(max(nodes) + 1, ConstantNode(IntVal(0))).steps
+    g = Graph({0: StartNode(next=1), 1: ReturnNode(resultOpt=4), 2: ConstantNode(IntVal(2)),
+               3: ConstantNode(IntVal(3)), 4: AddNode(x=2, y=3)})
+    controlflow.plan(g, 1)
+    g2, report = apply_pass(g, "canonicalize")
+    assert report.rewrites and g2 is not g and not g2.steps
 
 
 @pytest.mark.parametrize("node", SAMPLES, ids=lambda n: type(n).__name__)

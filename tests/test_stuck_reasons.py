@@ -6,7 +6,7 @@ two reasons could apply, the table pins which one wins.
 
 import pytest
 
-from seanode.controlflow import LocalConfig, StepStuck, phis_of, step
+from seanode.controlflow import LocalConfig, StepStuck, merge_of_end, phis_of, step
 from seanode.dataflow import EvalStuck, ParamOutOfRange
 from seanode.interproc import (
     Frame, GlobalConfig, GlobalStuck, MalformedCall, UncaughtTopLevel, UnknownMethod,
@@ -249,6 +249,13 @@ def test_phis_of_a_node_that_is_not_a_merge():
     with pytest.raises(StepStuck) as e:
         phis_of(g, 1)
     assert (type(e.value), str(e.value)) == (EvalStuck, "@1: BeginNode is not a merge")
+
+
+def test_merge_of_end_of_a_node_that_is_not_an_end():
+    g = Graph({0: StartNode(next=1), 1: BeginNode(next=0)})
+    with pytest.raises(StepStuck) as e:
+        merge_of_end(g, 1)
+    assert (type(e.value), str(e.value)) == (EvalStuck, "@1: not an end node")
 
 
 def test_stuck_steps_raise_a_fresh_exception_each_time():
