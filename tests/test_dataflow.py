@@ -8,9 +8,9 @@ from seanode.dataflow import (
     EvalContext, EvalStuck, ParamOutOfRange, condition_holds, evaluate,
 )
 from seanode.ir import (
-    AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode,
-    LoadFieldNode, MulNode, NegateNode, NewInstanceNode, ParameterNode, StartNode,
-    SubNode, ValuePhiNode, ValueProxyNode,
+    AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode, InvokeNode,
+    LoadFieldNode, MethodCallTargetNode, MulNode, NegateNode, NewInstanceNode, ParameterNode,
+    Program, ReturnNode, Signature, StartNode, SubNode, ValuePhiNode, ValueProxyNode,
 )
 from seanode.interproc import ExecOutcome, run
 from seanode.runtime import (
@@ -201,6 +201,39 @@ def test_stuck_evaluation_is_not_memoized():
 def test_cyclic_expression_is_stuck(nodes):
     with pytest.raises(EvalStuck, match="cycle"):
         evaluate(ctx(nodes), 2)
+
+
+# A list of expressions is evaluated pointwise, in order, under one state:
+# the arguments of an invoke. The callee computes p0 - p1, so swapped
+# arguments would show.
+
+_SUB_SIG = Signature("T", "sub", ("int", "int"))
+_CALLER_SIG = Signature("T", "caller", ("int",))
+
+
+def _call_sub(second):
+    callee = Graph({0: StartNode(next=3), 1: ParameterNode(0), 2: ParameterNode(1),
+                    3: ReturnNode(resultOpt=4), 4: SubNode(x=1, y=2)})
+    caller = Graph({
+        0: StartNode(next=5),
+        1: ParameterNode(0),
+        3: second,
+        4: MethodCallTargetNode(targetMethod=_SUB_SIG, arguments=(1, 3)),
+        5: InvokeNode(selfId=5, callTarget=4, next=6),
+        6: ReturnNode(resultOpt=5),
+    })
+    return Program({_CALLER_SIG: caller, _SUB_SIG: callee})
+
+
+def test_evaluate_all_order():
+    result = run(_call_sub(ConstantNode(IntVal(3))), _CALLER_SIG, [IntVal(10)])
+    assert str(result) == "Returned IntVal 7"
+
+
+def test_evaluate_all_propagates_stuck():
+    # A stuck argument makes the call stuck, at the argument.
+    result = run(_call_sub(ParameterNode(1)), _CALLER_SIG, [IntVal(10)])
+    assert str(result) == "Stuck: @3: parameter index 1 with 1 parameters"
 
 
 # Random expression DAGs: evaluation is deterministic and leaves state alone.

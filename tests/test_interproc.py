@@ -173,30 +173,6 @@ def test_arguments_evaluated_in_caller_context():
     assert result.value == IntVal(17)
 
 
-def test_invoke_evaluates_its_arguments_in_order():
-    # The callee computes p0 - p1, so swapped arguments would show.
-    callee_sig = Signature("T", "sub", ("int", "int"))
-    callee = Graph({0: StartNode(next=3), 1: ParameterNode(0), 2: ParameterNode(1),
-                    3: ReturnNode(resultOpt=4), 4: SubNode(x=1, y=2)})
-    caller_sig = Signature("T", "caller", ("int",))
-
-    def caller(second):
-        return Graph({
-            0: StartNode(next=5),
-            1: ParameterNode(0),
-            3: second,
-            4: MethodCallTargetNode(targetMethod=callee_sig, arguments=(1, 3)),
-            5: InvokeNode(selfId=5, callTarget=4, next=6),
-            6: ReturnNode(resultOpt=5),
-        })
-
-    p = Program({caller_sig: caller(ConstantNode(IntVal(3))), callee_sig: callee})
-    assert str(run(p, caller_sig, [IntVal(10)])) == "Returned IntVal 7"
-    # A stuck argument makes the call stuck, at the argument.
-    p = Program({caller_sig: caller(ParameterNode(1)), callee_sig: callee})
-    assert str(run(p, caller_sig, [IntVal(10)])) == "Stuck: @3: parameter index 1 with 1 parameters"
-
-
 def test_unknown_method_is_stuck():
     sig = Signature("T", "main", ())
     g = Graph({
