@@ -12,9 +12,12 @@ ConditionalNode's arms are not part of its schedule: each arm is a schedule
 of its own, run only for the arm the condition chooses, so evaluation stays
 lazy. evaluate runs schedules from an explicit work stack, so neither the
 depth of an expression nor the nesting of conditionals is bounded by the
-recursion limit. equivalence.data_equiv runs the same schedules over many
-assignments at once.
+recursion limit. evaluate_lanes runs them over many assignments at once.
+walk_values follows every value edge, arms included, for wellformed.check
+and free_leaves. Every cycle found is a CyclicExpression.
 """
+
+import itertools
 
 from . import ir
 from .ir import Graph
@@ -31,6 +34,11 @@ class EvalStuck(Exception):
         super().__init__(reason if nid is None else f"@{nid}: {reason}")
         self.nid = nid
         self.reason = reason
+
+
+class CyclicExpression(EvalStuck):
+    def __init__(self, nid: int):
+        super().__init__(nid, "expression has a cycle through its value edges")
 
 
 class ParamOutOfRange(EvalStuck):
@@ -98,8 +106,45 @@ def _entry(g: Graph, nid: int) -> tuple:
     return rule(nid, node)
 
 
-def _cycle(nid: int) -> EvalStuck:
-    return EvalStuck(nid, "expression has a cycle through its value edges")
+def walk_values(g: Graph, root: int, done: set[int]) -> list[int]:
+    """The nodes not yet in done that evaluating root reaches over value
+    edges, both arms of every conditional included, in post-order; adds
+    them to done. Iterative, so depth is not bounded by the recursion limit.
+    Raises CyclicExpression at the first node met again on its own path."""
+    if root in done:
+        return []
+    order = []
+    path = {root}
+    stack = [(root, iter(ir.value_inputs(g.kind(root))))]
+    while stack:
+        nid, targets = stack[-1]
+        for target in targets:
+            if target in path:
+                raise CyclicExpression(target)
+            if target not in done:
+                path.add(target)
+                stack.append((target, iter(ir.value_inputs(g.kind(target)))))
+                break
+        else:
+            stack.pop()
+            path.discard(nid)
+            done.add(nid)
+            order.append(nid)
+    return order
+
+
+def free_leaves(g: Graph, nid: int) -> tuple[set[int], set[int]]:
+    """(parameter indices, state-slot ids) the expression at nid can read:
+    the PARAM and STATE entries of the nodes walk_values reaches."""
+    params: set[int] = set()
+    slots: set[int] = set()
+    for n in walk_values(g, nid, set()):
+        code, _, arg, _, _ = _entry(g, n)
+        if code == PARAM:
+            params.add(arg)
+        elif code == STATE:
+            slots.add(n)
+    return params, slots
 
 
 def schedule(g: Graph, root: int) -> tuple:
@@ -125,7 +170,7 @@ def _build_schedule(g: Graph, root: int) -> tuple:
             if t in done:
                 continue
             if t in path:
-                raise _cycle(t)
+                raise CyclicExpression(t)
             if i == 4 and e[0] == BINARY:
                 order.append((CHECK, e[1], None, e[3], None))
             path.add(t)
@@ -207,7 +252,7 @@ def evaluate(ctx: EvalContext, nid: int) -> Value:
                         v = memo.get(arm)
                     if v is None:
                         if n in waiting:
-                            raise _cycle(n)
+                            raise CyclicExpression(n)
                         waiting[n] = (entries, arm)
                         entries = iter(schedule(graph, arm))
                         break
@@ -226,3 +271,81 @@ def condition_holds(ctx: EvalContext, cond: int) -> bool:
     """Whether the branch condition at cond holds: an integer holds when it
     is nonzero, and any other value is stuck at cond."""
     return _truth(evaluate(ctx, cond), cond)
+
+
+# The outcome of a stuck lane. With every free leaf assigned an integer,
+# evaluation can only get stuck as a plain EvalStuck.
+_STUCK = f"stuck:{EvalStuck.__name__}"
+
+
+def _apply(op, cols: list[list], odd: bool) -> list:
+    """A derived lane rule: op, declared on ints, on every lane; a lane with
+    a non-int operand is stuck."""
+    if not odd:
+        return list(map(op, *cols))
+    return [op(*vs) if all(type(v) is int for v in vs) else _STUCK for vs in zip(*cols)]
+
+
+def _select(cond: list, odd: bool, t: list | None, f: list | None) -> list:
+    """A conditional's column: each lane takes the value of the arm its
+    condition chose (t or f, None for an arm no lane chose); a lane whose
+    condition is not an int is stuck."""
+    if t is None or f is None:
+        t = f = t or f or [_STUCK] * len(cond)
+    if not odd:
+        return t if t is f else [a if c else b for c, a, b in zip(cond, t, f)]
+    return [(a if c else b) if type(c) is int else _STUCK for c, a, b in zip(cond, t, f)]
+
+
+def evaluate_lanes(g: Graph, root: int, width: int, params: dict, slots: dict) -> list:
+    """The value of the expression at root on each of width lanes, given the
+    column of every parameter index and state-slot id. Runs the schedule
+    evaluate runs, on all lanes at once, keeping one column per node: an int
+    for an IntVal, any other Value as it is, _STUCK for a stuck lane. A
+    conditional runs each arm some lane chooses on every lane, then selects
+    per lane; arms are pure, so the values an unchosen arm gives a lane are
+    dropped unobserved, and an arm no lane chooses never runs. An arm that
+    needs its own conditional raises CyclicExpression there."""
+    cols: dict[int, list] = {}
+    odd: set[int] = set()  # nodes whose column may hold a non-int
+    waiting: set[int] = set()  # conditionals whose chosen arms were started
+    stack = [iter(schedule(g, root))]  # the schedules being run, innermost last
+    while stack:
+        for entry in stack[-1]:
+            code, n, arg, x, y = entry
+            if n in cols or code == CHECK:  # lanes check operands where used
+                continue
+            if code == BINARY or code == UNARY:
+                ins = (x,) if code == UNARY else (x, y)
+                is_odd = not odd.isdisjoint(ins)
+                cols[n] = _apply(arg, [cols[i] for i in ins], is_odd)
+            elif code == CONST:
+                is_odd = not isinstance(arg, IntVal)
+                cols[n] = [arg if is_odd else arg.value] * width
+            elif code == PARAM:
+                cols[n], is_odd = params[arg], False
+            elif code == STATE:
+                cols[n], is_odd = slots[n], False
+            elif code == PROXY:
+                cols[n], is_odd = cols[x], x in odd
+            elif code == COND:
+                cond = cols[x]
+                ints = [c for c in cond if type(c) is int] if x in odd else cond
+                arms = [a for a, chosen in zip(arg, (any(ints), not all(ints))) if chosen]
+                todo = [schedule(g, a) for a in arms if a not in cols]
+                if todo:  # run the chosen arms, then come back to this entry
+                    if n in waiting:
+                        raise CyclicExpression(n)
+                    waiting.add(n)
+                    stack.append(itertools.chain(*todo, (entry,)))
+                    break
+                t, f = (cols[a] if a in arms else None for a in arg)
+                cols[n] = _select(cond, x in odd, t, f)
+                is_odd = x in odd or not odd.isdisjoint(arms)
+            else:
+                cols[n], is_odd = [_STUCK] * width, True
+            if is_odd:
+                odd.add(n)
+        else:
+            stack.pop()
+    return cols[root]

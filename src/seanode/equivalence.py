@@ -2,7 +2,8 @@
 
 Data rewrites are checked by evaluating the expression at the rewritten id
 in both graphs over every assignment of a finite value domain to the free
-leaves (parameters and method-state slots). Control rewrites are checked by
+leaves (parameters and method-state slots), a chunk of assignments at a
+time, with dataflow.evaluate_lanes. Control rewrites are checked by
 differential whole-program execution. Equivalent is therefore a bounded
 claim; verdicts carry the number of assignments tried.
 """
@@ -12,10 +13,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from . import ir
-from .dataflow import BINARY, CHECK, COND, CONST, PARAM, PROXY, STATE, UNARY, EvalStuck, schedule
+from .dataflow import evaluate_lanes, free_leaves
 from .interproc import ExecOutcome, run
-from .ir import CyclicExpression  # noqa: F401  raised by free_leaves and data_equiv
 from .ir import Graph, Program, Signature
 from .runtime import FIELD_DEFAULT, INT_MAX, INT_MIN, IntVal, Value
 
@@ -80,23 +79,6 @@ class EquivVerdict:
         return base
 
 
-def free_leaves(g: Graph, nid: int) -> tuple[set[int], set[int]]:
-    """(parameter indices, state-slot ids) the expression at nid can read.
-
-    The walk follows exactly the edges evaluation follows; a cycle on the
-    walk means evaluation would not terminate (CyclicExpression).
-    """
-    params: set[int] = set()
-    slots: set[int] = set()
-    for n in ir.walk_values(g, nid, set()):
-        node = g.kind(n)
-        if isinstance(node, ir.ParameterNode):
-            params.add(node.index)
-        elif ir.is_state_leaf(node):
-            slots.add(n)
-    return params, slots
-
-
 _EXHAUSTIVE_CAP = 10 ** 6
 # Past the cap, a reduced product plus this many draws from a fixed seed,
 # so verdicts are deterministic.
@@ -125,78 +107,6 @@ def _assignments(dom: Domain, k: int):
 # per-pass cost is spread over many assignments.
 _CHUNK = 1024
 
-# The outcome of a stuck lane. With every free leaf assigned an integer,
-# evaluation can only get stuck as a plain EvalStuck.
-_STUCK = f"stuck:{EvalStuck.__name__}"
-
-
-def _apply(op, cols: list[list], odd: bool) -> list:
-    """A derived lane rule: op, declared on ints, on every lane; a lane with
-    a non-int operand is stuck."""
-    if not odd:
-        return list(map(op, *cols))
-    return [op(*vs) if all(type(v) is int for v in vs) else _STUCK for vs in zip(*cols)]
-
-
-def _select(cond: list, odd: bool, t: list | None, f: list | None) -> list:
-    """A conditional's column: each lane takes the value of the arm its
-    condition chose (t or f, None for an arm no lane chose); a lane whose
-    condition is not an int is stuck."""
-    if t is None or f is None:
-        t = f = t or f or [_STUCK] * len(cond)
-    if not odd:
-        return t if t is f else [a if c else b for c, a, b in zip(cond, t, f)]
-    return [(a if c else b) if type(c) is int else _STUCK for c, a, b in zip(cond, t, f)]
-
-
-def _column(g: Graph, root: int, width: int, params: dict, slots: dict) -> list:
-    """The value of the expression at root on each of width lanes, given the
-    column of every parameter index and state-slot id. Runs the schedule
-    evaluate runs, on all lanes at once, keeping one column per node: an int
-    for an IntVal, any other Value as it is, _STUCK for a stuck lane. A
-    conditional runs each arm some lane chooses on every lane, then selects
-    per lane; arms are pure, so the values an unchosen arm gives a lane are
-    dropped unobserved, and an arm no lane chooses never runs."""
-    cols: dict[int, list] = {}
-    odd: set[int] = set()  # nodes whose column may hold a non-int
-    stack = [iter(schedule(g, root))]  # the schedules being run, innermost last
-    while stack:
-        for entry in stack[-1]:
-            code, n, arg, x, y = entry
-            if n in cols or code == CHECK:  # lanes check operands where used
-                continue
-            if code == BINARY or code == UNARY:
-                ins = (x,) if code == UNARY else (x, y)
-                is_odd = not odd.isdisjoint(ins)
-                cols[n] = _apply(arg, [cols[i] for i in ins], is_odd)
-            elif code == CONST:
-                is_odd = not isinstance(arg, IntVal)
-                cols[n] = [arg if is_odd else arg.value] * width
-            elif code == PARAM:
-                cols[n], is_odd = params[arg], False
-            elif code == STATE:
-                cols[n], is_odd = slots[n], False
-            elif code == PROXY:
-                cols[n], is_odd = cols[x], x in odd
-            elif code == COND:
-                cond = cols[x]
-                ints = [c for c in cond if type(c) is int] if x in odd else cond
-                arms = [a for a, chosen in zip(arg, (any(ints), not all(ints))) if chosen]
-                todo = [schedule(g, a) for a in arms if a not in cols]
-                if todo:  # run the chosen arms, then come back to this entry
-                    stack.append(itertools.chain(*todo, (entry,)))
-                    break
-                t, f = (cols[a] if a in arms else None for a in arg)
-                cols[n] = _select(cond, x in odd, t, f)
-                is_odd = x in odd or not odd.isdisjoint(arms)
-            else:
-                cols[n], is_odd = [_STUCK] * width, True
-            if is_odd:
-                odd.add(n)
-        else:
-            stack.pop()
-    return cols[root]
-
 
 def _boxed(v):
     return IntVal(v) if type(v) is int else v
@@ -207,7 +117,7 @@ def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivV
     of the union of both graphs' free leaves. Assignments are tried in
     chunks, all lanes of a chunk at once, so a chunk costs at most the nodes
     of both cones times its lanes; the verdict is the one trying them one by
-    one, in order, gives."""
+    one, in order, gives. free_leaves raises on a cycle in either cone."""
     p1, s1 = free_leaves(g1, nid)
     p2, s2 = free_leaves(g2, nid)
     param_keys = sorted(p1 | p2)
@@ -220,8 +130,8 @@ def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivV
         columns = [list(c) for c in zip(*chunk)]
         params = dict(zip(param_keys, columns))
         slots = dict(zip(slot_keys, columns[len(param_keys):]))
-        left = _column(g1, nid, len(chunk), params, slots)
-        right = _column(g2, nid, len(chunk), params, slots)
+        left = evaluate_lanes(g1, nid, len(chunk), params, slots)
+        right = evaluate_lanes(g2, nid, len(chunk), params, slots)
         if left != right:
             j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
             vals = [IntVal(v) for v in chunk[j]]

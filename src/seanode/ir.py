@@ -2,8 +2,9 @@
 
 A graph is a finite partial map from integer node ids to node values.
 Each node kind is declared once, as an IRNode subclass, and every per-kind
-table (role predicates, evaluation dispatch, value-edge walk, field
-codecs) is derived from that, so generic code needs no per-kind cases.
+table (role predicates, value edges, field codecs, and the evaluation and
+step entries of dataflow and controlflow) is derived from that, so generic
+code needs no per-kind cases.
 """
 
 import enum
@@ -21,12 +22,6 @@ OPT = "opt"
 
 class InvalidEdit(Exception):
     """A graph edit violated its precondition (occupied/unmapped id, NoNode)."""
-
-
-class CyclicExpression(Exception):
-    def __init__(self, nid: int):
-        super().__init__(f"expression at {nid} has a cycle through data inputs")
-        self.nid = nid
 
 
 @dataclass(frozen=True)
@@ -129,7 +124,9 @@ class NegateNode(IRNode, role=Role.PURE, op=runtime.int_negate):
 
 
 @dataclass(frozen=True)
-class AddNode(IRNode, role=Role.PURE, op=runtime.int_add):
+class BinaryNode(IRNode):
+    """Base of the kinds with two value inputs; no role, so not a kind."""
+
     x: int
     y: int
 
@@ -137,27 +134,23 @@ class AddNode(IRNode, role=Role.PURE, op=runtime.int_add):
 
 
 @dataclass(frozen=True)
-class SubNode(IRNode, role=Role.PURE, op=runtime.int_sub):
-    x: int
-    y: int
-
-    INPUTS = (("x", ONE), ("y", ONE))
+class AddNode(BinaryNode, role=Role.PURE, op=runtime.int_add):
+    pass
 
 
 @dataclass(frozen=True)
-class MulNode(IRNode, role=Role.PURE, op=runtime.int_mul):
-    x: int
-    y: int
-
-    INPUTS = (("x", ONE), ("y", ONE))
+class SubNode(BinaryNode, role=Role.PURE, op=runtime.int_sub):
+    pass
 
 
 @dataclass(frozen=True)
-class IntegerLessThanNode(IRNode, role=Role.PURE, op=runtime.int_less_than):
-    x: int
-    y: int
+class MulNode(BinaryNode, role=Role.PURE, op=runtime.int_mul):
+    pass
 
-    INPUTS = (("x", ONE), ("y", ONE))
+
+@dataclass(frozen=True)
+class IntegerLessThanNode(BinaryNode, role=Role.PURE, op=runtime.int_less_than):
+    pass
 
 
 @dataclass(frozen=True)
@@ -365,33 +358,6 @@ def successors_of(node: IRNode) -> list[int]:
 def value_inputs(node: IRNode) -> list[int]:
     """Ordered targets of the input edges that evaluation follows."""
     return _edge_fields(node, type(node).VALUE_EDGES)
-
-
-def walk_values(g: "Graph", root: int, done: set[int]) -> list[int]:
-    """The nodes not yet in done that evaluating root reaches over value
-    edges, in post-order; adds them to done. Iterative, so depth is not
-    bounded by the recursion limit. Raises CyclicExpression at the first
-    node met again on its own path: evaluation there would not terminate."""
-    if root in done:
-        return []
-    order = []
-    path = {root}
-    stack = [(root, iter(value_inputs(g.kind(root))))]
-    while stack:
-        nid, targets = stack[-1]
-        for target in targets:
-            if target in path:
-                raise CyclicExpression(target)
-            if target not in done:
-                path.add(target)
-                stack.append((target, iter(value_inputs(g.kind(target)))))
-                break
-        else:
-            stack.pop()
-            path.discard(nid)
-            done.add(nid)
-            order.append(nid)
-    return order
 
 
 # The role predicates take a node or a node kind.

@@ -1,12 +1,13 @@
 """Graph well-formedness rules; the gate for interpreter and optimizer entry.
 
 check runs every rule in _RULES; each yields violations tagged with its
-name. Violations are data, never exceptions.
+name. Violations are data, never exceptions. The acyclicity rule is
+dataflow.walk_values, the value-edge walk free_leaves also uses.
 """
 
 from dataclasses import dataclass
 
-from . import ir
+from . import dataflow, ir
 from .ir import Graph
 
 
@@ -45,7 +46,7 @@ def _check_closed(g: Graph):
 
 def _check_ends(g: Graph):
     for nid, node in sorted(g.items()):
-        if isinstance(node, ir.AbstractEndNode) and not g.usages(nid):
+        if isinstance(node, ir.AbstractEndNode) and not g.users(nid):
             yield Violation("wf_ends", nid, f"{node.kind_name()} has no usage")
 
 
@@ -82,8 +83,8 @@ def _check_data_acyclic(g: Graph):
     done: set[int] = set()
     try:
         for nid in sorted(g.ids()):
-            ir.walk_values(g, nid, done)
-    except ir.CyclicExpression as e:
+            dataflow.walk_values(g, nid, done)
+    except dataflow.CyclicExpression as e:
         yield Violation("wf_acyclic", e.nid, "cycle through data input edges")
 
 

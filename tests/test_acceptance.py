@@ -3,7 +3,6 @@
 tests/test_acceptance.py` or `-s` to see the lines.
 """
 
-import itertools
 import random
 import time
 
@@ -11,14 +10,13 @@ from conftest import CORPUS_FILES, corpus
 from genutil import DATA_RULES, gen_merge_fixture, gen_rule_case, violated_rules
 from seanode.cli import main
 from seanode.controlflow import LocalConfig, merge_of_end, step
-from seanode.dataflow import EvalContext, evaluate
+from seanode.dataflow import EvalContext, evaluate, free_leaves
 from seanode.equivalence import (
-    BOUNDARY_VALUES, Domain, Equivalence, behavior_diff, data_equiv,
-    free_leaves, with_boundary_values,
+    BOUNDARY_VALUES, Domain, Equivalence, behavior_diff, data_equiv, with_boundary_values,
 )
 from seanode.fileformat import dumps, load
 from seanode.interproc import ExecOutcome, run
-from seanode.ir import EndNode, Graph, Program, RefNode, StartNode
+from seanode.ir import EndNode, Graph, Program, RefNode
 from seanode.optimize import apply_pass, canonicalize_data
 from seanode.runtime import (
     STATIC_REF, DynamicHeap, IntVal, MethodState, ObjRef, wrap32,

@@ -1,4 +1,6 @@
+import contextlib
 import random
+import signal
 import time
 from unittest import mock
 
@@ -11,19 +13,22 @@ from genutil import (
     CHAIN_SIG, DATA_RULES, DOUBLING_SIG, STUCK_PHI_SIG, conditional_chain, doubling_dag,
     gen_rule_case, negate_chain, stuck_phi_program,
 )
-from seanode.dataflow import EvalContext, EvalStuck, evaluate
+from seanode.dataflow import (
+    CyclicExpression, EvalContext, EvalStuck, evaluate, evaluate_lanes, free_leaves,
+)
 from seanode.equivalence import (
-    CyclicExpression, Domain, Equivalence, EquivVerdict, Witness, behavior_diff,
-    data_equiv, free_leaves, with_boundary_values,
+    Domain, Equivalence, EquivVerdict, Witness, behavior_diff, data_equiv,
+    with_boundary_values,
 )
 from seanode.interproc import run
 from seanode.ir import (
-    AddNode, ConditionalNode, ConstantNode, Graph, IfNode, IntegerLessThanNode, MulNode,
+    AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode, MulNode,
     NegateNode, ParameterNode, Program, RefNode, ReturnNode, StartNode, StoreFieldNode,
     SubNode, ValuePhiNode, ValueProxyNode,
 )
 from seanode.optimize import apply_pass, canonicalize_data
 from seanode.runtime import INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, ObjRef
+from seanode.wellformed import check
 
 
 def test_domain_defaults():
@@ -57,8 +62,31 @@ def test_free_leaves_union_of_params_and_slots():
         3: AddNode(x=1, y=2),
         4: ConstantNode(IntVal(3)),
         5: MulNode(x=3, y=4),
+        # Both arms count; the proxy's anchor edge to parameter 2 does not.
+        6: ParameterNode(1),
+        7: ValuePhiNode(7, values=(), merge=0),
+        8: ConditionalNode(4, 6, 7),
+        9: ParameterNode(2),
+        10: ValueProxyNode(value=8, loopExit=9),
+        11: AddNode(x=5, y=10),
     })
     assert free_leaves(g, 5) == ({0}, {2})
+    assert free_leaves(g, 11) == ({0, 1}, {2, 7})
+
+
+@contextlib.contextmanager
+def _interrupted_after(seconds: float):
+    """Raise TimeoutError in the body after seconds, so a run that never
+    returns fails the test instead of holding it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_cyclic_expression_detected():
@@ -67,6 +95,16 @@ def test_cyclic_expression_detected():
         free_leaves(g, 1)
     with pytest.raises(CyclicExpression):
         data_equiv(g, g, 1)
+    # A cycle through an arm is in no schedule: only running the arm meets it.
+    arm = Graph({1: ParameterNode(0), 2: ConditionalNode(1, 3, 1), 3: NegateNode(2)})
+    ctx = EvalContext(arm, MethodState(), (IntVal(1),))
+    runs = (lambda: evaluate(ctx, 2), lambda: free_leaves(arm, 2),
+            lambda: data_equiv(arm, arm, 2), lambda: evaluate_lanes(arm, 2, 2, {0: [0, 1]}, {}))
+    for attempt in runs:
+        with pytest.raises(CyclicExpression, match="^@2: expression has a cycle through its "
+                           "value edges$"), _interrupted_after(1.0):
+            attempt()
+    assert ("wf_acyclic", 2) in {(v.rule, v.nid) for v in check(arm).violations}
 
 
 def test_free_leaves_deep_chain_is_iterative():

@@ -8,8 +8,8 @@ from seanode import ir
 from seanode.controlflow import StepStuck
 from seanode.dataflow import EvalStuck, ParamOutOfRange
 from seanode.interproc import (
-    ExecOutcome, Frame, GlobalConfig, GlobalStuck, MalformedCall, UncaughtTopLevel,
-    UnknownMethod, UnwindWithoutHandler, initial_config, run, step_top,
+    ExecOutcome, GlobalStuck, MalformedCall, UncaughtTopLevel, UnknownMethod,
+    UnwindWithoutHandler, initial_config, run, step_top,
 )
 from seanode.wellformed import check
 from seanode.ir import (
@@ -17,7 +17,7 @@ from seanode.ir import (
     MethodCallTargetNode, NewInstanceNode, ParameterNode, Program, ReturnNode, Signature,
     StartNode, StoreFieldNode, SubNode, UnwindNode,
 )
-from seanode.runtime import UNDEF, DynamicHeap, IntVal, MethodState, ObjRef
+from seanode.runtime import UNDEF, IntVal, MethodState, ObjRef
 
 
 def drive_to_invoke(program, sig, args):

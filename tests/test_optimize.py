@@ -345,6 +345,20 @@ def test_condelim_false_branch_fact():
     assert g2.kind(7) == RefNode(next=9)  # fact says condition is false
 
 
+@pytest.mark.xfail(strict=True, reason="check does not keep a state leaf a test reads from "
+                   "being latched again before a dominated test reuses its fact")
+def test_condelim_sound_when_a_state_leaf_is_latched_again(fixtures_dir):
+    # Tests 12 and 32 read one condition, which reads load 31. The run
+    # latches 31 again between them, so test 32 sees another value than test
+    # 12 did, but condelim takes test 12's fact for it. The original returns
+    # 2, the optimized program 1.
+    p = load(fixtures_dir / "condelim-relatch.json")
+    ((sig, g),) = p.methods.items()
+    opt, _ = apply_pass(g, "condelim")
+    verdict = behavior_diff(p, Program({sig: opt}), sig)
+    assert not check(g).ok or verdict.status is not Equivalence.NOT_EQUIVALENT
+
+
 def test_condelim_independent_conditions_untouched():
     (g,) = corpus("independent-conditions").methods.values()
     g2, report = conditional_elimination(g)

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import CORPUS_FILES
 from genutil import negate_chain, violated_rules
-from seanode import wellformed
 from seanode.fileformat import load
 from seanode.ir import (
     AddNode, BeginNode, EndNode, Graph, MergeNode, NegateNode,
