@@ -3,6 +3,7 @@ programs in the seanode/1 file format."""
 
 import argparse
 import sys
+import textwrap
 
 from .dot import graph_to_dot
 from .equivalence import Domain, Equivalence, behavior_diff
@@ -87,8 +88,7 @@ def cmd_validate(args) -> int:
         else:
             all_ok = False
             print(f"{sig}: {len(report.violations)} violation(s)")
-            for v in report.violations:
-                print(f"  {v.rule} @{v.nid}: {v.message}")
+            print(textwrap.indent(str(report), "  "))
     return 0 if all_ok else 1
 
 

@@ -6,7 +6,7 @@ from .ir import Graph
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def graph_to_dot(g: Graph, name: str = "method") -> str:

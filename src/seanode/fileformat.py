@@ -130,16 +130,16 @@ def _checked(name: str, ok, what: str, convert=_same):
 
 def _field_codec(cls, f) -> tuple:
     """(name, parse, encode, optional) for one declared field of a kind,
-    chosen from its edge arity or, for a plain attribute, its annotated
-    type. parse(raw, where) validates and converts one JSON value."""
+    chosen from its annotated type; an int is a node id if the kind names
+    it as an edge. parse(raw, where) validates and converts one JSON value."""
     name = f.name
-    arity = dict(cls.INPUTS + tuple((s, ir.ONE) for s in cls.SUCCESSORS)).get(name)
-    if arity == ir.MANY:
+    if f.type == tuple[int, ...]:
         return name, _checked(name, _is_id_list, "an array of node ids", tuple), list, False
-    if arity is not None:
-        return name, _checked(name, _is_id, "a node id"), _same, arity == ir.OPT
+    if f.type == int | None:
+        return name, _checked(name, _is_id, "a node id"), _same, True
     if f.type is int:
-        return name, _checked(name, _is_id, "a non-negative integer"), _same, False
+        what = "a node id" if name in cls.INPUTS + cls.SUCCESSORS else "a non-negative integer"
+        return name, _checked(name, _is_id, what), _same, False
     if f.type is str:
         return name, _checked(name, lambda raw: isinstance(raw, str), "a string"), _same, False
     if f.type is Value:

@@ -4,7 +4,8 @@ A graph is a finite partial map from integer node ids to node values.
 Each node kind is declared once, as an IRNode subclass, and every per-kind
 table (role predicates, value edges, field codecs, and the evaluation and
 step entries of dataflow and controlflow) is derived from that, so generic
-code needs no per-kind cases.
+code needs no per-kind cases. An edge's shape (one, optional, or a list) is
+stated once, by its field's type, and read from the field's value.
 """
 
 import enum
@@ -13,11 +14,6 @@ from typing import ClassVar
 
 from . import runtime
 from .runtime import Value
-
-# Edge field arities.
-ONE = "one"
-MANY = "many"
-OPT = "opt"
 
 
 class InvalidEdit(Exception):
@@ -58,19 +54,21 @@ NODE_KINDS: dict[str, type] = {}
 class IRNode:
     """Base of all node variants.
 
-    INPUTS lists (field name, arity) pairs in input-edge order; SUCCESSORS
-    lists successor-edge field names in order. Remaining dataclass fields
-    are plain data attributes. The class keywords give the kind's role (a
-    kind with one is registered in NODE_KINDS), an arithmetic kind's
-    run-time operation on its integer inputs, and a pure kind's anchors:
-    inputs evaluation does not follow. VALUE_EDGES lists the ones it does.
+    INPUTS names the input-edge fields in edge order, SUCCESSORS the
+    successor-edge fields. A field's type is the edge's shape: int is one
+    edge, int | None an optional one, tuple[int, ...] a list. Remaining
+    dataclass fields are plain data attributes. The class keywords give the
+    kind's role (a kind with one is registered in NODE_KINDS), an arithmetic
+    kind's run-time operation on its integer inputs, and a pure kind's
+    anchors: inputs evaluation does not follow. VALUE_EDGES names the ones
+    it does.
     """
 
-    INPUTS: ClassVar[tuple] = ()
-    SUCCESSORS: ClassVar[tuple] = ()
+    INPUTS: ClassVar[tuple[str, ...]] = ()
+    SUCCESSORS: ClassVar[tuple[str, ...]] = ()
     ROLE: ClassVar[Role | None] = None
     OP: ClassVar = None
-    VALUE_EDGES: ClassVar[tuple] = ()
+    VALUE_EDGES: ClassVar[tuple[str, ...]] = ()
 
     def __init_subclass__(cls, role: Role | None = None, op=None, anchors=()):
         super().__init_subclass__()
@@ -78,7 +76,7 @@ class IRNode:
         if role is not None:
             NODE_KINDS[cls.__name__] = cls
         if role is Role.PURE:
-            cls.VALUE_EDGES = tuple(e for e in cls.INPUTS if e[0] not in anchors)
+            cls.VALUE_EDGES = tuple(e for e in cls.INPUTS if e not in anchors)
 
     @classmethod
     def kind_name(cls) -> str:
@@ -110,7 +108,7 @@ class ValuePhiNode(IRNode, role=Role.STATE_DATA):
     merge: int
 
     # Input edge zero connects the phi to its merge node.
-    INPUTS = (("merge", ONE), ("values", MANY))
+    INPUTS = ("merge", "values")
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
@@ -120,7 +118,7 @@ class ValuePhiNode(IRNode, role=Role.STATE_DATA):
 class NegateNode(IRNode, role=Role.PURE, op=runtime.int_negate):
     value: int
 
-    INPUTS = (("value", ONE),)
+    INPUTS = ("value",)
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ class BinaryNode(IRNode):
     x: int
     y: int
 
-    INPUTS = (("x", ONE), ("y", ONE))
+    INPUTS = ("x", "y")
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ class ConditionalNode(IRNode, role=Role.PURE):
     trueValue: int
     falseValue: int
 
-    INPUTS = (("condition", ONE), ("trueValue", ONE), ("falseValue", ONE))
+    INPUTS = ("condition", "trueValue", "falseValue")
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,7 @@ class ValueProxyNode(IRNode, role=Role.PURE, anchors=("loopExit",)):
     value: int
     loopExit: int
 
-    INPUTS = (("value", ONE), ("loopExit", ONE))
+    INPUTS = ("value", "loopExit")
 
 
 @dataclass(frozen=True)
@@ -202,7 +200,7 @@ class IfNode(IRNode, role=Role.CONTROL):
     trueSuccessor: int
     falseSuccessor: int
 
-    INPUTS = (("condition", ONE),)
+    INPUTS = ("condition",)
     SUCCESSORS = ("trueSuccessor", "falseSuccessor")
 
 
@@ -218,7 +216,7 @@ class AbstractMergeNode(IRNode):
     ends: tuple[int, ...]
     next: int
 
-    INPUTS = (("ends", MANY),)
+    INPUTS = ("ends",)
     SUCCESSORS = ("next",)
 
     def __post_init__(self):
@@ -244,7 +242,7 @@ class LoopBeginNode(AbstractMergeNode, role=Role.SEQUENTIAL):
 class LoopEndNode(AbstractEndNode, role=Role.CONTROL):
     loopBegin: int
 
-    INPUTS = (("loopBegin", ONE),)
+    INPUTS = ("loopBegin",)
 
 
 @dataclass(frozen=True)
@@ -252,7 +250,7 @@ class LoopExitNode(IRNode, role=Role.SEQUENTIAL):
     loopBegin: int
     next: int
 
-    INPUTS = (("loopBegin", ONE),)
+    INPUTS = ("loopBegin",)
     SUCCESSORS = ("next",)
 
 
@@ -272,7 +270,7 @@ class LoadFieldNode(IRNode, role=Role.STATE_CONTROL):
     objectOpt: int | None
     next: int
 
-    INPUTS = (("objectOpt", OPT),)
+    INPUTS = ("objectOpt",)
     SUCCESSORS = ("next",)
 
 
@@ -284,7 +282,7 @@ class StoreFieldNode(IRNode, role=Role.CONTROL):
     objectOpt: int | None
     next: int
 
-    INPUTS = (("value", ONE), ("objectOpt", OPT))
+    INPUTS = ("value", "objectOpt")
     SUCCESSORS = ("next",)
 
 
@@ -292,7 +290,7 @@ class StoreFieldNode(IRNode, role=Role.CONTROL):
 class ReturnNode(IRNode, role=Role.CONTROL):
     resultOpt: int | None
 
-    INPUTS = (("resultOpt", OPT),)
+    INPUTS = ("resultOpt",)
 
 
 @dataclass(frozen=True)
@@ -301,7 +299,7 @@ class InvokeNode(IRNode, role=Role.STATE_CONTROL):
     callTarget: int
     next: int
 
-    INPUTS = (("callTarget", ONE),)
+    INPUTS = ("callTarget",)
     SUCCESSORS = ("next",)
 
 
@@ -312,7 +310,7 @@ class InvokeWithExceptionNode(IRNode, role=Role.STATE_CONTROL):
     next: int
     exceptionEdge: int
 
-    INPUTS = (("callTarget", ONE),)
+    INPUTS = ("callTarget",)
     SUCCESSORS = ("next", "exceptionEdge")
 
 
@@ -321,7 +319,7 @@ class MethodCallTargetNode(IRNode, role=Role.CALL_TARGET):
     targetMethod: Signature
     arguments: tuple[int, ...]
 
-    INPUTS = (("arguments", MANY),)
+    INPUTS = ("arguments",)
 
     def __post_init__(self):
         object.__setattr__(self, "arguments", tuple(self.arguments))
@@ -331,16 +329,17 @@ class MethodCallTargetNode(IRNode, role=Role.CALL_TARGET):
 class UnwindNode(IRNode, role=Role.CONTROL):
     exception: int
 
-    INPUTS = (("exception", ONE),)
+    INPUTS = ("exception",)
 
 
-def _edge_fields(node: IRNode, specs) -> list[int]:
+def _edge_fields(node: IRNode, names) -> list[int]:
+    # A tuple is an edge list: each kind's __post_init__ makes it one.
     out = []
-    for name, arity in specs:
+    for name in names:
         v = getattr(node, name)
-        if arity == MANY:
+        if isinstance(v, tuple):
             out.extend(v)
-        elif arity == ONE or v is not None:
+        elif v is not None:
             out.append(v)
     return out
 
@@ -352,7 +351,7 @@ def inputs_of(node: IRNode) -> list[int]:
 
 def successors_of(node: IRNode) -> list[int]:
     """Ordered successor-edge targets of a node."""
-    return _edge_fields(node, tuple((n, ONE) for n in type(node).SUCCESSORS))
+    return _edge_fields(node, type(node).SUCCESSORS)
 
 
 def value_inputs(node: IRNode) -> list[int]:

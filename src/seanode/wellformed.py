@@ -68,8 +68,8 @@ def _check_phis(g: Graph):
 
 
 def _check_self_ids(g: Graph):
-    # Nodes that embed their own id must agree with their storage key;
-    # a mismatch silently corrupts method-state reads.
+    # Records carry their own id, as the paper's nodes do, and check keeps
+    # it equal to the storage key. Nothing reads selfId: the state uses nid.
     for nid, node in sorted(g.items()):
         self_id = getattr(node, "selfId", None)
         if self_id is not None and self_id != nid:

@@ -5,9 +5,10 @@ import pytest
 from conftest import corpus
 from genutil import STUCK_PHI_SIG, stuck_phi_program
 from seanode.cli import main
+from seanode.dot import graph_to_dot
 from seanode.fileformat import dumps, load, save
 from seanode.interproc import run
-from seanode.ir import Program, RefNode
+from seanode.ir import Graph, Program, RefNode, ReturnNode, Signature, StartNode
 from seanode.runtime import IntVal
 
 
@@ -188,6 +189,25 @@ def test_export_dot(corpus_dir, capsys):
     assert "n12 -> n13 [style=solid];" in out   # successor edge
     assert "n11 -> n12 [style=dashed];" in out  # condition input, drawn input->user
     assert out.endswith("}\n")
+
+
+TINY = Graph({0: StartNode(next=1), 1: ReturnNode(resultOpt=None)})
+
+
+@pytest.mark.parametrize("name, quoted", [
+    ("A\\", r'"A\\"'),
+    ('say "hi"', r'"say \"hi\""'),
+    ('\\"', r'"\\\""'),
+])
+def test_dot_name_escapes_backslashes_and_quotes(name, quoted):
+    assert graph_to_dot(TINY, name).startswith(f"digraph {quoted} {{\n")
+
+
+def test_export_dot_escapes_a_backslash_in_the_signature(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    save(Program({Signature("A\\", "m", ()): TINY}), path)
+    assert main(["export-dot", str(path), "--method", "m"]) == 0
+    assert capsys.readouterr().out.startswith(r'digraph "A\\.m()" {')
 
 
 def test_usage_error_exits_2():

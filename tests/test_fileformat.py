@@ -136,6 +136,29 @@ def test_negative_edge_rejected():
         loads(json.dumps(doc))
 
 
+@pytest.mark.parametrize("kind, fields, message", [
+    ("NegateNode", {"value": -1}, "field value must be a node id"),
+    ("BeginNode", {"next": True}, "field next must be a node id"),
+    ("ReturnNode", {"resultOpt": "2"}, "field resultOpt must be a node id"),
+    ("MergeNode", {"ends": [2, -1], "next": 2}, "field ends must be an array of node ids"),
+    ("ParameterNode", {"index": -1}, "field index must be a non-negative integer"),
+    ("LoadFieldNode", {"selfId": 1, "field": 7, "next": 2}, "field field must be a string"),
+    ("ConstantNode", {"const": {"int": 2 ** 31}},
+     'field const must be {"int": <signed 32-bit decimal>}'),
+    ("MethodCallTargetNode", {"targetMethod": {"class": "T"}, "arguments": []},
+     "signature needs exactly class/name/params"),
+])
+def test_malformed_field_error_text_by_field_class(kind, fields, message):
+    doc = minimal_doc([
+        {"id": 0, "kind": "StartNode", "fields": {"next": 2}},
+        {"id": 1, "kind": kind, "fields": fields},
+        {"id": 2, "kind": "ReturnNode", "fields": {}},
+    ])
+    with pytest.raises(ParseError) as exc:
+        loads(json.dumps(doc))
+    assert str(exc.value) == f"method T.m(), node 1: {message}"
+
+
 def test_json_syntax_error_carries_line():
     with pytest.raises(ParseError) as exc:
         loads('{\n  "version": }')

@@ -5,6 +5,8 @@ The oracles below are the hand-written tables the modules kept before the
 schema existed, written out literally, plus SubNode where it belongs.
 """
 
+import dataclasses
+
 import pytest
 
 from seanode import controlflow, dataflow, ir
@@ -98,11 +100,27 @@ def test_derived_role_sets_equal_the_literal_tables():
 
 
 def test_derived_value_edges_equal_the_walk_table():
-    derived = {
-        cls: tuple(name for name, _ in cls.VALUE_EDGES)
-        for cls in ir.NODE_KINDS.values() if cls.VALUE_EDGES
-    }
+    derived = {cls: cls.VALUE_EDGES for cls in ir.NODE_KINDS.values() if cls.VALUE_EDGES}
     assert derived == WALK_EDGES
+
+
+def test_each_edge_is_a_field_whose_type_gives_its_shape():
+    only_edges = (int | None, tuple[int, ...])
+    for cls in ir.NODE_KINDS.values():
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        edges = cls.INPUTS + cls.SUCCESSORS
+        assert all(types.get(name) in (int, *only_edges) for name in edges), cls
+        assert {n for n, t in types.items() if t in only_edges} <= set(edges), cls
+
+
+def test_edge_lists_given_as_lists_are_stored_as_tuples():
+    # The edge reader knows an edge list by its tuple value.
+    for node in SAMPLES:
+        fields = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
+        lists = {n: list(v) for n, v in fields.items() if isinstance(v, tuple)}
+        built = type(node)(**{**fields, **lists})
+        assert all(type(getattr(built, n)) is tuple for n in lists), built
+        assert built == node
 
 
 def test_arithmetic_kinds_declare_their_operation():
