@@ -133,9 +133,9 @@ def _field_codec(cls, f) -> tuple:
     chosen from its annotated type; an int is a node id if the kind names
     it as an edge. parse(raw, where) validates and converts one JSON value."""
     name = f.name
-    if f.type == tuple[int, ...]:
+    if name in cls.LIST_EDGES:
         return name, _checked(name, _is_id_list, "an array of node ids", tuple), list, False
-    if f.type == int | None:
+    if name in cls.OPTIONAL_EDGES:
         return name, _checked(name, _is_id, "a node id"), _same, True
     if f.type is int:
         what = "a node id" if name in cls.INPUTS + cls.SUCCESSORS else "a non-negative integer"

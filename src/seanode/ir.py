@@ -5,12 +5,12 @@ Each node kind is declared once, as an IRNode subclass, and every per-kind
 table (role predicates, value edges, field codecs, and the evaluation and
 step entries of dataflow and controlflow) is derived from that, so generic
 code needs no per-kind cases. An edge's shape (one, optional, or a list) is
-stated once, by its field's type, and read from the field's value.
+stated once, by its field's type, and the edge readers read it from there.
 """
 
 import enum
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, get_type_hints
 
 from . import runtime
 from .runtime import Value
@@ -56,7 +56,8 @@ class IRNode:
 
     INPUTS names the input-edge fields in edge order, SUCCESSORS the
     successor-edge fields. A field's type is the edge's shape: int is one
-    edge, int | None an optional one, tuple[int, ...] a list. Remaining
+    edge, int | None an optional one, tuple[int, ...] a list; LIST_EDGES
+    and OPTIONAL_EDGES name the fields of the last two types. Remaining
     dataclass fields are plain data attributes. The class keywords give the
     kind's role (a kind with one is registered in NODE_KINDS), an arithmetic
     kind's run-time operation on its integer inputs, and a pure kind's
@@ -69,10 +70,15 @@ class IRNode:
     ROLE: ClassVar[Role | None] = None
     OP: ClassVar = None
     VALUE_EDGES: ClassVar[tuple[str, ...]] = ()
+    LIST_EDGES: ClassVar[frozenset[str]] = frozenset()
+    OPTIONAL_EDGES: ClassVar[frozenset[str]] = frozenset()
 
     def __init_subclass__(cls, role: Role | None = None, op=None, anchors=()):
         super().__init_subclass__()
         cls.ROLE, cls.OP = role, op
+        hints = get_type_hints(cls).items()
+        cls.LIST_EDGES = frozenset(n for n, t in hints if t == tuple[int, ...])
+        cls.OPTIONAL_EDGES = frozenset(n for n, t in hints if t == int | None)
         if role is not None:
             NODE_KINDS[cls.__name__] = cls
         if role is Role.PURE:
@@ -333,13 +339,15 @@ class UnwindNode(IRNode, role=Role.CONTROL):
 
 
 def _edge_fields(node: IRNode, names) -> list[int]:
-    # A tuple is an edge list: each kind's __post_init__ makes it one.
+    # Read by the field's type, not its value: None in an int field stays a
+    # target, an edge to no node, which wellformed.check reports.
+    kind = type(node)
     out = []
     for name in names:
         v = getattr(node, name)
-        if isinstance(v, tuple):
+        if name in kind.LIST_EDGES:
             out.extend(v)
-        elif v is not None:
+        elif v is not None or name not in kind.OPTIONAL_EDGES:
             out.append(v)
     return out
 

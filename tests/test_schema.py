@@ -111,10 +111,12 @@ def test_each_edge_is_a_field_whose_type_gives_its_shape():
         edges = cls.INPUTS + cls.SUCCESSORS
         assert all(types.get(name) in (int, *only_edges) for name in edges), cls
         assert {n for n, t in types.items() if t in only_edges} <= set(edges), cls
+        assert cls.LIST_EDGES == {n for n, t in types.items() if t == tuple[int, ...]}, cls
+        assert cls.OPTIONAL_EDGES == {n for n, t in types.items() if t == int | None}, cls
 
 
 def test_edge_lists_given_as_lists_are_stored_as_tuples():
-    # The edge reader knows an edge list by its tuple value.
+    # Stored as tuples, nodes stay hashable and equal however they were built.
     for node in SAMPLES:
         fields = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
         lists = {n: list(v) for n, v in fields.items() if isinstance(v, tuple)}

@@ -5,11 +5,15 @@ import pytest
 from conftest import CORPUS_FILES
 from genutil import negate_chain, violated_rules
 from seanode.fileformat import load
+from seanode.interproc import run
 from seanode.ir import (
-    AddNode, BeginNode, EndNode, Graph, MergeNode, NegateNode,
-    ParameterNode, ReturnNode, StartNode, SubNode, ValuePhiNode, ValueProxyNode,
+    AddNode, BeginNode, EndNode, Graph, IfNode, MergeNode, NegateNode,
+    ParameterNode, Program, ReturnNode, Signature, StartNode, SubNode, ValuePhiNode,
+    ValueProxyNode,
 )
 from seanode.wellformed import check
+
+SIG = Signature("C", "m")
 
 
 def test_wf_start_empty_graph():
@@ -26,6 +30,27 @@ def test_wf_start_wrong_kind():
 
 def test_wf_closed_dangling():
     assert "wf_closed" in violated_rules(Graph({0: StartNode(next=99)}))
+
+
+@pytest.mark.parametrize("nodes, report", [
+    ({0: StartNode(next=None)}, "wf_closed @0: edge to unmapped id None"),
+    ({0: StartNode(next=1), 1: ReturnNode(resultOpt=2), 2: AddNode(x=None, y=1)},
+     "wf_closed @2: edge to unmapped id None"),
+    ({0: StartNode(next=(1,)), 1: ReturnNode(resultOpt=None)},
+     "wf_closed @0: edge to unmapped id (1,)"),
+    ({0: StartNode(next=1), 1: IfNode(condition=None, trueSuccessor=9, falseSuccessor=2),
+      2: ReturnNode(resultOpt=None)},
+     "wf_closed @1: edge to unmapped id None\nwf_closed @1: edge to unmapped id 9"),
+], ids=["start-next-none", "add-x-none", "start-next-tuple", "in-edge-order"])
+def test_wf_closed_value_of_the_wrong_shape_in_an_int_edge(nodes, report):
+    # An int field holds one edge whatever its value; only an int | None
+    # field may hold None for "no edge".
+    assert str(check(Graph(nodes))) == report
+
+
+def test_run_steps_into_a_none_successor_and_is_stuck():
+    g = Graph({0: StartNode(next=None)})
+    assert str(run(Program({SIG: g}), SIG, [])) == "Stuck: no local rule for NoNode"
 
 
 def test_wf_closed_factorial(fact_graph):
