@@ -2,9 +2,12 @@
 
 Each control kind has one step rule in _STEPS. plan(g, nid) decodes a node
 by its kind's rule, the first time it is stepped, into a step entry kept on
-the graph; step and interproc.step_top read the entry, not the node.
+the graph; local_step and interproc read the entry, not the node.
+local_step takes and gives the configuration as plain values, so
+interproc.run, which holds the top frame in locals, builds no record for a
+local step; step is local_step on a LocalConfig.
 
-The step function owns the phi-update protocol: when an end node is
+The local step owns the phi-update protocol: when an end node is
 reached, the value inputs selected by that end's position are all
 evaluated under the state *before* the step, then written simultaneously.
 """
@@ -82,8 +85,8 @@ def _no_rule(g: Graph, nid: int, node):
 
 
 # One rule per control kind: the step entry of a node of that kind, a rule
-# code and the node's resolved operands. interproc.step_top applies INVOKE
-# (whose entry holds the call target node), RETURN and UNWIND; a STUCK entry
+# code and the node's resolved operands. interproc applies the codes from
+# INVOKE (whose entry holds the call target node) to UNWIND; a STUCK entry
 # keeps a node id and a reason, raised afresh by every step that reaches it.
 NEXT, IF, END, NEW, LOAD, STORE, INVOKE, RETURN, UNWIND, STUCK = range(10)
 _STEPS = {
@@ -129,24 +132,29 @@ def _resolve_object(ctx: EvalContext, root: int | None) -> ObjRef | None:
 
 
 def step(g: Graph, params, c: LocalConfig, on_store=None) -> LocalConfig:
-    """Apply the local rule of the current node's step entry.
+    """local_step on a LocalConfig."""
+    return LocalConfig(*local_step(g, params, c.nid, c.state, c.heap, on_store))
+
+
+def local_step(g: Graph, params, nid: int, state: MethodState, heap: DynamicHeap,
+               on_store=None) -> tuple[int, MethodState, DynamicHeap]:
+    """Apply the local rule of the step entry at nid: (nid', m', h').
 
     on_store, when given, is called with (address, field, value) for every
     heap write, in program order; used by the equivalence harness.
     """
-    e = plan(g, c.nid)
+    e = plan(g, nid)
     code = e[0]
     if code == NEXT:
-        return LocalConfig(e[1], c.state, c.heap)
+        return e[1], state, heap
 
     if code == NEW:
-        ref, heap = c.heap.new_instance()
-        return LocalConfig(e[1], c.state.set(c.nid, ref), heap)
+        ref, heap = heap.new_instance()
+        return e[1], state.set(nid, ref), heap
 
-    ctx = EvalContext(g, c.state, tuple(params))
+    ctx = EvalContext(g, state, tuple(params))
     if code == IF:
-        target = e[2] if condition_holds(ctx, e[1]) else e[3]
-        return LocalConfig(target, c.state, c.heap)
+        return (e[2] if condition_holds(ctx, e[1]) else e[3]), state, heap
 
     if code == END:
         _, merge, index, phis = e
@@ -155,21 +163,21 @@ def step(g: Graph, params, c: LocalConfig, on_store=None) -> LocalConfig:
             if root is None:
                 raise StepStuck(phi, f"phi has no value input for end position {index}")
             updates.append((phi, evaluate(ctx, root)))
-        return LocalConfig(merge, c.state.set_many(updates), c.heap)
+        return merge, state.set_many(updates), heap
 
     if code == LOAD:
-        v = c.heap.load_field(e[1], _resolve_object(ctx, e[2]))
-        return LocalConfig(e[3], c.state.set(c.nid, v), c.heap)
+        v = heap.load_field(e[1], _resolve_object(ctx, e[2]))
+        return e[3], state.set(nid, v), heap
 
     if code == STORE:
         _, field, value, obj, succ = e
         val = evaluate(ctx, value)
         ref = _resolve_object(ctx, obj)
-        heap = c.heap.store_field(field, ref, val)
+        heap = heap.store_field(field, ref, val)
         if on_store is not None:
             on_store(ref.ref if ref is not None else runtime.STATIC_REF, field, val)
-        return LocalConfig(succ, c.state, heap)
+        return succ, state, heap
 
     if code == STUCK:
         raise StepStuck(e[1], e[2])
-    _no_rule(g, c.nid, g.kind(c.nid))
+    _no_rule(g, nid, g.kind(nid))

@@ -12,9 +12,10 @@ ConditionalNode's arms are not part of its schedule: each arm is a schedule
 of its own, run only for the arm the condition chooses, so evaluation stays
 lazy. evaluate runs schedules from an explicit work stack, so neither the
 depth of an expression nor the nesting of conditionals is bounded by the
-recursion limit. evaluate_lanes runs them over many assignments at once.
-walk_values follows every value edge, arms included, for wellformed.check
-and free_leaves. Every cycle found is a CyclicExpression.
+recursion limit. evaluate_lanes runs them over many assignments at once,
+and free_leaves reads them, arms included. walk_values follows every value
+edge, arms included, for wellformed.check. Every cycle found is a
+CyclicExpression.
 """
 
 import itertools
@@ -106,14 +107,13 @@ def _entry(g: Graph, nid: int) -> tuple:
     return rule(nid, node)
 
 
-def walk_values(g: Graph, root: int, done: set[int]) -> list[int]:
-    """The nodes not yet in done that evaluating root reaches over value
-    edges, both arms of every conditional included, in post-order; adds
-    them to done. Iterative, so depth is not bounded by the recursion limit.
-    Raises CyclicExpression at the first node met again on its own path."""
+def walk_values(g: Graph, root: int, done: set[int]) -> None:
+    """Add to done the nodes evaluating root reaches over value edges, both
+    arms of every conditional included. Iterative, so depth is not bounded
+    by the recursion limit. Raises CyclicExpression at the first node met
+    again on its own path."""
     if root in done:
-        return []
-    order = []
+        return
     path = {root}
     stack = [(root, iter(ir.value_inputs(g.kind(root))))]
     while stack:
@@ -129,21 +129,32 @@ def walk_values(g: Graph, root: int, done: set[int]) -> list[int]:
             stack.pop()
             path.discard(nid)
             done.add(nid)
-            order.append(nid)
-    return order
 
 
 def free_leaves(g: Graph, nid: int) -> tuple[set[int], set[int]]:
     """(parameter indices, state-slot ids) the expression at nid can read:
-    the PARAM and STATE entries of the nodes walk_values reaches."""
-    params: set[int] = set()
-    slots: set[int] = set()
-    for n in walk_values(g, nid, set()):
-        code, _, arg, _, _ = _entry(g, n)
-        if code == PARAM:
-            params.add(arg)
-        elif code == STATE:
-            slots.add(n)
+    the PARAM and STATE entries of its schedule and of both arms' schedules
+    of every conditional met, which are kept on the graph only once they
+    run. Raises CyclicExpression at a conditional met inside its own arms."""
+    params, slots = set(), set()
+    path, met = set(), set()  # conditionals whose arms are being read, or were
+    stack = [(None, iter(schedule(g, nid)))]
+    while stack:
+        for code, n, arg, _, _ in stack[-1][1]:
+            if code == PARAM:
+                params.add(arg)
+            elif code == STATE:
+                slots.add(n)
+            elif code == COND and n in path:
+                raise CyclicExpression(n)
+            elif code == COND and n not in met:
+                path.add(n)
+                met.add(n)
+                arms = [g.schedules.get(arm) or _build_schedule(g, arm) for arm in arg]
+                stack.append((n, itertools.chain(*arms)))
+                break
+        else:
+            path.discard(stack.pop()[0])
     return params, slots
 
 

@@ -45,35 +45,54 @@ class UnknownKind(FormatError):
         self.kind = kind
 
 
-def _node_record(nid: int, node: IRNode) -> dict:
-    out: dict = {}
+def _signature_record(sig: Signature) -> dict:
+    return {"class": sig.className, "name": sig.methodName, "params": list(sig.parameterTypes)}
+
+
+# dumps gives the bytes json.dumps(document, indent=2) gives, without the
+# pure-Python encoder that indent selects: it writes each value at the
+# indentation it nests at.
+
+def _block(lines: list, pad: str, brackets: str) -> str:
+    """Indented lines in an array or object that closes at pad."""
+    if not lines:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(lines) + "\n" + pad + brackets[1]
+
+
+def _text(value, pad: str) -> str:
+    """json.dumps(value, indent=2) for a value written at indentation pad;
+    object keys are strings."""
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        return _block([inner + _text(v, inner) for v in value], pad, "[]")
+    if isinstance(value, dict):
+        return _block([f"{inner}{json.dumps(k)}: {_text(v, inner)}" for k, v in value.items()],
+                      pad, "{}")
+    return json.dumps(value)
+
+
+def _node_text(nid: int, node: IRNode) -> str:
+    """A node record; JSON writes a kind or field name as it is, in quotes."""
+    lines = []
     for name, _, encode, optional in _CODECS[node.kind_name()][1]:
         value = getattr(node, name)
         if not (optional and value is None):
-            out[name] = encode(value)
-    return {"id": nid, "kind": node.kind_name(), "fields": out}
-
-
-def _signature_record(sig: Signature) -> dict:
-    return {
-        "class": sig.className,
-        "name": sig.methodName,
-        "params": list(sig.parameterTypes),
-    }
+            lines.append(f'            "{name}": {_text(encode(value), " " * 12)}')
+    return (f'        {{\n          "id": {_text(nid, "")},\n          "kind": "{node.kind_name()}",'
+            f'\n          "fields": {_block(lines, " " * 10, "{}")}\n        }}')
 
 
 def dumps(program: Program) -> str:
-    doc = {
-        "version": FORMAT_VERSION,
-        "methods": [
-            {
-                "signature": _signature_record(sig),
-                "nodes": [_node_record(nid, node) for nid, node in sorted(g.items())],
-            }
-            for sig, g in program.methods.items()
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    methods = []
+    for sig, g in program.methods.items():
+        nodes = [_node_text(nid, node) for nid, node in sorted(g.items())]
+        methods.append(f'    {{\n      "signature": {_text(_signature_record(sig), " " * 6)},\n'
+                       f'      "nodes": {_block(nodes, " " * 6, "[]")}\n    }}')
+    return (f'{{\n  "version": {json.dumps(FORMAT_VERSION)},\n'
+            f'  "methods": {_block(methods, "  ", "[]")}\n}}\n')
 
 
 def save(program: Program, path) -> None:
@@ -89,15 +108,14 @@ def _is_id(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _parse_signature(raw, where: str) -> Signature:
-    _req(isinstance(raw, dict), f"{where}: signature must be an object")
-    _req(set(raw) == {"class", "name", "params"},
-         f"{where}: signature needs exactly class/name/params")
+def _parse_signature(raw) -> Signature:
+    _req(isinstance(raw, dict), "signature must be an object")
+    _req(set(raw) == {"class", "name", "params"}, "signature needs exactly class/name/params")
     _req(isinstance(raw["class"], str) and isinstance(raw["name"], str),
-         f"{where}: signature class/name must be strings")
+         "signature class/name must be strings")
     params = raw["params"]
     _req(isinstance(params, list) and all(isinstance(p, str) for p in params),
-         f"{where}: signature params must be a list of type strings")
+         "signature params must be a list of type strings")
     return Signature(raw["class"], raw["name"], tuple(params))
 
 
@@ -121,9 +139,9 @@ def _is_int_record(raw) -> bool:
 
 
 def _checked(name: str, ok, what: str, convert=_same):
-    def parse(raw, where: str):
+    def parse(raw):
         if not ok(raw):
-            raise ParseError(f"{where}: field {name} must be {what}")
+            raise ParseError(f"field {name} must be {what}")
         return convert(raw)
     return parse
 
@@ -131,7 +149,7 @@ def _checked(name: str, ok, what: str, convert=_same):
 def _field_codec(cls, f) -> tuple:
     """(name, parse, encode, optional) for one declared field of a kind,
     chosen from its annotated type; an int is a node id if the kind names
-    it as an edge. parse(raw, where) validates and converts one JSON value."""
+    it as an edge. parse(raw) validates and converts one JSON value."""
     name = f.name
     if name in cls.LIST_EDGES:
         return name, _checked(name, _is_id_list, "an array of node ids", tuple), list, False
@@ -159,30 +177,31 @@ _CODECS = {
 
 
 def _parse_node(raw, method: str) -> tuple[int, IRNode]:
-    where = f"method {method}"
-    _req(isinstance(raw, dict) and set(raw) == {"id", "kind", "fields"},
-         f"{where}: node records need exactly id/kind/fields")
+    if not (isinstance(raw, dict) and raw.keys() == {"id", "kind", "fields"}):
+        raise ParseError(f"method {method}: node records need exactly id/kind/fields")
     nid = raw["id"]
-    _req(_is_id(nid), f"{where}: node id must be a non-negative integer")
-    where = f"method {method}, node {nid}"
+    if not _is_id(nid):
+        raise ParseError(f"method {method}: node id must be a non-negative integer")
     kind = raw["kind"]
     if not isinstance(kind, str) or kind not in _CODECS:
         raise UnknownKind(str(kind), method)
     cls, codecs = _CODECS[kind]
     field_map = raw["fields"]
-    _req(isinstance(field_map, dict), f"{where}: fields must be an object")
-
     kwargs = {}
-    for name, parse, _, optional in codecs:
-        if name in field_map:
-            kwargs[name] = parse(field_map[name], where)
-        elif optional:
-            kwargs[name] = None
-        else:
-            raise ParseError(f"{where}: missing required field {name!r}")
-    unknown = set(field_map) - set(kwargs)
-    if unknown:
-        raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
+    try:  # where the record is goes into a message only once one is raised
+        _req(isinstance(field_map, dict), "fields must be an object")
+        for name, parse, _, optional in codecs:
+            if name in field_map:
+                kwargs[name] = parse(field_map[name])
+            elif optional:
+                kwargs[name] = None
+            else:
+                raise ParseError(f"missing required field {name!r}")
+        unknown = field_map.keys() - kwargs.keys()
+        if unknown:
+            raise ParseError(f"unknown fields {sorted(unknown)}")
+    except ParseError as e:
+        raise ParseError(f"method {method}, node {nid}: {e.reason}") from None
     return nid, cls(**kwargs)
 
 
@@ -203,15 +222,18 @@ def loads(text: str) -> Program:
     for raw_method in doc["methods"]:
         _req(isinstance(raw_method, dict) and set(raw_method) == {"signature", "nodes"},
              "method entries need exactly signature/nodes")
-        sig = _parse_signature(raw_method["signature"], "method")
+        try:
+            sig = _parse_signature(raw_method["signature"])
+        except ParseError as e:
+            raise ParseError(f"method: {e.reason}") from None
         _req(sig not in methods, f"duplicate method signature {sig}")
-        _req(isinstance(raw_method["nodes"], list),
-             f"method {sig}: nodes must be an array")
+        method = str(sig)
+        _req(isinstance(raw_method["nodes"], list), f"method {method}: nodes must be an array")
         nodes: dict[int, IRNode] = {}
         for raw_node in raw_method["nodes"]:
-            nid, node = _parse_node(raw_node, str(sig))
+            nid, node = _parse_node(raw_node, method)
             if nid in nodes:
-                raise DuplicateId(nid, str(sig))
+                raise DuplicateId(nid, method)
             nodes[nid] = node
         _req(0 in nodes and isinstance(nodes[0], ir.StartNode),
              f"method {sig}: node 0 must be a StartNode")

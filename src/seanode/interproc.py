@@ -1,11 +1,19 @@
 """Interprocedural small-step semantics over a frame stack, plus the
-whole-program driver with a fuel bound and step tracing."""
+whole-program driver with a fuel bound and step tracing.
+
+step_top applies one global rule to a GlobalConfig: a local step of the top
+frame, or the invoke, return and unwind rules of _frame_step. run applies
+the same rules, picked by the same step entry code, but holds the top
+frame's fields in locals: a local step goes straight to local_step, a Frame
+is built only where a call pushes the caller or an exit pops back to it,
+and a GlobalConfig only for on_step."""
 
 import enum
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .controlflow import INVOKE, RETURN, UNWIND, LocalConfig, plan, step
+from .controlflow import INVOKE, RETURN, UNWIND, LocalConfig, local_step, plan, step
 from .dataflow import EvalContext, EvalStuck, evaluate
 from .ir import Graph, MethodCallTargetNode, Program, Signature
 from .runtime import UNDEF, DynamicHeap, MethodState, ObjRef, Value
@@ -145,9 +153,18 @@ def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
     return, or unwind, as the top node's step entry says."""
     top = c.top
     e = plan(top.graph, top.nid)
-    code = e[0]
+    if INVOKE <= e[0] <= UNWIND:
+        return GlobalConfig(_frame_step(program, top, e), c.heap)
+    # Everything else is a local transition promoted to the top frame.
+    local = step(top.graph, top.params, LocalConfig(top.nid, top.state, c.heap), on_store)
+    return GlobalConfig(Frame(top.graph, local.nid, local.state, top.params, top.caller,
+                              top.depth), local.heap)
 
-    if code == INVOKE:
+
+def _frame_step(program: Program, top: Frame, e: tuple) -> Frame:
+    """The top frame after the INVOKE, RETURN or UNWIND step entry e at top:
+    a callee pushed on top, or the caller resumed."""
+    if e[0] == INVOKE:
         target = e[1]
         if not isinstance(target, MethodCallTargetNode):
             raise MalformedCall(f"callTarget of invoke {top.nid} is {target.kind_name()}")
@@ -156,29 +173,21 @@ def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
         callee_graph = program.graph(target.targetMethod)
         if callee_graph is None:
             raise UnknownMethod(target.targetMethod)
-        callee = Frame(callee_graph, 0, MethodState(), args, top, top.depth + 1)
-        return GlobalConfig(callee, c.heap)
+        return Frame(callee_graph, 0, MethodState(), args, top, top.depth + 1)
 
-    if code == RETURN or code == UNWIND:
-        raised = code == UNWIND
-        if top.caller is None:
-            raise UncaughtTopLevel(f"{'unwind' if raised else 'return'} with no calling frame")
-        v = _exit_value(top, e)
-        return GlobalConfig(_resume_caller(top.caller, v, after_exception=raised), c.heap)
-
-    # Everything else is a local transition promoted to the top frame.
-    local = step(top.graph, top.params, LocalConfig(top.nid, top.state, c.heap),
-                 on_store=on_store)
-    new_top = Frame(top.graph, local.nid, local.state, top.params, top.caller, top.depth)
-    return GlobalConfig(new_top, local.heap)
+    raised = e[0] == UNWIND
+    if top.caller is None:
+        raise UncaughtTopLevel(f"{'unwind' if raised else 'return'} with no calling frame")
+    v = _exit_value(top.graph, top.state, top.params, e)
+    return _resume_caller(top.caller, v, after_exception=raised)
 
 
-def _exit_value(top: Frame, e: tuple) -> Value:
+def _exit_value(g: Graph, state: MethodState, params: tuple, e: tuple) -> Value:
     """The value a RETURN or UNWIND step entry hands to its caller."""
     code, root = e
     if root is None:
         return UNDEF
-    v = evaluate(EvalContext(top.graph, top.state, top.params), root)
+    v = evaluate(EvalContext(g, state, params), root)
     if code == UNWIND and not isinstance(v, ObjRef):
         raise GlobalStuck(f"unwound value is not an object reference: {v}")
     return v
@@ -203,6 +212,9 @@ def initial_config(program: Program, main: Signature, args) -> GlobalConfig:
     return GlobalConfig(Frame(g, 0, MethodState(), tuple(args)), DynamicHeap())
 
 
+_frame_fields = attrgetter("graph", "nid", "state", "params", "caller", "depth")
+
+
 def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
         on_step=None, on_store=None) -> ExecResult:
     """Drive the global semantics from main's start node to quiescence.
@@ -214,6 +226,7 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     c = initial_config(program, main, args)
+    (g, nid, state, params, caller, depth), heap = _frame_fields(c.top), c.heap
     steps = 0
     stores = []  # the current step's heap writes, for its trace record
     store_hook = on_store
@@ -223,23 +236,29 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
             if on_store is not None:
                 on_store(addr, fname, v)
     while True:
-        top = c.top
-        e = plan(top.graph, top.nid)
+        e = plan(g, nid)
+        code = e[0]
         try:
-            if top.caller is None and (e[0] == RETURN or e[0] == UNWIND):
-                outcome = (ExecOutcome.RETURNED if e[0] == RETURN
+            if caller is None and (code == RETURN or code == UNWIND):
+                outcome = (ExecOutcome.RETURNED if code == RETURN
                            else ExecOutcome.UNCAUGHT_EXCEPTION)
-                return ExecResult(outcome, _exit_value(top, e), steps, c.heap)
+                return ExecResult(outcome, _exit_value(g, state, params, e), steps, heap)
             if steps == fuel:
-                return ExecResult(ExecOutcome.OUT_OF_FUEL, None, steps, c.heap)
-            c2 = step_top(program, c, on_store=store_hook)
-        except EvalStuck as e:
-            return ExecResult(ExecOutcome.STUCK, None, steps, c.heap, str(e))
+                return ExecResult(ExecOutcome.OUT_OF_FUEL, None, steps, heap)
+            if on_step is not None:
+                before = GlobalConfig(Frame(g, nid, state, params, caller, depth), heap)
+            if INVOKE <= code <= UNWIND:
+                top = _frame_step(program, Frame(g, nid, state, params, caller, depth), e)
+                g, nid, state, params, caller, depth = _frame_fields(top)
+            else:
+                nid, state, heap = local_step(g, params, nid, state, heap, store_hook)
+        except EvalStuck as err:
+            return ExecResult(ExecOutcome.STUCK, None, steps, heap, str(err))
         steps += 1
         if on_step is not None:
-            on_step(_trace_step(steps, c, c2, stores))
+            after = GlobalConfig(Frame(g, nid, state, params, caller, depth), heap)
+            on_step(_trace_step(steps, before, after, stores))
             stores.clear()
-        c = c2
 
 
 def _trace_step(index: int, before: GlobalConfig, after: GlobalConfig,

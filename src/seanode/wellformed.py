@@ -2,7 +2,7 @@
 
 check runs every rule in _RULES; each yields violations tagged with its
 name. Violations are data, never exceptions. The acyclicity rule is
-dataflow.walk_values, the value-edge walk free_leaves also uses.
+dataflow.walk_values, the walk over every value edge, arms included.
 """
 
 from dataclasses import dataclass

@@ -1,13 +1,15 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from conftest import CORPUS_FILES
+from conftest import CORPUS_FILES, REPO
 from seanode.fileformat import (
     FORMAT_VERSION, DuplicateId, ParseError, UnknownKind, dumps, load, loads,
 )
 from seanode.interproc import run
-from seanode.ir import LoadFieldNode, ReturnNode, Signature, SubNode
+from seanode.ir import LoadFieldNode, Program, ReturnNode, Signature, SubNode
+from seanode.optimize import apply_pass
 from seanode.runtime import IntVal
 
 
@@ -44,6 +46,42 @@ def test_dumps_loads_is_program_identity():
         program = load(path)
         again = loads(dumps(program))
         assert again.methods == program.methods, path.name
+
+
+def _encoded(value):
+    if isinstance(value, IntVal):
+        return {"int": value.value}
+    if isinstance(value, Signature):
+        return {"class": value.className, "name": value.methodName,
+                "params": list(value.parameterTypes)}
+    return list(value) if isinstance(value, tuple) else value
+
+
+def document(program: Program) -> dict:
+    """The seanode/1 document of a program, built field by field; only
+    optional edges are ever None, and an absent one is left out."""
+    return {"version": FORMAT_VERSION, "methods": [
+        {"signature": _encoded(sig),
+         "nodes": [{"id": nid, "kind": node.kind_name(),
+                    "fields": {f.name: _encoded(getattr(node, f.name)) for f in fields(node)
+                               if getattr(node, f.name) is not None}}
+                   for nid, node in sorted(g.items())]}
+        for sig, g in program.methods.items()]}
+
+
+def test_dumps_writes_what_json_dumps_with_indent_writes(monkeypatch, fixtures_dir):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import gen
+    programs = [load(path) for path in CORPUS_FILES + sorted(fixtures_dir.glob("*.json"))]
+    for workload in ("exec-loops", "exec-calls-heap", "validate-opt"):
+        for case in gen.generate(workload, 1):
+            programs.append(loads(case.text))
+            if workload == "validate-opt":  # and the optimizer's rewrite of it
+                (sig, g), = programs[-1].methods.items()
+                programs.append(Program({sig: apply_pass(g, "all")[0]}))
+    assert len(programs) > 60
+    for program in programs + [Program({})]:
+        assert dumps(program) == json.dumps(document(program), indent=2) + "\n"
 
 
 def test_duplicate_node_id_rejected():

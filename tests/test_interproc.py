@@ -1,23 +1,27 @@
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import corpus
+from conftest import CORPUS_FILES, corpus
 from genutil import STORE_LOOP_SIG, STUCK_PHI_SIG, store_loop, stuck_phi_program
-from seanode import ir
-from seanode.controlflow import StepStuck
+from seanode import interproc, ir
+from seanode.controlflow import RETURN, UNWIND, StepStuck, plan
 from seanode.dataflow import EvalStuck, ParamOutOfRange
+from seanode.fileformat import load
 from seanode.interproc import (
-    ExecOutcome, GlobalStuck, MalformedCall, UncaughtTopLevel, UnknownMethod,
+    ExecOutcome, ExecResult, GlobalStuck, MalformedCall, UncaughtTopLevel, UnknownMethod,
     UnwindWithoutHandler, initial_config, run, step_top,
 )
 from seanode.wellformed import check
 from seanode.ir import (
     AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, IntegerLessThanNode, InvokeNode,
-    MethodCallTargetNode, NewInstanceNode, ParameterNode, Program, ReturnNode, Signature,
-    StartNode, StoreFieldNode, SubNode, UnwindNode,
+    InvokeWithExceptionNode, MethodCallTargetNode, NewInstanceNode, ParameterNode, Program,
+    ReturnNode, Signature, StartNode, StoreFieldNode, SubNode, UnwindNode,
 )
-from seanode.runtime import UNDEF, IntVal, MethodState, ObjRef
+from seanode.runtime import FIELD_DEFAULT, UNDEF, IntVal, MethodState, ObjRef
+from test_stuck_reasons import CASES as STUCK_CASES
 
 
 def drive_to_invoke(program, sig, args):
@@ -390,7 +394,7 @@ def test_a_rerun_calls_what_the_first_run_called(monkeypatch):
     from seanode import controlflow, interproc
     calls = []
     for owner, name in ((ir.Graph, "usages"), (controlflow, "merge_of_end"),
-                        (controlflow, "phis_of"), (interproc, "step")):
+                        (controlflow, "phis_of"), (interproc, "local_step")):
         original = getattr(owner, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -403,7 +407,7 @@ def test_a_rerun_calls_what_the_first_run_called(monkeypatch):
         calls.clear()
         assert run(p, p.resolve("fact"), [IntVal(4)]).value == IntVal(24)
         runs.append(sorted(calls))
-    assert runs[0] == runs[1] and "step" in runs[0]
+    assert runs[0] == runs[1] and "local_step" in runs[0]
 
 
 REC_SIG = Signature("T", "rec", ("int",))
@@ -473,3 +477,96 @@ def test_step_rate_does_not_fall_with_recursion_depth():
             rate = steps / (time.perf_counter() - start)
             best[depth] = max(best.get(depth, 0.0), rate)
     assert best[400] <= 1.5 * best[6400], best
+
+
+# The reference for run: the same rules applied one GlobalConfig at a time
+# by step_top.
+
+def run_by_step_top(program, main, args, fuel, on_store):
+    c = initial_config(program, main, args)
+    steps = 0
+    while True:
+        top = c.top
+        e = plan(top.graph, top.nid)
+        try:
+            if top.caller is None and e[0] in (RETURN, UNWIND):
+                outcome = ExecOutcome.RETURNED if e[0] == RETURN else ExecOutcome.UNCAUGHT_EXCEPTION
+                value = interproc._exit_value(top.graph, top.state, top.params, e)
+                return ExecResult(outcome, value, steps, c.heap)
+            if steps == fuel:
+                return ExecResult(ExecOutcome.OUT_OF_FUEL, None, steps, c.heap)
+            c = step_top(program, c, on_store=on_store)
+        except EvalStuck as err:
+            return ExecResult(ExecOutcome.STUCK, None, steps, c.heap, str(err))
+        steps += 1
+
+
+def assert_run_matches_step_top(program, main, args, fuel):
+    observed = []
+    for driver in (run, run_by_step_top):
+        stores = []
+        result = driver(program, main, args, fuel, on_store=lambda *w: stores.append(w))
+        cells = {k: v for k, v in result.heap.fields.items() if v != FIELD_DEFAULT}
+        observed.append((result.outcome, result.value, result.steps, cells, str(result), stores))
+    assert observed[0] == observed[1]
+
+
+FIXTURE_FILES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CORPUS_FILES + FIXTURE_FILES, ids=lambda path: path.stem)
+def test_run_matches_step_top_on_every_shipped_method(path):
+    program = load(path)
+    for sig in program.methods:
+        for v in (-1, 0, 3):
+            args = [IntVal(v)] * len(sig.parameterTypes)
+            for fuel in (1, 7, 1000):
+                assert_run_matches_step_top(program, sig, args, fuel)
+
+
+@pytest.mark.parametrize("name", sorted(STUCK_CASES))
+def test_run_matches_step_top_on_every_stuck_case(name):
+    program, _, _ = STUCK_CASES[name]
+    assert_run_matches_step_top(program, Signature("T", "main", ()), [], 100)
+
+
+def test_run_matches_step_top_on_a_stuck_phi_update_and_a_store_loop():
+    assert_run_matches_step_top(stuck_phi_program(), STUCK_PHI_SIG, [], 100)
+    assert_run_matches_step_top(store_loop(5), STORE_LOOP_SIG, [], 30)
+
+
+THROW_SIG = Signature("T", "recThrow", ("int",))
+
+
+def recursive_throw(throw: bool, catch: bool) -> Program:
+    """recThrow(n): at n < 1 return n, or throw a new object; else allocate
+    a cell, store n into it and return recThrow(n - 1). With catch, a throw
+    out of the call stores the thrown object into a static field and
+    returns n; without, the call has no exception edge and is stuck."""
+    call = (InvokeWithExceptionNode(10, callTarget=11, next=13, exceptionEdge=14) if catch
+            else InvokeNode(10, callTarget=11, next=13))
+    return Program({THROW_SIG: Graph({
+        0: StartNode(next=3),
+        1: ParameterNode(0),
+        2: ConstantNode(IntVal(1)),
+        3: IfNode(condition=4, trueSuccessor=5, falseSuccessor=6),
+        4: IntegerLessThanNode(x=1, y=2),
+        5: BeginNode(next=15 if throw else 7),
+        6: BeginNode(next=8),
+        7: ReturnNode(resultOpt=1),
+        8: NewInstanceNode(8, "Cell", next=9),
+        9: StoreFieldNode(9, field="v", value=1, objectOpt=8, next=10),
+        10: call,
+        11: MethodCallTargetNode(targetMethod=THROW_SIG, arguments=(12,)),
+        12: SubNode(x=1, y=2),
+        13: ReturnNode(resultOpt=10),
+        14: StoreFieldNode(14, field="caught", value=10, objectOpt=None, next=17),
+        15: NewInstanceNode(15, "Boom", next=16),
+        16: UnwindNode(exception=15),
+        17: ReturnNode(resultOpt=1),
+    })})
+
+
+@given(st.integers(0, 40), st.integers(1, 400), st.booleans(), st.booleans())
+def test_differential_run_matches_step_top_over_depth_and_fuel(depth, fuel, throw, catch):
+    assert_run_matches_step_top(recursive_throw(throw, catch), THROW_SIG, [IntVal(depth)], fuel)
