@@ -7,15 +7,25 @@ local_step takes and gives the configuration as plain values, so
 interproc.run, which holds the top frame in locals, builds no record for a
 local step; step is local_step on a LocalConfig.
 
+A step that reads data evaluates every root it reads in one run of
+dataflow's evaluation core, in the order the rule reads them: an end's phi
+inputs, a store's value then its object, a load's object (evaluate_roots),
+an if's condition (condition_holds); interproc does the same for an
+invoke's arguments and a return or unwind value. plan names the roots but
+builds no schedule, since optimize.cfg_successors plans every control
+node: a step's schedule is built when the step first evaluates.
+
 The local step owns the phi-update protocol: when an end node is
 reached, the value inputs selected by that end's position are all
 evaluated under the state *before* the step, then written simultaneously.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import ir, runtime
-from .dataflow import EvalContext, EvalStuck, condition_holds, evaluate
+from .dataflow import EvalStuck, condition_holds, evaluate_roots
+from .dataflow import evaluate  # noqa: F401  kept for bench/tests/test_bench.py
 from .ir import Graph
 from .runtime import DynamicHeap, MethodState, ObjRef
 
@@ -70,14 +80,17 @@ def _loop_end(g: Graph, nid: int, node) -> tuple:
 
 
 def _end_entry(g: Graph, end: int, merge: int) -> tuple:
-    # A phi with no input for the end's position gets None: stuck when reached.
+    # The phis and their value inputs for the end's position. A phi with no
+    # such input gets the stuck step in its place: raised when reached.
     ends = g.kind(merge).ends
     if end not in ends:
         raise StepStuck(end, f"end not listed in ends of merge {merge}")
     index = ends.index(end)
     phis = [(phi, g.kind(phi).values) for phi in _phis(g, merge)]
-    return (END, merge, index,
-            tuple((phi, vs[index] if index < len(vs) else None) for phi, vs in phis))
+    missing = f"phi has no value input for end position {index}"
+    return (END, merge, index, tuple(phi for phi, _ in phis),
+            tuple(vs[index] if index < len(vs) else partial(StepStuck, phi, missing)
+                  for phi, vs in phis))
 
 
 def _no_rule(g: Graph, nid: int, node):
@@ -121,11 +134,10 @@ def plan(g: Graph, nid: int) -> tuple:
     return e
 
 
-def _resolve_object(ctx: EvalContext, root: int | None) -> ObjRef | None:
-    # None addresses the static-field region.
+def _resolve_object(root: int | None, v) -> ObjRef | None:
+    # The object root evaluated to v; root None addresses the static-field region.
     if root is None:
         return None
-    v = evaluate(ctx, root)
     if not isinstance(v, ObjRef):
         raise StepStuck(root, f"expected an object reference, got {v}")
     return v
@@ -152,27 +164,23 @@ def local_step(g: Graph, params, nid: int, state: MethodState, heap: DynamicHeap
         ref, heap = heap.new_instance()
         return e[1], state.set(nid, ref), heap
 
-    ctx = EvalContext(g, state, tuple(params))
     if code == IF:
-        return (e[2] if condition_holds(ctx, e[1]) else e[3]), state, heap
+        return (e[2] if condition_holds(g, state, params, e[1]) else e[3]), state, heap
 
     if code == END:
-        _, merge, index, phis = e
-        updates = []
-        for phi, root in phis:
-            if root is None:
-                raise StepStuck(phi, f"phi has no value input for end position {index}")
-            updates.append((phi, evaluate(ctx, root)))
-        return merge, state.set_many(updates), heap
+        _, merge, _, phis, roots = e
+        return merge, state.set_many(zip(phis, evaluate_roots(g, state, params, roots))), heap
 
     if code == LOAD:
-        v = heap.load_field(e[1], _resolve_object(ctx, e[2]))
-        return e[3], state.set(nid, v), heap
+        _, field, obj, succ = e
+        ref = None if obj is None else _resolve_object(
+            obj, evaluate_roots(g, state, params, (obj,))[0])
+        return succ, state.set(nid, heap.load_field(field, ref)), heap
 
     if code == STORE:
         _, field, value, obj, succ = e
-        val = evaluate(ctx, value)
-        ref = _resolve_object(ctx, obj)
+        vals = evaluate_roots(g, state, params, (value,) if obj is None else (value, obj))
+        val, ref = vals[0], _resolve_object(obj, vals[-1])
         heap = heap.store_field(field, ref, val)
         if on_store is not None:
             on_store(ref.ref if ref is not None else runtime.STATIC_REF, field, val)

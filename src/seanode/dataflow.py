@@ -10,15 +10,27 @@ the order in which evaluating inputs left to right first meets each node.
 It is computed once per graph and root and kept on the graph. A
 ConditionalNode's arms are not part of its schedule: each arm is a schedule
 of its own, run only for the arm the condition chooses, so evaluation stays
-lazy. evaluate runs schedules from an explicit work stack, so neither the
-depth of an expression nor the nesting of conditionals is bounded by the
-recursion limit. evaluate_lanes runs them over many assignments at once,
+lazy.
+
+A control step reads one or more roots at once: an end's phi inputs, a
+store's value and object, an invoke's arguments. evaluate_roots runs one
+schedule for all of them, the roots' schedules concatenated left to right
+with each shared node kept once, so one run does the sharing a memo would.
+It is built on first use and kept on the graph under the roots tuple. A
+root that cannot be scheduled (a cycle, or a missing input) becomes an
+entry that raises at its position, so the first stuck root still wins.
+Arithmetic results inside a run are plain ints, as in evaluate_lanes, and
+leaves keep the Value they read; only a root's arithmetic result is boxed
+into an IntVal. Runs use an explicit work stack, so neither the depth of
+an expression nor the nesting of conditionals is bounded by the recursion
+limit. evaluate_lanes runs the schedules over many assignments at once,
 and free_leaves reads them, arms included. walk_values follows every value
 edge, arms included, for wellformed.check. Every cycle found is a
 CyclicExpression.
 """
 
 import itertools
+from functools import partial
 
 from . import ir
 from .ir import Graph
@@ -49,16 +61,14 @@ class ParamOutOfRange(EvalStuck):
 
 class EvalContext:
     """One graph, one method state and one parameter tuple: all an
-    expression's value depends on. memo holds the values of the nodes with
-    value edges evaluated so far under this context."""
+    expression's value depends on."""
 
-    __slots__ = ("graph", "state", "params", "memo")
+    __slots__ = ("graph", "state", "params")
 
     def __init__(self, graph: Graph, state: MethodState, params: tuple[Value, ...]):
         self.graph = graph
         self.state = state
         self.params = params
-        self.memo: dict[int, Value] = {}
 
 
 # A schedule is a tuple of entries (code, nid, arg, x, y): x and y are the
@@ -72,7 +82,7 @@ PROXY = 5  # forwards x
 COND = 6  # arg: (true arm, false arm); x: the condition
 CHECK = 7  # x, the first operand of the BINARY node nid, must be an integer;
 # placed where evaluating inputs left to right checks it, before y's entries
-NO_RULE = 8  # arg: the kind name; evaluation is stuck at nid
+STUCK = 8  # arg: makes the EvalStuck evaluation raises here, afresh each time
 
 
 def _arithmetic(op):
@@ -103,7 +113,8 @@ def _entry(g: Graph, nid: int) -> tuple:
     node = g.kind(nid)
     rule = _RULES.get(type(node))
     if rule is None:
-        return (NO_RULE, nid, node.kind_name(), None, None)
+        stuck = partial(EvalStuck, nid, f"no evaluation rule for {node.kind_name()}")
+        return (STUCK, nid, stuck, None, None)
     return rule(nid, node)
 
 
@@ -134,8 +145,8 @@ def walk_values(g: Graph, root: int, done: set[int]) -> None:
 def free_leaves(g: Graph, nid: int) -> tuple[set[int], set[int]]:
     """(parameter indices, state-slot ids) the expression at nid can read:
     the PARAM and STATE entries of its schedule and of both arms' schedules
-    of every conditional met, which are kept on the graph only once they
-    run. Raises CyclicExpression at a conditional met inside its own arms."""
+    of every conditional met, all of which are kept on the graph. Raises
+    CyclicExpression at a conditional met inside its own arms."""
     params, slots = set(), set()
     path, met = set(), set()  # conditionals whose arms are being read, or were
     stack = [(None, iter(schedule(g, nid)))]
@@ -150,8 +161,7 @@ def free_leaves(g: Graph, nid: int) -> tuple[set[int], set[int]]:
             elif code == COND and n not in met:
                 path.add(n)
                 met.add(n)
-                arms = [g.schedules.get(arm) or _build_schedule(g, arm) for arm in arg]
-                stack.append((n, itertools.chain(*arms)))
+                stack.append((n, itertools.chain(*[schedule(g, arm) for arm in arg])))
                 break
         else:
             path.discard(stack.pop()[0])
@@ -194,94 +204,121 @@ def _build_schedule(g: Graph, root: int) -> tuple:
     return tuple(order)
 
 
-def _not_an_integer(nid: int, v: Value) -> EvalStuck:
-    return EvalStuck(nid, f"expected an integer, got {v}")
+def _roots_schedule(g: Graph, roots: tuple) -> tuple:
+    """The roots' schedules left to right, each node kept at its first
+    place. A root that is not a node id makes the EvalStuck to raise at its
+    place (a missing input); a cyclic root raises at its place too. Nothing
+    after either runs, so nothing after either is kept."""
+    order, done = [], set()
+    for root in roots:
+        if type(root) is not int:
+            order.append((STUCK, None, root, None, None))
+            break
+        try:
+            s = schedule(g, root)
+        except CyclicExpression as cycle:
+            order.append((STUCK, cycle.nid, partial(CyclicExpression, cycle.nid), None, None))
+            break
+        order += [e for e in s if e[1] not in done]
+        done.update(e[1] for e in s)
+    return tuple(order)
 
 
-def _truth(v: Value, cond: int) -> bool:
-    if not isinstance(v, IntVal):
+def _integer(v, nid: int) -> int:
+    """The int v stands for: itself, or an IntVal's; any other value is
+    stuck at nid."""
+    if type(v) is IntVal:
+        return v.value
+    if type(v) is not int:
+        raise EvalStuck(nid, f"expected an integer, got {v}")
+    return v
+
+
+def _truth(v, cond: int) -> bool:
+    if type(v) is IntVal:
+        return v.value != 0
+    if type(v) is not int:
         raise EvalStuck(cond, f"expected an integer condition, got {v}")
-    return v.value != 0
+    return v != 0
 
 
-def evaluate(ctx: EvalContext, nid: int) -> Value:
-    """Evaluate the expression rooted at nid to a run-time value.
-
-    Runs nid's schedule, and the schedule of each arm a conditional chooses.
-    The value of each node with value edges is memoized per context, so a
-    step costs the distinct nodes of its expressions; leaves are cheaper to
-    evaluate again than to store. A stuck evaluation raises where evaluating
-    inputs left to right first gets stuck; nothing is stored for the nodes
-    it did not finish."""
-    memo = ctx.memo
-    v = memo.get(nid)
-    if v is not None:
-        return v
-    graph, state, params = ctx.graph, ctx.state, ctx.params
-    vals = {}  # every value this call computed or read, leaves included
+def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
+    """The evaluation core: the value of every node the roots' schedule
+    runs, and of each chosen arm's. An arithmetic result is a plain int;
+    a leaf's value is kept as read, so a root that is a leaf is not boxed
+    again. Each arm runs where its conditional is met; a stuck evaluation
+    raises where evaluating the roots left to right, inputs left to right,
+    first gets stuck."""
+    s = g.schedules.get(roots)
+    if s is None:
+        s = g.schedules[roots] = _roots_schedule(g, roots)
+    vals = {}
     waiting = {}  # conditional -> (its entries, chosen arm) while the arm runs
-    entries = iter(graph.schedules.get(nid) or schedule(graph, nid))
+    entries = iter(s)
     while True:
         for code, n, arg, x, y in entries:
-            if code == BINARY or code == UNARY:
-                v = memo.get(n)
-                if v is None:
-                    a = vals[x]
-                    if not isinstance(a, IntVal):
-                        raise _not_an_integer(x, a)
-                    if code == UNARY:
-                        v = IntVal(arg(a.value))
-                    else:
-                        b = vals[y]
-                        if not isinstance(b, IntVal):
-                            raise _not_an_integer(y, b)
-                        v = IntVal(arg(a.value, b.value))
-                    memo[n] = v
-                vals[n] = v
+            if code == STATE:
+                vals[n] = state[n]
             elif code == CONST:
                 vals[n] = arg
-            elif code == STATE:
-                vals[n] = state[n]
+            elif code == BINARY:
+                a, b = vals[x], vals[y]
+                if type(a) is not int:
+                    a = _integer(a, x)
+                if type(b) is not int:
+                    b = _integer(b, y)
+                vals[n] = arg(a, b)
             elif code == PARAM:
                 if arg >= len(params):
                     raise ParamOutOfRange(n, arg, len(params))
                 vals[n] = params[arg]
+            elif code == UNARY:
+                a = vals[x]
+                vals[n] = arg(a if type(a) is int else _integer(a, x))
             elif code == CHECK:
-                if not isinstance(vals[x], IntVal):
-                    raise _not_an_integer(x, vals[x])
+                _integer(vals[x], x)
             elif code == PROXY:
-                v = memo.get(n)
-                if v is None:
-                    v = memo[n] = vals[x]
-                vals[n] = v
+                vals[n] = vals[x]
             elif code == COND:
-                v = memo.get(n)
-                if v is None:
-                    arm = arg[0] if _truth(vals[x], x) else arg[1]
-                    v = vals.get(arm)
-                    if v is None:
-                        v = memo.get(arm)
-                    if v is None:
-                        if n in waiting:
-                            raise CyclicExpression(n)
-                        waiting[n] = (entries, arm)
-                        entries = iter(schedule(graph, arm))
-                        break
-                    memo[n] = v
-                vals[n] = v
+                arm = arg[0] if _truth(vals[x], x) else arg[1]
+                if arm in vals:
+                    vals[n] = vals[arm]
+                    continue
+                if n in waiting:
+                    raise CyclicExpression(n)
+                waiting[n] = (entries, arm)
+                entries = iter(schedule(g, arm))
+                break
             else:
-                raise EvalStuck(n, f"no evaluation rule for {arg}")
+                raise arg()
         else:
             if not waiting:
-                return vals[nid]
+                return vals
             n, (entries, arm) = waiting.popitem()
-            vals[n] = memo[n] = vals[arm]
+            vals[n] = vals[arm]
 
 
-def condition_holds(ctx: EvalContext, cond: int) -> bool:
+def evaluate_roots(g: Graph, state: MethodState, params: tuple, roots: tuple) -> list[Value]:
+    """The values of the expressions at roots, evaluated left to right under
+    one state and parameter tuple, as the control steps read them. A root
+    may instead be a callable making the EvalStuck to raise at its place."""
+    vals = _run(g, state, params, roots)
+    out = []  # a loop, not a comprehension: this runs once per control step
+    for root in roots:
+        v = vals[root]
+        out.append(IntVal(v) if type(v) is int else v)  # box an arithmetic result
+    return out
+
+
+def evaluate(ctx: EvalContext, nid: int) -> Value:
+    """Evaluate the expression rooted at nid to a run-time value."""
+    return evaluate_roots(ctx.graph, ctx.state, ctx.params, (nid,))[0]
+
+
+def condition_holds(g: Graph, state: MethodState, params: tuple, cond: int) -> bool:
     """Whether the branch condition at cond holds: an integer holds when it
     is nonzero, and any other value is stuck at cond."""
-    return _truth(evaluate(ctx, cond), cond)
+    return _truth(_run(g, state, params, (cond,))[cond], cond)
 
 
 # The outcome of a stuck lane. With every free leaf assigned an integer,

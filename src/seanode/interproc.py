@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .controlflow import INVOKE, RETURN, UNWIND, LocalConfig, local_step, plan, step
-from .dataflow import EvalContext, EvalStuck, evaluate
+from .dataflow import EvalStuck, evaluate_roots
 from .ir import Graph, MethodCallTargetNode, Program, Signature
 from .runtime import UNDEF, DynamicHeap, MethodState, ObjRef, Value
 
@@ -168,8 +168,7 @@ def _frame_step(program: Program, top: Frame, e: tuple) -> Frame:
         target = e[1]
         if not isinstance(target, MethodCallTargetNode):
             raise MalformedCall(f"callTarget of invoke {top.nid} is {target.kind_name()}")
-        ctx = EvalContext(top.graph, top.state, top.params)
-        args = tuple([evaluate(ctx, root) for root in target.arguments])
+        args = tuple(evaluate_roots(top.graph, top.state, top.params, target.arguments))
         callee_graph = program.graph(target.targetMethod)
         if callee_graph is None:
             raise UnknownMethod(target.targetMethod)
@@ -187,7 +186,7 @@ def _exit_value(g: Graph, state: MethodState, params: tuple, e: tuple) -> Value:
     code, root = e
     if root is None:
         return UNDEF
-    v = evaluate(EvalContext(g, state, params), root)
+    v, = evaluate_roots(g, state, params, (root,))
     if code == UNWIND and not isinstance(v, ObjRef):
         raise GlobalStuck(f"unwound value is not an object reference: {v}")
     return v

@@ -394,8 +394,9 @@ class Graph:
     Lookups are total: unmapped ids yield NoNode. Edits return new graphs.
     Derived tables are built on first use and kept: the def-use index (node
     id -> the ids whose inputs name it), by the first users call, and the
-    evaluation schedules by root and step entries by node, filled in by
-    dataflow.schedule and controlflow.plan. An edit returns a graph with none.
+    evaluation schedules by root or roots tuple and step entries by node,
+    filled in by dataflow.schedule, dataflow.evaluate_roots and
+    controlflow.plan. An edit returns a graph with none.
     """
 
     __slots__ = ("_nodes", "_users", "schedules", "steps")
@@ -408,7 +409,7 @@ class Graph:
                 raise InvalidEdit(f"cannot store NoNode at id {nid}")
         self._nodes = dict(nodes)
         self._users = None
-        self.schedules: dict = {}  # root -> evaluation schedule; see dataflow.schedule
+        self.schedules: dict = {}  # root or roots -> schedule; see dataflow.schedule
         self.steps: dict = {}  # nid -> step entry; see controlflow.plan
 
     def kind(self, nid: int) -> IRNode:

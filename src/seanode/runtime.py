@@ -1,7 +1,7 @@
 """Run-time value domain: 32-bit wrapping integers, object references,
 method state, and the dynamic heap."""
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 
 INT_MIN = -(2 ** 31)
@@ -171,6 +171,20 @@ class _Fields(Mapping):
 
     def __len__(self):
         return len(_reroot(self._version))
+
+    def items(self):
+        return _FieldItems(self)
+
+
+class _FieldItems(ItemsView):
+    """A version's (cell, value) pairs. An iteration reroots once, when it
+    starts, and runs over a copy, so using another version meanwhile
+    cannot change what it yields."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(list(_reroot(self._mapping._version).items()))
 
 
 class DynamicHeap:

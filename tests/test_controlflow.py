@@ -4,8 +4,9 @@ import pytest
 
 from genutil import gen_merge_fixture
 from seanode.controlflow import (
-    LocalConfig, StepStuck, merge_of_end, phis_of, step,
+    LocalConfig, StepStuck, merge_of_end, phis_of, plan, step,
 )
+from seanode import dataflow
 from seanode.dataflow import EvalContext, evaluate
 from seanode.ir import (
     BeginNode, ConstantNode, EndNode, Graph, IfNode, MergeNode, NewInstanceNode,
@@ -85,6 +86,17 @@ def test_loop_end_step_uses_original_state(fact_graph):
     assert c2.nid == 6
     assert c2.state[7] == IntVal(wrap32(5 + (-1)))
     assert c2.state[8] == IntVal(wrap32(1 * 5))
+
+
+def test_an_end_step_runs_one_schedule_built_at_its_first_step(fact_graph):
+    for nid in fact_graph.ids():
+        plan(fact_graph, nid)
+    assert fact_graph.schedules == {}  # planning builds no schedule
+    m = MethodState().set(7, IntVal(5)).set(8, IntVal(1))
+    step(fact_graph, (IntVal(5),), LocalConfig(21, m, DynamicHeap()))
+    # Phi 7 reads 20 = 7 + (-1), phi 8 reads 18 = 8 * 7: one schedule, 7 once.
+    entries = fact_graph.schedules[(20, 18)]
+    assert [e[1] for e in entries if e[0] != dataflow.CHECK] == [7, 19, 20, 8, 18]
 
 
 def test_store_step_writes_heap_and_advances():

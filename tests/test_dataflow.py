@@ -1,11 +1,14 @@
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from genutil import DOUBLING_SIG, doubling_dag
+from seanode import dataflow
 from seanode.dataflow import (
-    EvalContext, EvalStuck, ParamOutOfRange, condition_holds, evaluate,
+    CyclicExpression, EvalContext, EvalStuck, ParamOutOfRange, condition_holds, evaluate,
+    evaluate_roots, schedule,
 )
 from seanode.ir import (
     AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode, InvokeNode,
@@ -140,7 +143,7 @@ def test_conditional_on_an_object_reference_is_stuck_at_the_condition():
 
 def test_condition_holds_on_integers_only():
     def holds(value):
-        return condition_holds(ctx({1: ConstantNode(value)}), 1)
+        return condition_holds(Graph({1: ConstantNode(value)}), MethodState(), (), 1)
     assert holds(IntVal(1)) is True
     assert holds(IntVal(0)) is False
     for value in (UNDEF, ObjRef(0)):
@@ -169,7 +172,7 @@ def test_same_node_under_two_states_gives_two_values():
     assert evaluate(first, 5) == IntVal(2)
 
 
-def test_unchosen_arm_is_not_evaluated_when_its_inputs_are_memoized():
+def test_unchosen_arm_is_not_evaluated_when_its_inputs_were_evaluated_first():
     c = ctx({
         1: ParameterNode(0),
         2: ParameterNode(5),  # out of range: stuck if evaluated
@@ -180,16 +183,21 @@ def test_unchosen_arm_is_not_evaluated_when_its_inputs_are_memoized():
     }, p=[IntVal(4)])
     assert evaluate(c, 3) == IntVal(8)
     assert evaluate(c, 6) == IntVal(8)
-    assert 4 not in c.memo
+    assert evaluate_roots(c.graph, c.state, c.params, (3, 6)) == [IntVal(8), IntVal(8)]
+    with pytest.raises(ParamOutOfRange):
+        evaluate(c, 4)
 
 
 def test_stuck_evaluation_is_not_memoized():
     c = ctx({1: ParameterNode(0), 2: ParameterNode(5), 3: AddNode(x=1, y=1),
              4: AddNode(x=3, y=2)}, p=[IntVal(4)])
+    raised = []
     for _ in range(2):
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(ParamOutOfRange) as e:
             evaluate(c, 4)
-    assert set(c.memo) == {3}
+        raised.append((e.value.nid, str(e.value)))
+    assert raised == [(2, "@2: parameter index 5 with 1 parameters")] * 2
+    assert evaluate(c, 3) == IntVal(8)
 
 
 @pytest.mark.parametrize("nodes", [
@@ -272,3 +280,191 @@ def test_evaluation_is_deterministic_and_pure(gr, p0, phi_val):
     c = EvalContext(g, m, (IntVal(p0),))
     assert evaluate(c, root) == evaluate(c, root)
     assert m == MethodState().set(3, IntVal(phi_val))
+
+
+# A step's roots are evaluated left to right, and the first stuck root wins,
+# whether it gets stuck as it runs, by a cycle or by a missing input.
+
+_ORDER_GRAPH = {
+    1: ParameterNode(3),  # out of range: stuck
+    2: NegateNode(value=2),  # a cycle through a value edge
+    3: ConstantNode(IntVal(1)),
+    4: ConditionalNode(condition=3, trueValue=5, falseValue=3),
+    5: NegateNode(value=4),  # 4's chosen arm needs 4: a cycle through an arm
+    6: AddNode(x=3, y=3),
+}
+
+
+@pytest.mark.parametrize("roots, nid, cls", [
+    ((6, 1, 2), 1, ParamOutOfRange),
+    ((6, 2, 1), 2, CyclicExpression),
+    ((6, partial(EvalStuck, 9, "no input"), 2), 9, EvalStuck),
+    ((6, 2, partial(EvalStuck, 9, "no input")), 2, CyclicExpression),
+    ((1, 4), 1, ParamOutOfRange),
+    ((4, 1), 4, CyclicExpression),
+], ids=["stuck-then-cycle", "cycle-then-stuck", "missing-then-cycle", "cycle-then-missing",
+        "stuck-then-arm-cycle", "arm-cycle-then-stuck"])
+def test_the_first_stuck_root_wins(roots, nid, cls):
+    g = Graph(_ORDER_GRAPH)
+    for _ in range(2):  # building the roots' schedule, then reading it back
+        with pytest.raises(EvalStuck) as e:
+            evaluate_roots(g, MethodState(), (), roots)
+        assert (type(e.value), e.value.nid) == (cls, nid)
+
+
+# Differential property: evaluate_roots, one schedule for every root of a
+# step, against the reference below, which evaluates one root per call,
+# each in turn under one context, and shares values between the calls
+# through a memo. It reads the same per-root schedules.
+
+class _MemoContext:
+    def __init__(self, graph, state, params):
+        self.graph = graph
+        self.state = state
+        self.params = params
+        self.memo = {}
+
+
+def _reference_evaluate(ctx, nid):
+    memo = ctx.memo
+    v = memo.get(nid)
+    if v is not None:
+        return v
+    graph, state, params = ctx.graph, ctx.state, ctx.params
+    vals = {}
+    waiting = {}
+    entries = iter(schedule(graph, nid))
+    while True:
+        for code, n, arg, x, y in entries:
+            if code == dataflow.BINARY or code == dataflow.UNARY:
+                v = memo.get(n)
+                if v is None:
+                    a = vals[x]
+                    if not isinstance(a, IntVal):
+                        raise EvalStuck(x, f"expected an integer, got {a}")
+                    if code == dataflow.UNARY:
+                        v = IntVal(arg(a.value))
+                    else:
+                        b = vals[y]
+                        if not isinstance(b, IntVal):
+                            raise EvalStuck(y, f"expected an integer, got {b}")
+                        v = IntVal(arg(a.value, b.value))
+                    memo[n] = v
+                vals[n] = v
+            elif code == dataflow.CONST:
+                vals[n] = arg
+            elif code == dataflow.STATE:
+                vals[n] = state[n]
+            elif code == dataflow.PARAM:
+                if arg >= len(params):
+                    raise ParamOutOfRange(n, arg, len(params))
+                vals[n] = params[arg]
+            elif code == dataflow.CHECK:
+                if not isinstance(vals[x], IntVal):
+                    raise EvalStuck(x, f"expected an integer, got {vals[x]}")
+            elif code == dataflow.PROXY:
+                v = memo.get(n)
+                if v is None:
+                    v = memo[n] = vals[x]
+                vals[n] = v
+            elif code == dataflow.COND:
+                v = memo.get(n)
+                if v is None:
+                    c = vals[x]
+                    if not isinstance(c, IntVal):
+                        raise EvalStuck(x, f"expected an integer condition, got {c}")
+                    arm = arg[0] if c.value != 0 else arg[1]
+                    v = vals.get(arm)
+                    if v is None:
+                        v = memo.get(arm)
+                    if v is None:
+                        if n in waiting:
+                            raise CyclicExpression(n)
+                        waiting[n] = (entries, arm)
+                        entries = iter(schedule(graph, arm))
+                        break
+                    memo[n] = v
+                vals[n] = v
+            else:
+                raise arg()
+        else:
+            if not waiting:
+                return vals[nid]
+            n, (entries, arm) = waiting.popitem()
+            vals[n] = memo[n] = vals[arm]
+
+
+def _outcome(evaluate_all):
+    try:
+        return evaluate_all()
+    except EvalStuck as e:
+        return type(e), e.nid, str(e)
+
+
+_LEAF_VALUES = st.sampled_from([IntVal(0), IntVal(1), IntVal(-2), IntVal(INT_MAX), ObjRef(0),
+                                UNDEF])
+
+
+@st.composite
+def _dags_and_roots(draw):
+    """A random expression graph on ids 1..n, a state, parameters and roots.
+    An input names an earlier node, or now and then any node, which can
+    close a cycle through value edges or through a conditional's arms."""
+    n = draw(st.integers(1, 10))
+    nodes = {}
+    for nid in range(1, n + 1):
+        def ref():
+            if draw(st.integers(0, 9)) < 9:
+                return draw(st.integers(1, nid - 1))
+            return draw(st.integers(1, n))
+        kind = draw(st.sampled_from(
+            ["const", "param", "phi"] if nid == 1 else
+            ["const", "const", "param", "phi", "phi", "add", "sub", "mul", "neg", "lt",
+             "cond", "cond", "cond", "proxy", "start", "back"]))
+        if kind == "const":
+            nodes[nid] = ConstantNode(draw(_LEAF_VALUES))
+        elif kind == "param":
+            nodes[nid] = ParameterNode(draw(st.integers(0, 2)))  # may be out of range
+        elif kind == "phi":
+            nodes[nid] = ValuePhiNode(nid, values=(), merge=0)
+        elif kind in ("add", "sub", "mul", "lt"):
+            cls = {"add": AddNode, "sub": SubNode, "mul": MulNode, "lt": IntegerLessThanNode}
+            nodes[nid] = cls[kind](x=ref(), y=ref())
+        elif kind == "neg":
+            nodes[nid] = NegateNode(value=ref())
+        elif kind == "back":  # itself or a later node: often a cycle
+            nodes[nid] = NegateNode(value=draw(st.integers(nid, n)))
+        elif kind == "cond":
+            nodes[nid] = ConditionalNode(condition=ref(), trueValue=ref(), falseValue=ref())
+        elif kind == "proxy":
+            nodes[nid] = ValueProxyNode(value=ref(), loopExit=0)
+        else:
+            nodes[nid] = StartNode(next=0)  # no evaluation rule
+    state = MethodState().set_many(
+        (nid, draw(_LEAF_VALUES)) for nid, node in nodes.items()
+        if isinstance(node, ValuePhiNode))
+    params = tuple(draw(st.lists(_LEAF_VALUES, max_size=2)))
+    # A root is a node, or now and then a missing input, stuck where it is met.
+    roots = []
+    for _ in range(draw(st.integers(1, 4))):
+        nid = n + 1 - draw(st.integers(1, n))  # the later nodes first
+        roots.append(nid if draw(st.integers(0, 9)) < 9 else partial(EvalStuck, nid, "no input"))
+    return Graph(nodes), state, params, tuple(roots)
+
+
+def _reference_roots(g, state, params, roots):
+    ctx = _MemoContext(g, state, params)
+    return [_reference_evaluate(ctx, r) if type(r) is int else _raise(r) for r in roots]
+
+
+def _raise(make):
+    raise make()
+
+
+@given(_dags_and_roots())
+def test_differential_evaluate_roots_against_the_memo_reference(case):
+    g, state, params, roots = case
+    expected = _outcome(lambda: _reference_roots(Graph(dict(g.items())), state, params, roots))
+    assert _outcome(lambda: evaluate_roots(g, state, params, roots)) == expected
+    # Again, from the schedule kept on the graph.
+    assert _outcome(lambda: evaluate_roots(g, state, params, roots)) == expected

@@ -336,7 +336,17 @@ def test_an_arm_no_lane_chooses_never_runs():
     folded = g.replace_node(root, AddNode(x=1, y=2))
     verdict = _timed(data_equiv, g, folded, root, with_boundary_values(Domain()))
     assert (verdict.status, verdict.samples_tried) == (Equivalence.EQUIVALENT, 7 ** 4)
-    assert 6 in g.schedules and dead not in g.schedules
+
+    # The dead arm alone reads p2 and p3: their columns are never read.
+    class Watched(dict):
+        def __getitem__(self, index):
+            read.add(index)
+            return super().__getitem__(index)
+
+    read = set()
+    params = Watched({i: [i, -i] for i in range(4)})
+    assert evaluate_lanes(g, root, 2, params, {}) == [1, -1]
+    assert read == {0, 1}
 
 
 # Differential property: the column-wise data_equiv against data_equiv

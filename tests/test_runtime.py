@@ -95,6 +95,26 @@ def test_store_is_persistent():
     assert heap.load_field("x", ref) == IntVal(0)
 
 
+def test_items_view_yields_its_own_versions_cells_after_a_branching_store():
+    ref, heap = DynamicHeap().new_instance()
+    base = heap.store_field("x", ref, IntVal(1)).store_field("y", ref, IntVal(2))
+    view = base.fields.items()
+    left = base.store_field("y", ref, IntVal(7))
+    right = base.store_field("z", None, IntVal(3))  # a branch from the same version
+    cells = [((0, "x"), IntVal(1)), ((0, "y"), IntVal(2))]
+    assert list(left.fields.items()) == [((0, "x"), IntVal(1)), ((0, "y"), IntVal(7))]
+    assert list(view) == cells
+    assert sorted(right.fields.items()) == [((STATIC_REF, "z"), IntVal(3))] + cells
+    # Reading another version while iterating changes nothing it yields.
+    seen = []
+    for cell in view:
+        left.load_field("y", ref)  # reroots the shared cells to left
+        seen.append(cell)
+    assert seen == cells
+    assert base != left and left != right and base == DynamicHeap(dict(cells), 1)
+    assert left == base.store_field("y", ref, IntVal(7))
+
+
 def test_state_updates_leave_the_receiver_unchanged():
     m = MethodState().set(1, IntVal(1)).set(2, IntVal(2))
     m2 = m.set_many([(1, IntVal(5)), (3, IntVal(3)), (2, UNDEF), (1, IntVal(6))])
