@@ -116,7 +116,7 @@ _STEPS = {
     ir.ReturnNode: lambda g, nid, node: (RETURN, node.resultOpt),
     ir.UnwindNode: lambda g, nid, node: (UNWIND, node.exception),
 }
-_STEPS.update({k: lambda g, nid, node: (NEXT, ir.successors_of(node)[0])
+_STEPS.update({k: lambda g, nid, node: (NEXT, g.edges()[nid][1][0])
                for k in ir.NODE_KINDS.values() if ir.is_sequential(k)})
 
 

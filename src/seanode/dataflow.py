@@ -118,23 +118,22 @@ def _entry(g: Graph, nid: int) -> tuple:
     return rule(nid, node)
 
 
-def walk_values(g: Graph, root: int, done: set[int]) -> None:
-    """Add to done the nodes evaluating root reaches over value edges, both
-    arms of every conditional included. Iterative, so depth is not bounded
-    by the recursion limit. Raises CyclicExpression at the first node met
-    again on its own path."""
-    if root in done:
-        return
-    path = {root}
-    stack = [(root, iter(ir.value_inputs(g.kind(root))))]
+def walk_values(g: Graph, roots) -> None:
+    """One walk of the nodes evaluating each of roots, in turn, reaches over
+    the value edges of g's edge table, both arms of every conditional
+    included. Iterative, so depth is not bounded by the recursion limit.
+    Raises CyclicExpression at the first node met again on its own path."""
+    table = g.edges()
+    path, done = set(), set()
+    stack = [(None, iter(roots))]  # the roots are the inputs of no node
     while stack:
         nid, targets = stack[-1]
         for target in targets:
             if target in path:
                 raise CyclicExpression(target)
-            if target not in done:
+            if target not in done and target in table:  # else: no value edges
                 path.add(target)
-                stack.append((target, iter(ir.value_inputs(g.kind(target)))))
+                stack.append((target, iter(table[target][2])))
                 break
         else:
             stack.pop()

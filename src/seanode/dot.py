@@ -1,7 +1,6 @@
 """DOT export: one digraph per method, data edges dashed (drawn from the
 input node to its user), successor edges solid."""
 
-from . import ir
 from .ir import Graph
 
 
@@ -13,10 +12,10 @@ def graph_to_dot(g: Graph, name: str = "method") -> str:
     lines = [f"digraph {_quote(name)} {{", "  node [shape=box];"]
     for nid, node in sorted(g.items()):
         lines.append(f"  n{nid} [label={_quote(f'{nid}: {node.kind_name()}')}];")
-    for nid, node in sorted(g.items()):
-        for target in ir.inputs_of(node):
+    for nid, (inputs, successors, _) in sorted(g.edges().items()):
+        for target in inputs:
             lines.append(f"  n{target} -> n{nid} [style=dashed];")
-        for target in ir.successors_of(node):
+        for target in successors:
             lines.append(f"  n{nid} -> n{target} [style=solid];")
     lines.append("}")
     return "\n".join(lines) + "\n"

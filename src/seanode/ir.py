@@ -5,11 +5,12 @@ Each node kind is declared once, as an IRNode subclass, and every per-kind
 table (role predicates, value edges, field codecs, and the evaluation and
 step entries of dataflow and controlflow) is derived from that, so generic
 code needs no per-kind cases. An edge's shape (one, optional, or a list) is
-stated once, by its field's type, and the edge readers read it from there.
+stated once, by its field's type, and the edge readers are derived from it.
 """
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import ClassVar, get_type_hints
 
 from . import runtime
@@ -50,6 +51,27 @@ class Role(enum.Enum):
 NODE_KINDS: dict[str, type] = {}
 
 
+def _reader(kind, names: tuple[str, ...]):
+    """node -> its edge targets in the fields names, in order, read by each
+    field's type: None or a tuple in an int field is one edge, to no node."""
+    if not names:
+        return lambda node: ()
+    if kind.LIST_EDGES.isdisjoint(names) and kind.OPTIONAL_EDGES.isdisjoint(names):
+        get = attrgetter(*names)  # plain int fields: one C call
+        return get if len(names) > 1 else lambda node: (get(node),)
+
+    def read(node) -> tuple:
+        out = []
+        for name in names:
+            v = getattr(node, name)
+            if name in kind.LIST_EDGES:
+                out.extend(v)
+            elif v is not None or name not in kind.OPTIONAL_EDGES:
+                out.append(v)
+        return tuple(out)
+    return read
+
+
 @dataclass(frozen=True)
 class IRNode:
     """Base of all node variants.
@@ -62,7 +84,7 @@ class IRNode:
     kind's role (a kind with one is registered in NODE_KINDS), an arithmetic
     kind's run-time operation on its integer inputs, and a pure kind's
     anchors: inputs evaluation does not follow. VALUE_EDGES names the ones
-    it does.
+    it does. READERS reads a node's inputs, successors and value inputs.
     """
 
     INPUTS: ClassVar[tuple[str, ...]] = ()
@@ -72,6 +94,7 @@ class IRNode:
     VALUE_EDGES: ClassVar[tuple[str, ...]] = ()
     LIST_EDGES: ClassVar[frozenset[str]] = frozenset()
     OPTIONAL_EDGES: ClassVar[frozenset[str]] = frozenset()
+    READERS: ClassVar[tuple] = ()
 
     def __init_subclass__(cls, role: Role | None = None, op=None, anchors=()):
         super().__init_subclass__()
@@ -83,6 +106,9 @@ class IRNode:
             NODE_KINDS[cls.__name__] = cls
         if role is Role.PURE:
             cls.VALUE_EDGES = tuple(e for e in cls.INPUTS if e not in anchors)
+        inputs = _reader(cls, cls.INPUTS)
+        values = inputs if cls.VALUE_EDGES == cls.INPUTS else _reader(cls, cls.VALUE_EDGES)
+        cls.READERS = (inputs, _reader(cls, cls.SUCCESSORS), values)
 
     @classmethod
     def kind_name(cls) -> str:
@@ -338,33 +364,27 @@ class UnwindNode(IRNode, role=Role.CONTROL):
     INPUTS = ("exception",)
 
 
-def _edge_fields(node: IRNode, names) -> list[int]:
-    # Read by the field's type, not its value: None in an int field stays a
-    # target, an edge to no node, which wellformed.check reports.
-    kind = type(node)
-    out = []
-    for name in names:
-        v = getattr(node, name)
-        if name in kind.LIST_EDGES:
-            out.extend(v)
-        elif v is not None or name not in kind.OPTIONAL_EDGES:
-            out.append(v)
-    return out
+def edges_of(node: IRNode) -> tuple[tuple, tuple, tuple]:
+    """A node's row of the edge table: its inputs, successors and value
+    inputs, each a tuple of edge targets as the functions below list them."""
+    inputs, successors, values = type(node).READERS
+    ins = inputs(node)
+    return ins, successors(node), ins if values is inputs else values(node)
 
 
 def inputs_of(node: IRNode) -> list[int]:
     """Ordered input-edge targets of a node (absent optional edges omitted)."""
-    return _edge_fields(node, type(node).INPUTS)
+    return list(type(node).READERS[0](node))
 
 
 def successors_of(node: IRNode) -> list[int]:
     """Ordered successor-edge targets of a node."""
-    return _edge_fields(node, type(node).SUCCESSORS)
+    return list(type(node).READERS[1](node))
 
 
 def value_inputs(node: IRNode) -> list[int]:
     """Ordered targets of the input edges that evaluation follows."""
-    return _edge_fields(node, type(node).VALUE_EDGES)
+    return list(type(node).READERS[2](node))
 
 
 # The role predicates take a node or a node kind.
@@ -392,14 +412,14 @@ class Graph:
     """Finite partial map from node ids to nodes; immutable after construction.
 
     Lookups are total: unmapped ids yield NoNode. Edits return new graphs.
-    Derived tables are built on first use and kept: the def-use index (node
-    id -> the ids whose inputs name it), by the first users call, and the
-    evaluation schedules by root or roots tuple and step entries by node,
-    filled in by dataflow.schedule, dataflow.evaluate_roots and
+    Derived tables are built on first use and kept: the edge table and the
+    def-use index, read from it, by the first edges and users calls, and
+    the evaluation schedules by root or roots tuple and step entries by
+    node, filled in by dataflow.schedule, dataflow.evaluate_roots and
     controlflow.plan. An edit returns a graph with none.
     """
 
-    __slots__ = ("_nodes", "_users", "schedules", "steps")
+    __slots__ = ("_nodes", "_edges", "_users", "schedules", "steps")
 
     def __init__(self, nodes: dict[int, IRNode]):
         for nid, node in nodes.items():
@@ -408,6 +428,7 @@ class Graph:
             if isinstance(node, NoNode):
                 raise InvalidEdit(f"cannot store NoNode at id {nid}")
         self._nodes = dict(nodes)
+        self._edges = None
         self._users = None
         self.schedules: dict = {}  # root or roots -> schedule; see dataflow.schedule
         self.steps: dict = {}  # nid -> step entry; see controlflow.plan
@@ -428,13 +449,20 @@ class Graph:
         # A new set each call, so a caller cannot change the index.
         return set(self.users(nid))
 
+    def edges(self) -> dict[int, tuple[tuple, tuple, tuple]]:
+        """The edge table: each mapped id to edges_of its node. Read-only,
+        so it is not copied."""
+        if self._edges is None:
+            self._edges = {nid: edges_of(node) for nid, node in self._nodes.items()}
+        return self._edges
+
     def users(self, nid: int) -> tuple[int, ...]:
         """The def-use index's own entry for nid: the ids whose inputs name
         it, once per naming input. Read-only, so it is not copied."""
         if self._users is None:
             users: dict[int, list[int]] = {}
-            for m, node in self._nodes.items():
-                for n in inputs_of(node):
+            for m, (ins, _, _) in self.edges().items():
+                for n in ins:
                     users.setdefault(n, []).append(m)
             # Tuples take about a third of the memory of sets.
             self._users = {n: tuple(ms) for n, ms in users.items()}

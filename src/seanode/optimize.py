@@ -138,11 +138,12 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
 
 # -- control-flow graph and dominators ------------------------------------
 
-def cfg_successors(g: Graph, nid: int) -> list[int]:
-    """Successor edges plus the end-to-merge pseudo-successor, which an
-    end's step entry names."""
+def cfg_successors(g: Graph, nid: int) -> tuple[int, ...]:
+    """Successor edges of the mapped id nid plus the end-to-merge
+    pseudo-successor, which an end's step entry names."""
     e = plan(g, nid)
-    return ir.successors_of(g.kind(nid)) + ([e[1]] if e[0] == END else [])
+    successors = g.edges()[nid][1]
+    return successors + (e[1],) if e[0] == END else successors
 
 
 def _cfg(g: Graph) -> tuple[list[int], dict[int, set[int]]]:

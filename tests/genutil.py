@@ -1,14 +1,17 @@
 """Seeded random builders for property-style tests: merge/phi fixtures for
-the simultaneity property and instance generators for each declared
-canonicalization rule of a data kind."""
+the simultaneity property, instance generators for each declared
+canonicalization rule of a data kind, and damaged graphs for the
+well-formedness gate."""
 
+import dataclasses
 import random
 
 from seanode.ir import (
-    AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode,
-    IntegerLessThanNode, LoopBeginNode, LoopEndNode, LoopExitNode, MergeNode, MulNode,
-    NegateNode, NewInstanceNode, ParameterNode, Program, ReturnNode, Signature,
-    StartNode, StoreFieldNode, ValuePhiNode, ValueProxyNode, is_data,
+    AbstractMergeNode, AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph,
+    IfNode, IntegerLessThanNode, InvokeWithExceptionNode, LoopBeginNode, LoopEndNode,
+    LoopExitNode, MergeNode, MethodCallTargetNode, MulNode, NegateNode, NewInstanceNode,
+    ParameterNode, Program, ReturnNode, Signature, StartNode, StoreFieldNode, UnwindNode,
+    ValuePhiNode, ValueProxyNode, is_data,
 )
 from seanode.optimize import RULES
 from seanode.runtime import INT_MAX, INT_MIN, IntVal
@@ -243,3 +246,160 @@ def stuck_phi_program() -> Program:
 def violated_rules(g: Graph) -> set[str]:
     """Names of the well-formedness rules that check reports g breaking."""
     return {v.rule for v in check(g).violations}
+
+
+# -- damaged graphs, for the well-formedness gate -------------------------
+
+def _edge_slots(nodes: dict) -> list[tuple[int, str, int | None]]:
+    """Every edge slot of the graph: (node id, field, list position or
+    None for a one-edge field), in id, then field order."""
+    slots = []
+    for nid in sorted(nodes):
+        node = nodes[nid]
+        kind = type(node)
+        for name in kind.INPUTS + kind.SUCCESSORS:
+            if name in kind.LIST_EDGES:
+                slots += [(nid, name, i) for i in range(len(getattr(node, name)))]
+            else:
+                slots.append((nid, name, None))
+    return slots
+
+
+def _set_edge(nodes: dict, slot, target) -> None:
+    nid, name, i = slot
+    node = nodes[nid]
+    if i is not None:
+        old = getattr(node, name)
+        target = old[:i] + (target,) + old[i + 1:]
+    nodes[nid] = dataclasses.replace(node, **{name: target})
+
+
+def _data_ids(nodes: dict) -> list[int]:
+    return [nid for nid in sorted(nodes) if is_data(nodes[nid])] or sorted(nodes)
+
+
+def _dangle(nodes, rng):
+    slots = _edge_slots(nodes)
+    if slots:
+        _set_edge(nodes, rng.choice(slots), max(nodes) + rng.randint(1, 3))
+
+
+def _wrong_shape(nodes, rng):
+    # None or a tuple where an edge is one id: a target that is no node.
+    slots = [s for s in _edge_slots(nodes) if s[2] is None]
+    if slots:
+        slot = rng.choice(slots)
+        _set_edge(nodes, slot, rng.choice((None, (slot[0],), (1, 2))))
+
+
+def _orphan_end(nodes, rng):
+    merges = [n for n in sorted(nodes) if isinstance(nodes[n], AbstractMergeNode)]
+    if merges and rng.random() < 0.5:
+        m = rng.choice(merges)
+        nodes[m] = dataclasses.replace(nodes[m], ends=nodes[m].ends[1:])
+    else:
+        nodes[max(nodes) + 1] = EndNode()
+
+
+def _break_phi(nodes, rng):
+    phis = [n for n in sorted(nodes) if isinstance(nodes[n], ValuePhiNode)]
+    if not phis:
+        return
+    p = rng.choice(phis)
+    phi = nodes[p]
+    roll = rng.random()
+    if roll < 0.4:
+        nodes[p] = dataclasses.replace(phi, values=phi.values[:-1])
+    elif roll < 0.7:
+        nodes[p] = dataclasses.replace(phi, values=phi.values + (rng.choice(sorted(nodes)),))
+    else:
+        nodes[p] = dataclasses.replace(phi, merge=rng.choice(sorted(nodes) + [max(nodes) + 1]))
+
+
+def _bad_self_id(nodes, rng):
+    owners = [n for n in sorted(nodes) if hasattr(nodes[n], "selfId")]
+    if owners:
+        n = rng.choice(owners)
+        nodes[n] = dataclasses.replace(nodes[n], selfId=n + rng.randint(1, 4))
+
+
+def _arm_cycle(nodes, rng):
+    # A conditional whose arm reads the conditional back.
+    data = _data_ids(nodes)
+    c, a = max(nodes) + 1, max(nodes) + 2
+    nodes[a] = AddNode(x=c, y=rng.choice(data))
+    arms = (a, rng.choice(data))
+    if rng.random() < 0.5:
+        arms = arms[::-1]
+    nodes[c] = ConditionalNode(condition=rng.choice(data), trueValue=arms[0], falseValue=arms[1])
+
+
+def _proxy_anchor(nodes, rng):
+    # A loop through a ValueProxyNode's anchor edge, which evaluation does
+    # not follow: not a cycle.
+    data = _data_ids(nodes)
+    p, a = max(nodes) + 1, max(nodes) + 2
+    nodes[p] = ValueProxyNode(value=rng.choice(data), loopExit=a)
+    nodes[a] = NegateNode(value=p)
+
+
+def _unmapped_value(nodes, rng):
+    nodes[max(nodes) + 1] = rng.choice((
+        AddNode(x=rng.choice(_data_ids(nodes)), y=max(nodes) + 7),
+        NegateNode(value=max(nodes) + 5),
+    ))
+
+
+def _value_cycle(nodes, rng):
+    # A value edge to the node itself, or to a new node that reads it.
+    slots = [s for s in _edge_slots(nodes)
+             if s[1] in type(nodes[s[0]]).VALUE_EDGES and s[2] is None]
+    if slots:
+        slot = rng.choice(slots)
+        target = slot[0]
+        if rng.random() < 0.5:
+            target = max(nodes) + 1
+            nodes[target] = AddNode(x=rng.choice(_data_ids(nodes)), y=slot[0])
+        _set_edge(nodes, slot, target)
+
+
+def _drop_node(nodes, rng):
+    if len(nodes) > 1:
+        del nodes[rng.choice(sorted(nodes))]
+
+
+DAMAGES = (_dangle, _wrong_shape, _orphan_end, _break_phi, _bad_self_id,
+           _arm_cycle, _proxy_anchor, _unmapped_value, _value_cycle, _drop_node)
+
+
+def damaged_graph(base: Graph, rng: random.Random) -> Graph:
+    """base with one to three damages from DAMAGES, chosen by rng."""
+    nodes = dict(base.items())
+    for damage in rng.sample(DAMAGES, rng.randint(1, 3)):
+        if nodes:
+            damage(nodes, rng)
+    return Graph(nodes)
+
+
+def damage_bases() -> list[Graph]:
+    """Well-formed graphs of every shape damaged_graph has a damage for:
+    merges with phis, a loop with a store and a proxy, conditionals, a
+    call with an exception edge and deep chains."""
+    rng = random.Random(0)
+    call = Graph({
+        0: StartNode(next=1),
+        1: InvokeWithExceptionNode(1, callTarget=2, next=4, exceptionEdge=5),
+        2: MethodCallTargetNode(CHAIN_SIG, arguments=(3, 3)),
+        3: ParameterNode(0),
+        4: ReturnNode(resultOpt=1),
+        5: UnwindNode(exception=1),
+    })
+    return [
+        *(gen_merge_fixture(rng)[0] for _ in range(3)),
+        store_loop(3).graph(STORE_LOOP_SIG),
+        conditional_chain(3),
+        negate_chain(4),
+        doubling_dag(3).graph(DOUBLING_SIG),
+        stuck_phi_program().graph(STUCK_PHI_SIG),
+        call,
+    ]

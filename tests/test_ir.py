@@ -1,13 +1,24 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import CORPUS_FILES, corpus
+from genutil import damage_bases, damaged_graph
 from seanode import ir, optimize
+from seanode.dot import graph_to_dot
+from seanode.fileformat import load
+from seanode.interproc import run
 from seanode.ir import (
     AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, InvalidEdit,
     InvokeWithExceptionNode, NoNode, RefNode, Signature, StartNode,
     ValuePhiNode,
 )
 from seanode.runtime import IntVal
+from seanode.wellformed import check
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_kind_unmapped_is_nonode():
@@ -160,9 +171,64 @@ def _users_by_definition(g, nid):
     return {m for m, node in g.items() if nid in ir.inputs_of(node)}
 
 
+def _edge_fields(node, names) -> list:
+    # The reference edge reader: the one ir had before each kind's readers
+    # were derived from its field types.
+    kind = type(node)
+    out = []
+    for name in names:
+        v = getattr(node, name)
+        if name in kind.LIST_EDGES:
+            out.extend(v)
+        elif v is not None or name not in kind.OPTIONAL_EDGES:
+            out.append(v)
+    return out
+
+
+def _reference_row(node) -> tuple:
+    kind = type(node)
+    return tuple(tuple(_edge_fields(node, names))
+                 for names in (kind.INPUTS, kind.SUCCESSORS, kind.VALUE_EDGES))
+
+
+def test_edge_readers_match_the_reference_on_every_damaged_node():
+    # Damaged graphs hold None, tuples and unmapped ids in edge fields of
+    # every shape, beside the well-formed nodes they were made from.
+    bases = damage_bases()
+    nodes = [node for s in range(300)
+             for _, node in damaged_graph(bases[s % len(bases)], random.Random(s)).items()]
+    nodes += [node for path in CORPUS_FILES + sorted(FIXTURES.glob("*.json"))
+              for g in load(path).methods.values() for _, node in g.items()]
+    nodes += [RefNode(next=3), RefNode(next=None)]
+    assert {type(node) for node in nodes} == set(ir.NODE_KINDS.values())
+    for node in nodes:
+        row = _reference_row(node)
+        assert ir.edges_of(node) == row, node
+        assert (ir.inputs_of(node), ir.successors_of(node), ir.value_inputs(node)) == tuple(
+            map(list, row))
+
+
+def test_the_edge_table_decodes_each_node_once(monkeypatch):
+    # Whatever reads a graph's edges, and however often, each node's edge
+    # fields are decoded once: check (twice), the CFG walk, dot and run.
+    p = corpus("factorial")
+    sig = p.resolve("fact")
+    g = p.graph(sig)
+    decoded = []
+    edges_of = ir.edges_of
+    monkeypatch.setattr(ir, "edges_of", lambda node: decoded.append(node) or edges_of(node))
+    assert check(g).ok and check(g).ok
+    optimize.dominators(g)
+    graph_to_dot(g)
+    assert run(p, sig, [IntVal(4)]).value == IntVal(24)
+    assert sorted(map(id, decoded)) == sorted(id(node) for _, node in g.items())
+
+
 @given(_graphs, st.lists(st.tuples(st.integers(0, 11), _nodes), max_size=4))
 def test_usages_index_matches_its_definition_across_edits(g, edits):
     def check(g):
+        # The edge table an edited graph reads is its own.
+        assert g.edges() == {nid: _reference_row(node) for nid, node in g.items()}
         for n in range(-1, 13):
             assert g.usages(n) == _users_by_definition(g, n)
 
