@@ -3,9 +3,10 @@
 Each control kind has one step rule in _STEPS. plan(g, nid) decodes a node
 by its kind's rule, the first time it is stepped, into a step entry kept on
 the graph; local_step and interproc read the entry, not the node.
-local_step takes and gives the configuration as plain values, so
-interproc.run, which holds the top frame in locals, builds no record for a
-local step; step is local_step on a LocalConfig.
+local_step takes the entry and the configuration as plain values and gives
+the configuration back as plain values, so interproc.run, which plans each
+step once and holds the top frame in locals, builds no record for a local
+step; step plans and applies local_step on a LocalConfig.
 
 A step that reads data evaluates every root it reads in one run of
 dataflow's evaluation core, in the order the rule reads them: an end's phi
@@ -144,18 +145,17 @@ def _resolve_object(root: int | None, v) -> ObjRef | None:
 
 
 def step(g: Graph, params, c: LocalConfig, on_store=None) -> LocalConfig:
-    """local_step on a LocalConfig."""
-    return LocalConfig(*local_step(g, params, c.nid, c.state, c.heap, on_store))
+    """local_step on a LocalConfig, with the step entry at its node."""
+    return LocalConfig(*local_step(g, params, c.nid, plan(g, c.nid), c.state, c.heap, on_store))
 
 
-def local_step(g: Graph, params, nid: int, state: MethodState, heap: DynamicHeap,
+def local_step(g: Graph, params, nid: int, e: tuple, state: MethodState, heap: DynamicHeap,
                on_store=None) -> tuple[int, MethodState, DynamicHeap]:
-    """Apply the local rule of the step entry at nid: (nid', m', h').
+    """Apply the local rule of e, the step entry at nid: (nid', m', h').
 
     on_store, when given, is called with (address, field, value) for every
     heap write, in program order; used by the equivalence harness.
     """
-    e = plan(g, nid)
     code = e[0]
     if code == NEXT:
         return e[1], state, heap

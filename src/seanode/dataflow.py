@@ -20,13 +20,14 @@ It is built on first use and kept on the graph under the roots tuple. A
 root that cannot be scheduled (a cycle, or a missing input) becomes an
 entry that raises at its position, so the first stuck root still wins.
 Arithmetic results inside a run are plain ints, as in evaluate_lanes, and
-leaves keep the Value they read; only a root's arithmetic result is boxed
-into an IntVal. Runs use an explicit work stack, so neither the depth of
-an expression nor the nesting of conditionals is bounded by the recursion
-limit. evaluate_lanes runs the schedules over many assignments at once,
-and free_leaves reads them, arms included. walk_values follows every value
-edge, arms included, for wellformed.check. Every cycle found is a
-CyclicExpression.
+leaves keep the Value they read, whose int an operation reads in place;
+only a root's arithmetic result is boxed into an IntVal. A CHECK entry
+checks a first operand only where it may not be an int. Runs use an
+explicit work stack, so neither the depth of an expression nor the nesting
+of conditionals is bounded by the recursion limit. evaluate_lanes runs
+the schedules over many assignments at once, and free_leaves reads them,
+arms included. walk_values follows every value edge, arms included, for
+wellformed.check. Every cycle found is a CyclicExpression.
 """
 
 import itertools
@@ -81,7 +82,8 @@ BINARY = 4  # arg: the operation on ints
 PROXY = 5  # forwards x
 COND = 6  # arg: (true arm, false arm); x: the condition
 CHECK = 7  # x, the first operand of the BINARY node nid, must be an integer;
-# placed where evaluating inputs left to right checks it, before y's entries
+# placed where evaluating inputs left to right checks it, before y's entries,
+# unless x's entry is a BINARY or UNARY one just before it: that gives an int
 STUCK = 8  # arg: makes the EvalStuck evaluation raises here, afresh each time
 
 
@@ -132,9 +134,12 @@ def walk_values(g: Graph, roots) -> None:
             if target in path:
                 raise CyclicExpression(target)
             if target not in done and target in table:  # else: no value edges
-                path.add(target)
-                stack.append((target, iter(table[target][2])))
-                break
+                values = table[target][2]
+                if values:
+                    path.add(target)
+                    stack.append((target, iter(values)))
+                    break
+                done.add(target)  # no value edges, so on no cycle: no push
         else:
             stack.pop()
             path.discard(nid)
@@ -191,7 +196,8 @@ def _build_schedule(g: Graph, root: int) -> tuple:
                 continue
             if t in path:
                 raise CyclicExpression(t)
-            if i == 4 and e[0] == BINARY:
+            if i == 4 and e[0] == BINARY and not (  # x is done: order is not empty
+                    order[-1][1] == e[3] and UNARY <= order[-1][0] <= BINARY):
                 order.append((CHECK, e[1], None, e[3], None))
             path.add(t)
             stack.append([_entry(g, t), 3])
@@ -263,9 +269,9 @@ def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
             elif code == BINARY:
                 a, b = vals[x], vals[y]
                 if type(a) is not int:
-                    a = _integer(a, x)
+                    a = a.value if type(a) is IntVal else _integer(a, x)
                 if type(b) is not int:
-                    b = _integer(b, y)
+                    b = b.value if type(b) is IntVal else _integer(b, y)
                 vals[n] = arg(a, b)
             elif code == PARAM:
                 if arg >= len(params):
@@ -273,9 +279,12 @@ def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
                 vals[n] = params[arg]
             elif code == UNARY:
                 a = vals[x]
-                vals[n] = arg(a if type(a) is int else _integer(a, x))
+                if type(a) is not int:
+                    a = a.value if type(a) is IntVal else _integer(a, x)
+                vals[n] = arg(a)
             elif code == CHECK:
-                _integer(vals[x], x)
+                if type(vals[x]) is not IntVal:
+                    _integer(vals[x], x)
             elif code == PROXY:
                 vals[n] = vals[x]
             elif code == COND:

@@ -2,11 +2,12 @@
 whole-program driver with a fuel bound and step tracing.
 
 step_top applies one global rule to a GlobalConfig: a local step of the top
-frame, or the invoke, return and unwind rules of _frame_step. run applies
-the same rules, picked by the same step entry code, but holds the top
-frame's fields in locals: a local step goes straight to local_step, a Frame
-is built only where a call pushes the caller or an exit pops back to it,
-and a GlobalConfig only for on_step."""
+frame, or the invoke, return and unwind rules of _frame_step, which take
+and give the top frame's fields. run applies the same rules, picked by the
+same step entry code, but plans each step once and holds the top frame's
+fields in locals: a local step goes straight to local_step, a Frame is
+built only for the caller an invoke pushes, and a GlobalConfig only for
+on_step."""
 
 import enum
 import itertools
@@ -55,6 +56,9 @@ class Frame:
     params: tuple[Value, ...]
     caller: "Frame | None" = field(default=None, repr=False, compare=False)
     depth: int = 1
+
+
+_frame_fields = attrgetter("graph", "nid", "state", "params", "caller", "depth")
 
 
 class FrameStack:
@@ -154,31 +158,43 @@ def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
     top = c.top
     e = plan(top.graph, top.nid)
     if INVOKE <= e[0] <= UNWIND:
-        return GlobalConfig(_frame_step(program, top, e), c.heap)
+        return GlobalConfig(Frame(*_frame_step(program, e, *_frame_fields(top))), c.heap)
     # Everything else is a local transition promoted to the top frame.
     local = step(top.graph, top.params, LocalConfig(top.nid, top.state, c.heap), on_store)
     return GlobalConfig(Frame(top.graph, local.nid, local.state, top.params, top.caller,
                               top.depth), local.heap)
 
 
-def _frame_step(program: Program, top: Frame, e: tuple) -> Frame:
-    """The top frame after the INVOKE, RETURN or UNWIND step entry e at top:
-    a callee pushed on top, or the caller resumed."""
-    if e[0] == INVOKE:
+def _frame_step(program: Program, e: tuple, g: Graph, nid: int, state: MethodState,
+                params: tuple, caller: Frame | None, depth: int) -> tuple:
+    """The top frame's fields (graph, nid, state, params, caller, depth)
+    after the INVOKE, RETURN or UNWIND step entry e, given the top frame's
+    fields before it: a callee pushed on a Frame of the top, or the caller
+    resumed."""
+    code = e[0]
+    if code == INVOKE:
         target = e[1]
         if not isinstance(target, MethodCallTargetNode):
-            raise MalformedCall(f"callTarget of invoke {top.nid} is {target.kind_name()}")
-        args = tuple(evaluate_roots(top.graph, top.state, top.params, target.arguments))
-        callee_graph = program.graph(target.targetMethod)
-        if callee_graph is None:
+            raise MalformedCall(f"callTarget of invoke {nid} is {target.kind_name()}")
+        args = tuple(evaluate_roots(g, state, params, target.arguments))
+        callee = program.graph(target.targetMethod)
+        if callee is None:
             raise UnknownMethod(target.targetMethod)
-        return Frame(callee_graph, 0, MethodState(), args, top, top.depth + 1)
+        return (callee, 0, MethodState(), args, Frame(g, nid, state, params, caller, depth),
+                depth + 1)
 
-    raised = e[0] == UNWIND
-    if top.caller is None:
-        raise UncaughtTopLevel(f"{'unwind' if raised else 'return'} with no calling frame")
-    v = _exit_value(top.graph, top.state, top.params, e)
-    return _resume_caller(top.caller, v, after_exception=raised)
+    exit_kind = "unwind" if code == UNWIND else "return"
+    if caller is None:
+        raise UncaughtTopLevel(f"{exit_kind} with no calling frame")
+    v = _exit_value(g, state, params, e)
+    g, nid, state, params, caller, depth = _frame_fields(caller)
+    e = plan(g, nid)
+    if e[0] != INVOKE:
+        raise GlobalStuck(f"{exit_kind} into non-invoke caller node {nid}")
+    resume = e[3] if code == UNWIND else e[2]
+    if resume is None:
+        raise UnwindWithoutHandler(f"invoke {nid} has no exception edge")
+    return g, resume, state.set(nid, v), params, caller, depth
 
 
 def _exit_value(g: Graph, state: MethodState, params: tuple, e: tuple) -> Value:
@@ -192,26 +208,11 @@ def _exit_value(g: Graph, state: MethodState, params: tuple, e: tuple) -> Value:
     return v
 
 
-def _resume_caller(caller: Frame, v: Value, after_exception: bool) -> Frame:
-    e = plan(caller.graph, caller.nid)
-    if e[0] != INVOKE:
-        exit_kind = "unwind" if after_exception else "return"
-        raise GlobalStuck(f"{exit_kind} into non-invoke caller node {caller.nid}")
-    resume = e[3] if after_exception else e[2]
-    if resume is None:
-        raise UnwindWithoutHandler(f"invoke {caller.nid} has no exception edge")
-    return Frame(caller.graph, resume, caller.state.set(caller.nid, v), caller.params,
-                 caller.caller, caller.depth)
-
-
 def initial_config(program: Program, main: Signature, args) -> GlobalConfig:
     g = program.graph(main)
     if g is None:
         raise UnknownMethod(main)
     return GlobalConfig(Frame(g, 0, MethodState(), tuple(args)), DynamicHeap())
-
-
-_frame_fields = attrgetter("graph", "nid", "state", "params", "caller", "depth")
 
 
 def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
@@ -247,10 +248,10 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
             if on_step is not None:
                 before = GlobalConfig(Frame(g, nid, state, params, caller, depth), heap)
             if INVOKE <= code <= UNWIND:
-                top = _frame_step(program, Frame(g, nid, state, params, caller, depth), e)
-                g, nid, state, params, caller, depth = _frame_fields(top)
+                g, nid, state, params, caller, depth = _frame_step(
+                    program, e, g, nid, state, params, caller, depth)
             else:
-                nid, state, heap = local_step(g, params, nid, state, heap, store_hook)
+                nid, state, heap = local_step(g, params, nid, e, state, heap, store_hook)
         except EvalStuck as err:
             return ExecResult(ExecOutcome.STUCK, None, steps, heap, str(err))
         steps += 1

@@ -364,12 +364,17 @@ class UnwindNode(IRNode, role=Role.CONTROL):
     INPUTS = ("exception",)
 
 
+# The one row of every node without edges: a constant, a parameter, an end.
+NO_EDGES = ((), (), ())
+
+
 def edges_of(node: IRNode) -> tuple[tuple, tuple, tuple]:
     """A node's row of the edge table: its inputs, successors and value
-    inputs, each a tuple of edge targets as the functions below list them."""
+    inputs, each a tuple of edge targets as the functions below list them.
+    A node without edges gets the shared row NO_EDGES."""
     inputs, successors, values = type(node).READERS
-    ins = inputs(node)
-    return ins, successors(node), ins if values is inputs else values(node)
+    ins, outs = inputs(node), successors(node)
+    return (ins, outs, ins if values is inputs else values(node)) if ins or outs else NO_EDGES
 
 
 def inputs_of(node: IRNode) -> list[int]:

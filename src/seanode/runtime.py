@@ -17,12 +17,12 @@ def wrap32(n: int) -> int:
     return ((n + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
-    """Base of the run-time value kinds."""
+    """Base of the run-time value kinds, all slotted: a box holds its fields only."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntVal(Value):
     value: int
 
@@ -34,7 +34,7 @@ class IntVal(Value):
         return f"IntVal {self.value}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjRef(Value):
     ref: int
 
@@ -42,7 +42,7 @@ class ObjRef(Value):
         return f"ObjRef {self.ref}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UndefVal(Value):
     def __str__(self):
         return "UndefVal"

@@ -130,6 +130,19 @@ def test_stuck_on_non_integer_operand():
         evaluate(c, 3)
 
 
+def test_a_first_operand_is_checked_before_the_second_unless_its_entry_is_arithmetic():
+    # Only a leaf can hold a non-int; an arithmetic entry just before gives an int.
+    g = Graph({1: ParameterNode(0), 2: NegateNode(value=1), 3: ConstantNode(IntVal(3)),
+               4: AddNode(x=1, y=3), 5: AddNode(x=2, y=7), 6: AddNode(x=5, y=4),
+               7: ConstantNode(IntVal(7))})
+    s = schedule(g, 6)
+    assert [(e[1], e[3]) for e in s if e[0] == dataflow.CHECK] == [(4, 1)]
+    assert evaluate_roots(g, MethodState(), (IntVal(2),), (6,)) == [IntVal(10)]
+    with pytest.raises(EvalStuck) as stuck:
+        evaluate_roots(g, MethodState(), (ObjRef(0),), (6,))
+    assert stuck.value.nid == 1
+
+
 def test_conditional_on_an_object_reference_is_stuck_at_the_condition():
     c = ctx({
         1: NewInstanceNode(1, "A", next=4),

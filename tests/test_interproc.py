@@ -578,3 +578,19 @@ def recursive_throw(throw: bool, catch: bool) -> Program:
 @given(st.integers(0, 40), st.integers(1, 400), st.booleans(), st.booleans())
 def test_differential_run_matches_step_top_over_depth_and_fuel(depth, fuel, throw, catch):
     assert_run_matches_step_top(recursive_throw(throw, catch), THROW_SIG, [IntVal(depth)], fuel)
+
+
+@pytest.mark.parametrize("program, sig, depth, value", [
+    (recursive_alloc_store(), REC_SIG, 30, IntVal(0)),
+    (recursive_throw(throw=True, catch=True), THROW_SIG, 30, IntVal(1)),
+])
+def test_run_builds_a_frame_only_for_the_caller_an_invoke_pushes(monkeypatch, program, sig,
+                                                                  depth, value):
+    # depth invokes, then as many returns, or an unwind into a handler and
+    # the returns after it; initial_config builds the bottom frame.
+    built = []
+    frame = interproc.Frame
+    monkeypatch.setattr(interproc, "Frame", lambda *fields: built.append(fields) or frame(*fields))
+    result = run(program, sig, [IntVal(depth)])
+    assert (result.outcome, result.value) == (ExecOutcome.RETURNED, value)
+    assert result.steps > 5 * depth and len(built) == 1 + depth

@@ -224,6 +224,14 @@ def test_the_edge_table_decodes_each_node_once(monkeypatch):
     assert sorted(map(id, decoded)) == sorted(id(node) for _, node in g.items())
 
 
+def test_nodes_without_edges_share_one_row():
+    g = Graph({0: StartNode(next=1), 1: ConstantNode(IntVal(1)), 2: ConstantNode(IntVal(2))})
+    table = g.edges()
+    assert set(table) == g.ids()
+    assert table[1] is table[2] is ir.NO_EDGES == ((), (), ())
+    assert table[0] is not ir.NO_EDGES
+
+
 @given(_graphs, st.lists(st.tuples(st.integers(0, 11), _nodes), max_size=4))
 def test_usages_index_matches_its_definition_across_edits(g, edits):
     def check(g):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, astuple, fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +39,27 @@ def test_intval_range_checked():
     IntVal(INT_MAX)
     with pytest.raises(ValueError):
         IntVal(INT_MAX + 1)
+    with pytest.raises(ValueError):
+        IntVal(INT_MIN - 1)
+
+
+@pytest.mark.parametrize("v, other, text, shown", [
+    (IntVal(5), IntVal(6), "IntVal(value=5)", "IntVal 5"),
+    (ObjRef(3), IntVal(3), "ObjRef(ref=3)", "ObjRef 3"),
+    (UNDEF, IntVal(0), "UndefVal()", "UndefVal"),
+])
+def test_value_kinds_compare_hash_print_and_stay_frozen(v, other, text, shown):
+    twin = type(v)(*astuple(v))
+    assert v == twin and hash(v) == hash(twin) and v != other
+    assert (repr(v), str(v)) == (text, shown)
+    for name in fields(v):
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, name.name, 1)
+    # A slotted frozen dataclass refuses any other name too, though
+    # CPython raises TypeError there, not FrozenInstanceError.
+    with pytest.raises((FrozenInstanceError, TypeError)):
+        v.other = 1
+    assert not hasattr(v, "__dict__")  # a box holds its fields only
 
 
 def test_add_wraps_at_max():
