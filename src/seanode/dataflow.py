@@ -5,28 +5,28 @@ control-flow nodes whose last value is latched in the method state.
 Evaluation is pure and deterministic; integer arithmetic wraps at 32 bits.
 
 The big-step relation fixes values, not an order; a schedule fixes the
-order. schedule(g, root) is the post-order of the value edges below root:
-the order in which evaluating inputs left to right first meets each node.
-It is computed once per graph and root and kept on the graph. A
+order. schedule(g, roots) is the post-order of the value edges below each
+root in turn: the order in which evaluating the roots left to right, inputs
+left to right, first meets each node, each shared node kept once, so one
+run does the sharing a memo would. It is built on first use and kept on
+the graph under the roots tuple. Building never raises: a root that cannot
+be scheduled (a cycle, or a missing input) becomes an entry that raises
+where that root starts, so the first stuck root still wins. A
 ConditionalNode's arms are not part of its schedule: each arm is a schedule
 of its own, run only for the arm the condition chooses, so evaluation stays
 lazy.
 
 A control step reads one or more roots at once: an end's phi inputs, a
-store's value and object, an invoke's arguments. evaluate_roots runs one
-schedule for all of them, the roots' schedules concatenated left to right
-with each shared node kept once, so one run does the sharing a memo would.
-It is built on first use and kept on the graph under the roots tuple. A
-root that cannot be scheduled (a cycle, or a missing input) becomes an
-entry that raises at its position, so the first stuck root still wins.
-Arithmetic results inside a run are plain ints, as in evaluate_lanes, and
-leaves keep the Value they read, whose int an operation reads in place;
-only a root's arithmetic result is boxed into an IntVal. A CHECK entry
-checks a first operand only where it may not be an int. Runs use an
-explicit work stack, so neither the depth of an expression nor the nesting
-of conditionals is bounded by the recursion limit. evaluate_lanes runs
-the schedules over many assignments at once, and free_leaves reads them,
-arms included. walk_values follows every value edge, arms included, for
+store's value and object, an invoke's arguments. evaluate_roots runs their
+one schedule. Arithmetic results inside a run are plain ints, as in
+evaluate_lanes, and leaves keep the Value they read, whose int an
+operation reads in place; only a root's arithmetic result is boxed into an
+IntVal. A CHECK entry checks a first operand only where it may not be an
+int. Runs use an explicit work stack, so neither the depth of an
+expression nor the nesting of conditionals is bounded by the recursion
+limit. evaluate_lanes runs the schedules over many assignments at once,
+and free_leaves reads them, arms included; both raise at a CYCLE entry.
+walk_values follows every value edge, arms included, for
 wellformed.check. Every cycle found is a CyclicExpression.
 """
 
@@ -85,6 +85,7 @@ CHECK = 7  # x, the first operand of the BINARY node nid, must be an integer;
 # placed where evaluating inputs left to right checks it, before y's entries,
 # unless x's entry is a BINARY or UNARY one just before it: that gives an int
 STUCK = 8  # arg: makes the EvalStuck evaluation raises here, afresh each time
+CYCLE = 9  # a cycle through nid's value edges; arg makes its CyclicExpression
 
 
 def _arithmetic(op):
@@ -150,82 +151,76 @@ def free_leaves(g: Graph, nid: int) -> tuple[set[int], set[int]]:
     """(parameter indices, state-slot ids) the expression at nid can read:
     the PARAM and STATE entries of its schedule and of both arms' schedules
     of every conditional met, all of which are kept on the graph. Raises
-    CyclicExpression at a conditional met inside its own arms."""
+    CyclicExpression at a CYCLE entry or at a conditional met inside its
+    own arms."""
     params, slots = set(), set()
     path, met = set(), set()  # conditionals whose arms are being read, or were
-    stack = [(None, iter(schedule(g, nid)))]
+    stack = [(None, iter(schedule(g, (nid,))))]
     while stack:
         for code, n, arg, _, _ in stack[-1][1]:
             if code == PARAM:
                 params.add(arg)
             elif code == STATE:
                 slots.add(n)
-            elif code == COND and n in path:
+            elif code == CYCLE or code == COND and n in path:
                 raise CyclicExpression(n)
             elif code == COND and n not in met:
                 path.add(n)
                 met.add(n)
-                stack.append((n, itertools.chain(*[schedule(g, arm) for arm in arg])))
+                stack.append((n, itertools.chain(*[schedule(g, (arm,)) for arm in arg])))
                 break
         else:
             path.discard(stack.pop()[0])
     return params, slots
 
 
-def schedule(g: Graph, root: int) -> tuple:
-    """The entries evaluating root runs, in order; built on first use and
-    kept in g.schedules."""
-    s = g.schedules.get(root)
+def schedule(g: Graph, roots: tuple) -> tuple:
+    """The entries that evaluating roots left to right runs, in order: the
+    post-order of the value edges below each root in turn, each node at its
+    first place. A root that is not a node id (a missing input, a callable
+    making the EvalStuck to raise) is a STUCK entry, and a root on a cycle
+    a CYCLE entry, at the place where that root starts; nothing of that
+    root and nothing after it runs, so none of it is kept. Building never
+    raises. Built on first use and kept in g.schedules under roots."""
+    s = g.schedules.get(roots)
     if s is None:
-        s = g.schedules[root] = _build_schedule(g, root)
+        s = g.schedules[roots] = _build_schedule(g, roots)
     return s
 
 
-def _build_schedule(g: Graph, root: int) -> tuple:
-    order = []
-    done = set()
-    path = {root}
-    stack = [[_entry(g, root), 3]]  # an entry and the index of its next input
-    while stack:
-        top = stack[-1]
-        e, i = top
-        if i < 5 and e[i] is not None:
-            top[1] = i + 1
-            t = e[i]
-            if t in done:
-                continue
-            if t in path:
-                raise CyclicExpression(t)
-            if i == 4 and e[0] == BINARY and not (  # x is done: order is not empty
-                    order[-1][1] == e[3] and UNARY <= order[-1][0] <= BINARY):
-                order.append((CHECK, e[1], None, e[3], None))
-            path.add(t)
-            stack.append([_entry(g, t), 3])
-        else:
-            stack.pop()
-            path.discard(e[1])
-            done.add(e[1])
-            order.append(e)
-    return tuple(order)
-
-
-def _roots_schedule(g: Graph, roots: tuple) -> tuple:
-    """The roots' schedules left to right, each node kept at its first
-    place. A root that is not a node id makes the EvalStuck to raise at its
-    place (a missing input); a cyclic root raises at its place too. Nothing
-    after either runs, so nothing after either is kept."""
+def _build_schedule(g: Graph, roots: tuple) -> tuple:
     order, done = [], set()
     for root in roots:
         if type(root) is not int:
             order.append((STUCK, None, root, None, None))
             break
-        try:
-            s = schedule(g, root)
-        except CyclicExpression as cycle:
-            order.append((STUCK, cycle.nid, partial(CyclicExpression, cycle.nid), None, None))
-            break
-        order += [e for e in s if e[1] not in done]
-        done.update(e[1] for e in s)
+        if root in done:
+            continue
+        start = len(order)
+        path = {root}
+        stack = [[_entry(g, root), 3]]  # an entry and the index of its next input
+        while stack:
+            top = stack[-1]
+            e, i = top
+            if i < 5 and e[i] is not None:
+                top[1] = i + 1
+                t = e[i]
+                if t in done:
+                    continue
+                if t in path:
+                    del order[start:]
+                    order.append((CYCLE, t, partial(CyclicExpression, t), None, None))
+                    return tuple(order)
+                if i == 4 and e[0] == BINARY and not (  # x is done: order is not empty
+                        order[-1][1] == e[3] and UNARY <= order[-1][0] <= BINARY):
+                    order.append((CHECK, e[1], None, e[3], None))
+                path.add(t)
+                stack.append([_entry(g, t), 3])
+            else:
+                stack.pop()
+                path.discard(e[1])
+                done.add(e[1])
+                order.append(e)
     return tuple(order)
 
 
@@ -254,12 +249,9 @@ def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
     again. Each arm runs where its conditional is met; a stuck evaluation
     raises where evaluating the roots left to right, inputs left to right,
     first gets stuck."""
-    s = g.schedules.get(roots)
-    if s is None:
-        s = g.schedules[roots] = _roots_schedule(g, roots)
     vals = {}
     waiting = {}  # conditional -> (its entries, chosen arm) while the arm runs
-    entries = iter(s)
+    entries = iter(schedule(g, roots))
     while True:
         for code, n, arg, x, y in entries:
             if code == STATE:
@@ -295,7 +287,7 @@ def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
                 if n in waiting:
                     raise CyclicExpression(n)
                 waiting[n] = (entries, arm)
-                entries = iter(schedule(g, arm))
+                entries = iter(schedule(g, (arm,)))
                 break
             else:
                 raise arg()
@@ -308,8 +300,10 @@ def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
 
 def evaluate_roots(g: Graph, state: MethodState, params: tuple, roots: tuple) -> list[Value]:
     """The values of the expressions at roots, evaluated left to right under
-    one state and parameter tuple, as the control steps read them. A root
-    may instead be a callable making the EvalStuck to raise at its place."""
+    one state and parameter tuple, as the control steps read them, by one
+    run of schedule(g, roots). A root may instead be a callable making the
+    EvalStuck to raise at its place; a root on a cycle raises its
+    CyclicExpression at its place."""
     vals = _run(g, state, params, roots)
     out = []  # a loop, not a comprehension: this runs once per control step
     for root in roots:
@@ -365,7 +359,7 @@ def evaluate_lanes(g: Graph, root: int, width: int, params: dict, slots: dict) -
     cols: dict[int, list] = {}
     odd: set[int] = set()  # nodes whose column may hold a non-int
     waiting: set[int] = set()  # conditionals whose chosen arms were started
-    stack = [iter(schedule(g, root))]  # the schedules being run, innermost last
+    stack = [iter(schedule(g, (root,)))]  # the schedules being run, innermost last
     while stack:
         for entry in stack[-1]:
             code, n, arg, x, y = entry
@@ -388,7 +382,7 @@ def evaluate_lanes(g: Graph, root: int, width: int, params: dict, slots: dict) -
                 cond = cols[x]
                 ints = [c for c in cond if type(c) is int] if x in odd else cond
                 arms = [a for a, chosen in zip(arg, (any(ints), not all(ints))) if chosen]
-                todo = [schedule(g, a) for a in arms if a not in cols]
+                todo = [schedule(g, (a,)) for a in arms if a not in cols]
                 if todo:  # run the chosen arms, then come back to this entry
                     if n in waiting:
                         raise CyclicExpression(n)
@@ -398,6 +392,8 @@ def evaluate_lanes(g: Graph, root: int, width: int, params: dict, slots: dict) -
                 t, f = (cols[a] if a in arms else None for a in arg)
                 cols[n] = _select(cond, x in odd, t, f)
                 is_odd = x in odd or not odd.isdisjoint(arms)
+            elif code == CYCLE:
+                raise CyclicExpression(n)
             else:
                 cols[n], is_odd = [_STUCK] * width, True
             if is_odd:

@@ -10,7 +10,6 @@ built only for the caller an invoke pushes, and a GlobalConfig only for
 on_step."""
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -61,30 +60,6 @@ class Frame:
 _frame_fields = attrgetter("graph", "nid", "state", "params", "caller", "depth")
 
 
-class FrameStack:
-    """The frames from a top frame down (index 0 is the top), read-only:
-    len and [0] cost O(1), [i] walks i callers."""
-
-    __slots__ = ("_top",)
-
-    def __init__(self, top: Frame):
-        self._top = top
-
-    def __len__(self):
-        return self._top.depth
-
-    def __getitem__(self, i: int) -> Frame:
-        if not 0 <= i < self._top.depth:
-            raise IndexError(i)
-        return next(itertools.islice(self, i, None))
-
-    def __iter__(self):
-        frame = self._top
-        while frame is not None:
-            yield frame
-            frame = frame.caller
-
-
 @dataclass(frozen=True, eq=False)
 class GlobalConfig:
     """The top frame, which links to the frames below it, and the shared
@@ -94,12 +69,18 @@ class GlobalConfig:
     heap: DynamicHeap
 
     @property
-    def stack(self) -> FrameStack:
-        return FrameStack(self.top)
+    def stack(self) -> tuple[Frame, ...]:
+        """The frames from the top down (index 0 is the top), built per
+        call: O(depth)."""
+        frames, frame = [], self.top
+        while frame is not None:
+            frames.append(frame)
+            frame = frame.caller
+        return tuple(frames)
 
     def __eq__(self, other):
         return (isinstance(other, GlobalConfig) and self.heap == other.heap
-                and list(self.stack) == list(other.stack))
+                and self.stack == other.stack)
 
 
 class ExecOutcome(enum.Enum):

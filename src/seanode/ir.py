@@ -377,16 +377,6 @@ def edges_of(node: IRNode) -> tuple[tuple, tuple, tuple]:
     return (ins, outs, ins if values is inputs else values(node)) if ins or outs else NO_EDGES
 
 
-def inputs_of(node: IRNode) -> list[int]:
-    """Ordered input-edge targets of a node (absent optional edges omitted)."""
-    return list(type(node).READERS[0](node))
-
-
-def successors_of(node: IRNode) -> list[int]:
-    """Ordered successor-edge targets of a node."""
-    return list(type(node).READERS[1](node))
-
-
 def value_inputs(node: IRNode) -> list[int]:
     """Ordered targets of the input edges that evaluation follows."""
     return list(type(node).READERS[2](node))
@@ -419,9 +409,9 @@ class Graph:
     Lookups are total: unmapped ids yield NoNode. Edits return new graphs.
     Derived tables are built on first use and kept: the edge table and the
     def-use index, read from it, by the first edges and users calls, and
-    the evaluation schedules by root or roots tuple and step entries by
-    node, filled in by dataflow.schedule, dataflow.evaluate_roots and
-    controlflow.plan. An edit returns a graph with none.
+    the evaluation schedules by roots tuple and step entries by node,
+    filled in by dataflow.schedule and controlflow.plan. An edit returns a
+    graph with none.
     """
 
     __slots__ = ("_nodes", "_edges", "_users", "schedules", "steps")
@@ -435,14 +425,11 @@ class Graph:
         self._nodes = dict(nodes)
         self._edges = None
         self._users = None
-        self.schedules: dict = {}  # root or roots -> schedule; see dataflow.schedule
+        self.schedules: dict = {}  # roots tuple -> schedule; see dataflow.schedule
         self.steps: dict = {}  # nid -> step entry; see controlflow.plan
 
     def kind(self, nid: int) -> IRNode:
         return self._nodes.get(nid, NO_NODE)
-
-    def ids(self) -> set[int]:
-        return set(self._nodes)
 
     def __contains__(self, nid: int) -> bool:
         return nid in self._nodes

@@ -89,7 +89,7 @@ def test_loop_end_step_uses_original_state(fact_graph):
 
 
 def test_an_end_step_runs_one_schedule_built_at_its_first_step(fact_graph):
-    for nid in fact_graph.ids():
+    for nid, _ in fact_graph.items():
         plan(fact_graph, nid)
     assert fact_graph.schedules == {}  # planning builds no schedule
     m = MethodState().set(7, IntVal(5)).set(8, IntVal(1))

@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import corpus
 from genutil import DOUBLING_SIG, doubling_dag
 from seanode import dataflow
 from seanode.dataflow import (
@@ -15,6 +16,7 @@ from seanode.ir import (
     LoadFieldNode, MethodCallTargetNode, MulNode, NegateNode, NewInstanceNode, ParameterNode,
     Program, ReturnNode, Signature, StartNode, SubNode, ValuePhiNode, ValueProxyNode,
 )
+from seanode.equivalence import Equivalence, data_equiv
 from seanode.interproc import ExecOutcome, run
 from seanode.runtime import (
     INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, ObjRef, wrap32,
@@ -135,7 +137,7 @@ def test_a_first_operand_is_checked_before_the_second_unless_its_entry_is_arithm
     g = Graph({1: ParameterNode(0), 2: NegateNode(value=1), 3: ConstantNode(IntVal(3)),
                4: AddNode(x=1, y=3), 5: AddNode(x=2, y=7), 6: AddNode(x=5, y=4),
                7: ConstantNode(IntVal(7))})
-    s = schedule(g, 6)
+    s = schedule(g, (6,))
     assert [(e[1], e[3]) for e in s if e[0] == dataflow.CHECK] == [(4, 1)]
     assert evaluate_roots(g, MethodState(), (IntVal(2),), (6,)) == [IntVal(10)]
     with pytest.raises(EvalStuck) as stuck:
@@ -325,6 +327,51 @@ def test_the_first_stuck_root_wins(roots, nid, cls):
         assert (type(e.value), e.value.nid) == (cls, nid)
 
 
+# A schedule is total: building it never raises, and a root that cannot be
+# scheduled ends it with the entry that raises where that root starts.
+
+_TOTAL_GRAPH = {
+    2: NegateNode(value=2),  # a cycle through a value edge
+    3: ConstantNode(IntVal(1)),
+    6: AddNode(x=3, y=3),
+    7: StartNode(next=0),  # no evaluation rule
+    8: NegateNode(value=9),  # 8 and 9: a cycle met below a node done before
+    9: AddNode(x=3, y=8),
+}
+_CYCLE_TEXT = "expression has a cycle through its value edges"
+
+
+@pytest.mark.parametrize("roots, before, code, cls, nid, text", [
+    ((6, 2), [3, 6], dataflow.CYCLE, CyclicExpression, 2, f"@2: {_CYCLE_TEXT}"),
+    ((2,), [], dataflow.CYCLE, CyclicExpression, 2, f"@2: {_CYCLE_TEXT}"),
+    ((6, 8, 3), [3, 6], dataflow.CYCLE, CyclicExpression, 8, f"@8: {_CYCLE_TEXT}"),
+    ((6, partial(EvalStuck, 9, "no input"), 2), [3, 6], dataflow.STUCK, EvalStuck, 9,
+     "@9: no input"),
+    ((6, 7), [3, 6], dataflow.STUCK, EvalStuck, 7, "@7: no evaluation rule for StartNode"),
+], ids=["cycle", "cycle-alone", "cycle-below-a-done-node", "missing-input", "no-rule"])
+def test_a_schedule_is_total_and_ends_at_the_first_root_that_cannot_run(
+        roots, before, code, cls, nid, text):
+    g = Graph(_TOTAL_GRAPH)
+    s = schedule(g, roots)
+    assert s[-1][0] == code
+    assert [e[1] for e in s[:-1] if e[0] != dataflow.CHECK] == before
+    assert g.schedules == {roots: s}
+    with pytest.raises(EvalStuck) as e:
+        evaluate_roots(g, MethodState(), (), roots)
+    assert (type(e.value), e.value.nid, str(e.value)) == (cls, nid, text)
+
+
+def test_a_schedule_is_kept_once_under_its_roots_tuple():
+    p = corpus("factorial")
+    sig = p.resolve("fact")
+    g = p.graph(sig)
+    assert run(p, sig, [IntVal(5)]).value == IntVal(120)
+    assert data_equiv(g, g, 11).status is Equivalence.EQUIVALENT
+    # The ends' phi inputs, the if's condition (data_equiv's root too) and
+    # the return value: no int keys, and no root of a step has a key of its own.
+    assert set(g.schedules) == {(1, 3), (20, 18), (11,), (15,)}
+
+
 # Differential property: evaluate_roots, one schedule for every root of a
 # step, against the reference below, which evaluates one root per call,
 # each in turn under one context, and shares values between the calls
@@ -346,7 +393,7 @@ def _reference_evaluate(ctx, nid):
     graph, state, params = ctx.graph, ctx.state, ctx.params
     vals = {}
     waiting = {}
-    entries = iter(schedule(graph, nid))
+    entries = iter(schedule(graph, (nid,)))
     while True:
         for code, n, arg, x, y in entries:
             if code == dataflow.BINARY or code == dataflow.UNARY:
@@ -394,7 +441,7 @@ def _reference_evaluate(ctx, nid):
                         if n in waiting:
                             raise CyclicExpression(n)
                         waiting[n] = (entries, arm)
-                        entries = iter(schedule(graph, arm))
+                        entries = iter(schedule(graph, (arm,)))
                         break
                     memo[n] = v
                 vals[n] = v
@@ -481,3 +528,25 @@ def test_differential_evaluate_roots_against_the_memo_reference(case):
     assert _outcome(lambda: evaluate_roots(g, state, params, roots)) == expected
     # Again, from the schedule kept on the graph.
     assert _outcome(lambda: evaluate_roots(g, state, params, roots)) == expected
+
+
+# Differential property: schedule(g, roots) against the roots' own
+# schedules, each shared node kept at its first place and nothing kept
+# after the first root that cannot be scheduled.
+
+@given(_dags_and_roots())
+def test_differential_a_roots_schedule_against_each_roots_own(case):
+    g, _, _, roots = case
+    expected, done = [], set()
+    for root in roots:
+        if type(root) is not int:
+            expected.append((dataflow.STUCK, None))
+            break
+        own = schedule(g, (root,))
+        if own[-1][0] == dataflow.CYCLE:
+            assert len(own) == 1
+            expected.append(own[0][:2])
+            break
+        expected += [e[:2] for e in own if e[1] not in done and e[0] != dataflow.CHECK]
+        done.update(e[1] for e in own)
+    assert [e[:2] for e in schedule(g, roots) if e[0] != dataflow.CHECK] == expected

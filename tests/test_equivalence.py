@@ -107,6 +107,15 @@ def test_cyclic_expression_detected():
     assert ("wf_acyclic", 2) in {(v.rule, v.nid) for v in check(arm).violations}
 
 
+def test_a_value_edge_cycle_is_raised_at_the_node_met_again():
+    # 1 -> 2 -> 1: the walk from 1 meets 1 again on its own path.
+    g = Graph({1: AddNode(x=2, y=2), 2: AddNode(x=1, y=1)})
+    for attempt in (lambda: free_leaves(g, 1), lambda: data_equiv(g, g, 1)):
+        with pytest.raises(CyclicExpression) as e:
+            attempt()
+        assert e.value.nid == 1
+
+
 def test_free_leaves_deep_chain_is_iterative():
     start = time.perf_counter()
     leaves = free_leaves(negate_chain(3000), 2)
