@@ -1,20 +1,18 @@
 """Small-step control flow within one method: (nid, m, h) -> (nid', m', h').
 
 Each control kind has one step rule in _STEPS. plan(g, nid) decodes a node
-by its kind's rule, the first time it is stepped, into a step entry kept on
-the graph; local_step and interproc read the entry, not the node.
+by its kind's rule, from its row of the edge table, the first time it is
+stepped, into a step entry kept on the graph; local_step, interproc and
+optimize's control-flow graph read the entry, not the node.
 local_step takes the entry and the configuration as plain values and gives
 the configuration back as plain values, so interproc.run, which plans each
 step once and holds the top frame in locals, builds no record for a local
 step; step plans and applies local_step on a LocalConfig.
 
-A step that reads data evaluates every root it reads in one run of
-dataflow's evaluation core, in the order the rule reads them: an end's phi
-inputs, a store's value then its object, a load's object (evaluate_roots),
-an if's condition (condition_holds); interproc does the same for an
-invoke's arguments and a return or unwind value. plan names the roots but
-builds no schedule, since optimize.cfg_successors plans every control
-node: a step's schedule is built when the step first evaluates.
+A step evaluates its entry's roots in one run of dataflow's evaluation
+core (evaluate_roots, or condition_holds for an if), as interproc does for
+an invoke, a return and an unwind. plan builds no schedule, since optimize
+plans every control node: a step's schedule is built at its first run.
 
 The local step owns the phi-update protocol: when an end node is
 reached, the value inputs selected by that end's position are all
@@ -53,8 +51,8 @@ def merge_of_end(g: Graph, end: int) -> tuple[int, int]:
     """Resolve an EndNode or LoopEndNode to (merge id, its position in merge.ends)."""
     e = plan(g, end)
     if e[0] != END:
-        raise StepStuck(end, e[2] if e[0] == STUCK else "not an end node")
-    return e[1], e[2]
+        raise StepStuck(end, e[4] if e[0] == STUCK else "not an end node")
+    return e[1][0], e[4]
 
 
 # The end rules read the def-use index through Graph.users and call neither
@@ -65,7 +63,7 @@ def _phis(g: Graph, merge: int) -> list[int]:
                    if isinstance(g.kind(u), ir.ValuePhiNode) and g.kind(u).merge == merge})
 
 
-def _end(g: Graph, nid: int, node) -> tuple:
+def _end(g: Graph, nid: int, node, ins: tuple, outs: tuple) -> tuple:
     merges = sorted({u for u in g.users(nid) if isinstance(g.kind(u), ir.AbstractMergeNode)})
     if not merges:
         raise StepStuck(nid, "end node has no merge usage")
@@ -74,10 +72,10 @@ def _end(g: Graph, nid: int, node) -> tuple:
     return _end_entry(g, nid, merges[0])
 
 
-def _loop_end(g: Graph, nid: int, node) -> tuple:
-    if not isinstance(g.kind(node.loopBegin), ir.LoopBeginNode):
-        raise StepStuck(nid, f"loopBegin edge {node.loopBegin} is not a LoopBeginNode")
-    return _end_entry(g, nid, node.loopBegin)
+def _loop_end(g: Graph, nid: int, node, ins: tuple, outs: tuple) -> tuple:
+    if not isinstance(g.kind(ins[0]), ir.LoopBeginNode):
+        raise StepStuck(nid, f"loopBegin edge {ins[0]} is not a LoopBeginNode")
+    return _end_entry(g, nid, ins[0])
 
 
 def _end_entry(g: Graph, end: int, merge: int) -> tuple:
@@ -89,59 +87,69 @@ def _end_entry(g: Graph, end: int, merge: int) -> tuple:
     index = ends.index(end)
     phis = [(phi, g.kind(phi).values) for phi in _phis(g, merge)]
     missing = f"phi has no value input for end position {index}"
-    return (END, merge, index, tuple(phi for phi, _ in phis),
+    return (END, (merge,),
             tuple(vs[index] if index < len(vs) else partial(StepStuck, phi, missing)
-                  for phi, vs in phis))
+                  for phi, vs in phis),
+            tuple(phi for phi, _ in phis), index)
 
 
-def _no_rule(g: Graph, nid: int, node):
+def _invoke(g: Graph, nid: int, node, ins: tuple, outs: tuple) -> tuple:
+    target = g.kind(ins[0])
+    args = g.edges()[ins[0]][0] if isinstance(target, ir.MethodCallTargetNode) else ()
+    return (INVOKE, outs, args, target)
+
+
+def _no_rule(g: Graph, nid: int, node, *_):
     raise StepStuck(nid, f"no local rule for {node.kind_name()}")
 
 
-# One rule per control kind: the step entry of a node of that kind, a rule
-# code and the node's resolved operands. interproc applies the codes from
-# INVOKE (whose entry holds the call target node) to UNWIND; a STUCK entry
-# keeps a node id and a reason, raised afresh by every step that reaches it.
+# A step entry is (code, successors, roots, *operands): the successors the
+# step goes to one of (an end's merge), the roots it evaluates, in order,
+# and what else its rule needs. A kind given only its code goes to its
+# successor edges and evaluates its input edges. interproc applies the codes
+# from INVOKE to UNWIND; a STUCK entry's operands, a node id and a reason,
+# are raised afresh by every step that reaches it.
 NEXT, IF, END, NEW, LOAD, STORE, INVOKE, RETURN, UNWIND, STUCK = range(10)
 _STEPS = {
-    ir.IfNode: lambda g, nid, node: (IF, node.condition, node.trueSuccessor, node.falseSuccessor),
+    ir.IfNode: IF,
     ir.EndNode: _end,
     ir.LoopEndNode: _loop_end,
-    ir.NewInstanceNode: lambda g, nid, node: (NEW, node.next),
-    ir.LoadFieldNode: lambda g, nid, node: (LOAD, node.field, node.objectOpt, node.next),
-    ir.StoreFieldNode: lambda g, nid, node: (
-        STORE, node.field, node.value, node.objectOpt, node.next),
-    ir.InvokeNode: lambda g, nid, node: (INVOKE, g.kind(node.callTarget), node.next, None),
-    ir.InvokeWithExceptionNode: lambda g, nid, node: (
-        INVOKE, g.kind(node.callTarget), node.next, node.exceptionEdge),
-    ir.ReturnNode: lambda g, nid, node: (RETURN, node.resultOpt),
-    ir.UnwindNode: lambda g, nid, node: (UNWIND, node.exception),
+    ir.NewInstanceNode: NEW,
+    ir.LoadFieldNode: lambda g, nid, node, ins, outs: (LOAD, outs, ins, node.field),
+    ir.StoreFieldNode: lambda g, nid, node, ins, outs: (STORE, outs, ins, node.field),
+    ir.InvokeNode: _invoke,
+    ir.InvokeWithExceptionNode: _invoke,
+    ir.ReturnNode: RETURN,
+    ir.UnwindNode: UNWIND,
 }
-_STEPS.update({k: lambda g, nid, node: (NEXT, g.edges()[nid][1][0])
+# A sequential node evaluates nothing: a merge's inputs are its ends.
+_STEPS.update({k: lambda g, nid, node, ins, outs: (NEXT, outs, ())
                for k in ir.NODE_KINDS.values() if ir.is_sequential(k)})
 
 
 def plan(g: Graph, nid: int) -> tuple:
-    """The step entry of the node at nid; built on first use and kept in
-    g.steps. A node no rule applies to gets a STUCK entry."""
+    """The step entry of the node at nid, built from its row of the edge
+    table on first use and kept in g.steps. A node no rule applies to gets
+    a STUCK entry, with the node's successor edges."""
     e = g.steps.get(nid)
     if e is None:
         node = g.kind(nid)
+        ins, outs, _ = g.edges().get(nid, ir.NO_EDGES)
+        rule = _STEPS.get(type(node), _no_rule)
         try:
-            e = _STEPS.get(type(node), _no_rule)(g, nid, node)
+            e = (rule, outs, ins) if type(rule) is int else rule(g, nid, node, ins, outs)
         except StepStuck as stuck:
-            e = (STUCK, stuck.nid, stuck.reason)
+            e = (STUCK, outs, (), stuck.nid, stuck.reason)
         g.steps[nid] = e
     return e
 
 
-def _resolve_object(root: int | None, v) -> ObjRef | None:
-    # The object root evaluated to v; root None addresses the static-field region.
-    if root is None:
-        return None
-    if not isinstance(v, ObjRef):
-        raise StepStuck(root, f"expected an object reference, got {v}")
-    return v
+def _resolve_object(roots: tuple, vals: list) -> ObjRef:
+    # The object is the last of roots, evaluated to vals; a load or store
+    # without an object root addresses the static-field region.
+    if not isinstance(vals[-1], ObjRef):
+        raise StepStuck(roots[-1], f"expected an object reference, got {vals[-1]}")
+    return vals[-1]
 
 
 def step(g: Graph, params, c: LocalConfig, on_store=None) -> LocalConfig:
@@ -158,34 +166,32 @@ def local_step(g: Graph, params, nid: int, e: tuple, state: MethodState, heap: D
     """
     code = e[0]
     if code == NEXT:
-        return e[1], state, heap
+        return e[1][0], state, heap
 
     if code == NEW:
         ref, heap = heap.new_instance()
-        return e[1], state.set(nid, ref), heap
+        return e[1][0], state.set(nid, ref), heap
 
     if code == IF:
-        return (e[2] if condition_holds(g, state, params, e[1]) else e[3]), state, heap
+        return e[1][0 if condition_holds(g, state, params, e[2][0]) else 1], state, heap
 
     if code == END:
-        _, merge, _, phis, roots = e
-        return merge, state.set_many(zip(phis, evaluate_roots(g, state, params, roots))), heap
+        return e[1][0], state.set_many(zip(e[3], evaluate_roots(g, state, params, e[2]))), heap
 
     if code == LOAD:
-        _, field, obj, succ = e
-        ref = None if obj is None else _resolve_object(
-            obj, evaluate_roots(g, state, params, (obj,))[0])
-        return succ, state.set(nid, heap.load_field(field, ref)), heap
+        _, succ, roots, field = e
+        ref = _resolve_object(roots, evaluate_roots(g, state, params, roots)) if roots else None
+        return succ[0], state.set(nid, heap.load_field(field, ref)), heap
 
     if code == STORE:
-        _, field, value, obj, succ = e
-        vals = evaluate_roots(g, state, params, (value,) if obj is None else (value, obj))
-        val, ref = vals[0], _resolve_object(obj, vals[-1])
+        _, succ, roots, field = e
+        vals = evaluate_roots(g, state, params, roots)
+        val, ref = vals[0], _resolve_object(roots, vals) if len(roots) > 1 else None
         heap = heap.store_field(field, ref, val)
         if on_store is not None:
             on_store(ref.ref if ref is not None else runtime.STATIC_REF, field, val)
-        return succ, state, heap
+        return succ[0], state, heap
 
     if code == STUCK:
-        raise StepStuck(e[1], e[2])
+        raise StepStuck(e[3], e[4])
     _no_rule(g, nid, g.kind(nid))

@@ -154,10 +154,10 @@ def _frame_step(program: Program, e: tuple, g: Graph, nid: int, state: MethodSta
     resumed."""
     code = e[0]
     if code == INVOKE:
-        target = e[1]
+        target = e[3]
         if not isinstance(target, MethodCallTargetNode):
             raise MalformedCall(f"callTarget of invoke {nid} is {target.kind_name()}")
-        args = tuple(evaluate_roots(g, state, params, target.arguments))
+        args = tuple(evaluate_roots(g, state, params, e[2]))
         callee = program.graph(target.targetMethod)
         if callee is None:
             raise UnknownMethod(target.targetMethod)
@@ -172,18 +172,18 @@ def _frame_step(program: Program, e: tuple, g: Graph, nid: int, state: MethodSta
     e = plan(g, nid)
     if e[0] != INVOKE:
         raise GlobalStuck(f"{exit_kind} into non-invoke caller node {nid}")
-    resume = e[3] if code == UNWIND else e[2]
-    if resume is None:
+    succ = e[1]
+    if code == UNWIND and len(succ) == 1:
         raise UnwindWithoutHandler(f"invoke {nid} has no exception edge")
-    return g, resume, state.set(nid, v), params, caller, depth
+    return g, succ[1] if code == UNWIND else succ[0], state.set(nid, v), params, caller, depth
 
 
 def _exit_value(g: Graph, state: MethodState, params: tuple, e: tuple) -> Value:
     """The value a RETURN or UNWIND step entry hands to its caller."""
-    code, root = e
-    if root is None:
+    code, _, roots = e
+    if not roots:
         return UNDEF
-    v, = evaluate_roots(g, state, params, (root,))
+    v, = evaluate_roots(g, state, params, roots)
     if code == UNWIND and not isinstance(v, ObjRef):
         raise GlobalStuck(f"unwound value is not an object reference: {v}")
     return v

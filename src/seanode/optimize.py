@@ -18,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import ir
-from .controlflow import END, plan
+from .controlflow import plan
 from .controlflow import merge_of_end  # noqa: F401  kept for bench/tests/test_bench.py
 from .ir import Graph, IRNode
 from .runtime import IntVal
@@ -138,23 +138,15 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
 
 # -- control-flow graph and dominators ------------------------------------
 
-def cfg_successors(g: Graph, nid: int) -> tuple[int, ...]:
-    """Successor edges of the mapped id nid plus the end-to-merge
-    pseudo-successor, which an end's step entry names."""
-    e = plan(g, nid)
-    successors = g.edges()[nid][1]
-    return successors + (e[1],) if e[0] == END else successors
-
-
 def _cfg(g: Graph) -> tuple[list[int], dict[int, set[int]]]:
-    """One iterative depth-first walk of the control flow reachable from
-    node 0: those nodes in reverse postorder, and each one's predecessors
-    among them. Edges to unmapped ids are dropped."""
+    """One iterative depth-first walk of the step-entry successors reachable
+    from node 0: those nodes in reverse postorder, and each one's
+    predecessors among them. Edges to unmapped ids are dropped."""
     if 0 not in g:
         return [], {}
     preds: dict[int, set[int]] = {0: set()}
     postorder = []
-    stack = [(0, iter(cfg_successors(g, 0)))]
+    stack = [(0, iter(plan(g, 0)[1]))]
     while stack:
         n, succs = stack[-1]
         for s in succs:
@@ -162,7 +154,7 @@ def _cfg(g: Graph) -> tuple[list[int], dict[int, set[int]]]:
                 preds[s].add(n)
             elif s in g:
                 preds[s] = {n}
-                stack.append((s, iter(cfg_successors(g, s))))
+                stack.append((s, iter(plan(g, s)[1])))
                 break
         else:
             stack.pop()

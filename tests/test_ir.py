@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import CORPUS_FILES, corpus
 from genutil import damage_bases, damaged_graph
 from seanode import ir, optimize
+from seanode.controlflow import plan
 from seanode.dot import graph_to_dot
 from seanode.fileformat import load
 from seanode.interproc import run
@@ -164,7 +165,7 @@ def test_usages_predecessors_are_inverses(g):
     order, preds = optimize._cfg(g)
     for a in order:
         for b in order:
-            assert (b in optimize.cfg_successors(g, a)) == (a in preds[b])
+            assert (b in plan(g, a)[1]) == (a in preds[b])
 
 
 def _users_by_definition(g, nid):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_FILES, corpus
 from genutil import DATA_RULES, gen_rule_case
+from seanode.controlflow import plan
 from seanode.dataflow import EvalContext, evaluate
 from seanode.equivalence import Domain, Equivalence, behavior_diff, with_boundary_values
 from seanode.fileformat import load
@@ -18,7 +19,7 @@ from seanode.ir import (
 )
 from seanode.optimize import (
     PASS_NAMES, RULES, IterationCapExceeded, apply_pass, canonicalize_data,
-    cfg_successors, conditional_elimination, dominators,
+    conditional_elimination, dominators,
 )
 from seanode.runtime import INT_MAX, INT_MIN, IntVal, MethodState, ObjRef
 from seanode.wellformed import check
@@ -214,8 +215,8 @@ def _dominator_sets(g):
             continue
         seen.add(nid)
         nodes.append(nid)
-        work.extend(reversed(cfg_successors(g, nid)))
-    preds = {n: {m for m in nodes if n in cfg_successors(g, m)} for n in nodes}
+        work.extend(reversed(plan(g, nid)[1]))
+    preds = {n: {m for m in nodes if n in plan(g, m)[1]} for n in nodes}
     dom = {n: ({n} if n == 0 else set(nodes)) for n in nodes}
     changed = True
     while changed:
