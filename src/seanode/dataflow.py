@@ -88,9 +88,20 @@ STUCK = 8  # arg: makes the EvalStuck evaluation raises here, afresh each time
 CYCLE = 9  # a cycle through nid's value edges; arg makes its CyclicExpression
 
 
+def _stuck(nid: int, reason: str) -> tuple:
+    return (STUCK, nid, partial(EvalStuck, nid, reason), None, None)
+
+
+# A value input that is None, an edge to no node, is stuck at its node; an
+# arm is a root of its own, so a None arm is stuck only when chosen.
+_NO_INPUT = "value input edge to no node"
+
+
 def _arithmetic(op):
     def rule(nid, node):
         operands = ir.value_inputs(node)
+        if None in operands:
+            return _stuck(nid, _NO_INPUT)
         if len(operands) == 1:
             return (UNARY, nid, op, operands[0], None)
         return (BINARY, nid, op, *operands)
@@ -104,8 +115,10 @@ _RULES = {
     ir.ConstantNode: lambda nid, node: (CONST, nid, node.const, None, None),
     ir.ParameterNode: lambda nid, node: (PARAM, nid, node.index, None, None),
     ir.ConditionalNode: lambda nid, node: (
-        COND, nid, (node.trueValue, node.falseValue), node.condition, None),
-    ir.ValueProxyNode: lambda nid, node: (PROXY, nid, None, node.value, None),
+        _stuck(nid, _NO_INPUT) if node.condition is None
+        else (COND, nid, (node.trueValue, node.falseValue), node.condition, None)),
+    ir.ValueProxyNode: lambda nid, node: (
+        _stuck(nid, _NO_INPUT) if node.value is None else (PROXY, nid, None, node.value, None)),
 }
 _RULES.update({k: lambda nid, node: (STATE, nid, None, None, None)
                for k in ir.NODE_KINDS.values() if ir.is_state_leaf(k)})
@@ -116,8 +129,7 @@ def _entry(g: Graph, nid: int) -> tuple:
     node = g.kind(nid)
     rule = _RULES.get(type(node))
     if rule is None:
-        stuck = partial(EvalStuck, nid, f"no evaluation rule for {node.kind_name()}")
-        return (STUCK, nid, stuck, None, None)
+        return _stuck(nid, f"no evaluation rule for {node.kind_name()}")
     return rule(nid, node)
 
 
@@ -177,11 +189,12 @@ def free_leaves(g: Graph, nid: int) -> tuple[set[int], set[int]]:
 def schedule(g: Graph, roots: tuple) -> tuple:
     """The entries that evaluating roots left to right runs, in order: the
     post-order of the value edges below each root in turn, each node at its
-    first place. A root that is not a node id (a missing input, a callable
-    making the EvalStuck to raise) is a STUCK entry, and a root on a cycle
-    a CYCLE entry, at the place where that root starts; nothing of that
-    root and nothing after it runs, so none of it is kept. Building never
-    raises. Built on first use and kept in g.schedules under roots."""
+    first place. A callable root (a missing input, making the EvalStuck to
+    raise) is a STUCK entry, and a root on a cycle a CYCLE entry, at the
+    place where that root starts; nothing of that root and nothing after it
+    runs, so none of it is kept. Any other root that is not a node id
+    evaluates as an unmapped id. Building never raises. Built on first use
+    and kept in g.schedules under roots."""
     s = g.schedules.get(roots)
     if s is None:
         s = g.schedules[roots] = _build_schedule(g, roots)
@@ -191,7 +204,7 @@ def schedule(g: Graph, roots: tuple) -> tuple:
 def _build_schedule(g: Graph, roots: tuple) -> tuple:
     order, done = [], set()
     for root in roots:
-        if type(root) is not int:
+        if callable(root):
             order.append((STUCK, None, root, None, None))
             break
         if root in done:

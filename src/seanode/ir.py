@@ -132,6 +132,12 @@ class ConstantNode(IRNode, role=Role.PURE):
 class ParameterNode(IRNode, role=Role.PURE):
     index: int
 
+    def __post_init__(self):
+        # A natural number, as in the paper: a negative index would read the
+        # arguments from the end.
+        if self.index < 0:
+            raise ValueError(f"negative parameter index: {self.index}")
+
 
 @dataclass(frozen=True)
 class ValuePhiNode(IRNode, role=Role.STATE_DATA):

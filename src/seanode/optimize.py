@@ -131,7 +131,7 @@ def canonicalize_data(g: Graph, nid: int) -> Rewrite | None:
             after = at(after)
             if not ir.is_pure(after):
                 continue
-        if after is not None:
+        if isinstance(after, IRNode):  # else no match, or a forward to no node
             return Rewrite(nid, node, after, rule.name)
     return None
 

@@ -1,12 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from genutil import gen_merge_fixture
+from conftest import CORPUS_FILES
+from genutil import damage_bases, damaged_graph, gen_merge_fixture
 from seanode.controlflow import (
     LocalConfig, StepStuck, merge_of_end, phis_of, plan, step,
 )
-from seanode import dataflow
+from seanode import controlflow, dataflow, interproc, ir
+from seanode.dataflow import condition_holds
+from seanode.fileformat import load
 from seanode.dataflow import EvalContext, evaluate
 from seanode.ir import (
     BeginNode, ConstantNode, EndNode, Graph, IfNode, MergeNode, NewInstanceNode,
@@ -191,3 +195,82 @@ def test_phi_updates_all_under_original_state(fact_graph):
     m = MethodState().set(7, IntVal(3)).set(8, IntVal(2))
     c2 = step(fact_graph, (IntVal(3),), LocalConfig(21, m, DynamicHeap()))
     assert (c2.nid, c2.state) == (6, MethodState().set(7, IntVal(2)).set(8, IntVal(6)))
+
+
+# The step-entry layout (code, successors, roots, *operands), pinned on the
+# shipped programs and on damaged graphs.
+
+FIXTURE_FILES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+CONTROL = {ir.Role.SEQUENTIAL, ir.Role.CONTROL, ir.Role.STATE_CONTROL}
+
+
+def _shipped_and_damaged_graphs():
+    for path in CORPUS_FILES + FIXTURE_FILES:
+        yield from load(path).methods.values()
+    bases = damage_bases()
+    for seed in range(300):
+        yield damaged_graph(bases[seed % len(bases)], random.Random(seed))
+
+
+def test_an_entrys_successors_are_its_edge_table_successors_or_an_ends_merge():
+    ends = 0
+    for g in _shipped_and_damaged_graphs():
+        for nid, node in g.items():
+            if node.ROLE not in CONTROL:
+                continue
+            e = plan(g, nid)
+            if e[0] == controlflow.END:
+                ends += 1
+                merges = ((node.loopBegin,) if isinstance(node, ir.LoopEndNode) else
+                          tuple(m for m, n in g.items()
+                                if isinstance(n, ir.AbstractMergeNode) and nid in n.ends))
+                assert e[1] == merges
+            else:
+                assert e[1] == g.edges()[nid][1], (nid, node, e)
+    assert ends
+
+
+def test_each_step_evaluates_the_roots_of_its_entry(monkeypatch):
+    # The roots a step hands to the evaluation core, recorded where the
+    # steps call it, against its entry's roots; an invoke of no arguments
+    # evaluates the empty tuple.
+    evaluated, records, active = [], [], []
+
+    def on_roots(fn):
+        def wrapped(g, state, params, roots):
+            evaluated.append(roots)
+            return fn(g, state, params, roots)
+        return wrapped
+
+    def holds(g, state, params, cond):
+        evaluated.append((cond,))
+        return condition_holds(g, state, params, cond)
+
+    def on_step(fn, at):
+        # Records the entry of the outermost step call and what it evaluated.
+        def wrapped(*args):
+            if active:
+                return fn(*args)
+            active.append(True)
+            evaluated.clear()
+            try:
+                return fn(*args)
+            finally:
+                active.clear()
+                records.append((args[at], [r for r in evaluated if r]))
+        return wrapped
+
+    monkeypatch.setattr(controlflow, "evaluate_roots", on_roots(controlflow.evaluate_roots))
+    monkeypatch.setattr(controlflow, "condition_holds", holds)
+    monkeypatch.setattr(interproc, "evaluate_roots", on_roots(interproc.evaluate_roots))
+    monkeypatch.setattr(interproc, "local_step", on_step(interproc.local_step, 3))
+    monkeypatch.setattr(interproc, "_frame_step", on_step(interproc._frame_step, 1))
+    monkeypatch.setattr(interproc, "_exit_value", on_step(interproc._exit_value, 3))
+    for path in CORPUS_FILES:
+        program = load(path)
+        for sig in program.methods:
+            for v in (-1, 0, 3):
+                interproc.run(program, sig, [IntVal(v)] * len(sig.parameterTypes), 1000)
+    for e, roots in records:
+        assert roots == ([e[2]] if e[2] else []), e
+    assert {e[0] for e, _ in records} >= set(range(controlflow.STUCK))

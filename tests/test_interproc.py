@@ -1,3 +1,4 @@
+import random
 import statistics
 import time
 from pathlib import Path
@@ -6,11 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CORPUS_FILES, corpus
-from genutil import STORE_LOOP_SIG, STUCK_PHI_SIG, store_loop, stuck_phi_program
+from genutil import (
+    CHAIN_SIG, STORE_LOOP_SIG, STUCK_PHI_SIG, damage_bases, damaged_graph, store_loop,
+    stuck_phi_program,
+)
 from seanode import interproc, ir
 from seanode.controlflow import RETURN, UNWIND, StepStuck, plan
 from seanode.dataflow import EvalStuck, ParamOutOfRange
 from seanode.fileformat import load
+from seanode.optimize import PASS_NAMES, IterationCapExceeded, apply_pass
 from seanode.interproc import (
     ExecOutcome, ExecResult, GlobalStuck, MalformedCall, UncaughtTopLevel, UnknownMethod,
     UnwindWithoutHandler, initial_config, run, step_top,
@@ -594,3 +599,17 @@ def test_run_builds_a_frame_only_for_the_caller_an_invoke_pushes(monkeypatch, pr
     result = run(program, sig, [IntVal(depth)])
     assert (result.outcome, result.value) == (ExecOutcome.RETURNED, value)
     assert result.steps > 5 * depth and len(built) == 1 + depth
+
+
+def test_damaged_graphs_get_classified_results_from_run_and_apply_pass():
+    # Among them are wrong-shape edges (None or a tuple where an edge is one
+    # id): an operand, a condition, a root or a forwarded input to no node.
+    bases = damage_bases()
+    for seed in range(1500):
+        g = damaged_graph(bases[seed % len(bases)], random.Random(seed))
+        assert isinstance(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(3)], 500), ExecResult)
+        for which in PASS_NAMES:
+            try:
+                apply_pass(g, which)
+            except IterationCapExceeded:
+                pass

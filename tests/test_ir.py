@@ -13,7 +13,7 @@ from seanode.fileformat import load
 from seanode.interproc import run
 from seanode.ir import (
     AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, InvalidEdit,
-    InvokeWithExceptionNode, NoNode, RefNode, Signature, StartNode,
+    InvokeWithExceptionNode, NoNode, ParameterNode, RefNode, Signature, StartNode,
     ValuePhiNode,
 )
 from seanode.runtime import IntVal
@@ -108,6 +108,13 @@ def test_replace_unmapped_rejected():
 def test_insert_negative_id_rejected():
     with pytest.raises(InvalidEdit):
         Graph({0: StartNode(next=0)}).insert_node(-1, EndNode())
+
+
+def test_a_negative_parameter_index_is_rejected_when_built():
+    # The index is a natural number; -1 would read the last argument.
+    with pytest.raises(ValueError, match="negative parameter index: -1"):
+        ParameterNode(-1)
+    assert ParameterNode(0).index == 0
 
 
 def test_store_nonode_rejected():
