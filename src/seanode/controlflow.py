@@ -63,7 +63,7 @@ def _phis(g: Graph, merge: int) -> list[int]:
                    if isinstance(g.kind(u), ir.ValuePhiNode) and g.kind(u).merge == merge})
 
 
-def _end(g: Graph, nid: int, node, ins: tuple, outs: tuple) -> tuple:
+def _end(g: Graph, nid: int, *_) -> tuple:
     merges = sorted({u for u in g.users(nid) if isinstance(g.kind(u), ir.AbstractMergeNode)})
     if not merges:
         raise StepStuck(nid, "end node has no merge usage")

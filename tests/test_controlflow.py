@@ -9,9 +9,8 @@ from seanode.controlflow import (
     LocalConfig, StepStuck, merge_of_end, phis_of, plan, step,
 )
 from seanode import controlflow, dataflow, interproc, ir
-from seanode.dataflow import condition_holds
+from seanode.dataflow import EvalContext, condition_holds, evaluate
 from seanode.fileformat import load
-from seanode.dataflow import EvalContext, evaluate
 from seanode.ir import (
     BeginNode, ConstantNode, EndNode, Graph, IfNode, MergeNode, NewInstanceNode,
     ReturnNode, StartNode, StoreFieldNode, ValuePhiNode,
