@@ -1,3 +1,4 @@
+import hashlib
 import random
 import statistics
 import time
@@ -601,15 +602,29 @@ def test_run_builds_a_frame_only_for_the_caller_an_invoke_pushes(monkeypatch, pr
     assert result.steps > 5 * depth and len(built) == 1 + depth
 
 
+def _damaged_outcome(g) -> str:
+    """run's result on g, then each pass's log lines or its cap message."""
+    result = run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(3)], 500)
+    assert isinstance(result, ExecResult)
+    lines = [str(result)]
+    for which in PASS_NAMES:
+        try:
+            lines += [which, *apply_pass(g, which)[1].log_lines()]
+        except IterationCapExceeded as cap:
+            lines += [which, str(cap)]
+    return "\n".join(lines)
+
+
+# The sha256 of the 1,500 outcomes below, joined by blank lines.
+DAMAGED_SHA256 = "8e399ce84706a2f14de3c4d5f91464d9b42a8d0c8bae9178d07ca53c64d5faa5"
+
+
 def test_damaged_graphs_get_classified_results_from_run_and_apply_pass():
     # Among them are wrong-shape edges (None or a tuple where an edge is one
     # id): an operand, a condition, a root or a forwarded input to no node.
+    # The digest pins each result and each pass's rewrites, not only their
+    # types.
     bases = damage_bases()
-    for seed in range(1500):
-        g = damaged_graph(bases[seed % len(bases)], random.Random(seed))
-        assert isinstance(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(3)], 500), ExecResult)
-        for which in PASS_NAMES:
-            try:
-                apply_pass(g, which)
-            except IterationCapExceeded:
-                pass
+    texts = [_damaged_outcome(damaged_graph(bases[seed % len(bases)], random.Random(seed)))
+             for seed in range(1500)]
+    assert hashlib.sha256("\n\n".join(texts).encode()).hexdigest() == DAMAGED_SHA256
