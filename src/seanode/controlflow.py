@@ -57,10 +57,12 @@ def merge_of_end(g: Graph, end: int) -> tuple[int, int]:
 
 # The end rules read the def-use index through Graph.users and call neither
 # usages nor the two functions above: what a run calls stays the same whether
-# or not its graph has been decoded before.
+# or not its graph has been decoded before. They read the edge table: a
+# phi's inputs are (merge, *values), and a merge's are its ends.
 def _phis(g: Graph, merge: int) -> list[int]:
+    table = g.edges()
     return sorted({u for u in g.users(merge)
-                   if isinstance(g.kind(u), ir.ValuePhiNode) and g.kind(u).merge == merge})
+                   if isinstance(g.kind(u), ir.ValuePhiNode) and table[u][0][0] == merge})
 
 
 def _end(g: Graph, nid: int, *_) -> tuple:
@@ -81,11 +83,12 @@ def _loop_end(g: Graph, nid: int, node, ins: tuple, outs: tuple) -> tuple:
 def _end_entry(g: Graph, end: int, merge: int) -> tuple:
     # The phis and their value inputs for the end's position. A phi with no
     # such input gets the stuck step in its place: raised when reached.
-    ends = g.kind(merge).ends
+    table = g.edges()
+    ends = table[merge][0]
     if end not in ends:
         raise StepStuck(end, f"end not listed in ends of merge {merge}")
     index = ends.index(end)
-    phis = [(phi, g.kind(phi).values) for phi in _phis(g, merge)]
+    phis = [(phi, table[phi][0][1:]) for phi in _phis(g, merge)]
     missing = f"phi has no value input for end position {index}"
     return (END, (merge,),
             tuple(vs[index] if index < len(vs) else partial(StepStuck, phi, missing)

@@ -78,13 +78,14 @@ class IRNode:
 
     INPUTS names the input-edge fields in edge order, SUCCESSORS the
     successor-edge fields. A field's type is the edge's shape: int is one
-    edge, int | None an optional one, tuple[int, ...] a list; LIST_EDGES
-    and OPTIONAL_EDGES name the fields of the last two types. Remaining
-    dataclass fields are plain data attributes. The class keywords give the
-    kind's role (a kind with one is registered in NODE_KINDS), an arithmetic
-    kind's run-time operation on its integer inputs, and a pure kind's
-    anchors: inputs evaluation does not follow. VALUE_EDGES names the ones
-    it does. READERS reads a node's inputs, successors and value inputs.
+    edge, int | None an optional one, tuple[int, ...] a list, stored as a
+    tuple whatever it is built from; LIST_EDGES and OPTIONAL_EDGES name the
+    fields of the last two types. Remaining dataclass fields are plain data
+    attributes. The class keywords give the kind's role (a kind with one is
+    registered in NODE_KINDS), an arithmetic kind's run-time operation on
+    its integer inputs, and a pure kind's anchors: inputs evaluation does
+    not follow. VALUE_EDGES names the ones it does. READERS reads a node's
+    inputs, successors and value inputs.
     """
 
     INPUTS: ClassVar[tuple[str, ...]] = ()
@@ -102,6 +103,11 @@ class IRNode:
         hints = get_type_hints(cls).items()
         cls.LIST_EDGES = frozenset(n for n, t in hints if t == tuple[int, ...])
         cls.OPTIONAL_EDGES = frozenset(n for n, t in hints if t == int | None)
+        if cls.LIST_EDGES:  # a kind without one keeps its own __post_init__, or none
+            def __post_init__(self):
+                for name in type(self).LIST_EDGES:
+                    object.__setattr__(self, name, tuple(getattr(self, name)))
+            cls.__post_init__ = __post_init__
         if role is not None:
             NODE_KINDS[cls.__name__] = cls
         if role is Role.PURE:
@@ -147,9 +153,6 @@ class ValuePhiNode(IRNode, role=Role.STATE_DATA):
 
     # Input edge zero connects the phi to its merge node.
     INPUTS = ("merge", "values")
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
 
 
 @dataclass(frozen=True)
@@ -257,9 +260,6 @@ class AbstractMergeNode(IRNode):
     INPUTS = ("ends",)
     SUCCESSORS = ("next",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "ends", tuple(self.ends))
-
 
 @dataclass(frozen=True)
 class EndNode(AbstractEndNode, role=Role.CONTROL):
@@ -358,9 +358,6 @@ class MethodCallTargetNode(IRNode, role=Role.CALL_TARGET):
     arguments: tuple[int, ...]
 
     INPUTS = ("arguments",)
-
-    def __post_init__(self):
-        object.__setattr__(self, "arguments", tuple(self.arguments))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import ir
-from .controlflow import plan
+from .controlflow import IF, plan
 from .controlflow import merge_of_end  # noqa: F401  kept for bench/tests/test_bench.py
 from .ir import Graph, IRNode
 from .runtime import IntVal
@@ -225,13 +225,13 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
         if len(preds[n]) != 1:
             return []
         (p,) = preds[n]
-        branch = g.kind(p)
-        if not isinstance(branch, ir.IfNode) or branch.trueSuccessor == branch.falseSuccessor:
+        code, succs, roots = plan(g, p)[:3]
+        if code != IF or succs[0] == succs[1]:
             return []
         # The branch is n's one predecessor, so n is one of its successors.
-        value = n == branch.trueSuccessor
+        value = n == succs[0]
         added = []
-        for key in _fact_keys(g, branch.condition):
+        for key in _fact_keys(g, roots[0]):
             if key not in facts:
                 facts[key] = value
                 added.append(key)
@@ -248,14 +248,12 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
                 del facts[key]
             continue
         added = enter_facts(n)
-        node = g.kind(n)
-        if isinstance(node, ir.IfNode):
-            known = next((facts[k] for k in _fact_keys(g, node.condition) if k in facts), None)
+        code, succs, roots = plan(g, n)[:3]
+        if code == IF:
+            known = next((facts[k] for k in _fact_keys(g, roots[0]) if k in facts), None)
             if known is not None:
-                target = node.trueSuccessor if known else node.falseSuccessor
-                rewrites.append(
-                    Rewrite(n, node, ir.RefNode(target), "condelim-implied-branch")
-                )
+                rewrites.append(Rewrite(n, g.kind(n), ir.RefNode(succs[0 if known else 1]),
+                                        "condelim-implied-branch"))
         stack.append(added)
         stack.extend(reversed(children[n]))
 

@@ -51,15 +51,15 @@ def check(g: Graph) -> WfReport:
         if isinstance(node, ir.AbstractEndNode) and not g.users(nid):
             found.append(Violation("wf_ends", nid, f"{node.kind_name()} has no usage"))
         if isinstance(node, ir.ValuePhiNode):
-            merge = g.kind(node.merge)
-            if not isinstance(merge, ir.AbstractMergeNode):
+            # A phi's inputs are (merge, *values), and a merge's are its ends.
+            merge, kind = inputs[0], g.kind(inputs[0])
+            if not isinstance(kind, ir.AbstractMergeNode):
+                found.append(Violation(
+                    "wf_phis", nid, f"merge edge {merge} is {kind.kind_name()}, expected a merge"))
+            elif len(inputs) - 1 != len(table[merge][0]):
                 found.append(Violation(
                     "wf_phis", nid,
-                    f"merge edge {node.merge} is {merge.kind_name()}, expected a merge"))
-            elif len(node.values) != len(merge.ends):
-                found.append(Violation(
-                    "wf_phis", nid,
-                    f"{len(node.values)} value inputs for {len(merge.ends)} merge ends"))
+                    f"{len(inputs) - 1} value inputs for {len(table[merge][0])} merge ends"))
         # Records carry their own id, as the paper's nodes do, and check keeps
         # it equal to the storage key. Nothing reads selfId: the state uses nid.
         self_id = getattr(node, "selfId", None)
