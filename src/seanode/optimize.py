@@ -222,7 +222,9 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
     facts: dict = {}
 
     def enter_facts(n: int) -> list:
-        if len(preds[n]) != 1:
+        # Node 0 is entered from the caller too, not only from its one
+        # predecessor, if it has one.
+        if n == 0 or len(preds[n]) != 1:
             return []
         (p,) = preds[n]
         code, succs, roots = plan(g, p)[:3]

@@ -11,11 +11,12 @@ from seanode.controlflow import plan
 from seanode.dataflow import EvalContext, evaluate
 from seanode.equivalence import Domain, Equivalence, behavior_diff, with_boundary_values
 from seanode.fileformat import load
+from seanode.interproc import run
 from seanode.ir import (
     NODE_KINDS, AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode,
     IntegerLessThanNode, LoopBeginNode, LoopEndNode, MergeNode, MulNode,
-    NegateNode, NewInstanceNode, ParameterNode, Program, RefNode, ReturnNode, StartNode,
-    SubNode, ValuePhiNode, is_pure,
+    NegateNode, NewInstanceNode, ParameterNode, Program, RefNode, ReturnNode, Signature,
+    StartNode, SubNode, ValuePhiNode, is_pure,
 )
 from seanode.optimize import (
     PASS_NAMES, RULES, IterationCapExceeded, apply_pass, canonicalize_data,
@@ -236,15 +237,22 @@ _CFG_KINDS = (IfNode, IfNode, IfNode, BeginNode, MergeNode, LoopBeginNode, EndNo
               LoopEndNode, ReturnNode)
 
 
+# The conditions of _cfgs(shared_conditions=True), at n + 2 onwards: two
+# ids hold equal nodes, so a test can match a fact by id or by equal node.
+_CONDITIONS = (ParameterNode(0), ParameterNode(0), ParameterNode(1))
+
+
 @st.composite
-def _cfgs(draw):
+def _cfgs(draw, shared_conditions=False):
     """Control flow over ids 0..n-1, node 0 a StartNode. A successor edge
     goes to the next id or to any id, so it may point back to node 0 or to
     the unmapped ids n and n + 1, and leave nodes unreachable; merges list
     end nodes (an end listed by two merges has none) and loop ends name loop
-    begins (not always one that lists them)."""
+    begins (not always one that lists them). Each IfNode tests itself, or
+    with shared_conditions one of _CONDITIONS."""
     kinds = [StartNode] + draw(st.lists(st.sampled_from(_CFG_KINDS), min_size=3, max_size=15))
     mapped, anywhere = st.integers(0, len(kinds) - 1), st.integers(0, len(kinds) + 1)
+    conditions = {len(kinds) + 2 + i: node for i, node in enumerate(_CONDITIONS)}
 
     def pick(*ks):
         pool = [i for i, k in enumerate(kinds) if k in ks]
@@ -256,7 +264,8 @@ def _cfgs(draw):
         if kind in (StartNode, BeginNode):
             nodes[nid] = kind(next=draw(target))
         elif kind is IfNode:
-            nodes[nid] = IfNode(condition=nid, trueSuccessor=draw(target),
+            condition = draw(st.sampled_from(sorted(conditions))) if shared_conditions else nid
+            nodes[nid] = IfNode(condition=condition, trueSuccessor=draw(target),
                                 falseSuccessor=draw(target))
         elif kind is ReturnNode:
             nodes[nid] = ReturnNode(resultOpt=None)
@@ -267,7 +276,7 @@ def _cfgs(draw):
         else:
             ends = draw(st.lists(pick(EndNode, LoopEndNode), max_size=3, unique=True))
             nodes[nid] = kind(ends=ends, next=draw(target))
-    return Graph(nodes)
+    return Graph(nodes | conditions if shared_conditions else nodes)
 
 
 @settings(max_examples=300, deadline=None)
@@ -281,6 +290,69 @@ def test_idom_chains_match_the_dominator_set_oracle(g):
         while idom[chain[-1]] != chain[-1] and len(chain) <= len(idom):
             chain.append(idom[chain[-1]])
         assert set(chain) == oracle[n] and len(chain) == len(oracle[n])
+
+
+def _condelim_oracle(g):
+    """{test: successor} condelim should give, from node fields and the
+    dominator sets. A dominator d of test n (n included) other than node 0
+    gives a fact if d has one predecessor, an IfNode with two distinct
+    successors: its condition is true on entering d through the true edge.
+    n takes the fact of the outermost such d whose condition is n's own
+    condition id, else of the outermost whose condition node equals n's."""
+    dom = _dominator_sets(g)
+    preds = {n: [m for m in dom if n in plan(g, m)[1]] for n in dom}
+    decided = {}
+    for n in dom:
+        test = g.kind(n)
+        if not isinstance(test, IfNode):
+            continue
+        facts = []  # (condition, value), the outermost dominator's first
+        for d in sorted(dom[n] - {0}, key=lambda d: len(dom[d])):
+            branch = g.kind(preds[d][0]) if len(preds[d]) == 1 else None
+            if isinstance(branch, IfNode) and branch.trueSuccessor != branch.falseSuccessor:
+                facts.append((branch.condition, d == branch.trueSuccessor))
+        known = next((v for c, v in facts if c == test.condition), None)
+        if known is None:
+            known = next((v for c, v in facts if g.kind(c) == g.kind(test.condition)), None)
+        if known is not None:
+            decided[n] = test.trueSuccessor if known else test.falseSuccessor
+    return decided
+
+
+@given(_cfgs(shared_conditions=True))
+def test_differential_condelim_matches_the_dominator_fact_oracle(g):
+    _, report = conditional_elimination(g)
+    assert {rw.target: rw.after.next for rw in report.rewrites} == _condelim_oracle(g)
+
+
+def test_condelim_takes_no_branch_fact_at_node_0():
+    # Node 0 is entered from the caller as well as by the back edge from
+    # test 5, so the false branch of test 5 decides nothing at test 1; below
+    # test 4, on the false branch of test 1, it decides test 5.
+    g = Graph({
+        0: StartNode(next=1),
+        1: IfNode(condition=8, trueSuccessor=3, falseSuccessor=4),
+        3: ReturnNode(resultOpt=10),
+        4: IfNode(condition=9, trueSuccessor=5, falseSuccessor=6),
+        5: IfNode(condition=8, trueSuccessor=7, falseSuccessor=0),
+        6: ReturnNode(resultOpt=11),
+        7: ReturnNode(resultOpt=12),
+        8: ParameterNode(0),
+        9: ParameterNode(1),
+        10: ConstantNode(IntVal(1)),
+        11: ConstantNode(IntVal(2)),
+        12: ConstantNode(IntVal(3)),
+    })
+    assert check(g).ok
+    g2, report = conditional_elimination(g)
+    assert report.log_lines() == ["condelim-implied-branch @5: IfNode -> RefNode"]
+    sig = Signature("Probe", "backToStart", ("int", "int"))
+    before, after = Program({sig: g}), Program({sig: g2})
+    assert str(run(after, sig, [IntVal(1), IntVal(0)])) == "Returned IntVal 1"
+    # A zero first argument with a nonzero second loops back to node 0 for
+    # ever, so those assignments run out of fuel on both sides.
+    verdict = behavior_diff(before, after, sig, Domain(), fuel=1000)
+    assert verdict.status is Equivalence.INCONCLUSIVE
 
 
 def test_condelim_nested_duplicate():
