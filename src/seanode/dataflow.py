@@ -80,7 +80,7 @@ STATE = 2  # a state leaf: reads the method state at nid
 UNARY = 3  # arg: the operation on ints (runtime.int_*)
 BINARY = 4  # arg: the operation on ints
 PROXY = 5  # forwards x
-COND = 6  # arg: (true arm, false arm); x: the condition
+COND = 6  # arg: (true arm, false arm), each a root; x: the condition
 CHECK = 7  # x, the first operand of the BINARY node nid, must be an integer;
 # placed where evaluating inputs left to right checks it, before y's entries,
 # unless x's entry is a BINARY or UNARY one just before it: that gives an int
@@ -93,7 +93,8 @@ def _stuck(nid: int, reason: str) -> tuple:
 
 
 # A value input that is None, an edge to no node, is stuck at its node; an
-# arm is a root of its own, so a None arm is stuck only when chosen.
+# arm is a root of its own, so an arm that is no node id (None or a tuple)
+# is a placeholder root, stuck at its conditional only when chosen.
 _NO_INPUT = "value input edge to no node"
 
 
@@ -116,7 +117,8 @@ _RULES = {
     ir.ParameterNode: lambda nid, node: (PARAM, nid, node.index, None, None),
     ir.ConditionalNode: lambda nid, node: (
         _stuck(nid, _NO_INPUT) if node.condition is None
-        else (COND, nid, (node.trueValue, node.falseValue), node.condition, None)),
+        else (COND, nid, tuple(a if type(a) is int else partial(EvalStuck, nid, _NO_INPUT)
+                               for a in (node.trueValue, node.falseValue)), node.condition, None)),
     ir.ValueProxyNode: lambda nid, node: (
         _stuck(nid, _NO_INPUT) if node.value is None else (PROXY, nid, None, node.value, None)),
 }
@@ -395,6 +397,10 @@ def evaluate_lanes(g: Graph, root: int, width: int, params: dict, slots: dict) -
                 cond = cols[x]
                 ints = [c for c in cond if type(c) is int] if x in odd else cond
                 arms = [a for a, chosen in zip(arg, (any(ints), not all(ints))) if chosen]
+                for a in arms:
+                    if callable(a):  # a placeholder arm: stuck on every lane
+                        cols[a] = [_STUCK] * width
+                        odd.add(a)
                 todo = [schedule(g, (a,)) for a in arms if a not in cols]
                 if todo:  # run the chosen arms, then come back to this entry
                     if n in waiting:

@@ -14,7 +14,8 @@ from genutil import (
 )
 from seanode import interproc, ir
 from seanode.controlflow import RETURN, UNWIND, StepStuck, plan
-from seanode.dataflow import EvalStuck, ParamOutOfRange
+from seanode.dataflow import EvalStuck, ParamOutOfRange, evaluate_lanes
+from seanode.equivalence import Equivalence, data_equiv
 from seanode.fileformat import load
 from seanode.optimize import PASS_NAMES, IterationCapExceeded, apply_pass
 from seanode.interproc import (
@@ -23,7 +24,7 @@ from seanode.interproc import (
 )
 from seanode.wellformed import check
 from seanode.ir import (
-    AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, IntegerLessThanNode, InvokeNode,
+    AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode, IntegerLessThanNode, InvokeNode,
     InvokeWithExceptionNode, MethodCallTargetNode, NewInstanceNode, ParameterNode, Program,
     ReturnNode, Signature, StartNode, StoreFieldNode, SubNode, UnwindNode,
 )
@@ -616,7 +617,7 @@ def _damaged_outcome(g) -> str:
 
 
 # The sha256 of the 1,500 outcomes below, joined by blank lines.
-DAMAGED_SHA256 = "8e399ce84706a2f14de3c4d5f91464d9b42a8d0c8bae9178d07ca53c64d5faa5"
+DAMAGED_SHA256 = "9b5b844447b91c5005a1c52ac43ef37cafa0c8f21c12212b82734fc71e5be5d1"
 
 
 def test_damaged_graphs_get_classified_results_from_run_and_apply_pass():
@@ -628,3 +629,39 @@ def test_damaged_graphs_get_classified_results_from_run_and_apply_pass():
     texts = [_damaged_outcome(damaged_graph(bases[seed % len(bases)], random.Random(seed)))
              for seed in range(1500)]
     assert hashlib.sha256("\n\n".join(texts).encode()).hexdigest() == DAMAGED_SHA256
+
+
+# A conditional's chosen arm that is no node id is stuck at the conditional.
+NO_ARM = "value input edge to no node"
+
+
+def test_damaged_seed_1480_is_stuck_at_its_conditional():
+    # Conditional 3 has a None true arm, chosen on a nonzero argument; 2
+    # reads 3 in its own true arm.
+    g = damaged_graph(damage_bases()[1480 % 9], random.Random(1480))
+    assert g.kind(3) == ConditionalNode(condition=5, trueValue=None, falseValue=7)
+    assert str(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(3)], 500)) == f"Stuck: @3: {NO_ARM}"
+    assert str(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(0)], 500)) == "Returned IntVal 0"
+    assert evaluate_lanes(g, 2, 2, {0: [0, 3]}, {}) == [0, "stuck:EvalStuck"]
+    assert data_equiv(g, g, 2).status is Equivalence.EQUIVALENT
+
+
+@pytest.mark.parametrize("arm", [None, (9,)], ids=["none", "tuple"])
+def test_a_chosen_arm_to_no_node_is_stuck_at_its_conditional(arm):
+    def method(true_arm):
+        return Graph({
+            0: StartNode(next=1),
+            1: ReturnNode(resultOpt=4),
+            2: ParameterNode(0),
+            3: ConstantNode(IntVal(7)),
+            4: ConditionalNode(condition=2, trueValue=true_arm, falseValue=3),
+        })
+    g = method(arm)
+    p = Program({CHAIN_SIG: g})
+    assert str(run(p, CHAIN_SIG, [IntVal(1)])) == f"Stuck: @4: {NO_ARM}"
+    assert str(run(p, CHAIN_SIG, [IntVal(0)])) == "Returned IntVal 7"
+    assert evaluate_lanes(g, 4, 2, {0: [1, 0]}, {}) == ["stuck:EvalStuck", 7]
+    assert data_equiv(g, g, 4).status is Equivalence.EQUIVALENT
+    verdict = data_equiv(g, method(3), 4)
+    assert str(verdict) == ("NotEquivalent (1 assignments tried) "
+                            "witness m={} p=[IntVal -2]: left=stuck:EvalStuck, right=IntVal 7")
