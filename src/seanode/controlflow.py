@@ -2,8 +2,9 @@
 
 Each control kind has one step rule in _STEPS. plan(g, nid) decodes a node
 by its kind's rule, from its row of the edge table, the first time it is
-stepped, into a step entry kept on the graph; local_step, interproc and
-optimize's control-flow graph read the entry, not the node.
+stepped, into a step entry kept on the graph; local_step, interproc,
+optimize's control-flow graph and conditional elimination (an if's
+condition and successors) read the entry, not the node.
 local_step takes the entry and the configuration as plain values and gives
 the configuration back as plain values, so interproc.run, which plans each
 step once and holds the top frame in locals, builds no record for a local
