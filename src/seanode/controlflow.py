@@ -49,7 +49,7 @@ def phis_of(g: Graph, merge: int) -> list[int]:
 
 
 def merge_of_end(g: Graph, end: int) -> tuple[int, int]:
-    """Resolve an EndNode or LoopEndNode to (merge id, its position in merge.ends)."""
+    """Resolve an EndNode or LoopEndNode to (merge id, its position in the merge's ends)."""
     e = plan(g, end)
     if e[0] != END:
         raise StepStuck(end, e[4] if e[0] == STUCK else "not an end node")
