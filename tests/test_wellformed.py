@@ -1,16 +1,19 @@
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import CORPUS_FILES
+from conftest import CORPUS_FILES, corpus
 from genutil import negate_chain, violated_rules
+from seanode.dataflow import CyclicExpression, walk_values
 from seanode.fileformat import load
 from seanode.interproc import run
 from seanode.ir import (
-    AddNode, BeginNode, EndNode, Graph, IfNode, MergeNode, NegateNode,
-    ParameterNode, Program, ReturnNode, Signature, StartNode, SubNode, ValuePhiNode,
-    ValueProxyNode,
+    AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode, MergeNode,
+    NegateNode, ParameterNode, Program, ReturnNode, Signature, StartNode, SubNode,
+    ValuePhiNode, ValueProxyNode,
 )
+from seanode.runtime import IntVal
 from seanode.wellformed import check
 
 SIG = Signature("C", "m")
@@ -175,6 +178,88 @@ def test_check_ok_implies_predicates():
     for path in CORPUS_FILES:
         for g in load(path).methods.values():
             assert violated_rules(g) == set(), path.name
+
+
+# check walks the value edges only if one climbs, from a node to an id at
+# or above its own: without such an edge, ids fall along every path, so no
+# path returns to its start.
+
+def _acyclic_report(g):
+    return [(v.nid, v.message) for v in check(g).violations if v.rule == "wf_acyclic"]
+
+
+def _walked(g):
+    """The wf_acyclic violations of a check that always walks."""
+    try:
+        walk_values(g, sorted(nid for nid, _ in g.items()))
+    except CyclicExpression as e:
+        return [(e.nid, "cycle through data input edges")]
+    return []
+
+
+@st.composite
+def _permuted_data_graphs(draw):
+    """Data nodes made in order, each reading earlier ones, now and then any
+    node (itself included, closing a cycle through any operand) or no node
+    (None or a tuple), stored under a random permutation of their ids so
+    that value edges climb as often as they fall."""
+    n = draw(st.integers(1, 8))
+    ids = draw(st.permutations(range(n))) if draw(st.booleans()) else list(range(n))
+    nodes = {}
+    for i, nid in enumerate(ids):
+        def ref():
+            roll = draw(st.integers(0, 29))
+            if roll == 0:
+                return None
+            if roll == 1:
+                return (draw(st.sampled_from(ids)),)
+            if roll < 8:  # itself or a later node: a cycle if that reads back
+                return ids[draw(st.integers(i, n - 1))]
+            return ids[draw(st.integers(0, i - 1))]
+        kind = draw(st.sampled_from(["const", "phi"] if i == 0 else
+                                    ["const", "phi", "neg", "add", "sub", "cond", "proxy"]))
+        if kind == "const":
+            nodes[nid] = ConstantNode(IntVal(1))
+        elif kind == "phi":
+            nodes[nid] = ValuePhiNode(nid, values=(), merge=0)
+        elif kind == "neg":
+            nodes[nid] = NegateNode(value=ref())
+        elif kind in ("add", "sub"):
+            nodes[nid] = (AddNode if kind == "add" else SubNode)(x=ref(), y=ref())
+        elif kind == "cond":
+            nodes[nid] = ConditionalNode(condition=ref(), trueValue=ref(), falseValue=ref())
+        else:
+            nodes[nid] = ValueProxyNode(value=ref(), loopExit=ref())
+    return Graph(nodes)
+
+
+@given(_permuted_data_graphs())
+def test_differential_check_acyclicity_against_the_walk(g):
+    assert _acyclic_report(g) == _walked(g)
+
+
+def test_a_climbing_acyclic_method_is_ok():
+    p = corpus("loop-sum")
+    g = p.graph(p.resolve("sumTo"))
+    assert g.edges()[10][2] == (4, 15)  # 10 reads 15: a climbing edge
+    assert check(g).ok
+
+
+def test_a_self_loop_negate_is_reported_at_itself():
+    g = Graph({0: StartNode(next=2), 1: NegateNode(value=1), 2: ReturnNode(resultOpt=1)})
+    assert str(check(g)) == "wf_acyclic @1: cycle through data input edges"
+
+
+def test_a_cycle_climbing_only_through_a_y_operand_is_reported_as_the_walk_does():
+    # 3 reads 4 through y, the one climbing edge; 4 reads 3 back.
+    g = Graph({
+        0: StartNode(next=2),
+        1: ParameterNode(0),
+        2: ReturnNode(resultOpt=3),
+        3: SubNode(x=1, y=4),
+        4: NegateNode(value=3),
+    })
+    assert _acyclic_report(g) == _walked(g) == [(3, "cycle through data input edges")]
 
 
 @pytest.mark.parametrize("name,rule", [
