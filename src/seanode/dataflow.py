@@ -92,16 +92,16 @@ def _stuck(nid: int, reason: str) -> tuple:
     return (STUCK, nid, partial(EvalStuck, nid, reason), None, None)
 
 
-# A value input that is None, an edge to no node, is stuck at its node; an
-# arm is a root of its own, so an arm that is no node id (None or a tuple)
-# is a placeholder root, stuck at its conditional only when chosen.
+# A value input that is no node id (None or a tuple, a wrong-shape edge) is
+# stuck at its node; an arm is a root of its own, so such an arm is a
+# placeholder root, stuck at its conditional only when chosen.
 _NO_INPUT = "value input edge to no node"
 
 
 def _arithmetic(op):
     def rule(nid, node):
         operands = ir.value_inputs(node)
-        if None in operands:
+        if any(type(o) is not int for o in operands):
             return _stuck(nid, _NO_INPUT)
         if len(operands) == 1:
             return (UNARY, nid, op, operands[0], None)
@@ -116,11 +116,12 @@ _RULES = {
     ir.ConstantNode: lambda nid, node: (CONST, nid, node.const, None, None),
     ir.ParameterNode: lambda nid, node: (PARAM, nid, node.index, None, None),
     ir.ConditionalNode: lambda nid, node: (
-        _stuck(nid, _NO_INPUT) if node.condition is None
+        _stuck(nid, _NO_INPUT) if type(node.condition) is not int
         else (COND, nid, tuple(a if type(a) is int else partial(EvalStuck, nid, _NO_INPUT)
                                for a in (node.trueValue, node.falseValue)), node.condition, None)),
     ir.ValueProxyNode: lambda nid, node: (
-        _stuck(nid, _NO_INPUT) if node.value is None else (PROXY, nid, None, node.value, None)),
+        _stuck(nid, _NO_INPUT) if type(node.value) is not int
+        else (PROXY, nid, None, node.value, None)),
 }
 _RULES.update({k: lambda nid, node: (STATE, nid, None, None, None)
                for k in ir.NODE_KINDS.values() if ir.is_state_leaf(k)})

@@ -25,8 +25,9 @@ from seanode.interproc import (
 from seanode.wellformed import check
 from seanode.ir import (
     AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode, IntegerLessThanNode, InvokeNode,
-    InvokeWithExceptionNode, MethodCallTargetNode, NewInstanceNode, ParameterNode, Program,
-    ReturnNode, Signature, StartNode, StoreFieldNode, SubNode, UnwindNode,
+    InvokeWithExceptionNode, MethodCallTargetNode, NegateNode, NewInstanceNode, ParameterNode,
+    Program, ReturnNode, Signature, StartNode, StoreFieldNode, SubNode, UnwindNode,
+    ValueProxyNode,
 )
 from seanode.runtime import FIELD_DEFAULT, UNDEF, IntVal, MethodState, ObjRef
 from test_stuck_reasons import CASES as STUCK_CASES
@@ -617,7 +618,7 @@ def _damaged_outcome(g) -> str:
 
 
 # The sha256 of the 1,500 outcomes below, joined by blank lines.
-DAMAGED_SHA256 = "9b5b844447b91c5005a1c52ac43ef37cafa0c8f21c12212b82734fc71e5be5d1"
+DAMAGED_SHA256 = "475728b6d64149f3938606e3e9bafe1bf20b3ddb9315abb20889a0952727ea52"
 
 
 def test_damaged_graphs_get_classified_results_from_run_and_apply_pass():
@@ -631,8 +632,9 @@ def test_damaged_graphs_get_classified_results_from_run_and_apply_pass():
     assert hashlib.sha256("\n\n".join(texts).encode()).hexdigest() == DAMAGED_SHA256
 
 
-# A conditional's chosen arm that is no node id is stuck at the conditional.
-NO_ARM = "value input edge to no node"
+# A value input that is no node id is stuck at its node, and a conditional's
+# chosen arm that is no node id at the conditional.
+NO_INPUT = "value input edge to no node"
 
 
 def test_damaged_seed_1480_is_stuck_at_its_conditional():
@@ -640,7 +642,7 @@ def test_damaged_seed_1480_is_stuck_at_its_conditional():
     # reads 3 in its own true arm.
     g = damaged_graph(damage_bases()[1480 % 9], random.Random(1480))
     assert g.kind(3) == ConditionalNode(condition=5, trueValue=None, falseValue=7)
-    assert str(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(3)], 500)) == f"Stuck: @3: {NO_ARM}"
+    assert str(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(3)], 500)) == f"Stuck: @3: {NO_INPUT}"
     assert str(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(0)], 500)) == "Returned IntVal 0"
     assert evaluate_lanes(g, 2, 2, {0: [0, 3]}, {}) == [0, "stuck:EvalStuck"]
     assert data_equiv(g, g, 2).status is Equivalence.EQUIVALENT
@@ -658,10 +660,34 @@ def test_a_chosen_arm_to_no_node_is_stuck_at_its_conditional(arm):
         })
     g = method(arm)
     p = Program({CHAIN_SIG: g})
-    assert str(run(p, CHAIN_SIG, [IntVal(1)])) == f"Stuck: @4: {NO_ARM}"
+    assert str(run(p, CHAIN_SIG, [IntVal(1)])) == f"Stuck: @4: {NO_INPUT}"
     assert str(run(p, CHAIN_SIG, [IntVal(0)])) == "Returned IntVal 7"
     assert evaluate_lanes(g, 4, 2, {0: [1, 0]}, {}) == ["stuck:EvalStuck", 7]
     assert data_equiv(g, g, 4).status is Equivalence.EQUIVALENT
     verdict = data_equiv(g, method(3), 4)
     assert str(verdict) == ("NotEquivalent (1 assignments tried) "
                             "witness m={} p=[IntVal -2]: left=stuck:EvalStuck, right=IntVal 7")
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: NegateNode(value=v),
+    lambda v: AddNode(x=2, y=v),
+    lambda v: ConditionalNode(condition=v, trueValue=2, falseValue=3),
+    lambda v: ValueProxyNode(value=v, loopExit=1),
+], ids=["unary", "binary-y", "condition", "proxy"])
+@pytest.mark.parametrize("edge", [None, (2,)], ids=["none", "tuple"])
+def test_a_value_input_to_no_node_is_stuck_at_its_node(make, edge):
+    def method(value):
+        return Graph({
+            0: StartNode(next=1),
+            1: ReturnNode(resultOpt=4),
+            2: ParameterNode(0),
+            3: ConstantNode(IntVal(7)),
+            4: make(value),
+        })
+    g = method(edge)
+    assert str(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(1)])) == f"Stuck: @4: {NO_INPUT}"
+    assert data_equiv(g, g, 4).status is Equivalence.EQUIVALENT
+    verdict = data_equiv(g, method(2), 4)
+    assert verdict.status is Equivalence.NOT_EQUIVALENT
+    assert "left=stuck:EvalStuck" in str(verdict)
