@@ -4,7 +4,9 @@ check runs every rule in one pass over the nodes in id order, reading
 edges from the graph's edge table, and reports violations by rule, in
 the order of RULES, then by id. Violations are data, never exceptions.
 The acyclicity rule is dataflow.walk_values, one walk over every value
-edge, arms included.
+edge, arms included. The pass notes whether some value edge climbs, to an
+id at or above its node's or to no node id, and the walk runs only then:
+ids fall along every path of the other edges, so none returns to its start.
 """
 
 from dataclasses import dataclass
@@ -73,9 +75,7 @@ def check(g: Graph) -> WfReport:
             found.append(Violation("wf_selfid", nid, f"selfId field is {self_id}"))
     # Expression evaluation terminates only if the data subgraph is a DAG.
     # Phis are leaves (they read the method state), which is what legalizes
-    # loop back-edges. Ids only fall along a path of edges that do not
-    # climb, so such a path never returns to its start: without a climbing
-    # edge there is no cycle to look for.
+    # loop back-edges.
     if climbs:
         try:
             dataflow.walk_values(g, (nid for nid, _ in nodes))
