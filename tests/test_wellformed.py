@@ -199,10 +199,10 @@ def _walked(g):
 
 @st.composite
 def _permuted_data_graphs(draw):
-    """Data nodes made in order, each reading earlier ones, now and then any
-    node (itself included, closing a cycle through any operand) or no node
-    (None or a tuple), stored under a random permutation of their ids so
-    that value edges climb as often as they fall."""
+    """Data nodes made in order, the first a leaf, each reading earlier ones
+    and now and then itself or a later one (a cycle if that reads back,
+    through any operand or arm) or no node (None or a tuple). Their ids are
+    the order or a random permutation of it, so value edges climb and fall."""
     n = draw(st.integers(1, 8))
     ids = draw(st.permutations(range(n))) if draw(st.booleans()) else list(range(n))
     nodes = {}
