@@ -7,13 +7,13 @@ import dataclasses
 import random
 
 from seanode.ir import (
-    AbstractMergeNode, AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph,
-    IfNode, IntegerLessThanNode, InvokeWithExceptionNode, LoopBeginNode, LoopEndNode,
+    NODE_KINDS, AbstractMergeNode, AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode,
+    Graph, IfNode, IntegerLessThanNode, InvokeWithExceptionNode, LoopBeginNode, LoopEndNode,
     LoopExitNode, MergeNode, MethodCallTargetNode, MulNode, NegateNode, NewInstanceNode,
     ParameterNode, Program, ReturnNode, Signature, StartNode, StoreFieldNode, UnwindNode,
-    ValuePhiNode, ValueProxyNode, is_data,
+    ValuePhiNode, ValueProxyNode, is_data, is_pure,
 )
-from seanode.optimize import RULES
+from seanode.optimize import RULES, canonicalize_data
 from seanode.runtime import INT_MAX, INT_MIN, IntVal
 from seanode.wellformed import check
 
@@ -66,6 +66,16 @@ def gen_merge_fixture(rng: random.Random):
 
 _INTERESTING = (-2, -1, 0, 1, 2, 7, INT_MIN, INT_MAX)
 
+# The operations a random expression draws: every pure kind with value
+# inputs, as declared, so a new one reaches every generator below.
+OPERATIONS = tuple(k for k in NODE_KINDS.values() if is_pure(k) and k.VALUE_EDGES)
+
+
+def build(kind, ref):
+    """A node of kind with ref(name) at each of its input edges, anchors
+    included."""
+    return kind(**{name: ref(name) for name in kind.INPUTS})
+
 
 class RuleCase:
     def __init__(self, graph, nid, rule):
@@ -74,86 +84,46 @@ class RuleCase:
         self.rule = rule
 
 
-def _base(rng: random.Random):
-    """Graph stub with parameters at 1..3 and a scratch allocator."""
-    nodes = {
-        0: StartNode(next=4),
-        1: ParameterNode(0),
-        2: ParameterNode(1),
-        3: ParameterNode(2),
-    }
-    state = {"next": 5}
-
-    def alloc(node):
-        this = state["next"]
-        nodes[this] = node
-        state["next"] += 1
-        return this
-
-    def const(v=None):
-        return alloc(ConstantNode(IntVal(v if v is not None else rng.choice(_INTERESTING))))
-
-    def operand(allow_const=True):
-        # Duplicable data expressions; identity rules forward to these and
-        # must avoid constants so constant folding does not fire first.
-        roll = rng.random()
-        if allow_const and roll < 0.2:
-            return const()
-        if roll < 0.6:
-            return rng.choice((1, 2, 3))
-        if roll < 0.8:
-            return alloc(AddNode(x=rng.choice((1, 2)), y=rng.choice((2, 3))))
-        return alloc(NegateNode(value=rng.choice((1, 2, 3))))
-
-    return nodes, alloc, const, operand
-
-
-def gen_rule_case(rule: str, rng: random.Random) -> RuleCase:
-    nodes, alloc, const, operand = _base(rng)
-    if rule.startswith("fold-"):
-        # Every arithmetic kind's fold: its value inputs all constants.
-        kind = _RULE_KINDS[rule]
-        target = alloc(kind(*(const() for _ in kind.VALUE_EDGES)))
-    elif rule == "add-zero":
-        x = operand(allow_const=False)
-        if rng.random() < 0.5:
-            target = alloc(AddNode(x=x, y=const(0)))
-        else:
-            target = alloc(AddNode(x=const(0), y=x))
-    elif rule == "mul-one":
-        x = operand(allow_const=False)
-        if rng.random() < 0.5:
-            target = alloc(MulNode(x=x, y=const(1)))
-        else:
-            target = alloc(MulNode(x=const(1), y=x))
-    elif rule == "mul-zero":
-        x = operand(allow_const=False)
-        if rng.random() < 0.5:
-            target = alloc(MulNode(x=x, y=const(0)))
-        else:
-            target = alloc(MulNode(x=const(0), y=x))
-    elif rule == "negate-negate":
-        target = alloc(NegateNode(value=alloc(NegateNode(value=operand(allow_const=False)))))
-    elif rule == "conditional-constant":
-        target = alloc(ConditionalNode(
-            condition=const(rng.choice((0, 1, -5, 3))),
-            trueValue=operand(), falseValue=operand(),
-        ))
-    elif rule == "conditional-equal-branches":
-        v = operand()
-        cond = alloc(IntegerLessThanNode(x=rng.choice((1, 2)), y=rng.choice((2, 3))))
-        target = alloc(ConditionalNode(condition=cond, trueValue=v, falseValue=v))
-    else:
-        raise ValueError(f"no generator for rule {rule!r}")
-    nodes[4] = ReturnNode(resultOpt=target)
-    return RuleCase(Graph(nodes), target, rule)
-
-
 _RULE_KINDS = {rule.name: rule.kind for rule in RULES}
 
-# Every rule optimize declares for a data kind, so a new one without a
-# generator above fails the soundness tests.
+# Every rule optimize declares for a data kind.
 DATA_RULES = tuple(name for name, kind in _RULE_KINDS.items() if is_data(kind))
+
+
+def gen_rule_case(rule: str, rng: random.Random, draws: int = 1000) -> RuleCase:
+    """A method returning a node of rule's kind that canonicalize_data
+    rewrites by rule: the first of up to draws nodes of that kind, each over
+    random operands. An operand is a parameter, a constant, an operation
+    over operands, or an earlier parameter or operation again, so equal
+    arms occur; a constant is drawn afresh each time."""
+    kind = _RULE_KINDS[rule]
+    for _ in range(draws):
+        nodes = {0: StartNode(next=1), 2: ParameterNode(0), 3: ParameterNode(1),
+                 4: ParameterNode(2)}
+        made = [2, 3, 4]
+
+        def alloc(node):
+            nid = max(nodes) + 1
+            nodes[nid] = node
+            return nid
+
+        def operand(name, depth=0):
+            roll = rng.random()
+            if roll < 0.4:
+                return rng.choice(made)
+            if roll < 0.7 or depth == 2:
+                return alloc(ConstantNode(IntVal(rng.choice(_INTERESTING))))
+            made.append(alloc(build(rng.choice(OPERATIONS),
+                                    lambda name: operand(name, depth + 1))))
+            return made[-1]
+
+        target = alloc(build(kind, operand))
+        nodes[1] = ReturnNode(resultOpt=target)
+        g = Graph(nodes)
+        rw = canonicalize_data(g, target)
+        if rw is not None and rw.rule == rule:
+            return RuleCase(g, target, rule)
+    raise AssertionError(f"no node of {kind.kind_name()} rewritten by {rule} in {draws} draws")
 
 
 def negate_chain(depth: int) -> Graph:

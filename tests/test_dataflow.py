@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import corpus
-from genutil import DOUBLING_SIG, doubling_dag
+from genutil import DOUBLING_SIG, OPERATIONS, build, doubling_dag
 from seanode import dataflow
 from seanode.dataflow import (
     CyclicExpression, EvalContext, EvalStuck, ParamOutOfRange, condition_holds, evaluate,
@@ -268,23 +268,11 @@ def _expr_graphs(draw):
         2: ConstantNode(IntVal(draw(st.integers(-5, 5)))),
         3: ValuePhiNode(3, values=(), merge=0),
     }
-    next_id = 4
     roots = [1, 2, 3]
-    for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["add", "mul", "neg", "lt", "cond"]))
-        pick = lambda: draw(st.sampled_from(roots))
-        if kind == "add":
-            nodes[next_id] = AddNode(x=pick(), y=pick())
-        elif kind == "mul":
-            nodes[next_id] = MulNode(x=pick(), y=pick())
-        elif kind == "neg":
-            nodes[next_id] = NegateNode(value=pick())
-        elif kind == "lt":
-            nodes[next_id] = IntegerLessThanNode(x=pick(), y=pick())
-        else:
-            nodes[next_id] = ConditionalNode(condition=pick(), trueValue=pick(), falseValue=pick())
-        roots.append(next_id)
-        next_id += 1
+    for nid in range(4, 4 + draw(st.integers(0, 6))):
+        nodes[nid] = build(draw(st.sampled_from(OPERATIONS)),
+                           lambda _: draw(st.sampled_from(roots)))
+        roots.append(nid)
     return Graph(nodes), roots[-1]
 
 
@@ -479,27 +467,19 @@ def _dags_and_roots(draw):
             return draw(st.integers(1, n))
         kind = draw(st.sampled_from(
             ["const", "param", "phi"] if nid == 1 else
-            ["const", "const", "param", "phi", "phi", "add", "sub", "mul", "neg", "lt",
-             "cond", "cond", "cond", "proxy", "start", "back"]))
+            ["const", "const", "param", "phi", "phi", "start", "back", *OPERATIONS]))
         if kind == "const":
             nodes[nid] = ConstantNode(draw(_LEAF_VALUES))
         elif kind == "param":
             nodes[nid] = ParameterNode(draw(st.integers(0, 2)))  # may be out of range
         elif kind == "phi":
             nodes[nid] = ValuePhiNode(nid, values=(), merge=0)
-        elif kind in ("add", "sub", "mul", "lt"):
-            cls = {"add": AddNode, "sub": SubNode, "mul": MulNode, "lt": IntegerLessThanNode}
-            nodes[nid] = cls[kind](x=ref(), y=ref())
-        elif kind == "neg":
-            nodes[nid] = NegateNode(value=ref())
         elif kind == "back":  # itself or a later node: often a cycle
             nodes[nid] = NegateNode(value=draw(st.integers(nid, n)))
-        elif kind == "cond":
-            nodes[nid] = ConditionalNode(condition=ref(), trueValue=ref(), falseValue=ref())
-        elif kind == "proxy":
-            nodes[nid] = ValueProxyNode(value=ref(), loopExit=0)
-        else:
+        elif kind == "start":
             nodes[nid] = StartNode(next=0)  # no evaluation rule
+        else:
+            nodes[nid] = build(kind, lambda _: ref())
     state = MethodState().set_many(
         (nid, draw(_LEAF_VALUES)) for nid, node in nodes.items()
         if isinstance(node, ValuePhiNode))

@@ -10,8 +10,8 @@ from hypothesis import given, strategies as st
 import seanode.equivalence as eq_mod
 from conftest import corpus
 from genutil import (
-    CHAIN_SIG, DATA_RULES, DOUBLING_SIG, STUCK_PHI_SIG, conditional_chain, doubling_dag,
-    gen_rule_case, negate_chain, stuck_phi_program,
+    CHAIN_SIG, DATA_RULES, DOUBLING_SIG, OPERATIONS, STUCK_PHI_SIG, build, conditional_chain,
+    doubling_dag, gen_rule_case, negate_chain, stuck_phi_program,
 )
 from seanode.dataflow import (
     CyclicExpression, EvalContext, EvalStuck, evaluate, evaluate_lanes, free_leaves,
@@ -399,25 +399,18 @@ def _is_guard(node):
 def _expression(draw, inputs, nodes):
     # Favouring the latest nodes makes deeper expressions. A guard tests a
     # comparison or a parameter or slot, which vary across lanes (the domain
-    # holds 0), and a conditional tests an earlier guard when there is one:
+    # holds 0), and a condition reads an earlier guard when there is one:
     # a condition that is an int on some lanes and stuck on the others.
     pick = st.one_of(st.sampled_from(inputs[-3:]), st.sampled_from(inputs))
     guards = [n for n in inputs if _is_guard(nodes[n])]
     cond = st.sampled_from(guards) if guards else pick
     lts = [n for n in inputs if isinstance(nodes[n], IntegerLessThanNode)]
     guard_cond = st.sampled_from(lts + [1, 2, 3, 4])
-    kind = draw(st.sampled_from(["add", "sub", "mul", "neg", "lt", "cond", "cond", "guard", "guard", "proxy"]))
-    if kind == "neg":
-        return NegateNode(value=draw(pick))
-    if kind == "cond":
-        return ConditionalNode(condition=draw(cond), trueValue=draw(pick), falseValue=draw(pick))
+    kind = draw(st.sampled_from(["guard", "guard", *OPERATIONS]))
     if kind == "guard":  # one arm stuck wherever it is chosen
         arms = draw(st.permutations([draw(pick), 6]))
         return ConditionalNode(condition=draw(guard_cond), trueValue=arms[0], falseValue=arms[1])
-    if kind == "proxy":
-        return ValueProxyNode(value=draw(pick), loopExit=draw(pick))
-    cls = {"add": AddNode, "sub": SubNode, "mul": MulNode, "lt": IntegerLessThanNode}[kind]
-    return cls(x=draw(pick), y=draw(pick))
+    return build(kind, lambda name: draw(cond if name == "condition" else pick))
 
 
 @st.composite

@@ -624,14 +624,12 @@ _OPERANDS = {
 def test_first_match_over_declarations_equals_the_chain_it_replaced():
     ids = (*_OPERANDS, 99)
     cases = 0
-    for kind in (NegateNode, AddNode, SubNode, MulNode, IntegerLessThanNode,
-                 ConditionalNode, IfNode):
-        if kind is IfNode:
-            shapes = [IfNode(condition=c, trueSuccessor=t, falseSuccessor=f)
-                      for c in ids for t in (30, 31) for f in (30, 31)]
-        else:
-            shapes = [kind(*args) for args in itertools.product(ids, repeat=len(kind.INPUTS))]
-        for node in shapes:
+    for kind in {r.kind for r in RULES}:
+        # Every input is drawn from ids, and every successor from 30 and 31.
+        fields = kind.INPUTS + kind.SUCCESSORS
+        choices = [ids] * len(kind.INPUTS) + [(30, 31)] * len(kind.SUCCESSORS)
+        for args in itertools.product(*choices):
+            node = kind(**dict(zip(fields, args)))
             g = Graph({**_OPERANDS, 20: node})
             rw = canonicalize_data(g, 20)
             assert (rw and (rw.rule, rw.after)) == _chain_rewrite(g, 20), node

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CORPUS_FILES, corpus
-from genutil import negate_chain, violated_rules
+from genutil import OPERATIONS, build, negate_chain, violated_rules
 from seanode.dataflow import CyclicExpression, walk_values
 from seanode.fileformat import load
 from seanode.interproc import run
 from seanode.ir import (
-    AddNode, BeginNode, ConditionalNode, ConstantNode, EndNode, Graph, IfNode, MergeNode,
-    NegateNode, ParameterNode, Program, ReturnNode, Signature, StartNode, SubNode,
-    ValuePhiNode, ValueProxyNode,
+    AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, MergeNode, NegateNode,
+    ParameterNode, Program, ReturnNode, Signature, StartNode, SubNode, ValuePhiNode,
+    ValueProxyNode,
 )
 from seanode.runtime import IntVal
 from seanode.wellformed import check
@@ -217,19 +217,13 @@ def _permuted_data_graphs(draw):
                 return ids[draw(st.integers(i, n - 1))]
             return ids[draw(st.integers(0, i - 1))]
         kind = draw(st.sampled_from(["const", "phi"] if i == 0 else
-                                    ["const", "phi", "neg", "add", "sub", "cond", "proxy"]))
+                                    ["const", "phi", *OPERATIONS]))
         if kind == "const":
             nodes[nid] = ConstantNode(IntVal(1))
         elif kind == "phi":
             nodes[nid] = ValuePhiNode(nid, values=(), merge=0)
-        elif kind == "neg":
-            nodes[nid] = NegateNode(value=ref())
-        elif kind in ("add", "sub"):
-            nodes[nid] = (AddNode if kind == "add" else SubNode)(x=ref(), y=ref())
-        elif kind == "cond":
-            nodes[nid] = ConditionalNode(condition=ref(), trueValue=ref(), falseValue=ref())
         else:
-            nodes[nid] = ValueProxyNode(value=ref(), loopExit=ref())
+            nodes[nid] = build(kind, lambda _: ref())
     return Graph(nodes)
 
 
