@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .controlflow import INVOKE, RETURN, UNWIND, LocalConfig, local_step, plan, step
+from .controlflow import INVOKE, RETURN, UNWIND, local_step, plan
+from .controlflow import step  # noqa: F401  kept for bench/tests/test_bench.py
 from .dataflow import EvalStuck, evaluate_roots
 from .ir import Graph, MethodCallTargetNode, Program, Signature
 from .runtime import UNDEF, DynamicHeap, MethodState, ObjRef, Value
@@ -141,9 +142,8 @@ def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
     if INVOKE <= e[0] <= UNWIND:
         return GlobalConfig(Frame(*_frame_step(program, e, *_frame_fields(top))), c.heap)
     # Everything else is a local transition promoted to the top frame.
-    local = step(top.graph, top.params, LocalConfig(top.nid, top.state, c.heap), on_store)
-    return GlobalConfig(Frame(top.graph, local.nid, local.state, top.params, top.caller,
-                              top.depth), local.heap)
+    nid, state, heap = local_step(top.graph, top.params, top.nid, e, top.state, c.heap, on_store)
+    return GlobalConfig(Frame(top.graph, nid, state, top.params, top.caller, top.depth), heap)
 
 
 def _frame_step(program: Program, e: tuple, g: Graph, nid: int, state: MethodState,
