@@ -193,11 +193,11 @@ def schedule(g: Graph, roots: tuple) -> tuple:
     """The entries that evaluating roots left to right runs, in order: the
     post-order of the value edges below each root in turn, each node at its
     first place. A callable root (a missing input, making the EvalStuck to
-    raise) is a STUCK entry, and a root on a cycle a CYCLE entry, at the
-    place where that root starts; nothing of that root and nothing after it
-    runs, so none of it is kept. Any other root that is not a node id
-    evaluates as an unmapped id. Building never raises. Built on first use
-    and kept in g.schedules under roots."""
+    raise) is a STUCK entry keyed by that root, and a root on a cycle a
+    CYCLE entry, at the place where that root starts; nothing of that root
+    and nothing after it runs, so none of it is kept. Any other root that is
+    not a node id evaluates as an unmapped id. Building never raises. Built
+    on first use and kept in g.schedules under roots."""
     s = g.schedules.get(roots)
     if s is None:
         s = g.schedules[roots] = _build_schedule(g, roots)
@@ -208,7 +208,7 @@ def _build_schedule(g: Graph, roots: tuple) -> tuple:
     order, done = [], set()
     for root in roots:
         if callable(root):
-            order.append((STUCK, None, root, None, None))
+            order.append((STUCK, root, root, None, None))
             break
         if root in done:
             continue
@@ -398,10 +398,6 @@ def evaluate_lanes(g: Graph, root: int, width: int, params: dict, slots: dict) -
                 cond = cols[x]
                 ints = [c for c in cond if type(c) is int] if x in odd else cond
                 arms = [a for a, chosen in zip(arg, (any(ints), not all(ints))) if chosen]
-                for a in arms:
-                    if callable(a):  # a placeholder arm: stuck on every lane
-                        cols[a] = [_STUCK] * width
-                        odd.add(a)
                 todo = [schedule(g, (a,)) for a in arms if a not in cols]
                 if todo:  # run the chosen arms, then come back to this entry
                     if n in waiting:

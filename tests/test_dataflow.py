@@ -520,7 +520,7 @@ def test_differential_a_roots_schedule_against_each_roots_own(case):
     expected, done = [], set()
     for root in roots:
         if type(root) is not int:
-            expected.append((dataflow.STUCK, None))
+            expected.append((dataflow.STUCK, root))
             break
         own = schedule(g, (root,))
         if own[-1][0] == dataflow.CYCLE:
