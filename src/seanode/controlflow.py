@@ -133,14 +133,17 @@ _STEPS.update({k: lambda g, nid, node, ins, outs: (NEXT, outs, ())
 
 def plan(g: Graph, nid: int) -> tuple:
     """The step entry of the node at nid, built from its row of the edge
-    table on first use and kept in g.steps. A node no rule applies to gets
-    a STUCK entry, with the node's successor edges."""
+    table on first use and kept in g.steps. A node no rule applies to, or
+    with a successor edge that is no node id (None or a tuple), gets a
+    STUCK entry, with the node's successor edges."""
     e = g.steps.get(nid)
     if e is None:
         node = g.kind(nid)
         ins, outs, _ = g.edges().get(nid, ir.NO_EDGES)
         rule = _STEPS.get(type(node), _no_rule)
         try:
+            if not all(type(s) is int for s in outs):
+                raise StepStuck(nid, "successor edge to no node")
             e = (rule, outs, ins) if type(rule) is int else rule(g, nid, node, ins, outs)
         except StepStuck as stuck:
             e = (STUCK, outs, (), stuck.nid, stuck.reason)

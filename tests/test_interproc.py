@@ -638,14 +638,14 @@ def _damaged_outcome(g) -> str:
 
 
 # The sha256 of the 1,500 outcomes below, joined by blank lines.
-DAMAGED_SHA256 = "475728b6d64149f3938606e3e9bafe1bf20b3ddb9315abb20889a0952727ea52"
+DAMAGED_SHA256 = "c793925f50bfbc2a786d9ff3d092ee93837b88e3f52625a2846813a0c9497b83"
 
 
 def test_damaged_graphs_get_classified_results_from_run_and_apply_pass():
     # Among them are wrong-shape edges (None or a tuple where an edge is one
-    # id): an operand, a condition, a root or a forwarded input to no node.
-    # The digest pins each result and each pass's rewrites, not only their
-    # types.
+    # id): an operand, a condition, a root, a successor or a forwarded input
+    # to no node. The digest pins each result and each pass's rewrites, not
+    # only their types.
     bases = damage_bases()
     texts = [_damaged_outcome(damaged_graph(bases[seed % len(bases)], random.Random(seed)))
              for seed in range(1500)]

@@ -51,9 +51,16 @@ def test_wf_closed_value_of_the_wrong_shape_in_an_int_edge(nodes, report):
     assert str(check(Graph(nodes))) == report
 
 
-def test_run_steps_into_a_none_successor_and_is_stuck():
-    g = Graph({0: StartNode(next=None)})
-    assert str(run(Program({SIG: g}), SIG, [])) == "Stuck: no local rule for NoNode"
+@pytest.mark.parametrize("nodes, stuck", [
+    ({0: StartNode(next=None)}, 0),
+    ({0: StartNode(next=(1,)), 1: ReturnNode(resultOpt=None)}, 0),
+    # The condition holds, yet the false successor is no node: stuck either way.
+    ({0: StartNode(next=1), 1: IfNode(condition=2, trueSuccessor=3, falseSuccessor=None),
+      2: ConstantNode(IntVal(1)), 3: ReturnNode(resultOpt=None)}, 1),
+], ids=["none", "tuple", "if"])
+def test_run_is_stuck_at_a_node_whose_successor_edge_is_no_node(nodes, stuck):
+    result = run(Program({SIG: Graph(nodes)}), SIG, [])
+    assert str(result) == f"Stuck: @{stuck}: successor edge to no node"
 
 
 def test_wf_closed_factorial(fact_graph):
