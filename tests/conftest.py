@@ -14,8 +14,9 @@ CORPUS_FILES = sorted((REPO / "corpus").glob("*.json"))
 
 # The default profile keeps tier-1 fast. CI also runs the differential
 # properties of test_dataflow, test_equivalence, test_interproc,
-# test_optimize and test_wellformed and the heap persistence property of
-# test_runtime under this one:
+# test_optimize (condelim, and every data rule on drawn instances) and
+# test_wellformed and the heap persistence property of test_runtime under
+# this one:
 #   pytest tests/test_dataflow.py tests/test_equivalence.py tests/test_runtime.py \
 #       tests/test_interproc.py tests/test_optimize.py tests/test_wellformed.py \
 #       -k "differential or persistence" --hypothesis-profile=differential

@@ -1,7 +1,9 @@
-"""Seeded random builders for property-style tests: merge/phi fixtures for
-the simultaneity property, instance generators for each declared
-canonicalization rule of a data kind, and damaged graphs for the
-well-formedness gate."""
+"""Seeded random builders for property-style tests: the operations random
+expressions draw, every pure kind with value inputs as declared in
+ir.NODE_KINDS, and one builder for them; merge/phi fixtures for the
+simultaneity property; instances of each data rule of optimize.RULES,
+drawn over random operands until the rule applies; and damaged graphs for
+the well-formedness gate."""
 
 import dataclasses
 import random
@@ -90,14 +92,14 @@ _RULE_KINDS = {rule.name: rule.kind for rule in RULES}
 DATA_RULES = tuple(name for name, kind in _RULE_KINDS.items() if is_data(kind))
 
 
-def gen_rule_case(rule: str, rng: random.Random, draws: int = 1000) -> RuleCase:
+def gen_rule_case(rule: str, rng: random.Random) -> RuleCase:
     """A method returning a node of rule's kind that canonicalize_data
-    rewrites by rule: the first of up to draws nodes of that kind, each over
+    rewrites by rule: the first of up to 1,000 nodes of that kind, each over
     random operands. An operand is a parameter, a constant, an operation
     over operands, or an earlier parameter or operation again, so equal
     arms occur; a constant is drawn afresh each time."""
     kind = _RULE_KINDS[rule]
-    for _ in range(draws):
+    for _ in range(1000):
         nodes = {0: StartNode(next=1), 2: ParameterNode(0), 3: ParameterNode(1),
                  4: ParameterNode(2)}
         made = [2, 3, 4]
@@ -123,7 +125,7 @@ def gen_rule_case(rule: str, rng: random.Random, draws: int = 1000) -> RuleCase:
         rw = canonicalize_data(g, target)
         if rw is not None and rw.rule == rule:
             return RuleCase(g, target, rule)
-    raise AssertionError(f"no node of {kind.kind_name()} rewritten by {rule} in {draws} draws")
+    raise AssertionError(f"no node of {kind.kind_name()} rewritten by {rule} in 1,000 draws")
 
 
 def negate_chain(depth: int) -> Graph:
