@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import ir, runtime
-from .dataflow import EvalStuck, condition_holds, evaluate_roots
+from .dataflow import NO_INPUT, EvalStuck, condition_holds, evaluate_roots
 from .dataflow import evaluate  # noqa: F401  kept for bench/tests/test_bench.py
 from .ir import Graph
 from .runtime import DynamicHeap, MethodState, ObjRef
@@ -134,8 +134,8 @@ _STEPS.update({k: lambda g, nid, node, ins, outs: (NEXT, outs, ())
 def plan(g: Graph, nid: int) -> tuple:
     """The step entry of the node at nid, built from its row of the edge
     table on first use and kept in g.steps. A node no rule applies to, or
-    with a successor edge that is no node id (None or a tuple), gets a
-    STUCK entry, with the node's successor edges."""
+    with a successor edge or root that is no node id (None or a tuple; a
+    callable root is a placeholder), gets a STUCK entry, with its successors."""
     e = g.steps.get(nid)
     if e is None:
         node = g.kind(nid)
@@ -145,6 +145,8 @@ def plan(g: Graph, nid: int) -> tuple:
             if not all(type(s) is int for s in outs):
                 raise StepStuck(nid, "successor edge to no node")
             e = (rule, outs, ins) if type(rule) is int else rule(g, nid, node, ins, outs)
+            if not all(type(r) is int or callable(r) for r in e[2]):
+                raise StepStuck(nid, NO_INPUT)
         except StepStuck as stuck:
             e = (STUCK, outs, (), stuck.nid, stuck.reason)
         g.steps[nid] = e

@@ -95,14 +95,14 @@ def _stuck(nid: int, reason: str) -> tuple:
 # A value input that is no node id (None or a tuple, a wrong-shape edge) is
 # stuck at its node; an arm is a root of its own, so such an arm is a
 # placeholder root, stuck at its conditional only when chosen.
-_NO_INPUT = "value input edge to no node"
+NO_INPUT = "value input edge to no node"
 
 
 def _arithmetic(op):
     def rule(nid, node):
         operands = ir.value_inputs(node)
         if any(type(o) is not int for o in operands):
-            return _stuck(nid, _NO_INPUT)
+            return _stuck(nid, NO_INPUT)
         if len(operands) == 1:
             return (UNARY, nid, op, operands[0], None)
         return (BINARY, nid, op, *operands)
@@ -116,11 +116,11 @@ _RULES = {
     ir.ConstantNode: lambda nid, node: (CONST, nid, node.const, None, None),
     ir.ParameterNode: lambda nid, node: (PARAM, nid, node.index, None, None),
     ir.ConditionalNode: lambda nid, node: (
-        _stuck(nid, _NO_INPUT) if type(node.condition) is not int
-        else (COND, nid, tuple(a if type(a) is int else partial(EvalStuck, nid, _NO_INPUT)
+        _stuck(nid, NO_INPUT) if type(node.condition) is not int
+        else (COND, nid, tuple(a if type(a) is int else partial(EvalStuck, nid, NO_INPUT)
                                for a in (node.trueValue, node.falseValue)), node.condition, None)),
     ir.ValueProxyNode: lambda nid, node: (
-        _stuck(nid, _NO_INPUT) if type(node.value) is not int
+        _stuck(nid, NO_INPUT) if type(node.value) is not int
         else (PROXY, nid, None, node.value, None)),
 }
 _RULES.update({k: lambda nid, node: (STATE, nid, None, None, None)

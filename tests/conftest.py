@@ -12,14 +12,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 REPO = Path(__file__).parent.parent
 CORPUS_FILES = sorted((REPO / "corpus").glob("*.json"))
 
-# The default profile keeps tier-1 fast. CI also runs the differential
-# properties of test_dataflow, test_equivalence, test_interproc,
-# test_optimize (condelim, and every data rule on drawn instances) and
-# test_wellformed and the heap persistence property of test_runtime under
-# this one:
-#   pytest tests/test_dataflow.py tests/test_equivalence.py tests/test_runtime.py \
-#       tests/test_interproc.py tests/test_optimize.py tests/test_wellformed.py \
-#       -k "differential or persistence" --hypothesis-profile=differential
+# The default profile keeps tier-1 fast. CI also runs every property whose
+# name says "differential" and the heap persistence property under this one:
+#   pytest tests -k "differential or persistence" --hypothesis-profile=differential
 settings.register_profile("differential", max_examples=2000)
 
 

@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from conftest import corpus
 from genutil import DOUBLING_SIG, OPERATIONS, build, doubling_dag
 from seanode import dataflow
@@ -259,32 +260,6 @@ def test_evaluate_all_propagates_stuck():
     assert str(result) == "Stuck: @3: parameter index 1 with 1 parameters"
 
 
-# Random expression DAGs: evaluation is deterministic and leaves state alone.
-
-@st.composite
-def _expr_graphs(draw):
-    nodes = {
-        1: ParameterNode(0),
-        2: ConstantNode(IntVal(draw(st.integers(-5, 5)))),
-        3: ValuePhiNode(3, values=(), merge=0),
-    }
-    roots = [1, 2, 3]
-    for nid in range(4, 4 + draw(st.integers(0, 6))):
-        nodes[nid] = build(draw(st.sampled_from(OPERATIONS)),
-                           lambda _: draw(st.sampled_from(roots)))
-        roots.append(nid)
-    return Graph(nodes), roots[-1]
-
-
-@given(_expr_graphs(), st.integers(-3, 3), st.integers(-3, 3))
-def test_evaluation_is_deterministic_and_pure(gr, p0, phi_val):
-    g, root = gr
-    m = MethodState().set(3, IntVal(phi_val))
-    c = EvalContext(g, m, (IntVal(p0),))
-    assert evaluate(c, root) == evaluate(c, root)
-    assert m == MethodState().set(3, IntVal(phi_val))
-
-
 # A step's roots are evaluated left to right, and the first stuck root wins,
 # whether it gets stuck as it runs, by a cycle or by a missing input.
 
@@ -360,88 +335,6 @@ def test_a_schedule_is_kept_once_under_its_roots_tuple():
     assert set(g.schedules) == {(1, 3), (20, 18), (11,), (15,)}
 
 
-# Differential property: evaluate_roots, one schedule for every root of a
-# step, against the reference below, which evaluates one root per call,
-# each in turn under one context, and shares values between the calls
-# through a memo. It reads the same per-root schedules.
-
-class _MemoContext:
-    def __init__(self, graph, state, params):
-        self.graph = graph
-        self.state = state
-        self.params = params
-        self.memo = {}
-
-
-def _reference_evaluate(ctx, nid):
-    memo = ctx.memo
-    v = memo.get(nid)
-    if v is not None:
-        return v
-    graph, state, params = ctx.graph, ctx.state, ctx.params
-    vals = {}
-    waiting = {}
-    entries = iter(schedule(graph, (nid,)))
-    while True:
-        for code, n, arg, x, y in entries:
-            if code == dataflow.BINARY or code == dataflow.UNARY:
-                v = memo.get(n)
-                if v is None:
-                    a = vals[x]
-                    if not isinstance(a, IntVal):
-                        raise EvalStuck(x, f"expected an integer, got {a}")
-                    if code == dataflow.UNARY:
-                        v = IntVal(arg(a.value))
-                    else:
-                        b = vals[y]
-                        if not isinstance(b, IntVal):
-                            raise EvalStuck(y, f"expected an integer, got {b}")
-                        v = IntVal(arg(a.value, b.value))
-                    memo[n] = v
-                vals[n] = v
-            elif code == dataflow.CONST:
-                vals[n] = arg
-            elif code == dataflow.STATE:
-                vals[n] = state[n]
-            elif code == dataflow.PARAM:
-                if arg >= len(params):
-                    raise ParamOutOfRange(n, arg, len(params))
-                vals[n] = params[arg]
-            elif code == dataflow.CHECK:
-                if not isinstance(vals[x], IntVal):
-                    raise EvalStuck(x, f"expected an integer, got {vals[x]}")
-            elif code == dataflow.PROXY:
-                v = memo.get(n)
-                if v is None:
-                    v = memo[n] = vals[x]
-                vals[n] = v
-            elif code == dataflow.COND:
-                v = memo.get(n)
-                if v is None:
-                    c = vals[x]
-                    if not isinstance(c, IntVal):
-                        raise EvalStuck(x, f"expected an integer condition, got {c}")
-                    arm = arg[0] if c.value != 0 else arg[1]
-                    v = vals.get(arm)
-                    if v is None:
-                        v = memo.get(arm)
-                    if v is None:
-                        if n in waiting:
-                            raise CyclicExpression(n)
-                        waiting[n] = (entries, arm)
-                        entries = iter(schedule(graph, (arm,)))
-                        break
-                    memo[n] = v
-                vals[n] = v
-            else:
-                raise arg()
-        else:
-            if not waiting:
-                return vals[nid]
-            n, (entries, arm) = waiting.popitem()
-            vals[n] = memo[n] = vals[arm]
-
-
 def _outcome(evaluate_all):
     try:
         return evaluate_all()
@@ -492,22 +385,18 @@ def _dags_and_roots(draw):
     return Graph(nodes), state, params, tuple(roots)
 
 
-def _reference_roots(g, state, params, roots):
-    ctx = _MemoContext(g, state, params)
-    return [_reference_evaluate(ctx, r) if type(r) is int else _raise(r) for r in roots]
-
-
-def _raise(make):
-    raise make()
-
+# Differential property: evaluate_roots, one schedule for every root of a
+# step, against the reference semantics, which reads no schedule.
 
 @given(_dags_and_roots())
-def test_differential_evaluate_roots_against_the_memo_reference(case):
+def test_differential_evaluate_roots_against_the_reference(case):
     g, state, params, roots = case
-    expected = _outcome(lambda: _reference_roots(Graph(dict(g.items())), state, params, roots))
+    before = MethodState(dict(state.items()))
+    expected = _outcome(lambda: reference.evaluate(g, state, params, roots))
     assert _outcome(lambda: evaluate_roots(g, state, params, roots)) == expected
-    # Again, from the schedule kept on the graph.
+    # Again, from the schedule kept on the graph; the state is left alone.
     assert _outcome(lambda: evaluate_roots(g, state, params, roots)) == expected
+    assert state == before
 
 
 # Differential property: schedule(g, roots) against the roots' own

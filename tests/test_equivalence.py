@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 import seanode.equivalence as eq_mod
 from conftest import corpus
 from genutil import (
@@ -359,11 +360,12 @@ def test_an_arm_no_lane_chooses_never_runs():
 
 
 # Differential property: the column-wise data_equiv against data_equiv
-# written one assignment at a time over evaluate, kept here as the oracle.
+# written one assignment at a time over the reference semantics, kept here
+# as the oracle.
 
 def _outcome(g, state, params, nid):
     try:
-        return evaluate(EvalContext(g, state, params), nid)
+        return reference.evaluate(g, state, params, (nid,))[0]
     except EvalStuck as e:
         return f"stuck:{type(e).__name__}"
 

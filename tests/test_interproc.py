@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from conftest import CORPUS_FILES, corpus
 from genutil import (
     CHAIN_SIG, STORE_LOOP_SIG, STUCK_PHI_SIG, damage_bases, damaged_graph, store_loop,
@@ -638,7 +639,7 @@ def _damaged_outcome(g) -> str:
 
 
 # The sha256 of the 1,500 outcomes below, joined by blank lines.
-DAMAGED_SHA256 = "c793925f50bfbc2a786d9ff3d092ee93837b88e3f52625a2846813a0c9497b83"
+DAMAGED_SHA256 = "9b5ac6ca7a39d0470ff6172315b76c7e5c413654f46548909584af7639752eb4"
 
 
 def test_damaged_graphs_get_classified_results_from_run_and_apply_pass():
@@ -682,6 +683,9 @@ def test_a_chosen_arm_to_no_node_is_stuck_at_its_conditional(arm):
     p = Program({CHAIN_SIG: g})
     assert str(run(p, CHAIN_SIG, [IntVal(1)])) == f"Stuck: @4: {NO_INPUT}"
     assert str(run(p, CHAIN_SIG, [IntVal(0)])) == "Returned IntVal 7"
+    assert reference.evaluate(g, MethodState(), (IntVal(0),), (4,)) == [IntVal(7)]
+    with pytest.raises(EvalStuck, match=f"^@4: {NO_INPUT}$"):
+        reference.evaluate(g, MethodState(), (IntVal(1),), (4,))
     assert evaluate_lanes(g, 4, 2, {0: [1, 0]}, {}) == ["stuck:EvalStuck", 7]
     assert data_equiv(g, g, 4).status is Equivalence.EQUIVALENT
     verdict = data_equiv(g, method(3), 4)
@@ -707,6 +711,8 @@ def test_a_value_input_to_no_node_is_stuck_at_its_node(make, edge):
         })
     g = method(edge)
     assert str(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(1)])) == f"Stuck: @4: {NO_INPUT}"
+    with pytest.raises(EvalStuck, match=f"^@4: {NO_INPUT}$"):
+        reference.evaluate(g, MethodState(), (IntVal(1),), (4,))
     assert data_equiv(g, g, 4).status is Equivalence.EQUIVALENT
     verdict = data_equiv(g, method(2), 4)
     assert verdict.status is Equivalence.NOT_EQUIVALENT

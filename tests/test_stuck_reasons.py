@@ -13,7 +13,7 @@ from seanode.interproc import (
     UnwindWithoutHandler, initial_config, run, step_top,
 )
 from seanode.ir import (
-    BeginNode, ConstantNode, EndNode, Graph, InvokeNode, InvokeWithExceptionNode,
+    BeginNode, ConstantNode, EndNode, Graph, IfNode, InvokeNode, InvokeWithExceptionNode,
     LoadFieldNode, LoopBeginNode, LoopEndNode, MergeNode, MethodCallTargetNode,
     NewInstanceNode, ParameterNode, Program, ReturnNode, Signature, StartNode,
     StoreFieldNode, UnwindNode, ValuePhiNode,
@@ -174,6 +174,16 @@ CASES = {
         calling(Graph({0: StartNode(next=1), 1: ReturnNode(resultOpt=2),
                        2: ParameterNode(0)})),
         "Stuck: @2: parameter index 0 with 0 parameters", ParamOutOfRange),
+    # A step's root that is no node id (None or a tuple) is stuck at its node.
+    **{f"{name}-to-no-node": (
+        Program({MAIN: Graph({0: StartNode(next=1), 1: node, 2: ReturnNode(resultOpt=None)})}),
+        "Stuck: @1: value input edge to no node", EvalStuck) for name, node in [
+            ("if-condition", IfNode(condition=None, trueSuccessor=2, falseSuccessor=2)),
+            ("stored-value", StoreFieldNode(1, field="x", value=None, objectOpt=None, next=2)),
+            ("loaded-object", LoadFieldNode(1, field="x", objectOpt=(3,), next=2)),
+            ("unwound-value", UnwindNode(exception=None)),
+            ("returned-value", ReturnNode(resultOpt=(3,))),
+    ]},
 }
 
 

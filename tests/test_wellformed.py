@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from conftest import CORPUS_FILES, corpus
 from genutil import OPERATIONS, build, negate_chain, violated_rules
-from seanode.dataflow import CyclicExpression, walk_values
+from reference import first_cycle
 from seanode.fileformat import load
 from seanode.interproc import run
 from seanode.ir import (
@@ -197,11 +197,8 @@ def _acyclic_report(g):
 
 def _walked(g):
     """The wf_acyclic violations of a check that always walks."""
-    try:
-        walk_values(g, sorted(nid for nid, _ in g.items()))
-    except CyclicExpression as e:
-        return [(e.nid, "cycle through data input edges")]
-    return []
+    found = first_cycle(g, sorted(nid for nid, _ in g.items()), set(), arms=True)
+    return [] if found is None else [(found, "cycle through data input edges")]
 
 
 @st.composite
