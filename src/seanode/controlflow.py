@@ -177,6 +177,15 @@ def local_step(g: Graph, params, nid: int, e: tuple, state: MethodState, heap: D
     if code == NEXT:
         return e[1][0], state, heap
 
+    if code == STORE:
+        _, succ, roots, field = e
+        vals = evaluate_roots(g, state, params, roots)
+        val, ref = vals[0], _resolve_object(roots, vals) if len(roots) > 1 else None
+        heap = heap.store_field(field, ref, val)
+        if on_store is not None:
+            on_store(ref.ref if ref is not None else runtime.STATIC_REF, field, val)
+        return succ[0], state, heap
+
     if code == NEW:
         ref, heap = heap.new_instance()
         return e[1][0], state.set(nid, ref), heap
@@ -191,15 +200,6 @@ def local_step(g: Graph, params, nid: int, e: tuple, state: MethodState, heap: D
         _, succ, roots, field = e
         ref = _resolve_object(roots, evaluate_roots(g, state, params, roots)) if roots else None
         return succ[0], state.set(nid, heap.load_field(field, ref)), heap
-
-    if code == STORE:
-        _, succ, roots, field = e
-        vals = evaluate_roots(g, state, params, roots)
-        val, ref = vals[0], _resolve_object(roots, vals) if len(roots) > 1 else None
-        heap = heap.store_field(field, ref, val)
-        if on_store is not None:
-            on_store(ref.ref if ref is not None else runtime.STATIC_REF, field, val)
-        return succ[0], state, heap
 
     if code == STUCK:
         raise StepStuck(e[3], e[4])

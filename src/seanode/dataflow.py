@@ -35,7 +35,7 @@ from functools import partial
 
 from . import ir
 from .ir import Graph
-from .runtime import IntVal, MethodState, Value
+from .runtime import UNDEF, IntVal, MethodState, Value
 
 
 class EvalStuck(Exception):
@@ -267,14 +267,11 @@ def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
     first gets stuck."""
     vals = {}
     waiting = {}  # conditional -> (its entries, chosen arm) while the arm runs
+    read = state.defined.get  # a state leaf's value: read(n, UNDEF) is state[n]
     entries = iter(schedule(g, roots))
     while True:
-        for code, n, arg, x, y in entries:
-            if code == STATE:
-                vals[n] = state[n]
-            elif code == CONST:
-                vals[n] = arg
-            elif code == BINARY:
+        for code, n, arg, x, y in entries:  # the codes by how often they run
+            if code == BINARY:
                 a, b = vals[x], vals[y]
                 if type(a) is not int:
                     a = a.value if type(a) is IntVal else _integer(a, x)
@@ -285,14 +282,18 @@ def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
                 if arg >= len(params):
                     raise ParamOutOfRange(n, arg, len(params))
                 vals[n] = params[arg]
+            elif code == CHECK:
+                if type(vals[x]) is not IntVal:
+                    _integer(vals[x], x)
+            elif code == STATE:
+                vals[n] = read(n, UNDEF)
+            elif code == CONST:
+                vals[n] = arg
             elif code == UNARY:
                 a = vals[x]
                 if type(a) is not int:
                     a = a.value if type(a) is IntVal else _integer(a, x)
                 vals[n] = arg(a)
-            elif code == CHECK:
-                if type(vals[x]) is not IntVal:
-                    _integer(vals[x], x)
             elif code == PROXY:
                 vals[n] = vals[x]
             elif code == COND:

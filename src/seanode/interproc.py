@@ -10,8 +10,8 @@ built only for the caller an invoke pushes, and a GlobalConfig only for
 on_step."""
 
 import enum
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .controlflow import INVOKE, RETURN, UNWIND, local_step, plan
 from .controlflow import step  # noqa: F401  kept for bench/tests/test_bench.py
@@ -44,21 +44,31 @@ class UncaughtTopLevel(GlobalStuck):
     pass
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One activation. The frame stack is linked through `caller` (None at
-    the bottom); `depth` counts the frames from the bottom up to this one.
-    Frames compare and print without their callers."""
+class Frame(NamedTuple):
+    """One activation, a tuple of its fields. The frame stack is linked
+    through `caller` (None at the bottom); `depth` counts the frames from
+    the bottom up to this one. Frames compare and print without their
+    callers, and a Frame is never equal to a plain tuple."""
 
     graph: Graph
     nid: int
     state: MethodState
     params: tuple[Value, ...]
-    caller: "Frame | None" = field(default=None, repr=False, compare=False)
+    caller: "Frame | None" = None
     depth: int = 1
 
+    def __eq__(self, other):
+        return (type(other) is Frame and self[:4] == other[:4]
+                and self.depth == other.depth)
 
-_frame_fields = attrgetter("graph", "nid", "state", "params", "caller", "depth")
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = None  # a tuple hash would count the caller, which __eq__ leaves out
+
+    def __repr__(self):
+        return (f"Frame(graph={self.graph!r}, nid={self.nid!r}, state={self.state!r}, "
+                f"params={self.params!r}, depth={self.depth!r})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +147,13 @@ class TraceStep:
 def step_top(program: Program, c: GlobalConfig, on_store=None) -> GlobalConfig:
     """Apply the one matching global rule: lift a local step, invoke,
     return, or unwind, as the top node's step entry says."""
-    top = c.top
-    e = plan(top.graph, top.nid)
+    g, nid, state, params, caller, depth = c.top
+    e = plan(g, nid)
     if INVOKE <= e[0] <= UNWIND:
-        return GlobalConfig(Frame(*_frame_step(program, e, *_frame_fields(top))), c.heap)
+        return GlobalConfig(Frame(*_frame_step(program, e, *c.top)), c.heap)
     # Everything else is a local transition promoted to the top frame.
-    nid, state, heap = local_step(top.graph, top.params, top.nid, e, top.state, c.heap, on_store)
-    return GlobalConfig(Frame(top.graph, nid, state, top.params, top.caller, top.depth), heap)
+    nid, state, heap = local_step(g, params, nid, e, state, c.heap, on_store)
+    return GlobalConfig(Frame(g, nid, state, params, caller, depth), heap)
 
 
 def _frame_step(program: Program, e: tuple, g: Graph, nid: int, state: MethodState,
@@ -168,7 +178,7 @@ def _frame_step(program: Program, e: tuple, g: Graph, nid: int, state: MethodSta
     if caller is None:
         raise UncaughtTopLevel(f"{exit_kind} with no calling frame")
     v = _exit_value(g, state, params, e)
-    g, nid, state, params, caller, depth = _frame_fields(caller)
+    g, nid, state, params, caller, depth = caller
     e = plan(g, nid)
     if e[0] != INVOKE:
         raise GlobalStuck(f"{exit_kind} into non-invoke caller node {nid}")
@@ -207,7 +217,7 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     c = initial_config(program, main, args)
-    (g, nid, state, params, caller, depth), heap = _frame_fields(c.top), c.heap
+    (g, nid, state, params, caller, depth), heap = c.top, c.heap
     steps = 0
     stores = []  # the current step's heap writes, for its trace record
     store_hook = on_store

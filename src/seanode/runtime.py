@@ -54,20 +54,21 @@ UNDEF = UndefVal()
 # The arithmetic operations, each declared once on plain 32-bit ints. An
 # arithmetic node kind names its operation (ir, op=...); evaluation, the
 # lanes of data_equiv and optimize's constant folds are derived from it.
+# The wrapping ones inline wrap32: an operation is one call.
 def int_add(a: int, b: int) -> int:
-    return wrap32(a + b)
+    return ((a + b + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
 
 
 def int_sub(a: int, b: int) -> int:
-    return wrap32(a - b)
+    return ((a - b + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
 
 
 def int_mul(a: int, b: int) -> int:
-    return wrap32(a * b)
+    return ((a * b + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
 
 
 def int_negate(a: int) -> int:
-    return wrap32(-a)
+    return ((2 ** 31 - a) & 0xFFFFFFFF) - 2 ** 31
 
 
 def int_less_than(a: int, b: int) -> int:
@@ -80,16 +81,20 @@ class MethodState:
     Persistent: set() returns a new state, the receiver is unchanged.
     Slots holding UndefVal are normalized away so states compare by the
     defined entries only (two fresh states are equal).
+
+    defined is the state's own dict of those entries, node id to Value,
+    read in place: state.defined.get(nid, UNDEF) is state[nid] without a
+    method call. It is read-only; writing it would change the state.
     """
 
-    __slots__ = ("_vals",)
+    __slots__ = ("defined",)
 
     def __init__(self, vals: dict[int, Value] | None = None):
-        self._vals = {nid: v for nid, v in vals.items()
-                      if not isinstance(v, UndefVal)} if vals else {}
+        self.defined = {nid: v for nid, v in vals.items()
+                        if not isinstance(v, UndefVal)} if vals else {}
 
     def __getitem__(self, nid: int) -> Value:
-        return self._vals.get(nid, UNDEF)
+        return self.defined.get(nid, UNDEF)
 
     def set(self, nid: int, v: Value) -> "MethodState":
         return self.set_many(((nid, v),))
@@ -97,24 +102,24 @@ class MethodState:
     def set_many(self, updates) -> "MethodState":
         """The state with the (nid, value) updates applied in order; copies
         the map once per call."""
-        vals = dict(self._vals)
+        vals = dict(self.defined)
         for nid, v in updates:
             if isinstance(v, UndefVal):
                 vals.pop(nid, None)
             else:
                 vals[nid] = v
         state = MethodState()
-        state._vals = vals
+        state.defined = vals
         return state
 
     def items(self):
-        return self._vals.items()
+        return self.defined.items()
 
     def __eq__(self, other):
-        return isinstance(other, MethodState) and self._vals == other._vals
+        return isinstance(other, MethodState) and self.defined == other.defined
 
     def __repr__(self):
-        inner = ", ".join(f"{nid}: {v}" for nid, v in sorted(self._vals.items()))
+        inner = ", ".join(f"{nid}: {v}" for nid, v in sorted(self.defined.items()))
         return f"MethodState({{{inner}}})"
 
 
@@ -207,12 +212,6 @@ class DynamicHeap:
         self._version = [dict(fields) if fields else {}]
         self.free = free
 
-    @classmethod
-    def _at(cls, version: list, free: int) -> "DynamicHeap":
-        heap = cls.__new__(cls)
-        heap._version, heap.free = version, free
-        return heap
-
     @property
     def fields(self) -> Mapping:
         """This version's cells: (address, field name) -> value."""
@@ -224,14 +223,21 @@ class DynamicHeap:
 
     def store_field(self, fname: str, obj: ObjRef | None, v: Value) -> "DynamicHeap":
         key = (obj.ref if obj is not None else STATIC_REF, fname)
-        data = _reroot(self._version)
+        receiver = self._version
+        data = receiver[0]
+        if type(data) is not dict:  # an older version: bring the dict to it
+            data = _reroot(receiver)
         version = [data]
-        self._version[0] = (key, data.get(key, _ABSENT), version)
+        receiver[0] = (key, data.get(key, _ABSENT), version)
         data[key] = v
-        return DynamicHeap._at(version, self.free)
+        heap = object.__new__(DynamicHeap)
+        heap._version, heap.free = version, self.free
+        return heap
 
     def new_instance(self) -> tuple[ObjRef, "DynamicHeap"]:
-        return ObjRef(self.free), DynamicHeap._at(self._version, self.free + 1)
+        heap = object.__new__(DynamicHeap)
+        heap._version, heap.free = self._version, self.free + 1
+        return ObjRef(self.free), heap
 
     def __eq__(self, other):
         return (isinstance(other, DynamicHeap) and self.free == other.free

@@ -16,6 +16,13 @@ from .ir import Graph
 
 RULES = ("wf_start", "wf_closed", "wf_ends", "wf_phis", "wf_selfid", "wf_acyclic")
 
+# The kinds a rule tests, derived once from the declarations, so a node of
+# a declared kind costs set lookups, not isinstance calls. A node of a class
+# declared elsewhere (a subclass with no role) is tested as its bases are.
+_KINDS = frozenset(ir.NODE_KINDS.values())
+_ENDS = frozenset(k for k in _KINDS if issubclass(k, ir.AbstractEndNode))
+_SELF_IDS = frozenset(k for k in _KINDS if "selfId" in k.__dataclass_fields__)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -56,9 +63,16 @@ def check(g: Graph) -> WfReport:
         for target in inputs + successors:
             if target not in table:
                 found.append(Violation("wf_closed", nid, f"edge to unmapped id {target}"))
-        if isinstance(node, ir.AbstractEndNode) and not g.users(nid):
+        cls = type(node)
+        if cls in _KINDS:
+            end, phi = cls in _ENDS, cls is ir.ValuePhiNode
+            self_id = node.selfId if cls in _SELF_IDS else None
+        else:
+            end, phi = isinstance(node, ir.AbstractEndNode), isinstance(node, ir.ValuePhiNode)
+            self_id = getattr(node, "selfId", None)
+        if end and not g.users(nid):
             found.append(Violation("wf_ends", nid, f"{node.kind_name()} has no usage"))
-        if isinstance(node, ir.ValuePhiNode):
+        if phi:
             # A phi's inputs are (merge, *values), and a merge's are its ends.
             merge, kind = inputs[0], g.kind(inputs[0])
             if not isinstance(kind, ir.AbstractMergeNode):
@@ -70,7 +84,6 @@ def check(g: Graph) -> WfReport:
                     f"{len(inputs) - 1} value inputs for {len(table[merge][0])} merge ends"))
         # Records carry their own id, as the paper's nodes do, and check keeps
         # it equal to the storage key. Nothing reads selfId: the state uses nid.
-        self_id = getattr(node, "selfId", None)
         if self_id is not None and self_id != nid:
             found.append(Violation("wf_selfid", nid, f"selfId field is {self_id}"))
     # Expression evaluation terminates only if the data subgraph is a DAG.

@@ -19,8 +19,8 @@ from seanode.equivalence import Equivalence, data_equiv
 from seanode.fileformat import load
 from seanode.optimize import PASS_NAMES, IterationCapExceeded, apply_pass
 from seanode.interproc import (
-    ExecOutcome, ExecResult, GlobalStuck, MalformedCall, UncaughtTopLevel, UnknownMethod,
-    UnwindWithoutHandler, initial_config, run, step_top,
+    ExecOutcome, ExecResult, Frame, GlobalConfig, GlobalStuck, MalformedCall, UncaughtTopLevel,
+    UnknownMethod, UnwindWithoutHandler, initial_config, run, step_top,
 )
 from seanode.wellformed import check
 from seanode.ir import (
@@ -501,6 +501,12 @@ class _CopyingHeap(DynamicHeap):
     """A heap whose every store copies all its cells, as stores once did.
     No store leaves a diff, so each version holds its own dict."""
 
+    @staticmethod
+    def _at(version, free):
+        heap = object.__new__(_CopyingHeap)
+        heap._version, heap.free = version, free
+        return heap
+
     def store_field(self, fname, obj, v):
         cells = dict(self._version[0])
         cells[(obj.ref if obj is not None else STATIC_REF, fname)] = v
@@ -623,6 +629,46 @@ def test_run_builds_a_frame_only_for_the_caller_an_invoke_pushes(monkeypatch, pr
     result = run(program, sig, [IntVal(depth)])
     assert (result.outcome, result.value) == (ExecOutcome.RETURNED, value)
     assert result.steps > 5 * depth and len(built) == 1 + depth
+
+
+def _two_callers():
+    """A graph, and two bottom frames of it with other nodes and states."""
+    g = Graph({0: StartNode(next=1), 1: ReturnNode(resultOpt=None)})
+    return g, (Frame(g, 0, MethodState(), ()), Frame(g, 1, MethodState({1: IntVal(7)}), ()))
+
+
+def test_frames_that_differ_only_in_their_callers_are_equal_and_print_alike():
+    g, (below, elsewhere) = _two_callers()
+    top = Frame(g, 1, MethodState({0: IntVal(3)}), (IntVal(1),), below, 2)
+    other = Frame(g, 1, MethodState({0: IntVal(3)}), (IntVal(1),), elsewhere, 2)
+    assert top == other and not top != other
+    for name, value in (("graph", Graph({})), ("nid", 0), ("state", MethodState()),
+                        ("params", ()), ("depth", 3)):
+        assert top != top._replace(**{name: value}), name
+    assert repr(top) == repr(other)
+    assert "caller" not in repr(top) and "IntVal 7" not in repr(other)
+    with pytest.raises(TypeError):
+        hash(top)
+
+
+def test_a_frame_is_read_only_and_not_equal_to_the_tuple_of_its_fields():
+    g, (frame, _) = _two_callers()
+    with pytest.raises(AttributeError):
+        frame.nid = 1
+    fields = tuple(frame)
+    assert fields == (g, 0, MethodState(), (), None, 1)
+    assert frame != fields and fields != frame and not frame == fields
+
+
+def test_configurations_compare_every_frame_of_the_stack():
+    g, (below, elsewhere) = _two_callers()
+    heap = DynamicHeap()
+
+    def config(caller):
+        return GlobalConfig(Frame(g, 1, MethodState(), (), caller, 2), heap)
+
+    assert config(below) == config(Frame(*below))
+    assert config(below) != config(elsewhere)  # their tops are equal frames
 
 
 def _damaged_outcome(g) -> str:

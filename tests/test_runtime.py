@@ -1,12 +1,14 @@
+import operator
 import random
 from dataclasses import FrozenInstanceError, astuple, fields
 
 import pytest
 from hypothesis import given, strategies as st
 
+from seanode import ir
 from seanode.runtime import (
     INT_MAX, INT_MIN, STATIC_REF, UNDEF, DynamicHeap, IntVal, MethodState,
-    ObjRef, int_add, int_mul, int_negate, wrap32,
+    ObjRef, int_add, int_less_than, int_mul, int_negate, int_sub, wrap32,
 )
 
 
@@ -80,6 +82,23 @@ def test_wrap32_is_twos_complement(a, b):
 @given(st.integers(INT_MIN, INT_MAX), st.integers(INT_MIN, INT_MAX))
 def test_mul_matches_java_semantics(a, b):
     assert int_mul(a, b) == wrap32(a * b)
+
+
+# Python's exact result of each arithmetic operation, before the wrap.
+_EXACT = {int_add: operator.add, int_sub: operator.sub, int_mul: operator.mul,
+          int_negate: operator.neg, int_less_than: operator.lt}
+_INT32 = st.integers(INT_MIN, INT_MAX) | st.sampled_from([INT_MIN, INT_MAX, -1, 0, 1])
+
+
+@given(_INT32, _INT32)
+def test_differential_int_ops_match_wrap32_of_the_exact_result(a, b):
+    kinds = [k for k in ir.NODE_KINDS.values() if k.OP]
+    assert {k.OP for k in kinds} == set(_EXACT)
+    for k in kinds:
+        operands = (a, b)[:len(k.VALUE_EDGES)]
+        got = k.OP(*operands)
+        assert type(got) is int and got == wrap32(_EXACT[k.OP](*operands)), (k, operands)
+    assert int_less_than(a, b) in (0, 1)
 
 
 def test_load_fresh_field_defaults_to_zero():

@@ -10,8 +10,8 @@ from seanode.fileformat import load
 from seanode.interproc import run
 from seanode.ir import (
     AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, MergeNode, NegateNode,
-    ParameterNode, Program, ReturnNode, Signature, StartNode, SubNode, ValuePhiNode,
-    ValueProxyNode,
+    ParameterNode, Program, ReturnNode, Signature, StartNode, StoreFieldNode, SubNode,
+    ValuePhiNode, ValueProxyNode,
 )
 from seanode.runtime import IntVal
 from seanode.wellformed import check
@@ -179,6 +179,33 @@ def test_check_selfid_mismatch(fact_graph):
         7, ValuePhiNode(8, values=(1, 20), merge=6)
     )
     assert any(v.rule == "wf_selfid" for v in check(g).violations)
+
+
+# Subclasses declared with no role are not in ir.NODE_KINDS; check tests
+# their nodes as it tests their base kind's.
+class _End(EndNode):
+    pass
+
+
+class _Phi(ValuePhiNode):
+    pass
+
+
+class _Store(StoreFieldNode):
+    pass
+
+
+@pytest.mark.parametrize("make, base, sub", [
+    (lambda k: {0: StartNode(next=5), 5: k()}, EndNode, _End),
+    (lambda k: {0: StartNode(next=1), 1: BeginNode(next=2), 2: ReturnNode(resultOpt=None),
+                3: k(4, values=(0,), merge=1)}, ValuePhiNode, _Phi),
+    (lambda k: {0: StartNode(next=1), 1: k(5, field="f", value=2, objectOpt=None, next=3),
+                2: ConstantNode(IntVal(1)), 3: ReturnNode(resultOpt=None)}, StoreFieldNode, _Store),
+])
+def test_a_subclass_with_no_role_gets_its_base_kinds_violations(make, base, sub):
+    want = check(Graph(make(base)))
+    assert {v.rule for v in want.violations} & {"wf_ends", "wf_phis", "wf_selfid"}
+    assert str(check(Graph(make(sub)))) == str(want).replace(base.__name__, sub.__name__)
 
 
 def test_check_ok_implies_predicates():
