@@ -1,22 +1,33 @@
 """Semantic-equivalence checking for rewrites.
 
-Data rewrites are checked by evaluating the expression at the rewritten id
-in both graphs over every assignment of a finite value domain to the free
-leaves (parameters and method-state slots), a chunk of assignments at a
-time, with dataflow.evaluate_lanes. Control rewrites are checked by
-differential whole-program execution. Equivalent is therefore a bounded
-claim; verdicts carry the number of assignments tried.
+A data rewrite is checked at the rewritten id in both graphs. First each
+expression is normalized to a polynomial over Z/2^32, the ring the 32-bit
+operations wrap in: parameters and method-state slots are its variables,
+add, sub, mul and negate its operations, and any other operation, or a
+conditional whose condition is not constant, an opaque atom over its
+normalized operands. Equal normal forms prove that the two expressions
+agree on every assignment of 32-bit ints to the free leaves; a proof says
+nothing about a leaf that holds another value. Where there is no proof,
+the expressions are evaluated over every assignment of a finite value
+domain to the free leaves, a chunk of assignments at a time, with
+dataflow.evaluate_lanes. Either way the verdict is the one trying those
+assignments gives, and samples_tried counts the assignments it covers.
+Control rewrites are checked by differential whole-program execution.
 """
 
 import enum
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .dataflow import evaluate_lanes, free_leaves
+from . import runtime
+from .dataflow import (
+    BINARY, CHECK, COND, CONST, PARAM, PROXY, STATE, UNARY, evaluate_lanes, free_leaves,
+    schedule,
+)
 from .interproc import ExecOutcome, run
 from .ir import Graph, Program, Signature
-from .runtime import FIELD_DEFAULT, INT_MAX, INT_MIN, IntVal, Value
+from .runtime import FIELD_DEFAULT, INT_MAX, INT_MIN, IntVal, Value, wrap32
 
 
 @dataclass(frozen=True)
@@ -71,6 +82,9 @@ class EquivVerdict:
     status: Equivalence
     witness: Witness | None
     samples_tried: int
+    # Equivalent by equal normal forms: on every int assignment, not only
+    # on the samples_tried assignments of the domain it counts.
+    proved: bool = field(default=False, compare=False)
 
     def __str__(self):
         base = f"{self.status.value} ({self.samples_tried} assignments tried)"
@@ -86,20 +100,164 @@ _RANDOM_SAMPLES = 256
 _SAMPLE_SEED = 0
 
 
-def _assignments(dom: Domain, k: int):
-    """Deterministic stream of value tuples for k leaves."""
+@dataclass(frozen=True)
+class _Assignments:
+    """A deterministic stream of value tuples for k leaves, and its length:
+    every tuple over values, then draws seeded tuples over the whole domain."""
+
+    values: tuple
+    k: int
+    draws: int
+    domain: tuple
+
+    def __len__(self):
+        return len(self.values) ** self.k + self.draws
+
+    def __iter__(self):
+        product = itertools.product(self.values, repeat=self.k)
+        if not self.draws:
+            return product
+        rng = random.Random(_SAMPLE_SEED)
+        leaves = [self.domain] * self.k
+        return itertools.chain(product, [tuple(map(rng.choice, leaves))
+                                         for _ in range(self.draws)])
+
+
+def _assignments(dom: Domain, k: int) -> _Assignments:
+    """The stream of value tuples data_equiv tries for k leaves: the whole
+    product up to the cap, else a reduced product plus seeded draws."""
     values = dom.int_values
-    if k == 0:
-        yield ()
-        return
     if len(values) ** k <= _EXHAUSTIVE_CAP:
-        yield from itertools.product(values, repeat=k)
-        return
-    reduced = values[: max(1, int(_EXHAUSTIVE_CAP ** (1.0 / k)))]
-    yield from itertools.product(reduced, repeat=k)
-    rng = random.Random(_SAMPLE_SEED)
-    for _ in range(_RANDOM_SAMPLES):
-        yield tuple(rng.choice(values) for _ in range(k))
+        return _Assignments(values, k, 0, values)
+    return _Assignments(values[: max(1, int(_EXHAUSTIVE_CAP ** (1.0 / k)))], k,
+                        _RANDOM_SAMPLES, values)
+
+
+# -- normal forms over Z/2^32 --------------------------------------------
+# A polynomial is a dict from monomials to nonzero coefficients in
+# [0, 2^32); a monomial is the sorted tuple of its variables, repeated by
+# power, and () the constant monomial. A variable is a small int naming a
+# parameter, a state slot or an atom, numbered in one table for both graphs.
+_MASK = 0xFFFFFFFF
+_TERM_CAP = 512  # terms of a polynomial and degree of a monomial
+
+
+def _add(p: dict, q: dict) -> dict:
+    r = dict(p)
+    for m, c in q.items():
+        c = (r.get(m, 0) + c) & _MASK
+        if c:
+            r[m] = c
+        else:
+            del r[m]
+    return r
+
+
+def _negate(p: dict) -> dict:
+    return {m: -c & _MASK for m, c in p.items()}
+
+
+def _mul(p: dict, q: dict) -> dict | None:
+    if p and q and max(map(len, p)) + max(map(len, q)) > _TERM_CAP:
+        return None
+    r = {}
+    for m, c in p.items():
+        for n, d in q.items():
+            mn = tuple(sorted(m + n)) if m and n else m or n
+            r[mn] = (r.get(mn, 0) + c * d) & _MASK
+    return {m: c for m, c in r.items() if c}
+
+
+# The operations the normal form interprets, by their runtime declaration;
+# every other OP is an atom, folded through its declaration on constants.
+_RING = {
+    runtime.int_add: _add,
+    runtime.int_sub: lambda p, q: _add(p, _negate(q)),
+    runtime.int_mul: _mul,
+    runtime.int_negate: _negate,
+}
+
+
+def _constant(p: dict) -> int | None:
+    """The signed int a constant polynomial stands for, else None."""
+    if not p:
+        return 0
+    if len(p) == 1 and () in p:
+        return wrap32(p[()])
+    return None
+
+
+def _constant_form(v: int) -> dict:
+    v &= _MASK
+    return {(): v} if v else {}
+
+
+def _atom(names: dict, tag, operands) -> dict:
+    """The variable numbered for tag over the operands' forms, as a
+    polynomial."""
+    key = (tag, *(frozenset(p.items()) for p in operands))
+    return {(names.setdefault(key, len(names)),): 1}
+
+
+def _opaque(names: dict, op, ins: tuple) -> dict:
+    """An operation outside the ring: folded through its declaration on
+    constants, else an atom."""
+    consts = [_constant(p) for p in ins]
+    if None in consts:
+        return _atom(names, op, ins)
+    return _constant_form(op(*consts))
+
+
+def _normal_form(g: Graph, root: int, names: dict) -> dict | None:
+    """The polynomial of the expression at root, over the variables numbered
+    in names, or None where it has none: a constant that is not an IntVal,
+    a STUCK or CYCLE entry, a placeholder arm or a conditional met in its
+    own arm (where evaluation may be stuck), or more than _TERM_CAP terms
+    or degrees.
+    Reads the schedules evaluation runs, arms included only where chosen
+    or where the condition is not constant."""
+    forms: dict[int, dict] = {}
+    waiting: set[int] = set()  # conditionals whose arms were started
+    stack = [iter(schedule(g, (root,)))]
+    while stack:
+        for entry in stack[-1]:
+            code, n, arg, x, y = entry
+            if n in forms:
+                continue
+            if code == BINARY or code == UNARY:
+                ins = (forms[x], forms[y]) if code == BINARY else (forms[x],)
+                ring = _RING.get(arg)
+                f = ring(*ins) if ring else _opaque(names, arg, ins)
+                if f is None or len(f) > _TERM_CAP:
+                    return None
+            elif code == CONST:
+                if type(arg) is not IntVal:
+                    return None
+                f = _constant_form(arg.value)
+            elif code == CHECK:
+                continue
+            elif code == PARAM or code == STATE:
+                f = {(names.setdefault((code, arg if code == PARAM else n), len(names)),): 1}
+            elif code == PROXY:
+                f = forms[x]
+            elif code == COND:
+                c = _constant(forms[x])
+                arms = arg if c is None else (arg[0] if c else arg[1],)
+                todo = [a for a in arms if a not in forms]
+                if todo:
+                    if n in waiting or any(callable(a) for a in todo):
+                        return None
+                    waiting.add(n)
+                    stack.append(itertools.chain(*[schedule(g, (a,)) for a in todo], (entry,)))
+                    break
+                t, e = forms[arms[0]], forms[arms[-1]]
+                f = t if t == e else _atom(names, COND, (forms[x], t, e))
+            else:  # STUCK, CYCLE, or a code with no normal form
+                return None
+            forms[n] = f
+        else:
+            stack.pop()
+    return forms[root]
 
 
 # Assignments decided per pass over a schedule. A refutation is found only
@@ -114,17 +272,25 @@ def _boxed(v):
 
 def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivVerdict:
     """Decide whether the expressions at nid agree on every tried assignment
-    of the union of both graphs' free leaves. Assignments are tried in
-    chunks, all lanes of a chunk at once, so a chunk costs at most the nodes
-    of both cones times its lanes; the verdict is the one trying them one by
-    one, in order, gives. free_leaves raises on a cycle in either cone."""
+    of the union of both graphs' free leaves. Equal normal forms prove it
+    without trying any (proved, with samples_tried the assignments the
+    proof covers). Otherwise assignments are tried in chunks, all lanes of
+    a chunk at once, so a chunk costs at most the nodes of both cones times
+    its lanes. Either way the verdict is the one trying them one by one, in
+    order, gives. free_leaves raises on a cycle in either cone."""
     p1, s1 = free_leaves(g1, nid)
     p2, s2 = free_leaves(g2, nid)
     param_keys = sorted(p1 | p2)
     slot_keys = sorted(s1 | s2)
     arity = max(param_keys) + 1 if param_keys else 0
+    assignments = _assignments(dom, len(param_keys) + len(slot_keys))
 
-    stream = _assignments(dom, len(param_keys) + len(slot_keys))
+    names: dict = {}
+    form = _normal_form(g1, nid, names)
+    if form is not None and form == _normal_form(g2, nid, names):
+        return EquivVerdict(Equivalence.EQUIVALENT, None, len(assignments), proved=True)
+
+    stream = iter(assignments)
     tried = 0
     while chunk := list(itertools.islice(stream, _CHUNK)):
         columns = [list(c) for c in zip(*chunk)]

@@ -219,7 +219,10 @@ class DynamicHeap:
 
     def load_field(self, fname: str, obj: ObjRef | None) -> Value:
         addr = obj.ref if obj is not None else STATIC_REF
-        return _reroot(self._version).get((addr, fname), FIELD_DEFAULT)
+        data = self._version[0]
+        if type(data) is not dict:  # an older version: bring the dict to it
+            data = _reroot(self._version)
+        return data.get((addr, fname), FIELD_DEFAULT)
 
     def store_field(self, fname: str, obj: ObjRef | None, v: Value) -> "DynamicHeap":
         key = (obj.ref if obj is not None else STATIC_REF, fname)

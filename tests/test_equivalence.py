@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import itertools
 import random
 import signal
 import time
@@ -15,7 +17,7 @@ from genutil import (
     doubling_dag, gen_rule_case, negate_chain, stuck_phi_program,
 )
 from seanode.dataflow import (
-    CyclicExpression, EvalContext, EvalStuck, evaluate, evaluate_lanes, free_leaves,
+    PARAM, CyclicExpression, EvalContext, EvalStuck, evaluate, evaluate_lanes, free_leaves,
 )
 from seanode.equivalence import (
     Domain, Equivalence, EquivVerdict, Witness, behavior_diff, data_equiv,
@@ -23,12 +25,12 @@ from seanode.equivalence import (
 )
 from seanode.interproc import run
 from seanode.ir import (
-    AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode, MulNode,
+    NODE_KINDS, AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode, MulNode,
     NegateNode, ParameterNode, Program, RefNode, ReturnNode, StartNode, StoreFieldNode,
     SubNode, ValuePhiNode, ValueProxyNode,
 )
 from seanode.optimize import apply_pass, canonicalize_data
-from seanode.runtime import INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, ObjRef
+from seanode.runtime import INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, ObjRef, wrap32
 from seanode.wellformed import check
 
 
@@ -469,3 +471,257 @@ def test_differential_column_wise_data_equiv_matches_one_by_one(pair, values, ch
         for left, right in ((g1, g2), (g2, g1), (g1, _unstuck(g1)), (g1, stuck)):
             assert data_equiv(left, right, root, dom) == _data_equiv_one_by_one(
                 left, right, root, dom)
+
+
+# -- proofs by normal form -------------------------------------------------
+
+def _c(v):
+    return ConstantNode(v if not isinstance(v, int) else IntVal(v))
+
+
+_P0, _P1 = ParameterNode(0), ParameterNode(1)
+
+
+@pytest.mark.parametrize("values, k, cap, samples", [
+    ((-1, 0, 1), 0, 10 ** 6, 256),
+    ((-1, 0, 1), 4, 10 ** 6, 256),
+    (tuple(range(-5, 5)), 7, 1000, 64),  # past the cap: 2 ** 7 plus the draws
+    (tuple(range(-5, 5)), 3, 999, 5),
+])
+def test_the_assignment_stream_is_as_long_as_it_says(monkeypatch, values, k, cap, samples):
+    monkeypatch.setattr(eq_mod, "_EXHAUSTIVE_CAP", cap)
+    monkeypatch.setattr(eq_mod, "_RANDOM_SAMPLES", samples)
+    stream = eq_mod._assignments(Domain(values), k)
+    tuples = list(stream)
+    assert len(tuples) == len(stream) and tuples == list(stream)
+    assert all(len(t) == k and set(t) <= set(values) for t in tuples)
+
+
+def test_a_proof_covers_the_assignments_sampling_would_try():
+    g1 = Graph({1: _P0, 2: _P1, 3: NegateNode(value=2), 4: SubNode(x=1, y=2),
+                5: AddNode(x=1, y=3)})
+    g2 = g1.replace_node(5, SubNode(x=1, y=2))
+    verdict = data_equiv(g1, g2, 5)
+    assert (verdict.status, verdict.witness, verdict.samples_tried, verdict.proved) == (
+        Equivalence.EQUIVALENT, None, 25, True)
+    # proved does not take part in comparing verdicts.
+    assert verdict == EquivVerdict(Equivalence.EQUIVALENT, None, 25)
+
+
+def _square(nodes, nid, times):
+    for _ in range(times):
+        nodes[nid + 1] = MulNode(x=nid, y=nid)
+        nid += 1
+    return nid
+
+
+def _no_proof_cases():
+    """Graphs and roots where evaluation may be stuck at some node, or the
+    normal form passes the term cap, so sampling decides."""
+    sums = {1: _P0, 2: _P1, 3: ParameterNode(2), 4: ParameterNode(3),
+            5: AddNode(x=1, y=2), 6: AddNode(x=5, y=3), 7: AddNode(x=6, y=4)}
+    top = _square(sums, 7, 4)  # (p0 + p1 + p2 + p3) ** 16: 969 terms
+    powers = {1: _P0}
+    high = _square(powers, 1, 10)  # p0 ** 1024
+    return {
+        "object constant": (Graph({1: _c(ObjRef(0)), 2: _P0, 3: AddNode(x=2, y=1)}), 3),
+        "undefined constant": (Graph({1: _c(UNDEF), 2: _P0, 3: MulNode(x=1, y=2)}), 3),
+        "no evaluation rule": (Graph({1: StartNode(next=1), 2: _P0, 3: AddNode(x=2, y=1)}), 3),
+        "missing input": (Graph({1: _P0, 2: AddNode(x=1, y=9)}), 2),
+        "placeholder arm": (Graph({1: _P0, 2: ConditionalNode(1, None, 1)}), 2),
+        "term cap": (Graph(sums), top),
+        "degree cap": (Graph(powers), high),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_no_proof_cases()))
+def test_no_proof_where_evaluation_may_be_stuck_or_the_form_is_too_large(case):
+    g, root = _no_proof_cases()[case]
+    assert eq_mod._normal_form(g, root, {}) is None
+    verdict = data_equiv(g, g, root)
+    assert verdict.status is Equivalence.EQUIVALENT and not verdict.proved
+
+
+def test_a_constant_condition_proves_through_its_chosen_arm_only():
+    # The unchosen arm is a placeholder, stuck only where it is chosen.
+    g = Graph({1: _c(7), 2: _P0, 3: ConditionalNode(1, 2, None), 4: NegateNode(value=2),
+               5: IntegerLessThanNode(x=2, y=1), 6: ConditionalNode(5, 4, 4)})
+    verdict = data_equiv(g, g.replace_node(3, _P0), 3)
+    assert verdict.proved and verdict.samples_tried == 5
+    # Equal arms: the conditional is its arm, whatever the condition.
+    assert data_equiv(g, g.replace_node(6, NegateNode(value=2)), 6).proved
+
+
+def _polynomial_value(form, names, leaves):
+    """The value of a normal form with each named leaf variable set as in
+    leaves, a dict from the leaf's key to a 32-bit int."""
+    value = {v: leaves[key] for key, v in names.items()}
+    total = 0
+    for monomial, coefficient in form.items():
+        term = coefficient
+        for v in monomial:
+            term *= value[v]
+        total += term
+    return total & 0xFFFFFFFF
+
+
+def test_the_ring_operations_are_their_kinds_op_on_random_ints():
+    rng = random.Random(3)
+    kinds = [k for k in NODE_KINDS.values() if k.OP in eq_mod._RING]
+    assert {k.OP for k in kinds} == set(eq_mod._RING)
+    for kind in kinds:
+        for operands in ((1, 2), (1, 1), (3, 2)):  # 3 is p0 * p1 + p0
+            nodes = {1: _P0, 2: _P1, 4: MulNode(x=1, y=2), 3: AddNode(x=4, y=1)}
+            g = Graph({**nodes, 10: kind(*operands[:len(kind.VALUE_EDGES)])})
+            names = {}
+            form = eq_mod._normal_form(g, 10, names)
+            for _ in range(200):
+                a, b = rng.randint(INT_MIN, INT_MAX), rng.randint(INT_MIN, INT_MAX)
+                want = evaluate(EvalContext(g, MethodState(), (IntVal(a), IntVal(b))), 10)
+                got = _polynomial_value(form, names, {(PARAM, 0): a, (PARAM, 1): b})
+                assert got == want.value & 0xFFFFFFFF, (kind, operands, a, b)
+
+
+def test_every_other_operation_is_an_atom_folded_through_its_declaration():
+    values = with_boundary_values(Domain()).int_values
+    others = [k for k in NODE_KINDS.values() if k.OP and k.OP not in eq_mod._RING]
+    assert others
+    for kind in others:
+        arity = len(kind.VALUE_EDGES)
+        # Over leaves: one variable of its own, the same for the same operands.
+        g = Graph({1: _P0, 2: _P1, 10: kind(*(1, 2)[:arity]), 11: kind(*(1, 2)[:arity]),
+                   12: kind(*(2, 1)[:arity])})
+        names = {}
+        form = eq_mod._normal_form(g, 10, names)
+        leaves = {names[key] for key in names if key[0] == PARAM}
+        [(monomial, coefficient)] = form.items()
+        assert coefficient == 1 and len(monomial) == 1 and monomial[0] not in leaves
+        assert eq_mod._normal_form(g, 11, names) == form
+        if arity == 2:
+            assert eq_mod._normal_form(g, 12, names) != form
+        # Over constants: the constant its declaration gives.
+        for args in itertools.product(values, repeat=arity):
+            consts = {i + 1: _c(v) for i, v in enumerate(args)}
+            g = Graph({**consts, 10: kind(*consts)})
+            assert eq_mod._normal_form(g, 10, {}) == eq_mod._normal_form(
+                Graph({10: _c(kind.OP(*args))}), 10, {}), (kind, args)
+
+
+def test_every_data_rule_is_proved_on_its_drawn_instances():
+    rng = random.Random(25)
+    dom = with_boundary_values(Domain())
+    for rule in DATA_RULES:
+        for _ in range(20):
+            case = gen_rule_case(rule, rng)
+            rw = canonicalize_data(case.graph, case.nid)
+            g2 = case.graph.replace_node(rw.target, rw.after)
+            verdict = data_equiv(case.graph, g2, case.nid, dom)
+            assert verdict.proved and verdict.status is Equivalence.EQUIVALENT, (rule, verdict)
+
+
+# Rules written wrong, each at node 10 of a small graph: the wrong
+# replacement must be refuted, and never proved.
+_RULE_MUTANTS = {
+    "add-zero to the zero": ({1: _P0, 2: _c(0), 10: AddNode(x=1, y=2)}, _c(0)),
+    "mul-one to the one": ({1: _P0, 2: _c(1), 10: MulNode(x=1, y=2)}, _c(1)),
+    "mul-zero to the operand": ({1: _P0, 2: _c(0), 10: MulNode(x=2, y=1)}, _P0),
+    "negate-negate to one negate": ({1: _P0, 2: NegateNode(value=1), 10: NegateNode(value=2)},
+                                    NegateNode(value=1)),
+    "fold-negate as the identity": ({1: _c(3), 10: NegateNode(value=1)}, _c(3)),
+    "fold-sub reversed": ({1: _c(5), 2: _c(3), 10: SubNode(x=1, y=2)}, _c(-2)),
+    "fold-less-than negated": ({1: _c(1), 2: _c(2), 10: IntegerLessThanNode(x=1, y=2)}, _c(0)),
+    "less-than to sub": ({1: _P0, 2: _P1, 10: IntegerLessThanNode(x=1, y=2)}, SubNode(x=1, y=2)),
+    "less-than operands swapped": ({1: _P0, 2: _P1, 10: IntegerLessThanNode(x=1, y=2)},
+                                   IntegerLessThanNode(x=2, y=1)),
+    "conditional-constant to the false arm": (
+        {1: _c(1), 2: _P0, 3: _P1, 10: ConditionalNode(1, 2, 3)}, _P1),
+    "conditional-equal-branches on unequal arms": (
+        {1: _P0, 2: _P1, 3: IntegerLessThanNode(x=1, y=2), 10: ConditionalNode(3, 1, 2)}, _P0),
+    "mul-zero on an object (gap B)": ({1: _c(ObjRef(0)), 2: _c(0), 10: MulNode(x=1, y=2)}, _c(0)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_RULE_MUTANTS))
+def test_a_rule_written_wrong_is_refuted_and_never_proved(mutant):
+    nodes, wrong = _RULE_MUTANTS[mutant]
+    g = Graph(nodes)
+    verdict = data_equiv(g, g.replace_node(10, wrong), 10, with_boundary_values(Domain()))
+    assert verdict.status is Equivalence.NOT_EQUIVALENT and not verdict.proved, verdict
+
+
+# Differential property: whenever data_equiv proves a pair, the lanes agree
+# on the domain and on random 32-bit assignments. The pairs are near
+# misses: the second graph is the first with one node changed.
+
+_BINARY_KINDS = [k for k in OPERATIONS if k.OP and len(k.VALUE_EDGES) == 2]
+
+
+@st.composite
+def _near_miss_pairs(draw):
+    nodes = {
+        1: _P0, 2: _P1, 3: ValuePhiNode(3, values=(), merge=0),
+        4: _c(draw(st.sampled_from([0, 1, -1, 2, INT_MIN, INT_MAX]))),
+        5: _c(draw(st.sampled_from([0, 1, 3, ObjRef(0), UNDEF]))),
+        6: StartNode(next=6),  # stuck wherever it is evaluated
+    }
+    for nid in range(7, 7 + draw(st.integers(1, 7))):
+        ids = list(nodes)
+        pick = st.one_of(st.sampled_from(ids[-3:]), st.sampled_from(ids[:5]),
+                         st.sampled_from(ids))
+        nodes[nid] = build(draw(st.sampled_from(OPERATIONS)), lambda name: draw(pick))
+    root = max(nodes)
+    changed = dict(nodes)
+    cone, todo = set(), [root]  # the nodes the root's value reads, arms included
+    while todo:
+        nid = todo.pop()
+        if nid not in cone and type(nid) is int:
+            cone.add(nid)
+            todo += [getattr(nodes[nid], name) for name in type(nodes[nid]).VALUE_EDGES]
+    n = draw(st.sampled_from([nid for nid in sorted(cone) if nid not in (1, 2, 3, 6)]))
+    node = nodes[n]
+    kind = type(node)
+    negated = [name for name in kind.VALUE_EDGES
+               if isinstance(nodes.get(getattr(node, name)), NegateNode)]
+    changes = ["canonical form", *["negate an input"] * bool(kind.VALUE_EDGES),
+               *["drop a negate"] * bool(negated),
+               *["another operation", "swap"] * (kind in _BINARY_KINDS),
+               *["swap"] * (kind is ConditionalNode), *["constant"] * (kind is ConstantNode)]
+    how = draw(st.sampled_from(changes))
+    if how == "negate an input":
+        name = draw(st.sampled_from(kind.VALUE_EDGES))
+        changed[root + 1] = NegateNode(value=getattr(node, name))
+        changed[n] = dataclasses.replace(node, **{name: root + 1})
+    elif how == "drop a negate":
+        name = draw(st.sampled_from(negated))
+        changed[n] = dataclasses.replace(node, **{name: nodes[getattr(node, name)].value})
+    elif how == "another operation":
+        changed[n] = draw(st.sampled_from(_BINARY_KINDS))(x=node.x, y=node.y)
+    elif how == "swap" and kind is ConditionalNode:
+        changed[n] = ConditionalNode(node.condition, node.falseValue, node.trueValue)
+    elif how == "swap":
+        changed[n] = kind(x=node.y, y=node.x)
+    elif how == "constant":
+        v = node.const
+        changed[n] = _c(IntVal(0) if not isinstance(v, IntVal) else
+                        IntVal(wrap32(v.value + draw(st.sampled_from([1, -1])))))
+    else:  # a pair proofs should find: the graph and its canonical form
+        changed = dict(apply_pass(Graph(nodes), "canonicalize")[0].items())
+    pair = (Graph(nodes), Graph(changed))
+    return (pair if draw(st.booleans()) else pair[::-1]), root
+
+
+_INT32 = st.integers(INT_MIN, INT_MAX)
+
+
+@given(_near_miss_pairs(), st.lists(st.tuples(_INT32, _INT32, _INT32), min_size=1, max_size=8))
+def test_differential_a_proof_never_disagrees_with_the_lanes(pair, draws):
+    (g1, g2), root = pair
+    dom = with_boundary_values(Domain())
+    verdict = data_equiv(g1, g2, root, dom)
+    if not verdict.proved:
+        return
+    lanes = list(itertools.product(dom.int_values, repeat=3)) + draws
+    p0, p1, slot = (list(column) for column in zip(*lanes))
+    params, slots = {0: p0, 1: p1}, {3: slot}
+    assert evaluate_lanes(g1, root, len(lanes), params, slots) == evaluate_lanes(
+        g2, root, len(lanes), params, slots)

@@ -136,6 +136,22 @@ def test_store_is_persistent():
     assert heap.load_field("x", ref) == IntVal(0)
 
 
+def test_a_load_reroots_only_off_the_newest_version(monkeypatch):
+    import seanode.runtime as runtime_mod
+    calls = []
+    reroot = runtime_mod._reroot
+    monkeypatch.setattr(runtime_mod, "_reroot", lambda v: calls.append(v) or reroot(v))
+    ref, old = DynamicHeap().new_instance()
+    old = old.store_field("x", ref, IntVal(1))
+    new = old.store_field("x", ref, IntVal(2)).store_field("y", ref, IntVal(3))
+    assert new.load_field("x", ref) == IntVal(2) and new.load_field("y", ref) == IntVal(3)
+    assert calls == []
+    # An older version still reads its own cells, by one reroot to it.
+    assert old.load_field("x", ref) == IntVal(1) and old.load_field("y", ref) == IntVal(0)
+    assert len(calls) == 1
+    assert new.load_field("x", ref) == IntVal(2)
+
+
 def test_items_view_yields_its_own_versions_cells_after_a_branching_store():
     ref, heap = DynamicHeap().new_instance()
     base = heap.store_field("x", ref, IntVal(1)).store_field("y", ref, IntVal(2))
