@@ -7,12 +7,15 @@ add, sub, mul and negate its operations, and any other operation, or a
 conditional whose condition is not constant, an opaque atom over its
 normalized operands. Equal normal forms prove that the two expressions
 agree on every assignment of 32-bit ints to the free leaves; a proof says
-nothing about a leaf that holds another value. Where there is no proof,
-the expressions are evaluated over every assignment of a finite value
-domain to the free leaves, a chunk of assignments at a time, with
-dataflow.evaluate_lanes. Either way the verdict is the one trying those
-assignments gives, and samples_tried counts the assignments it covers.
-Control rewrites are checked by differential whole-program execution.
+nothing about a leaf that holds another value. Each node's form and
+leaves are derived once per graph and kept on it (Graph.forms), numbered
+from one table both graphs of a pair share, so a proof is two lookups and
+a compare. Where there is no proof, the expressions are evaluated over
+every assignment of a finite value domain to the free leaves, a chunk of
+assignments at a time, with dataflow.evaluate_lanes. Either way the
+verdict is the one trying those assignments gives, and samples_tried
+counts the assignments it covers. Control rewrites are checked by
+differential whole-program execution.
 """
 
 import enum
@@ -22,8 +25,7 @@ from dataclasses import dataclass, field
 
 from . import runtime
 from .dataflow import (
-    BINARY, CHECK, COND, CONST, PARAM, PROXY, STATE, UNARY, evaluate_lanes, free_leaves,
-    schedule,
+    BINARY, COND, CONST, PARAM, PROXY, STATE, UNARY, _entry, evaluate_lanes, free_leaves,
 )
 from .interproc import ExecOutcome, run
 from .ir import Graph, Program, Signature
@@ -87,7 +89,9 @@ class EquivVerdict:
     proved: bool = field(default=False, compare=False)
 
     def __str__(self):
-        base = f"{self.status.value} ({self.samples_tried} assignments tried)"
+        n = self.samples_tried
+        count = f"proved; covers {n} assignments" if self.proved else f"{n} assignments tried"
+        base = f"{self.status.value} ({count})"
         if self.witness is not None:
             base += f" witness {self.witness}"
         return base
@@ -208,61 +212,171 @@ def _opaque(names: dict, op, ins: tuple) -> dict:
     return _constant_form(op(*consts))
 
 
-def _normal_form(g: Graph, root: int, names: dict) -> dict | None:
-    """The polynomial of the expression at root, over the variables numbered
-    in names, or None where it has none: a constant that is not an IntVal,
-    a STUCK or CYCLE entry, a placeholder arm or a conditional met in its
-    own arm (where evaluation may be stuck), or more than _TERM_CAP terms
-    or degrees.
-    Reads the schedules evaluation runs, arms included only where chosen
-    or where the condition is not constant."""
-    forms: dict[int, dict] = {}
-    waiting: set[int] = set()  # conditionals whose arms were started
-    stack = [iter(schedule(g, (root,)))]
-    while stack:
-        for entry in stack[-1]:
-            code, n, arg, x, y = entry
-            if n in forms:
+class _Forms:
+    """What data_equiv keeps on a graph, in Graph.forms: the normal form
+    (or None) of each node whose form was needed, and the leaves of each
+    node walked, as variables numbered in names, the table the graph
+    shares with its partners. A leaf set is cut at bound elements: past
+    _leaf_bound leaves, the count of assignments no longer changes."""
+
+    __slots__ = ("names", "bound", "forms", "leaves")
+
+    def __init__(self, names: dict, bound: int):
+        self.names, self.bound = names, bound
+        self.forms: dict[int, dict | None] = {}
+        self.leaves: dict[int, frozenset] = {}
+
+
+def _leaf_bound() -> int:
+    """The least k from which on len(_assignments(dom, k)) is the same for
+    every domain: from there every product of two or more values passes
+    the cap, and the reduced product is one tuple. Read at each call, as
+    the cap may change."""
+    k = max(1, _EXHAUSTIVE_CAP.bit_length())  # 2 ** k > _EXHAUSTIVE_CAP
+    while int(_EXHAUSTIVE_CAP ** (1.0 / k)) > 1:
+        k += 1
+    return k
+
+
+def _shared_forms(g1: Graph, g2: Graph) -> tuple[_Forms, _Forms]:
+    """Both graphs' records, numbered from one table: g2 takes g1's table,
+    dropping its own records where it had another. Records cut at another
+    bound are dropped too."""
+    bound = _leaf_bound()
+    r1 = g1.forms
+    if r1 is None or r1.bound != bound:
+        r1 = g1.forms = _Forms({} if r1 is None else r1.names, bound)
+    r2 = g2.forms
+    if r2 is None or r2.names is not r1.names or r2.bound != bound:
+        r2 = g2.forms = _Forms(r1.names, bound)
+    return r1, r2
+
+
+def _variable(e: tuple, names: dict) -> int:
+    """The variable of a parameter entry (by its index) or of a state-slot
+    entry (by its node)."""
+    key = (PARAM, e[2]) if e[0] == PARAM else (STATE, e[1])
+    return names.setdefault(key, len(names))
+
+
+_NO_LEAVES = frozenset()
+
+
+def _leaves(e: tuple, r: _Forms) -> frozenset:
+    """The leaves of e's node: its own variable for a parameter or a state
+    slot, else the union of its inputs' and both arms', cut at r.bound."""
+    code, _, arg, x, y = e
+    if code == PARAM or code == STATE:
+        return frozenset((_variable(e, r.names),))
+    s = _NO_LEAVES
+    for t in (x, y, *arg) if code == COND else (x, y):
+        if type(t) is int and len(s) < r.bound:  # else s counts as all of them
+            u = r.leaves[t]
+            if not u <= s:
+                s = u if s <= u else s | u
+    return s if len(s) <= r.bound else frozenset(itertools.islice(s, r.bound))
+
+
+def _chosen(e: tuple, forms: dict) -> tuple:
+    """The arms of the conditional entry e whose forms its form reads: the
+    arm a constant condition chooses, both where the condition is not
+    constant, none where it has no form."""
+    fx = forms[e[3]]
+    if fx is None:
+        return ()
+    c = _constant(fx)
+    return e[2] if c is None else (e[2][0] if c else e[2][1],)
+
+
+def _form(e: tuple, r: _Forms) -> dict | None:
+    """The polynomial of e's node over its inputs' forms, or None where it
+    has none: a constant that is not an IntVal, a stuck node, an input or
+    a chosen arm with no form, a placeholder arm chosen, or more than
+    _TERM_CAP terms or degrees."""
+    code, _, arg, x, y = e
+    forms = r.forms
+    if code == BINARY or code == UNARY:
+        ins = (forms[x],) if code == UNARY else (forms[x], forms[y])
+        if ins[0] is None or ins[-1] is None:
+            return None
+        ring = _RING.get(arg)
+        f = ring(*ins) if ring else _opaque(r.names, arg, ins)
+        return None if f is None or len(f) > _TERM_CAP else f
+    if code == CONST:
+        return _constant_form(arg.value) if type(arg) is IntVal else None
+    if code == PARAM or code == STATE:
+        return {(_variable(e, r.names),): 1}
+    if code == PROXY:
+        return forms[x]
+    if code == COND:
+        arms = _chosen(e, forms)
+        if not arms or any(callable(a) or forms[a] is None for a in arms):
+            return None
+        t, f = forms[arms[0]], forms[arms[-1]]
+        return t if t == f else _atom(r.names, COND, (forms[x], t, f))
+    return None  # STUCK
+
+
+_ARMS = (None, False)  # in a walk's to-do list: a conditional's arms
+
+
+def _walk(g: Graph, r: _Forms, root: int) -> bool:
+    """Derive into r the leaves of root and of every node below it, both
+    arms of each conditional included, and the forms of root and of every
+    node its form reads: an arm's only where its conditional may choose
+    it. One iterative post-order over dataflow._entry; a node already
+    derived is not walked again. False where the walk meets a cycle,
+    which is left to free_leaves to raise."""
+    forms, leaves = r.forms, r.leaves
+    if root in forms:
+        return True
+    path = set()
+    stack = []
+    todo = [(root, True)]  # (node, whether its form is wanted), last first
+    e, want = None, True
+    while True:
+        while todo:
+            t, w = todo.pop()
+            if t is None:  # the condition is done: its form picks the arms
+                chosen = _chosen(e, forms) if want else ()
+                todo += [(a, a in chosen) for a in e[2] if type(a) is int]
                 continue
-            if code == BINARY or code == UNARY:
-                ins = (forms[x], forms[y]) if code == BINARY else (forms[x],)
-                ring = _RING.get(arg)
-                f = ring(*ins) if ring else _opaque(names, arg, ins)
-                if f is None or len(f) > _TERM_CAP:
-                    return None
-            elif code == CONST:
-                if type(arg) is not IntVal:
-                    return None
-                f = _constant_form(arg.value)
-            elif code == CHECK:
+            if t in forms or not w and t in leaves:
                 continue
-            elif code == PARAM or code == STATE:
-                f = {(names.setdefault((code, arg if code == PARAM else n), len(names)),): 1}
-            elif code == PROXY:
-                f = forms[x]
-            elif code == COND:
-                c = _constant(forms[x])
-                arms = arg if c is None else (arg[0] if c else arg[1],)
-                todo = [a for a in arms if a not in forms]
-                if todo:
-                    if n in waiting or any(callable(a) for a in todo):
-                        return None
-                    waiting.add(n)
-                    stack.append(itertools.chain(*[schedule(g, (a,)) for a in todo], (entry,)))
-                    break
-                t, e = forms[arms[0]], forms[arms[-1]]
-                f = t if t == e else _atom(names, COND, (forms[x], t, e))
-            else:  # STUCK, CYCLE, or a code with no normal form
-                return None
-            forms[n] = f
-        else:
-            stack.pop()
-    return forms[root]
+            if t in path:
+                return False
+            te = _entry(g, t)
+            code, _, _, x, y = te
+            if code == COND:
+                inputs = [_ARMS, (x, w)]
+            elif y is not None:
+                inputs = [(y, w), (x, w)]
+            elif x is not None:
+                inputs = [(x, w)]
+            else:  # no inputs: done at once
+                if t not in leaves:
+                    leaves[t] = _leaves(te, r)
+                if w:
+                    forms[t] = _form(te, r)
+                continue
+            path.add(t)
+            stack.append((e, want, todo))
+            e, want, todo = te, w, inputs
+        if not stack:
+            return True
+        n = e[1]
+        path.discard(n)
+        if n not in leaves:
+            leaves[n] = _leaves(e, r)
+        if want:
+            forms[n] = _form(e, r)
+        e, want, todo = stack.pop()
 
 
 # Assignments decided per pass over a schedule. A refutation is found only
-# after its whole chunk is evaluated; this keeps that waste small while the
-# per-pass cost is spread over many assignments.
+# after its whole chunk is evaluated, so the first chunk is a few lanes,
+# and every later one _CHUNK, over which the per-pass cost is spread.
+_FIRST_CHUNK = 4
 _CHUNK = 1024
 
 
@@ -274,25 +388,26 @@ def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivV
     """Decide whether the expressions at nid agree on every tried assignment
     of the union of both graphs' free leaves. Equal normal forms prove it
     without trying any (proved, with samples_tried the assignments the
-    proof covers). Otherwise assignments are tried in chunks, all lanes of
-    a chunk at once, so a chunk costs at most the nodes of both cones times
+    proof covers); forms and leaves are derived once per node and kept on
+    each graph. Otherwise assignments are tried in chunks, all lanes of a
+    chunk at once, so a chunk costs at most the nodes of both cones times
     its lanes. Either way the verdict is the one trying them one by one, in
     order, gives. free_leaves raises on a cycle in either cone."""
+    r1, r2 = _shared_forms(g1, g2)
+    if (_walk(g1, r1, nid) and (form := r1.forms[nid]) is not None
+            and _walk(g2, r2, nid) and form == r2.forms[nid]):
+        k = len(r1.leaves[nid] | r2.leaves[nid])
+        return EquivVerdict(Equivalence.EQUIVALENT, None, len(_assignments(dom, k)), proved=True)
+
     p1, s1 = free_leaves(g1, nid)
     p2, s2 = free_leaves(g2, nid)
     param_keys = sorted(p1 | p2)
     slot_keys = sorted(s1 | s2)
     arity = max(param_keys) + 1 if param_keys else 0
-    assignments = _assignments(dom, len(param_keys) + len(slot_keys))
-
-    names: dict = {}
-    form = _normal_form(g1, nid, names)
-    if form is not None and form == _normal_form(g2, nid, names):
-        return EquivVerdict(Equivalence.EQUIVALENT, None, len(assignments), proved=True)
-
-    stream = iter(assignments)
+    stream = iter(_assignments(dom, len(param_keys) + len(slot_keys)))
     tried = 0
-    while chunk := list(itertools.islice(stream, _CHUNK)):
+    width = min(_FIRST_CHUNK, _CHUNK)
+    while chunk := list(itertools.islice(stream, width)):
         columns = [list(c) for c in zip(*chunk)]
         params = dict(zip(param_keys, columns))
         slots = dict(zip(slot_keys, columns[len(param_keys):]))
@@ -308,6 +423,7 @@ def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivV
                               tuple(param_vals), _boxed(left[j]), _boxed(right[j]))
             return EquivVerdict(Equivalence.NOT_EQUIVALENT, witness, tried + j + 1)
         tried += len(chunk)
+        width = _CHUNK
     return EquivVerdict(Equivalence.EQUIVALENT, None, tried)
 
 

@@ -413,11 +413,13 @@ class Graph:
     Derived tables are built on first use and kept: the edge table and the
     def-use index, read from it, by the first edges and users calls, and
     the evaluation schedules by roots tuple and step entries by node,
-    filled in by dataflow.schedule and controlflow.plan. An edit returns a
-    graph with none.
+    filled in by dataflow.schedule and controlflow.plan, and the normal
+    forms and leaf sets by node that equivalence.data_equiv derives
+    (equivalence._Forms, None until then). An edit returns a graph with
+    none.
     """
 
-    __slots__ = ("_nodes", "_edges", "_users", "schedules", "steps")
+    __slots__ = ("_nodes", "_edges", "_users", "schedules", "steps", "forms")
 
     def __init__(self, nodes: dict[int, IRNode]):
         for nid, node in nodes.items():
@@ -430,6 +432,7 @@ class Graph:
         self._users = None
         self.schedules: dict = {}  # roots tuple -> schedule; see dataflow.schedule
         self.steps: dict = {}  # nid -> step entry; see controlflow.plan
+        self.forms = None  # see equivalence.data_equiv
 
     def kind(self, nid: int) -> IRNode:
         return self._nodes.get(nid, NO_NODE)

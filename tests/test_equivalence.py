@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import reference
 import seanode.equivalence as eq_mod
-from conftest import corpus
+from conftest import REPO, corpus
 from genutil import (
     CHAIN_SIG, DATA_RULES, DOUBLING_SIG, OPERATIONS, STUCK_PHI_SIG, build, conditional_chain,
     doubling_dag, gen_rule_case, negate_chain, stuck_phi_program,
@@ -23,11 +23,12 @@ from seanode.equivalence import (
     Domain, Equivalence, EquivVerdict, Witness, behavior_diff, data_equiv,
     with_boundary_values,
 )
+from seanode.fileformat import loads
 from seanode.interproc import run
 from seanode.ir import (
     NODE_KINDS, AddNode, ConditionalNode, ConstantNode, Graph, IntegerLessThanNode, MulNode,
-    NegateNode, ParameterNode, Program, RefNode, ReturnNode, StartNode, StoreFieldNode,
-    SubNode, ValuePhiNode, ValueProxyNode,
+    NegateNode, ParameterNode, Program, RefNode, ReturnNode, Signature, StartNode,
+    StoreFieldNode, SubNode, ValuePhiNode, ValueProxyNode, is_data,
 )
 from seanode.optimize import apply_pass, canonicalize_data
 from seanode.runtime import INT_MAX, INT_MIN, UNDEF, IntVal, MethodState, ObjRef, wrap32
@@ -473,6 +474,33 @@ def test_differential_column_wise_data_equiv_matches_one_by_one(pair, values, ch
                 left, right, root, dom)
 
 
+# Differential property: data_equiv on graphs that keep the records of
+# earlier calls, made with other targets and other partners, against
+# data_equiv on fresh copies of the same graphs.
+
+@given(_graph_pairs(), st.data())
+def test_differential_cached_forms_do_not_change_verdicts(pair, data):
+    g1, g2, root = pair
+    graphs = [g1, g2, _unstuck(g1), g1.replace_node(root, g1.kind(6))]
+    values = data.draw(st.lists(st.sampled_from([-2, -1, 0, 1, 2, INT_MIN, INT_MAX]),
+                                min_size=1, max_size=4, unique=True))
+    dom = Domain(tuple(values))
+    # Both sides drawn from the four graphs, so a graph meets partners whose
+    # records were numbered from another table; and now and then past the
+    # cap, where the leaf bound is another.
+    side = st.sampled_from(range(len(graphs)))
+    calls = st.lists(st.tuples(side, side, st.integers(1, root), st.booleans()),
+                     min_size=1, max_size=12)
+    for left, right, nid, sampled in data.draw(calls):
+        warm = graphs[left], graphs[right]
+        fresh = [Graph(dict(g.items())) for g in warm]
+        with (mock.patch.multiple(eq_mod, _EXHAUSTIVE_CAP=4, _RANDOM_SAMPLES=6) if sampled
+              else contextlib.nullcontext()):
+            got, want = data_equiv(*warm, nid, dom), data_equiv(*fresh, nid, dom)
+        assert (got.status, got.witness, got.samples_tried, got.proved) == (
+            want.status, want.witness, want.samples_tried, want.proved), (left, right, nid)
+
+
 # -- proofs by normal form -------------------------------------------------
 
 def _c(v):
@@ -508,6 +536,26 @@ def test_a_proof_covers_the_assignments_sampling_would_try():
     assert verdict == EquivVerdict(Equivalence.EQUIVALENT, None, 25)
 
 
+def test_a_proved_verdict_prints_as_a_proof():
+    g1 = Graph({1: _P0, 2: _P1, 3: NegateNode(value=2), 5: AddNode(x=1, y=3)})
+    verdict = data_equiv(g1, g1.replace_node(5, SubNode(x=1, y=2)), 5)
+    assert str(verdict) == "Equivalent (proved; covers 25 assignments)"
+    # A verdict from trying assignments prints as it always has.
+    assert str(EquivVerdict(Equivalence.EQUIVALENT, None, 25)) == (
+        "Equivalent (25 assignments tried)")
+    refuted = data_equiv(g1, g1.replace_node(5, AddNode(x=1, y=2)), 5)
+    assert str(refuted) == ("NotEquivalent (1 assignments tried) witness "
+                            "m={} p=[IntVal -2, IntVal -2]: left=IntVal 0, right=IntVal -4")
+
+
+def test_an_unchosen_arm_counts_its_leaves_but_derives_no_form():
+    g = Graph({1: _c(1), 2: _P0, 3: _P1, 4: MulNode(x=3, y=3), 5: ConditionalNode(1, 2, 4)})
+    verdict = data_equiv(g, g.replace_node(5, _P0), 5)
+    assert (verdict.proved, verdict.samples_tried) == (True, 25)  # p0 and p1
+    assert 4 in g.forms.leaves and 4 not in g.forms.forms
+    assert g.replace_node(4, _P1).forms is None  # an edit keeps no records
+
+
 def _square(nodes, nid, times):
     for _ in range(times):
         nodes[nid + 1] = MulNode(x=nid, y=nid)
@@ -534,10 +582,17 @@ def _no_proof_cases():
     }
 
 
+def _form(g, root):
+    """The normal form data_equiv derives for the expression at root and
+    keeps on g, its variables numbered in g.forms.names."""
+    data_equiv(g, g, root)
+    return g.forms.forms[root]
+
+
 @pytest.mark.parametrize("case", sorted(_no_proof_cases()))
 def test_no_proof_where_evaluation_may_be_stuck_or_the_form_is_too_large(case):
     g, root = _no_proof_cases()[case]
-    assert eq_mod._normal_form(g, root, {}) is None
+    assert _form(g, root) is None
     verdict = data_equiv(g, g, root)
     assert verdict.status is Equivalence.EQUIVALENT and not verdict.proved
 
@@ -573,8 +628,7 @@ def test_the_ring_operations_are_their_kinds_op_on_random_ints():
         for operands in ((1, 2), (1, 1), (3, 2)):  # 3 is p0 * p1 + p0
             nodes = {1: _P0, 2: _P1, 4: MulNode(x=1, y=2), 3: AddNode(x=4, y=1)}
             g = Graph({**nodes, 10: kind(*operands[:len(kind.VALUE_EDGES)])})
-            names = {}
-            form = eq_mod._normal_form(g, 10, names)
+            form, names = _form(g, 10), g.forms.names
             for _ in range(200):
                 a, b = rng.randint(INT_MIN, INT_MAX), rng.randint(INT_MIN, INT_MAX)
                 want = evaluate(EvalContext(g, MethodState(), (IntVal(a), IntVal(b))), 10)
@@ -591,20 +645,18 @@ def test_every_other_operation_is_an_atom_folded_through_its_declaration():
         # Over leaves: one variable of its own, the same for the same operands.
         g = Graph({1: _P0, 2: _P1, 10: kind(*(1, 2)[:arity]), 11: kind(*(1, 2)[:arity]),
                    12: kind(*(2, 1)[:arity])})
-        names = {}
-        form = eq_mod._normal_form(g, 10, names)
+        form, names = _form(g, 10), g.forms.names
         leaves = {names[key] for key in names if key[0] == PARAM}
         [(monomial, coefficient)] = form.items()
         assert coefficient == 1 and len(monomial) == 1 and monomial[0] not in leaves
-        assert eq_mod._normal_form(g, 11, names) == form
+        assert _form(g, 11) == form
         if arity == 2:
-            assert eq_mod._normal_form(g, 12, names) != form
+            assert _form(g, 12) != form
         # Over constants: the constant its declaration gives.
         for args in itertools.product(values, repeat=arity):
             consts = {i + 1: _c(v) for i, v in enumerate(args)}
             g = Graph({**consts, 10: kind(*consts)})
-            assert eq_mod._normal_form(g, 10, {}) == eq_mod._normal_form(
-                Graph({10: _c(kind.OP(*args))}), 10, {}), (kind, args)
+            assert _form(g, 10) == _form(Graph({10: _c(kind.OP(*args))}), 10), (kind, args)
 
 
 def test_every_data_rule_is_proved_on_its_drawn_instances():
@@ -725,3 +777,113 @@ def test_differential_a_proof_never_disagrees_with_the_lanes(pair, draws):
     params, slots = {0: p0, 1: p1}, {3: slot}
     assert evaluate_lanes(g1, root, len(lanes), params, slots) == evaluate_lanes(
         g2, root, len(lanes), params, slots)
+
+
+# -- what data_equiv costs ---------------------------------------------------
+
+def _recording_lanes(monkeypatch):
+    """The width of every evaluate_lanes call data_equiv makes, in order."""
+    widths = []
+
+    def recording(g, root, width, params, slots):
+        widths.append(width)
+        return evaluate_lanes(g, root, width, params, slots)
+    monkeypatch.setattr(eq_mod, "evaluate_lanes", recording)
+    return widths
+
+
+def test_a_refutation_on_the_first_assignment_evaluates_only_the_first_chunk(monkeypatch):
+    widths = _recording_lanes(monkeypatch)
+    g = Graph({1: _P0, 2: _P1, 3: AddNode(x=1, y=2)})
+    verdict = data_equiv(g, g.replace_node(3, SubNode(x=1, y=2)), 3, with_boundary_values(Domain()))
+    assert verdict.samples_tried == 1
+    assert widths == [eq_mod._FIRST_CHUNK] * 2  # one pass on each side
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16, 1024])
+def test_chunks_grow_to_chunk_and_never_past_it(monkeypatch, chunk):
+    # Equal, but with no proof: an object constant reaches the root. 7 ** 3
+    # assignments to three parameters.
+    monkeypatch.setattr(eq_mod, "_CHUNK", chunk)
+    widths = _recording_lanes(monkeypatch)
+    g = Graph({1: _P0, 2: _P1, 3: ParameterNode(2), 4: _c(ObjRef(0)), 5: AddNode(x=1, y=2),
+               6: AddNode(x=5, y=3), 7: AddNode(x=6, y=4)})
+    verdict = data_equiv(g, g, 7, with_boundary_values(Domain()))
+    assert (verdict.status, verdict.samples_tried, verdict.proved) == (
+        Equivalence.EQUIVALENT, 7 ** 3, False)
+    first = min(eq_mod._FIRST_CHUNK, chunk)
+    per_side = widths[::2]
+    assert widths[1::2] == per_side and sum(per_side) == 7 ** 3
+    assert per_side[0] == first and max(per_side) <= chunk
+    assert all(w == chunk for w in per_side[1:-1])
+
+
+@pytest.mark.parametrize("cap", [1, 4, 999, 1000, 10 ** 6, 2 ** 50 - 1])
+def test_from_the_leaf_bound_on_the_count_of_assignments_does_not_change(monkeypatch, cap):
+    monkeypatch.setattr(eq_mod, "_EXHAUSTIVE_CAP", cap)
+    bound = eq_mod._leaf_bound()
+    for values in ((0,), (0, 1), (-2, -1, 0, 1, 2), tuple(range(-5, 5))):
+        counts = {len(eq_mod._assignments(Domain(values), k)) for k in range(bound, bound + 40)}
+        assert len(counts) == 1, (values, counts)
+    if bound > 1:  # and not from one leaf fewer
+        two = Domain((0, 1))
+        assert len(eq_mod._assignments(two, bound - 1)) != len(eq_mod._assignments(two, bound))
+
+
+def test_records_cut_under_another_cap_are_not_read(monkeypatch):
+    # Four leaves: under a cap of 4 the leaf bound is 3, so the records
+    # keep at most three; under the default cap all four count again.
+    slot3, slot4 = ValuePhiNode(3, values=(), merge=0), ValuePhiNode(4, values=(), merge=0)
+    g = Graph({1: _P0, 2: _P1, 3: slot3, 4: slot4, 5: AddNode(x=1, y=2), 6: AddNode(x=5, y=3),
+               7: AddNode(x=6, y=4)})
+    same = g.replace_node(7, AddNode(x=4, y=6))
+    with monkeypatch.context() as patched:
+        patched.setattr(eq_mod, "_EXHAUSTIVE_CAP", 4)
+        assert eq_mod._leaf_bound() == 3
+        assert data_equiv(g, same, 7).samples_tried == 1 + eq_mod._RANDOM_SAMPLES
+    verdict = data_equiv(g, same, 7)
+    assert (verdict.proved, verdict.samples_tried) == (True, 5 ** 4)
+
+
+def test_leaf_records_stay_bounded_on_a_deep_chain_of_distinct_leaves():
+    # 10,000 leaves, parameters and state slots in turn, each compared with
+    # the chain so far: the root reads every one of them.
+    n = 10_000
+    nodes = {i: ParameterNode(i) if i % 2 else ValuePhiNode(i, values=(), merge=0)
+             for i in range(1, n + 1)}
+    prev = 1
+    for i in range(2, n + 1):
+        nodes[n + i] = IntegerLessThanNode(x=prev, y=i)
+        prev = n + i
+    g = Graph(nodes)
+    same = g.replace_node(prev, nodes[prev])
+    params, slots = free_leaves(g, prev)
+    assert len(params) + len(slots) == n
+    verdict = data_equiv(g, same, prev)
+    assert (verdict.status, verdict.witness, verdict.samples_tried, verdict.proved) == (
+        Equivalence.EQUIVALENT, None, len(eq_mod._assignments(Domain(), n)), True)
+    bound = eq_mod._leaf_bound()
+    for side in (g, same):
+        assert max(map(len, side.forms.leaves.values())) == bound
+
+
+def test_every_validate_opt_target_is_proved_without_lanes(monkeypatch):
+    # The benchmark's validate-opt workload at seed 1: every rewritten data
+    # node is proved by normal form, so neither free_leaves nor a lane runs.
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import gen
+
+    def unexpected(*args):
+        raise AssertionError("no proof: the lanes path ran")
+    monkeypatch.setattr(eq_mod, "free_leaves", unexpected)
+    monkeypatch.setattr(eq_mod, "evaluate_lanes", unexpected)
+    dom = with_boundary_values(Domain())
+    proved = 0
+    for case in gen.generate("validate-opt", 1):
+        g = loads(case.text).graph(Signature(*case.program.main))
+        optimized, passes = apply_pass(g, "all")
+        for nid in sorted({rw.target for rw in passes.rewrites if is_data(g.kind(rw.target))}):
+            verdict = data_equiv(g, optimized, nid, dom)
+            assert verdict.proved and verdict.status is Equivalence.EQUIVALENT, (nid, verdict)
+            proved += 1
+    assert proved == 2_001
