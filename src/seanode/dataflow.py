@@ -24,10 +24,9 @@ operation reads in place; only a root's arithmetic result is boxed into an
 IntVal. A CHECK entry checks a first operand only where it may not be an
 int. Runs use an explicit work stack, so neither the depth of an
 expression nor the nesting of conditionals is bounded by the recursion
-limit. evaluate_lanes runs the schedules over many assignments at once,
-and free_leaves reads them, arms included; both raise at a CYCLE entry.
-walk_values follows every value edge, arms included, for
-wellformed.check. Every cycle found is a CyclicExpression.
+limit. evaluate_lanes runs the schedules over many assignments at once
+and raises at a CYCLE entry. walk_values follows every value edge, arms
+included, for wellformed.check. Every cycle found is a CyclicExpression.
 """
 
 import itertools
@@ -101,8 +100,9 @@ NO_INPUT = "value input edge to no node"
 def _arithmetic(op):
     def rule(nid, node):
         operands = ir.value_inputs(node)
-        if any(type(o) is not int for o in operands):
-            return _stuck(nid, NO_INPUT)
+        for o in operands:
+            if type(o) is not int:
+                return _stuck(nid, NO_INPUT)
         if len(operands) == 1:
             return (UNARY, nid, op, operands[0], None)
         return (BINARY, nid, op, *operands)
@@ -160,33 +160,6 @@ def walk_values(g: Graph, roots) -> None:
             stack.pop()
             path.discard(nid)
             done.add(nid)
-
-
-def free_leaves(g: Graph, nid: int) -> tuple[set[int], set[int]]:
-    """(parameter indices, state-slot ids) the expression at nid can read:
-    the PARAM and STATE entries of its schedule and of both arms' schedules
-    of every conditional met, all of which are kept on the graph. Raises
-    CyclicExpression at a CYCLE entry or at a conditional met inside its
-    own arms."""
-    params, slots = set(), set()
-    path, met = set(), set()  # conditionals whose arms are being read, or were
-    stack = [(None, iter(schedule(g, (nid,))))]
-    while stack:
-        for code, n, arg, _, _ in stack[-1][1]:
-            if code == PARAM:
-                params.add(arg)
-            elif code == STATE:
-                slots.add(n)
-            elif code == CYCLE or code == COND and n in path:
-                raise CyclicExpression(n)
-            elif code == COND and n not in met:
-                path.add(n)
-                met.add(n)
-                stack.append((n, itertools.chain(*[schedule(g, (arm,)) for arm in arg])))
-                break
-        else:
-            path.discard(stack.pop()[0])
-    return params, slots
 
 
 def schedule(g: Graph, roots: tuple) -> tuple:

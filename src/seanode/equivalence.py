@@ -8,9 +8,10 @@ conditional whose condition is not constant, an opaque atom over its
 normalized operands. Equal normal forms prove that the two expressions
 agree on every assignment of 32-bit ints to the free leaves; a proof says
 nothing about a leaf that holds another value. Each node's form and
-leaves are derived once per graph and kept on it (Graph.forms), numbered
-from one table both graphs of a pair share, so a proof is two lookups and
-a compare. Where there is no proof, the expressions are evaluated over
+leaves are derived once per graph, by one post-order walk of each cone
+that raises CyclicExpression on a cycle, and kept on the graph
+(Graph.forms), numbered from one table both graphs of a pair share, so a
+proof is two lookups and a compare. Where there is no proof, the expressions are evaluated over
 every assignment of a finite value domain to the free leaves, a chunk of
 assignments at a time, with dataflow.evaluate_lanes. Either way the
 verdict is the one trying those assignments gives, and samples_tried
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import runtime
 from .dataflow import (
-    BINARY, COND, CONST, PARAM, PROXY, STATE, UNARY, _entry, evaluate_lanes, free_leaves,
+    BINARY, COND, CONST, PARAM, PROXY, STATE, UNARY, CyclicExpression, _entry, evaluate_lanes,
 )
 from .interproc import ExecOutcome, run
 from .ir import Graph, Program, Signature
@@ -214,41 +215,43 @@ def _opaque(names: dict, op, ins: tuple) -> dict:
 
 class _Forms:
     """What data_equiv keeps on a graph, in Graph.forms: the normal form
-    (or None) of each node whose form was needed, and the leaves of each
-    node walked, as variables numbered in names, the table the graph
-    shares with its partners. A leaf set is cut at bound elements: past
-    _leaf_bound leaves, the count of assignments no longer changes."""
+    (or None) and the leaves of each node walked, as variables numbered in
+    names, the table the graph shares with its partners. A leaf set is cut
+    at _LEAF_BOUND elements, past which the count of assignments no longer
+    changes."""
 
-    __slots__ = ("names", "bound", "forms", "leaves")
+    __slots__ = ("names", "forms", "leaves")
 
-    def __init__(self, names: dict, bound: int):
-        self.names, self.bound = names, bound
+    def __init__(self, names: dict):
+        self.names = names
         self.forms: dict[int, dict | None] = {}
         self.leaves: dict[int, frozenset] = {}
 
 
-def _leaf_bound() -> int:
-    """The least k from which on len(_assignments(dom, k)) is the same for
-    every domain: from there every product of two or more values passes
-    the cap, and the reduced product is one tuple. Read at each call, as
-    the cap may change."""
-    k = max(1, _EXHAUSTIVE_CAP.bit_length())  # 2 ** k > _EXHAUSTIVE_CAP
-    while int(_EXHAUSTIVE_CAP ** (1.0 / k)) > 1:
+def _leaf_bound(cap: int) -> int:
+    """The least k from which on len(_assignments(dom, k)) under cap is the
+    same for every domain: from there every product of two or more values
+    passes the cap, and the reduced product is one tuple."""
+    k = max(1, cap.bit_length())  # 2 ** k > cap
+    while int(cap ** (1.0 / k)) > 1:
         k += 1
     return k
 
 
+# Derived once: a smaller cap has a bound no larger, so from this one on
+# its count of assignments is constant too.
+_LEAF_BOUND = _leaf_bound(_EXHAUSTIVE_CAP)
+
+
 def _shared_forms(g1: Graph, g2: Graph) -> tuple[_Forms, _Forms]:
     """Both graphs' records, numbered from one table: g2 takes g1's table,
-    dropping its own records where it had another. Records cut at another
-    bound are dropped too."""
-    bound = _leaf_bound()
+    dropping its own records where it had another."""
     r1 = g1.forms
-    if r1 is None or r1.bound != bound:
-        r1 = g1.forms = _Forms({} if r1 is None else r1.names, bound)
+    if r1 is None:
+        r1 = g1.forms = _Forms({})
     r2 = g2.forms
-    if r2 is None or r2.names is not r1.names or r2.bound != bound:
-        r2 = g2.forms = _Forms(r1.names, bound)
+    if r2 is None or r2.names is not r1.names:
+        r2 = g2.forms = _Forms(r1.names)
     return r1, r2
 
 
@@ -259,22 +262,33 @@ def _variable(e: tuple, names: dict) -> int:
     return names.setdefault(key, len(names))
 
 
+def _inputs(e: tuple) -> tuple:
+    """The nodes e's node reads, left to right: x, then y, or a
+    conditional's condition, then each arm that is a node id."""
+    code, _, arg, x, y = e
+    if code == COND:
+        return (x, *[a for a in arg if type(a) is int])
+    if y is not None:
+        return (x, y)
+    return () if x is None else (x,)
+
+
 _NO_LEAVES = frozenset()
 
 
 def _leaves(e: tuple, r: _Forms) -> frozenset:
     """The leaves of e's node: its own variable for a parameter or a state
-    slot, else the union of its inputs' and both arms', cut at r.bound."""
-    code, _, arg, x, y = e
-    if code == PARAM or code == STATE:
+    slot, else the union of its inputs' and both arms', cut at _LEAF_BOUND."""
+    if e[0] == PARAM or e[0] == STATE:
         return frozenset((_variable(e, r.names),))
     s = _NO_LEAVES
-    for t in (x, y, *arg) if code == COND else (x, y):
-        if type(t) is int and len(s) < r.bound:  # else s counts as all of them
-            u = r.leaves[t]
-            if not u <= s:
-                s = u if s <= u else s | u
-    return s if len(s) <= r.bound else frozenset(itertools.islice(s, r.bound))
+    for t in _inputs(e):
+        if len(s) >= _LEAF_BOUND:  # s counts as all of them
+            break
+        u = r.leaves[t]
+        if not u <= s:
+            s = u if s <= u else s | u
+    return s if len(s) <= _LEAF_BOUND else frozenset(itertools.islice(s, _LEAF_BOUND))
 
 
 def _chosen(e: tuple, forms: dict) -> tuple:
@@ -317,60 +331,34 @@ def _form(e: tuple, r: _Forms) -> dict | None:
     return None  # STUCK
 
 
-_ARMS = (None, False)  # in a walk's to-do list: a conditional's arms
-
-
-def _walk(g: Graph, r: _Forms, root: int) -> bool:
-    """Derive into r the leaves of root and of every node below it, both
-    arms of each conditional included, and the forms of root and of every
-    node its form reads: an arm's only where its conditional may choose
-    it. One iterative post-order over dataflow._entry; a node already
-    derived is not walked again. False where the walk meets a cycle,
-    which is left to free_leaves to raise."""
+def _walk(g: Graph, r: _Forms, root: int) -> None:
+    """Derive into r the form and leaves of root and of every node below
+    it, both arms of each conditional included: one iterative post-order
+    over dataflow._entry, inputs left to right, that does not walk a node
+    already derived again. Raises CyclicExpression at the first node met
+    again on its own path."""
     forms, leaves = r.forms, r.leaves
     if root in forms:
-        return True
-    path = set()
-    stack = []
-    todo = [(root, True)]  # (node, whether its form is wanted), last first
-    e, want = None, True
-    while True:
-        while todo:
-            t, w = todo.pop()
-            if t is None:  # the condition is done: its form picks the arms
-                chosen = _chosen(e, forms) if want else ()
-                todo += [(a, a in chosen) for a in e[2] if type(a) is int]
-                continue
-            if t in forms or not w and t in leaves:
-                continue
-            if t in path:
-                return False
-            te = _entry(g, t)
-            code, _, _, x, y = te
-            if code == COND:
-                inputs = [_ARMS, (x, w)]
-            elif y is not None:
-                inputs = [(y, w), (x, w)]
-            elif x is not None:
-                inputs = [(x, w)]
-            else:  # no inputs: done at once
-                if t not in leaves:
-                    leaves[t] = _leaves(te, r)
-                if w:
-                    forms[t] = _form(te, r)
-                continue
-            path.add(t)
-            stack.append((e, want, todo))
-            e, want, todo = te, w, inputs
-        if not stack:
-            return True
-        n = e[1]
-        path.discard(n)
-        if n not in leaves:
+        return
+    path = {root}
+    e = _entry(g, root)
+    stack = [(e, iter(_inputs(e)))]
+    while stack:
+        e, todo = stack[-1]
+        for t in todo:
+            if t not in forms:
+                if t in path:
+                    raise CyclicExpression(t)
+                path.add(t)
+                e = _entry(g, t)
+                stack.append((e, iter(_inputs(e))))
+                break
+        else:
+            stack.pop()
+            n = e[1]
+            path.discard(n)
             leaves[n] = _leaves(e, r)
-        if want:
             forms[n] = _form(e, r)
-        e, want, todo = stack.pop()
 
 
 # Assignments decided per pass over a schedule. A refutation is found only
@@ -384,6 +372,27 @@ def _boxed(v):
     return IntVal(v) if type(v) is int else v
 
 
+def _leaf_keys(graphs: tuple, nid: int) -> tuple[list[int], list[int]]:
+    """The sorted parameter indices and state-slot ids below nid in any of
+    graphs, both arms included, which the lanes assign. Each cone has been
+    walked, so it has no cycle."""
+    params, slots = set(), set()
+    for g in graphs:
+        seen, todo = set(), [nid]
+        while todo:
+            t = todo.pop()
+            if t not in seen:
+                seen.add(t)
+                e = _entry(g, t)
+                if e[0] == PARAM:
+                    params.add(e[2])
+                elif e[0] == STATE:
+                    slots.add(t)
+                else:
+                    todo += _inputs(e)
+    return sorted(params), sorted(slots)
+
+
 def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivVerdict:
     """Decide whether the expressions at nid agree on every tried assignment
     of the union of both graphs' free leaves. Equal normal forms prove it
@@ -392,17 +401,17 @@ def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivV
     each graph. Otherwise assignments are tried in chunks, all lanes of a
     chunk at once, so a chunk costs at most the nodes of both cones times
     its lanes. Either way the verdict is the one trying them one by one, in
-    order, gives. free_leaves raises on a cycle in either cone."""
+    order, gives. Raises CyclicExpression on a cycle in either cone, g1's
+    first."""
     r1, r2 = _shared_forms(g1, g2)
-    if (_walk(g1, r1, nid) and (form := r1.forms[nid]) is not None
-            and _walk(g2, r2, nid) and form == r2.forms[nid]):
+    _walk(g1, r1, nid)
+    _walk(g2, r2, nid)
+    form = r1.forms[nid]
+    if form is not None and form == r2.forms[nid]:
         k = len(r1.leaves[nid] | r2.leaves[nid])
         return EquivVerdict(Equivalence.EQUIVALENT, None, len(_assignments(dom, k)), proved=True)
 
-    p1, s1 = free_leaves(g1, nid)
-    p2, s2 = free_leaves(g2, nid)
-    param_keys = sorted(p1 | p2)
-    slot_keys = sorted(s1 | s2)
+    param_keys, slot_keys = _leaf_keys((g1, g2), nid)
     arity = max(param_keys) + 1 if param_keys else 0
     stream = iter(_assignments(dom, len(param_keys) + len(slot_keys)))
     tried = 0

@@ -1,8 +1,9 @@
 """The data semantics, stated rule by rule from each node's fields by name:
-the reference the differential properties hold dataflow and check's
-acyclicity to. It shares no code with dataflow's schedules, runs or walk,
-so a fault in them shows on one side only. It recurses, as the properties
-draw graphs of a few nodes. It keeps dataflow's promises: a root or chosen
+the reference the differential properties hold dataflow, check's
+acyclicity and the leaves data_equiv assigns to. It shares no code with
+dataflow's schedules, runs or walk, or with equivalence's, so a fault in
+them shows on one side only. Evaluation recurses, as the properties draw
+graphs of a few nodes. It keeps dataflow's promises: a root or chosen
 arm on a cycle (arms excluded) raises before any of it runs, and a
 conditional met again in its own arm raises there; a first operand is
 checked before the second is evaluated; an input that is no node id is
@@ -98,3 +99,31 @@ def evaluate(g, state, params: tuple, roots) -> list:
         return vals[arm]
 
     return [run(root) for root in roots]
+
+
+def leaves(g, nid) -> tuple[set, set]:
+    """(parameter indices, state-leaf ids) the expression at nid may read,
+    both arms of each conditional included. A parameter's index and a
+    state leaf's id are leaves. Below any other node are the nodes its
+    value inputs name, if each is a node id, else nothing, as the node is
+    stuck there; an arm is stuck only when chosen, so an arm that is no
+    node id drops only itself. A work list, not recursion: the chains
+    asked about are deep."""
+    params, slots, seen, todo = set(), set(), set(), [nid]
+    while todo:
+        n = todo.pop()
+        if n in seen:
+            continue
+        seen.add(n)
+        node = g.kind(n)
+        if type(node) is ParameterNode:
+            params.add(node.index)
+        elif is_state_leaf(node):
+            slots.add(n)
+        else:
+            inputs = [getattr(node, name) for name in node.VALUE_EDGES]
+            if type(node) is ConditionalNode:
+                inputs = inputs[:1] + [a for a in inputs[1:] if type(a) is int]
+            if all(type(t) is int for t in inputs):
+                todo += inputs
+    return params, slots

@@ -6,11 +6,12 @@ tests/test_acceptance.py` or `-s` to see the lines.
 import random
 import time
 
+import reference
 from conftest import CORPUS_FILES, corpus
 from genutil import DATA_RULES, gen_merge_fixture, gen_rule_case, violated_rules
 from seanode.cli import main
 from seanode.controlflow import LocalConfig, merge_of_end, step
-from seanode.dataflow import EvalContext, evaluate, free_leaves
+from seanode.dataflow import EvalContext, evaluate
 from seanode.equivalence import (
     BOUNDARY_VALUES, Domain, Equivalence, behavior_diff, data_equiv, with_boundary_values,
 )
@@ -97,8 +98,8 @@ def test_criterion_03_canonicalization_soundness():
             rw = canonicalize_data(case.graph, case.nid)
             assert rw is not None and rw.rule == rule, (rule, rw)
             g2 = case.graph.replace_node(rw.target, rw.after)
-            p1, s1 = free_leaves(case.graph, case.nid)
-            p2, s2 = free_leaves(g2, case.nid)
+            p1, s1 = reference.leaves(case.graph, case.nid)
+            p2, s2 = reference.leaves(g2, case.nid)
             k = len(p1 | p2) + len(s1 | s2)
             verdict = data_equiv(case.graph, g2, case.nid, dom)
             assert verdict.status is Equivalence.EQUIVALENT, (rule, verdict)

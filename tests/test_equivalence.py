@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import random
 import signal
@@ -14,10 +15,10 @@ import seanode.equivalence as eq_mod
 from conftest import REPO, corpus
 from genutil import (
     CHAIN_SIG, DATA_RULES, DOUBLING_SIG, OPERATIONS, STUCK_PHI_SIG, build, conditional_chain,
-    doubling_dag, gen_rule_case, negate_chain, stuck_phi_program,
+    damage_bases, damaged_graph, doubling_dag, gen_rule_case, negate_chain, stuck_phi_program,
 )
 from seanode.dataflow import (
-    PARAM, CyclicExpression, EvalContext, EvalStuck, evaluate, evaluate_lanes, free_leaves,
+    PARAM, CyclicExpression, EvalContext, EvalStuck, evaluate, evaluate_lanes,
 )
 from seanode.equivalence import (
     Domain, Equivalence, EquivVerdict, Witness, behavior_diff, data_equiv,
@@ -59,7 +60,7 @@ def test_domain_rejects_repeated_values():
     assert with_boundary_values(Domain((INT_MIN, -1))).int_values == (INT_MIN, -1, INT_MAX)
 
 
-def test_free_leaves_union_of_params_and_slots():
+def test_a_witness_assigns_every_param_and_slot_below_the_target():
     g = Graph({
         1: ParameterNode(0),
         2: ValuePhiNode(2, values=(), merge=0),
@@ -74,8 +75,14 @@ def test_free_leaves_union_of_params_and_slots():
         10: ValueProxyNode(value=8, loopExit=9),
         11: AddNode(x=5, y=10),
     })
-    assert free_leaves(g, 5) == ({0}, {2})
-    assert free_leaves(g, 11) == ({0, 1}, {2, 7})
+    # Refuted on the first assignment, all -2: a parameter not assigned would
+    # read 0, and a slot not assigned would be missing.
+    two = IntVal(-2)
+    for nid, params, slots in ((5, (two,), ((2, two),)), (11, (two, two), ((2, two), (7, two)))):
+        verdict = data_equiv(g, g.replace_node(nid, ConstantNode(IntVal(0))), nid)
+        assert (verdict.status, verdict.samples_tried) == (Equivalence.NOT_EQUIVALENT, 1)
+        assert (verdict.witness.param_assignment, verdict.witness.state_assignment) == (
+            params, slots)
 
 
 @contextlib.contextmanager
@@ -96,14 +103,12 @@ def _interrupted_after(seconds: float):
 def test_cyclic_expression_detected():
     g = Graph({1: AddNode(x=2, y=2), 2: AddNode(x=1, y=1)})
     with pytest.raises(CyclicExpression):
-        free_leaves(g, 1)
-    with pytest.raises(CyclicExpression):
         data_equiv(g, g, 1)
     # A cycle through an arm is in no schedule: only running the arm meets it.
     arm = Graph({1: ParameterNode(0), 2: ConditionalNode(1, 3, 1), 3: NegateNode(2)})
     ctx = EvalContext(arm, MethodState(), (IntVal(1),))
-    runs = (lambda: evaluate(ctx, 2), lambda: free_leaves(arm, 2),
-            lambda: data_equiv(arm, arm, 2), lambda: evaluate_lanes(arm, 2, 2, {0: [0, 1]}, {}))
+    runs = (lambda: evaluate(ctx, 2), lambda: data_equiv(arm, arm, 2),
+            lambda: evaluate_lanes(arm, 2, 2, {0: [0, 1]}, {}))
     for attempt in runs:
         with pytest.raises(CyclicExpression, match="^@2: expression has a cycle through its "
                            "value edges$"), _interrupted_after(1.0):
@@ -114,17 +119,69 @@ def test_cyclic_expression_detected():
 def test_a_value_edge_cycle_is_raised_at_the_node_met_again():
     # 1 -> 2 -> 1: the walk from 1 meets 1 again on its own path.
     g = Graph({1: AddNode(x=2, y=2), 2: AddNode(x=1, y=1)})
-    for attempt in (lambda: free_leaves(g, 1), lambda: data_equiv(g, g, 1)):
+    with pytest.raises(CyclicExpression) as e:
+        data_equiv(g, g, 1)
+    assert e.value.nid == 1
+
+
+def test_a_cycle_in_the_second_graph_only_raises():
+    g = Graph({1: _P0, 2: NegateNode(value=1), 3: AddNode(x=2, y=1)})
+    cyclic = g.replace_node(2, NegateNode(value=3))
+    assert data_equiv(g, g, 3).proved
+    for _ in range(2):  # and the records of a walk that raised do not hide it
         with pytest.raises(CyclicExpression) as e:
-            attempt()
-        assert e.value.nid == 1
+            data_equiv(g, cyclic, 3)
+        assert e.value.nid == 3
 
 
-def test_free_leaves_deep_chain_is_iterative():
+def test_a_cycle_only_in_an_arm_a_constant_condition_never_chooses_raises():
+    # The false arm, never chosen, reads the conditional: 4 -> 3 -> 4.
+    g = Graph({1: _c(1), 2: _P0, 3: NegateNode(value=4), 4: ConditionalNode(1, 2, 3)})
+    same = g.replace_node(4, _P0)
+    with pytest.raises(CyclicExpression) as e:
+        data_equiv(g, same, 4)
+    assert e.value.nid == 4
+    assert evaluate_lanes(g, 4, 1, {0: [5]}, {}) == [5]  # evaluation never meets it
+
+
+def test_a_deep_chain_is_refuted_in_bounded_time():
+    g = negate_chain(3000)  # p0 negated 3,000 times
     start = time.perf_counter()
-    leaves = free_leaves(negate_chain(3000), 2)
+    verdict = data_equiv(g, g.replace_node(2, ConstantNode(IntVal(0))), 2)
     assert time.perf_counter() - start < 5
-    assert leaves == ({0}, set())
+    assert (verdict.status, verdict.samples_tried) == (Equivalence.NOT_EQUIVALENT, 1)
+    assert (verdict.witness.param_assignment, verdict.witness.state_assignment) == (
+        (IntVal(-2),), ())
+
+
+# The sha256 of the outcomes below, joined by newlines.
+DAMAGED_SHA256 = "50374c3a10a6066ceaacdffb289bc34e558c6ea5b60b7d42a0f37fcd94c62871"
+
+
+def test_damaged_graphs_get_a_verdict_or_a_cycle_from_data_equiv():
+    # Every data node of each damaged graph, against the graph itself (whose
+    # records earlier calls keep), a fresh copy and the node replaced by 0.
+    # Where every value input is a node id, the cycle raised is the first
+    # one the reference walk meets, arms included.
+    bases = damage_bases()
+    texts = []
+    for seed in range(1500):
+        g = damaged_graph(bases[seed % len(bases)], random.Random(seed))
+        ids = all(type(getattr(node, name)) is int
+                  for _, node in g.items() for name in node.VALUE_EDGES)
+        for nid in sorted(nid for nid, node in g.items() if is_data(node)):
+            for right in (g, Graph(dict(g.items())), g.replace_node(nid, _c(0))):
+                try:
+                    verdict = data_equiv(g, right, nid)
+                except CyclicExpression as e:
+                    texts.append(str(e))
+                    if ids:
+                        assert e.nid == reference.first_cycle(g, (nid,), set(), arms=True)
+                else:
+                    assert type(verdict) is EquivVerdict
+                    texts.append(str(verdict))
+    assert len(texts) == 37_842
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == DAMAGED_SHA256
 
 
 def test_shared_dag_gets_a_verdict_in_bounded_time():
@@ -374,8 +431,8 @@ def _outcome(g, state, params, nid):
 
 
 def _data_equiv_one_by_one(g1, g2, nid, dom):
-    p1, s1 = free_leaves(g1, nid)
-    p2, s2 = free_leaves(g2, nid)
+    p1, s1 = reference.leaves(g1, nid)
+    p2, s2 = reference.leaves(g2, nid)
     param_keys = sorted(p1 | p2)
     slot_keys = sorted(s1 | s2)
     arity = max(param_keys) + 1 if param_keys else 0
@@ -548,12 +605,15 @@ def test_a_proved_verdict_prints_as_a_proof():
                             "m={} p=[IntVal -2, IntVal -2]: left=IntVal 0, right=IntVal -4")
 
 
-def test_an_unchosen_arm_counts_its_leaves_but_derives_no_form():
-    g = Graph({1: _c(1), 2: _P0, 3: _P1, 4: MulNode(x=3, y=3), 5: ConditionalNode(1, 2, 4)})
-    verdict = data_equiv(g, g.replace_node(5, _P0), 5)
+def test_an_unchosen_arm_with_no_form_counts_its_leaves_and_does_not_block_the_proof():
+    nodes = {1: _c(1), 2: _P0, 3: _P1}
+    high = _square(nodes, 3, 10)  # p1 ** 1024: past the degree cap
+    root = high + 1
+    g = Graph({**nodes, root: ConditionalNode(1, 2, high)})
+    verdict = data_equiv(g, g.replace_node(root, _P0), root)
     assert (verdict.proved, verdict.samples_tried) == (True, 25)  # p0 and p1
-    assert 4 in g.forms.leaves and 4 not in g.forms.forms
-    assert g.replace_node(4, _P1).forms is None  # an edit keeps no records
+    assert g.forms.forms[high] is None
+    assert g.replace_node(high, _P1).forms is None  # an edit keeps no records
 
 
 def _square(nodes, nid, times):
@@ -821,7 +881,7 @@ def test_chunks_grow_to_chunk_and_never_past_it(monkeypatch, chunk):
 @pytest.mark.parametrize("cap", [1, 4, 999, 1000, 10 ** 6, 2 ** 50 - 1])
 def test_from_the_leaf_bound_on_the_count_of_assignments_does_not_change(monkeypatch, cap):
     monkeypatch.setattr(eq_mod, "_EXHAUSTIVE_CAP", cap)
-    bound = eq_mod._leaf_bound()
+    bound = eq_mod._leaf_bound(cap)
     for values in ((0,), (0, 1), (-2, -1, 0, 1, 2), tuple(range(-5, 5))):
         counts = {len(eq_mod._assignments(Domain(values), k)) for k in range(bound, bound + 40)}
         assert len(counts) == 1, (values, counts)
@@ -831,15 +891,15 @@ def test_from_the_leaf_bound_on_the_count_of_assignments_does_not_change(monkeyp
 
 
 def test_records_cut_under_another_cap_are_not_read(monkeypatch):
-    # Four leaves: under a cap of 4 the leaf bound is 3, so the records
-    # keep at most three; under the default cap all four count again.
+    # Four leaves: under a cap of 4 the leaf bound is 3, and the records
+    # kept from that call count all four under the default cap.
     slot3, slot4 = ValuePhiNode(3, values=(), merge=0), ValuePhiNode(4, values=(), merge=0)
     g = Graph({1: _P0, 2: _P1, 3: slot3, 4: slot4, 5: AddNode(x=1, y=2), 6: AddNode(x=5, y=3),
                7: AddNode(x=6, y=4)})
     same = g.replace_node(7, AddNode(x=4, y=6))
     with monkeypatch.context() as patched:
         patched.setattr(eq_mod, "_EXHAUSTIVE_CAP", 4)
-        assert eq_mod._leaf_bound() == 3
+        assert eq_mod._leaf_bound(4) == 3
         assert data_equiv(g, same, 7).samples_tried == 1 + eq_mod._RANDOM_SAMPLES
     verdict = data_equiv(g, same, 7)
     assert (verdict.proved, verdict.samples_tried) == (True, 5 ** 4)
@@ -857,25 +917,25 @@ def test_leaf_records_stay_bounded_on_a_deep_chain_of_distinct_leaves():
         prev = n + i
     g = Graph(nodes)
     same = g.replace_node(prev, nodes[prev])
-    params, slots = free_leaves(g, prev)
+    params, slots = reference.leaves(g, prev)
     assert len(params) + len(slots) == n
     verdict = data_equiv(g, same, prev)
     assert (verdict.status, verdict.witness, verdict.samples_tried, verdict.proved) == (
         Equivalence.EQUIVALENT, None, len(eq_mod._assignments(Domain(), n)), True)
-    bound = eq_mod._leaf_bound()
     for side in (g, same):
-        assert max(map(len, side.forms.leaves.values())) == bound
+        assert max(map(len, side.forms.leaves.values())) == eq_mod._LEAF_BOUND
 
 
 def test_every_validate_opt_target_is_proved_without_lanes(monkeypatch):
     # The benchmark's validate-opt workload at seed 1: every rewritten data
-    # node is proved by normal form, so neither free_leaves nor a lane runs.
+    # node is proved by normal form, so neither the lanes' leaf keys nor a
+    # lane are worked out.
     monkeypatch.syspath_prepend(str(REPO / "bench"))
     import gen
 
     def unexpected(*args):
         raise AssertionError("no proof: the lanes path ran")
-    monkeypatch.setattr(eq_mod, "free_leaves", unexpected)
+    monkeypatch.setattr(eq_mod, "_leaf_keys", unexpected)
     monkeypatch.setattr(eq_mod, "evaluate_lanes", unexpected)
     dom = with_boundary_values(Domain())
     proved = 0
