@@ -25,8 +25,10 @@ IntVal. A CHECK entry checks a first operand only where it may not be an
 int. Runs use an explicit work stack, so neither the depth of an
 expression nor the nesting of conditionals is bounded by the recursion
 limit. evaluate_lanes runs the schedules over many assignments at once
-and raises at a CYCLE entry. walk_values follows every value edge, arms
-included, for wellformed.check. Every cycle found is a CyclicExpression.
+and raises at a CYCLE entry. post_order walks a value cone depth first:
+walk_values (every value edge, arms included, for wellformed.check) and
+equivalence's records and leaf keys are loops over it. Every cycle found
+is a CyclicExpression.
 """
 
 import itertools
@@ -136,30 +138,46 @@ def _entry(g: Graph, nid: int) -> tuple:
     return rule(nid, node)
 
 
+def post_order(roots, entry, inputs, done):
+    """A depth-first walk of a value cone: yield entry(n) for each node n
+    below each of roots in turn that is not in done, after the entries of
+    the nodes inputs(entry(n)) names, left to right. The caller puts each
+    node yielded into done. Iterative, so depth is not bounded by the
+    recursion limit. Raises CyclicExpression at the first node met again
+    on its own path."""
+    path = {}  # the nodes being walked, in order: the last is the newest frame's
+    stack = []  # per node being walked, its entry and what is left of its parent's inputs
+    todo = iter(roots)  # what is left of the newest frame's inputs; roots are no node's
+    while True:
+        for t in todo:
+            if t not in done:
+                if t in path:
+                    raise CyclicExpression(t)
+                e = entry(t)
+                ins = inputs(e)
+                if ins:
+                    path[t] = None
+                    stack.append((e, todo))
+                    todo = iter(ins)
+                    break
+                yield e  # a node with no inputs is on no path
+        else:
+            if not stack:
+                return
+            e, todo = stack.pop()
+            path.popitem()
+            yield e
+
+
 def walk_values(g: Graph, roots) -> None:
     """One walk of the nodes evaluating each of roots, in turn, reaches over
     the value edges of g's edge table, both arms of every conditional
-    included. Iterative, so depth is not bounded by the recursion limit.
-    Raises CyclicExpression at the first node met again on its own path."""
+    included. Raises CyclicExpression at the first node met again on its
+    own path."""
     table = g.edges()
-    path, done = set(), set()
-    stack = [(None, iter(roots))]  # the roots are the inputs of no node
-    while stack:
-        nid, targets = stack[-1]
-        for target in targets:
-            if target in path:
-                raise CyclicExpression(target)
-            if target not in done and target in table:  # else: no value edges
-                values = table[target][2]
-                if values:
-                    path.add(target)
-                    stack.append((target, iter(values)))
-                    break
-                done.add(target)  # no value edges, so on no cycle: no push
-        else:
-            stack.pop()
-            path.discard(nid)
-            done.add(nid)
+    done = set()
+    for n in post_order(roots, lambda n: n, lambda n: table.get(n, ir.NO_EDGES)[2], done):
+        done.add(n)
 
 
 def schedule(g: Graph, roots: tuple) -> tuple:

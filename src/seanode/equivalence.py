@@ -8,25 +8,28 @@ conditional whose condition is not constant, an opaque atom over its
 normalized operands. Equal normal forms prove that the two expressions
 agree on every assignment of 32-bit ints to the free leaves; a proof says
 nothing about a leaf that holds another value. Each node's form and
-leaves are derived once per graph, by one post-order walk of each cone
-that raises CyclicExpression on a cycle, and kept on the graph
+leaves are derived once per graph, in dataflow.post_order over each
+cone, which raises CyclicExpression on a cycle, and kept on the graph
 (Graph.forms), numbered from one table both graphs of a pair share, so a
-proof is two lookups and a compare. Where there is no proof, the expressions are evaluated over
-every assignment of a finite value domain to the free leaves, a chunk of
-assignments at a time, with dataflow.evaluate_lanes. Either way the
-verdict is the one trying those assignments gives, and samples_tried
-counts the assignments it covers. Control rewrites are checked by
-differential whole-program execution.
+proof is two lookups and a compare. Where there is no proof, the leaves
+to assign are read by another post_order over both cones, and the
+expressions are evaluated over every assignment of a finite value domain
+to them, a chunk of assignments at a time, with dataflow.evaluate_lanes.
+Either way the verdict is the one trying those assignments gives, and
+samples_tried counts the assignments it covers. Control rewrites are
+checked by differential whole-program execution.
 """
 
 import enum
 import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import runtime
 from .dataflow import (
-    BINARY, COND, CONST, PARAM, PROXY, STATE, UNARY, CyclicExpression, _entry, evaluate_lanes,
+    BINARY, COND, CONST, PARAM, PROXY, STATE, UNARY, _entry, evaluate_lanes, post_order,
 )
 from .interproc import ExecOutcome, run
 from .ir import Graph, Program, Signature
@@ -105,37 +108,23 @@ _RANDOM_SAMPLES = 256
 _SAMPLE_SEED = 0
 
 
-@dataclass(frozen=True)
-class _Assignments:
-    """A deterministic stream of value tuples for k leaves, and its length:
-    every tuple over values, then draws seeded tuples over the whole domain."""
-
-    values: tuple
-    k: int
-    draws: int
-    domain: tuple
-
-    def __len__(self):
-        return len(self.values) ** self.k + self.draws
-
-    def __iter__(self):
-        product = itertools.product(self.values, repeat=self.k)
-        if not self.draws:
-            return product
-        rng = random.Random(_SAMPLE_SEED)
-        leaves = [self.domain] * self.k
-        return itertools.chain(product, [tuple(map(rng.choice, leaves))
-                                         for _ in range(self.draws)])
-
-
-def _assignments(dom: Domain, k: int) -> _Assignments:
-    """The stream of value tuples data_equiv tries for k leaves: the whole
-    product up to the cap, else a reduced product plus seeded draws."""
+def _assignments(dom: Domain, k: int) -> tuple[int, Iterator[tuple]]:
+    """How many value tuples data_equiv tries for k leaves, and their
+    stream: the whole product up to the cap, else a reduced product plus
+    seeded draws over the whole domain."""
     values = dom.int_values
-    if len(values) ** k <= _EXHAUSTIVE_CAP:
-        return _Assignments(values, k, 0, values)
-    return _Assignments(values[: max(1, int(_EXHAUSTIVE_CAP ** (1.0 / k)))], k,
-                        _RANDOM_SAMPLES, values)
+    count = len(values) ** k
+    if count <= _EXHAUSTIVE_CAP:
+        return count, itertools.product(values, repeat=k)
+    reduced = values[: max(1, int(_EXHAUSTIVE_CAP ** (1.0 / k)))]
+    return len(reduced) ** k + _RANDOM_SAMPLES, itertools.chain(
+        itertools.product(reduced, repeat=k), _draws(values, k, _RANDOM_SAMPLES))
+
+
+def _draws(values: tuple, k: int, n: int) -> Iterator[tuple]:
+    rng = random.Random(_SAMPLE_SEED)  # made on the first draw, not before
+    for _ in range(n):
+        yield tuple(map(rng.choice, itertools.repeat(values, k)))
 
 
 # -- normal forms over Z/2^32 --------------------------------------------
@@ -229,9 +218,9 @@ class _Forms:
 
 
 def _leaf_bound(cap: int) -> int:
-    """The least k from which on len(_assignments(dom, k)) under cap is the
-    same for every domain: from there every product of two or more values
-    passes the cap, and the reduced product is one tuple."""
+    """The least k from which on the count of _assignments(dom, k) under cap
+    is the same for every domain: from there every product of two or more
+    values passes the cap, and the reduced product is one tuple."""
     k = max(1, cap.bit_length())  # 2 ** k > cap
     while int(cap ** (1.0 / k)) > 1:
         k += 1
@@ -333,32 +322,14 @@ def _form(e: tuple, r: _Forms) -> dict | None:
 
 def _walk(g: Graph, r: _Forms, root: int) -> None:
     """Derive into r the form and leaves of root and of every node below
-    it, both arms of each conditional included: one iterative post-order
-    over dataflow._entry, inputs left to right, that does not walk a node
-    already derived again. Raises CyclicExpression at the first node met
-    again on its own path."""
+    it, both arms of each conditional included, in dataflow.post_order
+    over dataflow._entry, not walking a node already derived again. Raises
+    CyclicExpression at the first node met again on its own path."""
     forms, leaves = r.forms, r.leaves
-    if root in forms:
-        return
-    path = {root}
-    e = _entry(g, root)
-    stack = [(e, iter(_inputs(e)))]
-    while stack:
-        e, todo = stack[-1]
-        for t in todo:
-            if t not in forms:
-                if t in path:
-                    raise CyclicExpression(t)
-                path.add(t)
-                e = _entry(g, t)
-                stack.append((e, iter(_inputs(e))))
-                break
-        else:
-            stack.pop()
-            n = e[1]
-            path.discard(n)
-            leaves[n] = _leaves(e, r)
-            forms[n] = _form(e, r)
+    for e in post_order((root,), partial(_entry, g), _inputs, forms):
+        n = e[1]
+        leaves[n] = _leaves(e, r)
+        forms[n] = _form(e, r)
 
 
 # Assignments decided per pass over a schedule. A refutation is found only
@@ -374,22 +345,18 @@ def _boxed(v):
 
 def _leaf_keys(graphs: tuple, nid: int) -> tuple[list[int], list[int]]:
     """The sorted parameter indices and state-slot ids below nid in any of
-    graphs, both arms included, which the lanes assign. Each cone has been
-    walked, so it has no cycle."""
+    graphs, both arms included, which the lanes assign: the PARAM and STATE
+    entries of a post_order over each cone. Each cone has been walked, so
+    it has no cycle."""
     params, slots = set(), set()
     for g in graphs:
-        seen, todo = set(), [nid]
-        while todo:
-            t = todo.pop()
-            if t not in seen:
-                seen.add(t)
-                e = _entry(g, t)
-                if e[0] == PARAM:
-                    params.add(e[2])
-                elif e[0] == STATE:
-                    slots.add(t)
-                else:
-                    todo += _inputs(e)
+        seen = set()
+        for code, n, arg, _, _ in post_order((nid,), partial(_entry, g), _inputs, seen):
+            seen.add(n)
+            if code == PARAM:
+                params.add(arg)
+            elif code == STATE:
+                slots.add(n)
     return sorted(params), sorted(slots)
 
 
@@ -408,12 +375,12 @@ def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivV
     _walk(g2, r2, nid)
     form = r1.forms[nid]
     if form is not None and form == r2.forms[nid]:
-        k = len(r1.leaves[nid] | r2.leaves[nid])
-        return EquivVerdict(Equivalence.EQUIVALENT, None, len(_assignments(dom, k)), proved=True)
+        count, _ = _assignments(dom, len(r1.leaves[nid] | r2.leaves[nid]))
+        return EquivVerdict(Equivalence.EQUIVALENT, None, count, proved=True)
 
     param_keys, slot_keys = _leaf_keys((g1, g2), nid)
     arity = max(param_keys) + 1 if param_keys else 0
-    stream = iter(_assignments(dom, len(param_keys) + len(slot_keys)))
+    _, stream = _assignments(dom, len(param_keys) + len(slot_keys))
     tried = 0
     width = min(_FIRST_CHUNK, _CHUNK)
     while chunk := list(itertools.islice(stream, width)):

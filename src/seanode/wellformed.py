@@ -3,10 +3,11 @@
 check runs every rule in one pass over the nodes in id order, reading
 edges from the graph's edge table, and reports violations by rule, in
 the order of RULES, then by id. Violations are data, never exceptions.
-The acyclicity rule is dataflow.walk_values, one walk over every value
-edge, arms included. The pass notes whether some value edge climbs, to an
-id at or above its node's or to no node id, and the walk runs only then:
-ids fall along every path of the other edges, so none returns to its start.
+The acyclicity rule is dataflow.walk_values: dataflow.post_order over
+every value edge of the edge table, arms included. The pass notes whether
+some value edge climbs, to an id at or above its node's or to no node id,
+and the walk runs only then: ids fall along every path of the other
+edges, so none returns to its start.
 """
 
 from dataclasses import dataclass
@@ -16,12 +17,17 @@ from .ir import Graph
 
 RULES = ("wf_start", "wf_closed", "wf_ends", "wf_phis", "wf_selfid", "wf_acyclic")
 
-# The kinds a rule tests, derived once from the declarations, so a node of
-# a declared kind costs set lookups, not isinstance calls. A node of a class
-# declared elsewhere (a subclass with no role) is tested as its bases are.
-_KINDS = frozenset(ir.NODE_KINDS.values())
-_ENDS = frozenset(k for k in _KINDS if issubclass(k, ir.AbstractEndNode))
-_SELF_IDS = frozenset(k for k in _KINDS if "selfId" in k.__dataclass_fields__)
+# What the rules test of a node's class: (is an end, is a phi, has a
+# selfId), derived from its bases the first time check meets the class, so
+# a declared kind and a subclass with no role take the same path, and each
+# node after the first of its class costs one lookup.
+_FACTS: dict[type, tuple[bool, bool, bool]] = {}
+
+
+def _facts(cls: type) -> tuple[bool, bool, bool]:
+    f = _FACTS[cls] = (issubclass(cls, ir.AbstractEndNode), issubclass(cls, ir.ValuePhiNode),
+                       "selfId" in cls.__dataclass_fields__)
+    return f
 
 
 @dataclass(frozen=True)
@@ -64,12 +70,8 @@ def check(g: Graph) -> WfReport:
             if target not in table:
                 found.append(Violation("wf_closed", nid, f"edge to unmapped id {target}"))
         cls = type(node)
-        if cls in _KINDS:
-            end, phi = cls in _ENDS, cls is ir.ValuePhiNode
-            self_id = node.selfId if cls in _SELF_IDS else None
-        else:
-            end, phi = isinstance(node, ir.AbstractEndNode), isinstance(node, ir.ValuePhiNode)
-            self_id = getattr(node, "selfId", None)
+        end, phi, has_self_id = _FACTS.get(cls) or _facts(cls)
+        self_id = node.selfId if has_self_id else None
         if end and not g.users(nid):
             found.append(Violation("wf_ends", nid, f"{node.kind_name()} has no usage"))
         if phi:

@@ -35,6 +35,17 @@ def test_run_factorial(corpus_dir, capsys):
     assert capsys.readouterr().out.strip() == "Returned IntVal 120"
 
 
+def test_negative_arguments_need_the_equals_spelling(corpus_dir, capsys):
+    path = str(corpus_dir / "max-merge.json")
+    assert main(["run", path, "--method", "max", "--args=-1,2"]) == 0
+    assert capsys.readouterr().out.strip() == "Returned IntVal 2"
+    # argparse reads "-1,2" after a space as an option, not as the value.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--method", "max", "--args", "-1,2"])
+    assert exc.value.code == 2
+    assert "argument --args: expected one argument" in capsys.readouterr().err
+
+
 def test_run_method_by_qualified_name(corpus_dir, capsys):
     code = main(["run", fact_path(corpus_dir), "--method", "Loops.fact", "--args", "4"])
     assert code == 0

@@ -437,7 +437,8 @@ def _data_equiv_one_by_one(g1, g2, nid, dom):
     slot_keys = sorted(s1 | s2)
     arity = max(param_keys) + 1 if param_keys else 0
     tried = 0
-    for raw in eq_mod._assignments(dom, len(param_keys) + len(slot_keys)):
+    _, stream = eq_mod._assignments(dom, len(param_keys) + len(slot_keys))
+    for raw in stream:
         tried += 1
         vals = [IntVal(v) for v in raw]
         params = [IntVal(0)] * arity
@@ -576,9 +577,9 @@ _P0, _P1 = ParameterNode(0), ParameterNode(1)
 def test_the_assignment_stream_is_as_long_as_it_says(monkeypatch, values, k, cap, samples):
     monkeypatch.setattr(eq_mod, "_EXHAUSTIVE_CAP", cap)
     monkeypatch.setattr(eq_mod, "_RANDOM_SAMPLES", samples)
-    stream = eq_mod._assignments(Domain(values), k)
+    count, stream = eq_mod._assignments(Domain(values), k)
     tuples = list(stream)
-    assert len(tuples) == len(stream) and tuples == list(stream)
+    assert len(tuples) == count and tuples == list(eq_mod._assignments(Domain(values), k)[1])
     assert all(len(t) == k and set(t) <= set(values) for t in tuples)
 
 
@@ -883,11 +884,11 @@ def test_from_the_leaf_bound_on_the_count_of_assignments_does_not_change(monkeyp
     monkeypatch.setattr(eq_mod, "_EXHAUSTIVE_CAP", cap)
     bound = eq_mod._leaf_bound(cap)
     for values in ((0,), (0, 1), (-2, -1, 0, 1, 2), tuple(range(-5, 5))):
-        counts = {len(eq_mod._assignments(Domain(values), k)) for k in range(bound, bound + 40)}
+        counts = {eq_mod._assignments(Domain(values), k)[0] for k in range(bound, bound + 40)}
         assert len(counts) == 1, (values, counts)
     if bound > 1:  # and not from one leaf fewer
         two = Domain((0, 1))
-        assert len(eq_mod._assignments(two, bound - 1)) != len(eq_mod._assignments(two, bound))
+        assert eq_mod._assignments(two, bound - 1)[0] != eq_mod._assignments(two, bound)[0]
 
 
 def test_records_cut_under_another_cap_are_not_read(monkeypatch):
@@ -921,7 +922,7 @@ def test_leaf_records_stay_bounded_on_a_deep_chain_of_distinct_leaves():
     assert len(params) + len(slots) == n
     verdict = data_equiv(g, same, prev)
     assert (verdict.status, verdict.witness, verdict.samples_tried, verdict.proved) == (
-        Equivalence.EQUIVALENT, None, len(eq_mod._assignments(Domain(), n)), True)
+        Equivalence.EQUIVALENT, None, eq_mod._assignments(Domain(), n)[0], True)
     for side in (g, same):
         assert max(map(len, side.forms.leaves.values())) == eq_mod._LEAF_BOUND
 

@@ -1,17 +1,21 @@
+import random
 import time
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CORPUS_FILES, corpus
-from genutil import OPERATIONS, build, negate_chain, violated_rules
+from genutil import OPERATIONS, build, damage_bases, damaged_graph, negate_chain, violated_rules
 from reference import first_cycle
+from seanode import dataflow
+from seanode.equivalence import _inputs
 from seanode.fileformat import load
 from seanode.interproc import run
 from seanode.ir import (
     AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, MergeNode, NegateNode,
-    ParameterNode, Program, ReturnNode, Signature, StartNode, StoreFieldNode, SubNode,
-    ValuePhiNode, ValueProxyNode,
+    NO_EDGES, ParameterNode, Program, ReturnNode, Signature, StartNode, StoreFieldNode,
+    SubNode, ValuePhiNode, ValueProxyNode,
 )
 from seanode.runtime import IntVal
 from seanode.wellformed import check
@@ -261,6 +265,75 @@ def _permuted_data_graphs(draw):
 @given(_permuted_data_graphs())
 def test_differential_check_acyclicity_against_the_walk(g):
     assert _acyclic_report(g) == _walked(g)
+
+
+# Differential property: dataflow.post_order, the walk that check's
+# acyclicity, data_equiv's records and the lanes' keys loop over, against a
+# short recursive walk for the order and reference.first_cycle for where a
+# cycle is met.
+
+_DAMAGE_BASES = damage_bases()
+
+
+@st.composite
+def _walked_graphs(draw):
+    """A graph of _permuted_data_graphs or a damaged graph, and roots: every
+    id in order, as check walks them, or ids drawn with repeats."""
+    if draw(st.booleans()):
+        g = draw(_permuted_data_graphs())
+    else:
+        seed = draw(st.integers(0, 10 ** 6))
+        g = damaged_graph(_DAMAGE_BASES[seed % len(_DAMAGE_BASES)], random.Random(seed))
+    ids = sorted(nid for nid, _ in g.items())
+    if not ids or draw(st.booleans()):
+        return g, ids
+    return g, draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6))
+
+
+def _finished(roots, inputs) -> list:
+    """The nodes below roots, in the order a recursive walk, inputs left to
+    right, finishes them; the graph below roots is acyclic."""
+    order = {}
+
+    def visit(n):
+        if n not in order:
+            for t in inputs(n):
+                visit(t)
+            order[n] = None
+
+    for root in roots:
+        visit(root)
+    return list(order)
+
+
+@given(_walked_graphs())
+def test_differential_post_order_against_a_recursive_walk(case):
+    g, roots = case
+    table = g.edges()
+    # (entry, its inputs, its node): the edge table's value edges as
+    # walk_values reads them, and the schedule entries' inputs as data_equiv
+    # reads them, which drop what the edge table keeps of a node whose value
+    # input is no node id.
+    walks = [(lambda n: n, lambda n: table.get(n, NO_EDGES)[2], lambda n: n)]
+    if all(type(t) is int for _, _, values in table.values() for t in values):
+        walks.append((partial(dataflow._entry, g), _inputs, lambda e: e[1]))
+    cycle = first_cycle(g, roots, set(), arms=True)
+    for entry, inputs, node_of in walks:
+        def inputs_of(n):
+            return inputs(entry(n))
+
+        done, order = set(), []
+        try:
+            for e in dataflow.post_order(roots, entry, inputs, done):
+                n = node_of(e)
+                assert n not in done and set(inputs_of(n)) <= done, (n, order)
+                done.add(n)
+                order.append(n)
+        except dataflow.CyclicExpression as e:
+            assert e.nid == cycle
+        else:
+            assert cycle is None
+            assert order == _finished(roots, inputs_of)
 
 
 def test_a_climbing_acyclic_method_is_ok():
