@@ -74,15 +74,43 @@ def _text(value, pad: str) -> str:
     return json.dumps(value)
 
 
+# The indentation of a node record's fields object, of a field, and of a
+# list field's items: a node record is an item of its method's nodes.
+_FIELDS_PAD, _FIELD_PAD, _ITEM_PAD = " " * 10, " " * 12, " " * 14
+
+
+def _field_text(value) -> str:
+    return _text(value, _FIELD_PAD)
+
+
+def _id_text(value) -> str:
+    # A wrong-shape edge (None or a tuple where an id goes) as JSON writes it.
+    return int.__repr__(value) if type(value) is int else _field_text(value)
+
+
+def _ids_text(value: tuple) -> str:
+    if not all(type(v) is int for v in value):
+        return _field_text(value)
+    return _block([_ITEM_PAD + int.__repr__(v) for v in value], _FIELD_PAD, "[]")
+
+
+def _const_text(value) -> str:
+    """{"int": <value>}; only integer constants are serializable."""
+    if not isinstance(value, IntVal):
+        raise ParseError(f"only integer constants are serializable, got {value}")
+    return f'{{\n{_ITEM_PAD}"int": {_text(value.value, _ITEM_PAD)}\n{_FIELD_PAD}}}'
+
+
 def _node_text(nid: int, node: IRNode) -> str:
     """A node record; JSON writes a kind or field name as it is, in quotes."""
+    kind = node.kind_name()
     lines = []
-    for name, _, encode, optional in _CODECS[node.kind_name()][1]:
+    for name, _, write, optional, _ in _CODECS[kind][1]:
         value = getattr(node, name)
         if not (optional and value is None):
-            lines.append(f'            "{name}": {_text(encode(value), " " * 12)}')
-    return (f'        {{\n          "id": {_text(nid, "")},\n          "kind": "{node.kind_name()}",'
-            f'\n          "fields": {_block(lines, " " * 10, "{}")}\n        }}')
+            lines.append(f'{_FIELD_PAD}"{name}": {write(value)}')
+    return (f'        {{\n          "id": {_text(nid, "")},\n          "kind": "{kind}",'
+            f'\n          "fields": {_block(lines, _FIELDS_PAD, "{}")}\n        }}')
 
 
 def dumps(program: Program) -> str:
@@ -119,16 +147,6 @@ def _parse_signature(raw) -> Signature:
     return Signature(raw["class"], raw["name"], tuple(params))
 
 
-def _same(value):
-    return value
-
-
-def _encode_int(value):
-    if not isinstance(value, IntVal):
-        raise ParseError(f"only integer constants are serializable, got {value}")
-    return {"int": value.value}
-
-
 def _is_id_list(raw) -> bool:
     return isinstance(raw, list) and all(map(_is_id, raw))
 
@@ -138,34 +156,42 @@ def _is_int_record(raw) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and INT_MIN <= v <= INT_MAX
 
 
-def _checked(name: str, ok, what: str, convert=_same):
+def _checked(name: str, ok, what: str, convert=None):
     def parse(raw):
         if not ok(raw):
             raise ParseError(f"field {name} must be {what}")
-        return convert(raw)
+        return raw if convert is None else convert(raw)
     return parse
 
 
+def _signature_text(sig: Signature) -> str:
+    return _field_text(_signature_record(sig))
+
+
 def _field_codec(cls, f) -> tuple:
-    """(name, parse, encode, optional) for one declared field of a kind,
-    chosen from its annotated type; an int is a node id if the kind names
-    it as an edge. parse(raw) validates and converts one JSON value."""
+    """(name, parse, write, optional, plain) for one declared field of a
+    kind, chosen from its annotated type; an int is a node id if the kind
+    names it as an edge. parse(raw) validates and converts one JSON value,
+    write(value) gives its text in a node record. A plain field holds a
+    node id or a natural number, which loads takes as it is."""
     name = f.name
     if name in cls.LIST_EDGES:
-        return name, _checked(name, _is_id_list, "an array of node ids", tuple), list, False
+        parse = _checked(name, _is_id_list, "an array of node ids", tuple)
+        return name, parse, _ids_text, False, False
     if name in cls.OPTIONAL_EDGES:
-        return name, _checked(name, _is_id, "a node id"), _same, True
+        return name, _checked(name, _is_id, "a node id"), _id_text, True, True
     if f.type is int:
         what = "a node id" if name in cls.INPUTS + cls.SUCCESSORS else "a non-negative integer"
-        return name, _checked(name, _is_id, what), _same, False
+        return name, _checked(name, _is_id, what), _id_text, False, True
     if f.type is str:
-        return name, _checked(name, lambda raw: isinstance(raw, str), "a string"), _same, False
+        parse = _checked(name, lambda raw: isinstance(raw, str), "a string")
+        return name, parse, _field_text, False, False
     if f.type is Value:
         parse = _checked(name, _is_int_record, '{"int": <signed 32-bit decimal>}',
                          lambda raw: IntVal(raw["int"]))
-        return name, parse, _encode_int, False
+        return name, parse, _const_text, False, False
     if f.type is Signature:
-        return name, _parse_signature, _signature_record, False
+        return name, _parse_signature, _signature_text, False, False
     raise TypeError(f"no seanode/1 codec for {cls.__name__}.{name}: {f.type}")
 
 
@@ -175,34 +201,45 @@ _CODECS = {
     for kind, cls in ir.NODE_KINDS.items()
 }
 
+_RECORD_KEYS = frozenset(("id", "kind", "fields"))
+_ABSENT = object()
+
 
 def _parse_node(raw, method: str) -> tuple[int, IRNode]:
-    if not (isinstance(raw, dict) and raw.keys() == {"id", "kind", "fields"}):
+    """A node record's id and its node, built from the record's fields in
+    declared order: a plain field's value is checked inline, any other goes
+    through its codec."""
+    if not (isinstance(raw, dict) and raw.keys() == _RECORD_KEYS):
         raise ParseError(f"method {method}: node records need exactly id/kind/fields")
     nid = raw["id"]
-    if not _is_id(nid):
+    if not (type(nid) is int and nid >= 0):
         raise ParseError(f"method {method}: node id must be a non-negative integer")
     kind = raw["kind"]
     if not isinstance(kind, str) or kind not in _CODECS:
         raise UnknownKind(str(kind), method)
     cls, codecs = _CODECS[kind]
     field_map = raw["fields"]
-    kwargs = {}
+    args = []
     try:  # where the record is goes into a message only once one is raised
         _req(isinstance(field_map, dict), "fields must be an object")
-        for name, parse, _, optional in codecs:
-            if name in field_map:
-                kwargs[name] = parse(field_map[name])
-            elif optional:
-                kwargs[name] = None
+        get = field_map.get
+        read = 0
+        for name, parse, _, optional, plain in codecs:
+            value = get(name, _ABSENT)
+            if value is _ABSENT:
+                if not optional:
+                    raise ParseError(f"missing required field {name!r}")
+                args.append(None)
             else:
-                raise ParseError(f"missing required field {name!r}")
-        unknown = field_map.keys() - kwargs.keys()
-        if unknown:
+                read += 1
+                args.append(value if plain and type(value) is int and value >= 0
+                            else parse(value))
+        if read != len(field_map):
+            unknown = field_map.keys() - {codec[0] for codec in codecs}
             raise ParseError(f"unknown fields {sorted(unknown)}")
     except ParseError as e:
         raise ParseError(f"method {method}, node {nid}: {e.reason}") from None
-    return nid, cls(**kwargs)
+    return nid, cls(*args)
 
 
 def loads(text: str) -> Program:

@@ -260,8 +260,8 @@ def conditional_elimination(g: Graph) -> tuple[Graph, PassReport]:
         stack.extend(reversed(children[n]))
 
     if rewrites:
-        # Every rewrite was decided on g, so they all go into one build.
-        g = Graph(dict(g.items()) | {rw.target: rw.after for rw in rewrites})
+        # Every rewrite was decided on g, so they all go into one edit.
+        g = g.edit({rw.target: rw.after for rw in rewrites})
     return g, PassReport(rewrites=rewrites, iterations=1, fixpoint=not rewrites)
 
 
@@ -274,8 +274,8 @@ class _Working(dict):
 
 def _sweep_canonicalize(g: Graph) -> tuple[Graph, list[Rewrite]]:
     """One rewrite attempt per id in ascending order. Each rewrite goes into
-    one working map, so later ones see it; one graph is built at the end,
-    and a sweep without rewrites returns g itself, caches and all."""
+    one working map, so later ones see it; they all go into one edit of g at
+    the end, and a sweep without rewrites returns g itself, caches and all."""
     work = _Working(g.items())
     applied = []
     for nid in sorted(work):
@@ -283,7 +283,7 @@ def _sweep_canonicalize(g: Graph) -> tuple[Graph, list[Rewrite]]:
         if rw is not None:
             work[nid] = rw.after
             applied.append(rw)
-    return (Graph(work) if applied else g), applied
+    return (g.edit({rw.target: rw.after for rw in applied}) if applied else g), applied
 
 
 PASS_NAMES = ("canonicalize", "condelim", "all")

@@ -22,6 +22,14 @@ def test_validate_ok(corpus_dir, capsys):
     assert "Loops.fact(int): ok" in out
 
 
+def test_validate_names_a_malformed_record_on_stderr(fixtures_dir, capsys):
+    # Kept out of fixtures/*.json, which every file-driven test loads.
+    path = fixtures_dir / "malformed" / "bad-record.json"
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"seanode: {path}: method Bad.record(): node id must be a non-negative integer\n"
+
+
 def test_validate_broken_phi(fixtures_dir, capsys):
     code = main(["validate", str(fixtures_dir / "broken-phi.json")])
     assert code == 1

@@ -1,11 +1,13 @@
+import hashlib
 import json
+import random
 from dataclasses import fields
 
 import pytest
 
 from conftest import CORPUS_FILES, REPO
 from seanode.fileformat import (
-    FORMAT_VERSION, DuplicateId, ParseError, UnknownKind, dumps, load, loads,
+    FORMAT_VERSION, DuplicateId, FormatError, ParseError, UnknownKind, dumps, load, loads,
 )
 from seanode.interproc import run
 from seanode.ir import LoadFieldNode, Program, ReturnNode, Signature, SubNode
@@ -255,3 +257,75 @@ def test_undecodable_bytes_are_a_parse_error(tmp_path):
     with pytest.raises(ParseError, match="not UTF-8"):
         load(path)
 
+
+# Seeded mutations of corpus node records: loads' outcome on each, the
+# FormatError's class and text or the saved program, pinned by one digest.
+_BAD_VALUES = (None, -1, True, 1.5, "x", [], [-1], {"int": 2 ** 31})
+
+
+def _mutated(record: dict, kinds: list, rng) -> dict:
+    record = dict(record, fields=dict(record["fields"]))
+    fields = record["fields"]
+    how = rng.choice(("drop", "add", "set", "kind", "id"))
+    if how == "drop" and fields:
+        del fields[rng.choice(sorted(fields))]
+    elif how in ("drop", "add"):
+        fields["bogus"] = rng.choice((0, "x"))
+    elif how == "set":
+        fields[rng.choice(sorted(fields) or ["next"])] = rng.choice(_BAD_VALUES)
+    elif how == "kind":
+        record["kind"] = rng.choice(kinds)
+    else:
+        record["id"] = rng.choice((True, False))
+    return record
+
+
+def _loads_outcomes(count: int, seed: int = 0) -> list[str]:
+    docs = [json.loads(path.read_text()) for path in CORPUS_FILES]
+    kinds = sorted({node["kind"] for doc in docs for m in doc["methods"] for node in m["nodes"]})
+    kinds.append("FrobNode")
+    rng = random.Random(seed)
+    outcomes = []
+    for _ in range(count):
+        doc = rng.choice(docs)
+        k = rng.randrange(len(doc["methods"]))
+        method = doc["methods"][k]
+        nodes = list(method["nodes"])
+        i = rng.randrange(len(nodes))
+        nodes[i] = _mutated(nodes[i], kinds, rng)
+        methods = list(doc["methods"])
+        methods[k] = dict(method, nodes=nodes)
+        try:
+            outcomes.append(dumps(loads(json.dumps(dict(doc, methods=methods)))))
+        except FormatError as e:
+            outcomes.append(f"{type(e).__name__}: {e}")
+    return outcomes
+
+
+LOADS_SHA256 = "3f59be6407b46b75287411bf5908225ec321d04139189e186240944c2ed710f1"
+
+
+def test_loads_outcomes_on_mutated_records_are_pinned():
+    outcomes = _loads_outcomes(2000)
+    assert len(outcomes) == 2000
+    digest = hashlib.sha256("\n\0".join(outcomes).encode()).hexdigest()
+    assert digest == LOADS_SHA256
+
+
+# apply_pass on validate-opt at seeds 1, 2, 3 and 7: per case in order, the
+# log lines joined by newlines, then the sweep count, then the saved result.
+VALIDATE_OPT_PASS_SHA256 = "32de503ea8f043006860ed4d7169dfd77a83334cf0d5d3523f4ae6b3816f35d2"
+
+
+def test_apply_pass_on_validate_opt_is_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import gen
+    h = hashlib.sha256()
+    for seed in (1, 2, 3, 7):
+        for case in gen.generate("validate-opt", seed):
+            sig = Signature(*case.program.main)
+            g, report = apply_pass(loads(case.text).graph(sig), "all")
+            for part in ("\n".join(report.log_lines()), str(report.iterations),
+                         dumps(Program({sig: g}))):
+                h.update(part.encode())
+    assert h.hexdigest() == VALIDATE_OPT_PASS_SHA256

@@ -1,19 +1,20 @@
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CORPUS_FILES, corpus
-from genutil import damage_bases, damaged_graph
+from genutil import OPERATIONS, build, damage_bases, damaged_graph
 from seanode import ir, optimize
 from seanode.controlflow import plan
 from seanode.dot import graph_to_dot
 from seanode.fileformat import load
 from seanode.interproc import run
 from seanode.ir import (
-    AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, InvalidEdit,
-    InvokeWithExceptionNode, NoNode, ParameterNode, RefNode, Signature, StartNode,
+    AbstractMergeNode, AddNode, BeginNode, ConstantNode, EndNode, Graph, IfNode, InvalidEdit,
+    InvokeWithExceptionNode, MergeNode, NoNode, ParameterNode, RefNode, Signature, StartNode,
     ValuePhiNode,
 )
 from seanode.runtime import IntVal
@@ -262,3 +263,68 @@ def test_usages_answer_cannot_be_changed_by_its_caller(fact_graph):
     assert g.usages(6) == before
     g.usages(42).add(1)
     assert g.usages(42) == set()
+
+
+_BASES = damage_bases()
+
+
+def _entry(e: tuple) -> tuple:
+    # An end's placeholder root is a new partial per entry: compare what it raises.
+    return (*e[:2], tuple((r.func, r.args) if isinstance(r, partial) else r for r in e[2]),
+            *e[3:])
+
+
+def _draw_edit(data, g: Graph) -> dict:
+    """One to three changes: a drawn operation, a RefNode, a moved or added
+    phi, a merge with other ends, or an operation at a new id."""
+    ids = sorted(nid for nid, _ in g.items())
+    top = max(ids, default=0)
+    some = st.sampled_from(ids + [top + 1, top + 2])
+    merges = [nid for nid in ids if isinstance(g.kind(nid), AbstractMergeNode)] or [top + 1]
+    changes = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        what = data.draw(st.sampled_from(("operation", "ref", "phi", "merge", "insert")))
+        nid = data.draw(st.sampled_from(ids)) if ids else 0
+        if what == "operation":
+            node = build(data.draw(st.sampled_from(OPERATIONS)), lambda _: data.draw(some))
+        elif what == "ref":
+            node = RefNode(next=data.draw(some))
+        elif what == "phi":
+            phis = [n for n in ids if isinstance(g.kind(n), ValuePhiNode)]
+            nid = data.draw(st.sampled_from(phis + [top + 3]))
+            values = tuple(data.draw(st.lists(some, max_size=3)))
+            node = ValuePhiNode(nid, values=values, merge=data.draw(st.sampled_from(merges)))
+        elif what == "merge":
+            nid = data.draw(st.sampled_from(merges + [top + 4]))
+            node = MergeNode(ends=tuple(data.draw(st.lists(some, max_size=3))),
+                             next=data.draw(some))
+        else:
+            nid = top + 5 + len(changes)
+            node = build(data.draw(st.sampled_from(OPERATIONS)), lambda _: data.draw(some))
+        changes[nid] = node
+    return changes
+
+
+@given(st.integers(0, 10 ** 6), st.booleans(), st.integers(1, 6), st.data())
+def test_differential_edited_graph_tables_match_a_fresh_graph(seed, damaged, edits, data):
+    # Each edit's parent has built its edge table, its def-use index and
+    # the step entry of every id; the edit inherits them, and what it then
+    # answers must be what a graph built afresh from its nodes answers.
+    base = _BASES[seed % len(_BASES)]
+    g = damaged_graph(base, random.Random(seed)) if damaged else Graph(dict(base.items()))
+    for _ in range(edits):
+        ids = {nid for nid, _ in g.items()}
+        g.edges()
+        for nid in ids:
+            g.users(nid)
+            plan(g, nid)
+        parent_steps = dict(g.steps)
+        edited = g.edit(_draw_edit(data, g))
+        assert g.steps == parent_steps
+        fresh = Graph(dict(edited.items()))
+        assert edited.edges() == fresh.edges()
+        named = {n for ins, _, _ in fresh.edges().values() for n in ins}
+        for n in ids | named | {nid for nid, _ in fresh.items()}:
+            assert edited.users(n) == fresh.users(n), n
+            assert _entry(plan(edited, n)) == _entry(plan(fresh, n)), n
+        g = edited

@@ -143,18 +143,31 @@ def test_stepping_has_a_rule_for_exactly_the_control_kinds():
         InvokeNode, InvokeWithExceptionNode, ReturnNode, UnwindNode}
 
 
-def test_an_edit_returns_a_graph_without_step_entries(fact_graph):
+def test_an_edit_keeps_the_step_entries_no_changed_id_can_reach(fact_graph):
+    # plan reads a node, an invoke's call target, and an end's merge and
+    # that merge's phis: an edit drops the entries of each changed id, its
+    # users, its inputs and its inputs' inputs, and keeps every other one.
     nodes = dict(fact_graph.items())
     for nid in nodes:
         controlflow.plan(fact_graph, nid)
-    assert fact_graph.steps
-    assert not fact_graph.replace_node(16, ReturnNode(resultOpt=None)).steps
-    assert not fact_graph.insert_node(max(nodes) + 1, ConstantNode(IntVal(0))).steps
+    steps = fact_graph.steps
+
+    def dropped(g):
+        assert all(g.steps[n] is steps[n] for n in g.steps)
+        return set(steps) - set(g.steps)
+
+    # The return, the value it returns, and that proxy's phi and loop exit.
+    assert dropped(fact_graph.replace_node(16, ReturnNode(resultOpt=None))) == {8, 14, 15, 16}
+    # A loop phi, its users, and its merge's ends, whose entries hold its inputs.
+    phi = ValuePhiNode(7, values=(1, 1), merge=6)
+    assert dropped(fact_graph.replace_node(7, phi)) == {1, 5, 6, 7, 11, 18, 19, 20, 21}
+    assert dropped(fact_graph.insert_node(max(nodes) + 1, ConstantNode(IntVal(0)))) == set()
     g = Graph({0: StartNode(next=1), 1: ReturnNode(resultOpt=4), 2: ConstantNode(IntVal(2)),
                3: ConstantNode(IntVal(3)), 4: AddNode(x=2, y=3)})
+    controlflow.plan(g, 0)
     controlflow.plan(g, 1)
     g2, report = apply_pass(g, "canonicalize")
-    assert report.rewrites and g2 is not g and not g2.steps
+    assert report.rewrites and g2 is not g and set(g2.steps) == {0}
 
 
 @pytest.mark.parametrize("node", SAMPLES, ids=lambda n: type(n).__name__)
