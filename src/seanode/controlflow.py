@@ -6,9 +6,10 @@ stepped, into a step entry kept on the graph; local_step, interproc,
 optimize's control-flow graph and conditional elimination (an if's
 condition and successors) read the entry, not the node.
 local_step takes the entry and the configuration as plain values and gives
-the configuration back as plain values, so interproc.run, which plans each
-step once and holds the top frame in locals, builds no record for a local
-step; step plans and applies local_step on a LocalConfig.
+the configuration back as plain values, so interproc.run, which reads each
+step entry with one lookup of g.steps and holds the top frame in locals,
+builds no record for a local step; step plans and applies local_step on a
+LocalConfig. A load or store tests its object for an ObjRef inline.
 
 A step evaluates its entry's roots in one run of dataflow's evaluation
 core (evaluate_roots, or condition_holds for an if), as interproc does for
@@ -155,7 +156,8 @@ def plan(g: Graph, nid: int) -> tuple:
 
 def _resolve_object(roots: tuple, vals: list) -> ObjRef:
     # The object is the last of roots, evaluated to vals; a load or store
-    # without an object root addresses the static-field region.
+    # without an object root addresses the static-field region. The steps
+    # test an ObjRef inline and call this only for any other value.
     if not isinstance(vals[-1], ObjRef):
         raise StepStuck(roots[-1], f"expected an object reference, got {vals[-1]}")
     return vals[-1]
@@ -180,7 +182,11 @@ def local_step(g: Graph, params, nid: int, e: tuple, state: MethodState, heap: D
     if code == STORE:
         _, succ, roots, field = e
         vals = evaluate_roots(g, state, params, roots)
-        val, ref = vals[0], _resolve_object(roots, vals) if len(roots) > 1 else None
+        val, ref = vals[0], None
+        if len(roots) > 1:
+            ref = vals[-1]
+            if type(ref) is not ObjRef:
+                ref = _resolve_object(roots, vals)
         heap = heap.store_field(field, ref, val)
         if on_store is not None:
             on_store(ref.ref if ref is not None else runtime.STATIC_REF, field, val)
@@ -198,7 +204,12 @@ def local_step(g: Graph, params, nid: int, e: tuple, state: MethodState, heap: D
 
     if code == LOAD:
         _, succ, roots, field = e
-        ref = _resolve_object(roots, evaluate_roots(g, state, params, roots)) if roots else None
+        ref = None
+        if roots:
+            vals = evaluate_roots(g, state, params, roots)
+            ref = vals[-1]
+            if type(ref) is not ObjRef:
+                ref = _resolve_object(roots, vals)
         return succ[0], state.set(nid, heap.load_field(field, ref)), heap
 
     if code == STUCK:

@@ -18,17 +18,22 @@ lazy.
 
 A control step reads one or more roots at once: an end's phi inputs, a
 store's value and object, an invoke's arguments. evaluate_roots runs their
-one schedule. Arithmetic results inside a run are plain ints, as in
-evaluate_lanes, and leaves keep the Value they read, whose int an
-operation reads in place; only a root's arithmetic result is boxed into an
-IntVal. A CHECK entry checks a first operand only where it may not be an
-int. Runs use an explicit work stack, so neither the depth of an
-expression nor the nesting of conditionals is bounded by the recursion
-limit. evaluate_lanes runs the schedules over many assignments at once
-and raises at a CYCLE entry. post_order walks a value cone depth first:
-walk_values (every value edge, arms included, for wellformed.check) and
-equivalence's records and leaf keys are loops over it. Every cycle found
-is a CyclicExpression.
+one schedule, read from the graph with one dict lookup (schedule is
+called only on a miss), as is each chosen arm's. Arithmetic results inside
+a run are plain ints, as in evaluate_lanes, and leaves keep the Value they
+read, whose int an operation reads in place; only a root's arithmetic
+result is boxed, by runtime.box, without IntVal's range check, since every
+operation wraps. A binary operation checks its operands itself; a CHECK
+entry checks its first operand before the second's entries only where that
+can fire first: where the first may not be an int (it is no IntVal
+constant and no arithmetic result) and an entry of the second may raise
+(it is no constant or state read). Runs use an explicit work stack, so
+neither the depth of an expression nor the nesting of conditionals is
+bounded by the recursion limit. evaluate_lanes runs the schedules over
+many assignments at once and raises at a CYCLE entry. post_order walks a
+value cone depth first: walk_values (every value edge, arms included, for
+wellformed.check) and equivalence's records and leaf keys are loops over
+it. Every cycle found is a CyclicExpression.
 """
 
 import itertools
@@ -36,7 +41,7 @@ from functools import partial
 
 from . import ir
 from .ir import Graph
-from .runtime import UNDEF, IntVal, MethodState, Value
+from .runtime import UNDEF, IntVal, MethodState, Value, box
 
 
 class EvalStuck(Exception):
@@ -84,7 +89,9 @@ PROXY = 5  # forwards x
 COND = 6  # arg: (true arm, false arm), each a root; x: the condition
 CHECK = 7  # x, the first operand of the BINARY node nid, must be an integer;
 # placed where evaluating inputs left to right checks it, before y's entries,
-# unless x's entry is a BINARY or UNARY one just before it: that gives an int
+# and only where it can fire before the BINARY entry's own check of x: where
+# x's entry may give a non-int (it is no IntVal constant and no arithmetic
+# entry) and some entry y adds may raise (it is no CONST or STATE read)
 STUCK = 8  # arg: makes the EvalStuck evaluation raises here, afresh each time
 CYCLE = 9  # a cycle through nid's value edges; arg makes its CyclicExpression
 
@@ -196,7 +203,8 @@ def schedule(g: Graph, roots: tuple) -> tuple:
 
 
 def _build_schedule(g: Graph, roots: tuple) -> tuple:
-    order, done = [], set()
+    order, done = [], {}  # done: each node in order, to its entry
+    raising = 0  # the entries of order that may raise: all but CONST and STATE
     for root in roots:
         if callable(root):
             order.append((STUCK, root, root, None, None))
@@ -205,30 +213,42 @@ def _build_schedule(g: Graph, roots: tuple) -> tuple:
             continue
         start = len(order)
         path = {root}
-        stack = [[_entry(g, root), 3]]  # an entry and the index of its next input
+        # An entry, the index of its next input and, for a BINARY entry once
+        # its y is reached, (where y's entries start, raising there).
+        stack = [[_entry(g, root), 3, None]]
         while stack:
             top = stack[-1]
-            e, i = top
+            e, i, mark = top
             if i < 5 and e[i] is not None:
                 top[1] = i + 1
                 t = e[i]
+                if i == 4 and e[0] == BINARY:
+                    top[2] = (len(order), raising)
                 if t in done:
                     continue
                 if t in path:
                     del order[start:]
                     order.append((CYCLE, t, partial(CyclicExpression, t), None, None))
                     return tuple(order)
-                if i == 4 and e[0] == BINARY and not (  # x is done: order is not empty
-                        order[-1][1] == e[3] and UNARY <= order[-1][0] <= BINARY):
-                    order.append((CHECK, e[1], None, e[3], None))
                 path.add(t)
-                stack.append([_entry(g, t), 3])
+                stack.append([_entry(g, t), 3, None])
             else:
                 stack.pop()
                 path.discard(e[1])
-                done.add(e[1])
+                if mark is not None and raising > mark[1] and not _gives_int(done[e[3]]):
+                    order.insert(mark[0], (CHECK, e[1], None, e[3], None))
+                    raising += 1
+                done[e[1]] = e
                 order.append(e)
+                if e[0] != CONST and e[0] != STATE:
+                    raising += 1
     return tuple(order)
+
+
+def _gives_int(e: tuple) -> bool:
+    """Whether the value of entry e is an int whenever it runs without
+    raising: an IntVal constant's, or an arithmetic result."""
+    return e[0] == UNARY or e[0] == BINARY or (e[0] == CONST and type(e[2]) is IntVal)
 
 
 def _integer(v, nid: int) -> int:
@@ -257,9 +277,11 @@ def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
     raises where evaluating the roots left to right, inputs left to right,
     first gets stuck."""
     vals = {}
-    waiting = {}  # conditional -> (its entries, chosen arm) while the arm runs
+    waiting = None  # conditional -> (its entries, chosen arm) while the arm runs
     read = state.defined.get  # a state leaf's value: read(n, UNDEF) is state[n]
-    entries = iter(schedule(g, roots))
+    kept = g.schedules
+    s = kept.get(roots)
+    entries = iter(schedule(g, roots) if s is None else s)
     while True:
         for code, n, arg, x, y in entries:  # the codes by how often they run
             if code == BINARY:
@@ -292,10 +314,13 @@ def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
                 if arm in vals:
                     vals[n] = vals[arm]
                     continue
-                if n in waiting:
+                if waiting is None:
+                    waiting = {}
+                elif n in waiting:
                     raise CyclicExpression(n)
                 waiting[n] = (entries, arm)
-                entries = iter(schedule(g, (arm,)))
+                s = kept.get((arm,))
+                entries = iter(schedule(g, (arm,)) if s is None else s)
                 break
             else:
                 raise arg()
@@ -316,7 +341,7 @@ def evaluate_roots(g: Graph, state: MethodState, params: tuple, roots: tuple) ->
     out = []  # a loop, not a comprehension: this runs once per control step
     for root in roots:
         v = vals[root]
-        out.append(IntVal(v) if type(v) is int else v)  # box an arithmetic result
+        out.append(box(v) if type(v) is int else v)  # an arithmetic result: in range
     return out
 
 

@@ -4,10 +4,11 @@ whole-program driver with a fuel bound and step tracing.
 step_top applies one global rule to a GlobalConfig: a local step of the top
 frame, or the invoke, return and unwind rules of _frame_step, which take
 and give the top frame's fields. run applies the same rules, picked by the
-same step entry code, but plans each step once and holds the top frame's
-fields in locals: a local step goes straight to local_step, a Frame is
-built only for the caller an invoke pushes, and a GlobalConfig only for
-on_step."""
+same step entry code, but reads each step entry with one dict lookup,
+planning only the first time, and holds the top frame's fields in locals:
+a local step goes straight to local_step, a Frame is built only for the
+caller an invoke pushes, and a GlobalConfig only for on_step. The return
+and unwind rules read the caller's invoke entry the same way."""
 
 import enum
 from dataclasses import dataclass
@@ -179,7 +180,9 @@ def _frame_step(program: Program, e: tuple, g: Graph, nid: int, state: MethodSta
         raise UncaughtTopLevel(f"{exit_kind} with no calling frame")
     v = _exit_value(g, state, params, e)
     g, nid, state, params, caller, depth = caller
-    e = plan(g, nid)
+    e = g.steps.get(nid)  # the invoke's entry, kept when it was stepped
+    if e is None:
+        e = plan(g, nid)
     if e[0] != INVOKE:
         raise GlobalStuck(f"{exit_kind} into non-invoke caller node {nid}")
     succ = e[1]
@@ -226,8 +229,11 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
             stores.append((addr, fname, v))
             if on_store is not None:
                 on_store(addr, fname, v)
+    kept = g.steps  # the step entries of the top frame's graph
     while True:
-        e = plan(g, nid)
+        e = kept.get(nid)
+        if e is None:
+            e = plan(g, nid)
         code = e[0]
         try:
             if caller is None and (code == RETURN or code == UNWIND):
@@ -241,6 +247,7 @@ def run(program: Program, main: Signature, args, fuel: int = 1_000_000,
             if INVOKE <= code <= UNWIND:
                 g, nid, state, params, caller, depth = _frame_step(
                     program, e, g, nid, state, params, caller, depth)
+                kept = g.steps
             else:
                 nid, state, heap = local_step(g, params, nid, e, state, heap, store_hook)
         except EvalStuck as err:

@@ -34,6 +34,19 @@ class IntVal(Value):
         return f"IntVal {self.value}"
 
 
+_new = object.__new__
+_set_value = IntVal.value.__set__  # the slot's setter, under the frozen __setattr__
+
+
+def box(v: int) -> IntVal:
+    """IntVal(v) for an int v already in 32-bit range, built without the
+    dataclass __init__ and its range check: an arithmetic result, which every
+    int_* operation wraps. Equal to IntVal(v) in type, ==, hash and str."""
+    b = _new(IntVal)
+    _set_value(b, v)
+    return b
+
+
 @dataclass(frozen=True, slots=True)
 class ObjRef(Value):
     ref: int

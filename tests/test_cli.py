@@ -95,6 +95,15 @@ def test_run_stuck_exit_code(tmp_path, capsys):
     assert "Stuck" in capsys.readouterr().out
 
 
+def test_run_stuck_at_a_non_int_first_operand(fixtures_dir, capsys):
+    # check-clean: gap B's return MulNode(NewInstance, 0), as the CLI smoke runs it.
+    path = str(fixtures_dir / "stuck" / "mul-object.json")
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["run", path, "--method", "mulObject"]) == 5
+    assert capsys.readouterr().out == "Stuck: @1: expected an integer, got ObjRef 0\n"
+
+
 def test_run_wrong_arg_count(corpus_dir, capsys):
     code = main(["run", fact_path(corpus_dir), "--method", "fact", "--args", "1,2"])
     assert code == 2

@@ -133,17 +133,51 @@ def test_stuck_on_non_integer_operand():
         evaluate(c, 3)
 
 
-def test_a_first_operand_is_checked_before_the_second_unless_its_entry_is_arithmetic():
-    # Only a leaf can hold a non-int; an arithmetic entry just before gives an int.
-    g = Graph({1: ParameterNode(0), 2: NegateNode(value=1), 3: ConstantNode(IntVal(3)),
-               4: AddNode(x=1, y=3), 5: AddNode(x=2, y=7), 6: AddNode(x=5, y=4),
-               7: ConstantNode(IntVal(7))})
-    s = schedule(g, (6,))
-    assert [(e[1], e[3]) for e in s if e[0] == dataflow.CHECK] == [(4, 1)]
-    assert evaluate_roots(g, MethodState(), (IntVal(2),), (6,)) == [IntVal(10)]
+# AddNode 3 of x = 1 and y = 2, with the given nodes for x and y; 4 and 5
+# are spare ids for their inputs.
+def _add_of(x, y, spare=None):
+    return Graph({1: x, 2: y, 3: AddNode(x=1, y=2), **(spare or {})})
+
+
+_SEVEN = ConstantNode(IntVal(7))
+_OUT_OF_RANGE = ParameterNode(5)  # raises ParamOutOfRange under fewer than 6 parameters
+
+# The CHECK entries of AddNode 3 as each case gives them: (nid, x) where x
+# is checked before y's entries, [] where the AddNode's own check of x is
+# first to fire.
+_CHECK_CASES = {
+    "x an IntVal constant": (_add_of(_SEVEN, _OUT_OF_RANGE), []),
+    "y a constant": (_add_of(ParameterNode(0), _SEVEN), []),
+    "y a state read": (_add_of(ParameterNode(0), ValuePhiNode(2, values=(), merge=0)), []),
+    "x arithmetic": (_add_of(NegateNode(value=4), _OUT_OF_RANGE, {4: ParameterNode(0)}),
+                     []),
+    "x a non-int constant, y a constant": (_add_of(ConstantNode(ObjRef(0)), _SEVEN), []),
+    "y a parameter": (_add_of(ParameterNode(0), _OUT_OF_RANGE), [(3, 1)]),
+    "y arithmetic": (_add_of(ParameterNode(0), NegateNode(value=4), {4: _SEVEN}), [(3, 1)]),
+    "y a conditional": (_add_of(ParameterNode(0), ConditionalNode(
+        condition=4, trueValue=4, falseValue=5), {4: _SEVEN, 5: _OUT_OF_RANGE}), [(3, 1)]),
+    "y a proxy": (_add_of(ParameterNode(0), ValueProxyNode(value=4, loopExit=0), {4: _SEVEN}),
+                  [(3, 1)]),
+    "x a non-int constant, y a parameter": (_add_of(ConstantNode(ObjRef(0)), _OUT_OF_RANGE),
+                                            [(3, 1)]),
+}
+
+
+def test_a_first_operand_is_checked_before_the_second_only_where_it_can_fire_first():
+    # A CHECK entry runs x's check before y's entries only where x may be a
+    # non-int and an entry y adds may raise first (any but a CONST or STATE
+    # read); elsewhere the AddNode's own check of x is the first to fire.
+    state = MethodState().set(2, ObjRef(1))
+    for name, (g, checks) in _CHECK_CASES.items():
+        assert [(e[1], e[3]) for e in schedule(g, (3,)) if e[0] == dataflow.CHECK] == checks, name
+        for params in ((IntVal(2),), (ObjRef(0),), (UNDEF,), ()):
+            expected = _outcome(lambda: reference.evaluate(g, state, params, (3,)))
+            assert _outcome(lambda: evaluate_roots(g, state, params, (3,))) == expected, name
+    # The CHECK is what makes a non-int x stuck before an out-of-range y.
+    g, _ = _CHECK_CASES["y a parameter"]
     with pytest.raises(EvalStuck) as stuck:
-        evaluate_roots(g, MethodState(), (ObjRef(0),), (6,))
-    assert stuck.value.nid == 1
+        evaluate_roots(g, MethodState(), (ObjRef(0),), (3,))
+    assert (stuck.value.nid, stuck.value.reason) == (1, "expected an integer, got ObjRef 0")
 
 
 def test_conditional_on_an_object_reference_is_stuck_at_the_condition():

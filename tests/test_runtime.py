@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from seanode import ir
 from seanode.runtime import (
     INT_MAX, INT_MIN, STATIC_REF, UNDEF, DynamicHeap, IntVal, MethodState,
-    ObjRef, int_add, int_less_than, int_mul, int_negate, int_sub, wrap32,
+    ObjRef, box, int_add, int_less_than, int_mul, int_negate, int_sub, wrap32,
 )
 
 
@@ -99,6 +99,18 @@ def test_differential_int_ops_match_wrap32_of_the_exact_result(a, b):
         got = k.OP(*operands)
         assert type(got) is int and got == wrap32(_EXACT[k.OP](*operands)), (k, operands)
     assert int_less_than(a, b) in (0, 1)
+
+
+@given(_INT32, _INT32)
+def test_differential_an_operations_unchecked_box_equals_its_checked_intval(a, b):
+    # evaluate_roots boxes an arithmetic result with box, which skips the
+    # range check IntVal makes: every operation must wrap into range.
+    for k in (k for k in ir.NODE_KINDS.values() if k.OP):
+        v = k.OP(*(a, b)[:len(k.VALUE_EDGES)])
+        assert INT_MIN <= v <= INT_MAX, (k, a, b)
+        boxed, checked = box(v), IntVal(v)
+        assert type(boxed) is IntVal and boxed == checked and hash(boxed) == hash(checked)
+        assert (str(boxed), repr(boxed)) == (str(checked), repr(checked))
 
 
 def test_load_fresh_field_defaults_to_zero():
