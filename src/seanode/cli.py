@@ -57,6 +57,11 @@ def _parse_args_list(text):
     return out
 
 
+# The most values diff --domain accepts; a wider range is a usage error,
+# raised before the range is built.
+MAX_DOMAIN = 1 << 16
+
+
 def _parse_domain(text):
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -69,6 +74,8 @@ def _parse_domain(text):
         raise CliError(f"empty domain {text!r}")
     if lo < INT_MIN or hi > INT_MAX:
         raise CliError(f"domain bounds out of 32-bit range: {text!r}")
+    if hi - lo >= MAX_DOMAIN:
+        raise CliError(f"domain {text!r} has {hi - lo + 1} values, more than {MAX_DOMAIN}")
     return tuple(range(lo, hi + 1))
 
 

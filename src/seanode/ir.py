@@ -6,11 +6,13 @@ table (role predicates, value edges, field codecs, and the evaluation and
 step entries of dataflow and controlflow) is derived from that, so generic
 code needs no per-kind cases. An edge's shape (one, optional, or a list) is
 stated once, by its field's type, and the edge readers are derived from it.
+A graph decodes each node's edges once, into its edge table, and derives its
+def-use index from that table; an edit inherits the table and the control
+step entries and derives its def-use index again on first use.
 """
 
 import enum
 from dataclasses import dataclass
-from itertools import filterfalse
 from operator import attrgetter
 from typing import ClassVar, get_type_hints
 
@@ -417,9 +419,10 @@ class Graph:
     entries by node, filled in by dataflow.schedule and controlflow.plan,
     and the normal forms and leaf sets by node that equivalence.data_equiv
     derives (equivalence._Forms, None until then). An edited graph inherits
-    the edge table, the def-use index and the step entries its parent has
-    built, each brought up to date for the changed ids; it starts without
-    schedules or forms.
+    only what costs node decoding: the edge table and the step entries its
+    parent has built, brought up to date for the changed ids. What is a
+    function of the edge table alone, the def-use index, it derives again
+    on its first users call; it starts without schedules or forms.
     """
 
     __slots__ = ("_nodes", "_edges", "_users", "schedules", "steps", "forms")
@@ -482,50 +485,24 @@ class Graph:
     def edit(self, changes: dict[int, IRNode]) -> "Graph":
         """This graph with each id of changes mapped to its node, replaced or
         added. The edit re-derives the edge table's rows of the changed ids
-        only, and the def-use index's entries of the ids their old or new
-        rows name. It drops the step entries controlflow.plan may have read
-        a changed id for, in this graph or the edit: those of the changed
-        ids, of their users, of their inputs and of their inputs' inputs
-        (an invoke reads its call target, an end its merge and the merge's
-        phis, and a merge's inputs are its ends)."""
+        only; its def-use index is built afresh on its first users call. It
+        drops the step entries controlflow.plan may have read a changed id
+        for, in this graph or the edit: those of the changed ids, of their
+        users, of their inputs and of their inputs' inputs (an invoke reads
+        its call target, an end its merge and the merge's phis, and a
+        merge's inputs are its ends)."""
         g = Graph(changes)  # checks only the changed entries
-        g._nodes = nodes = {**self._nodes, **changes}  # the one copy of the map
+        g._nodes = {**self._nodes, **changes}  # the one copy of the map
         edges = self._edges
         if edges is None:
             return g
-        old = {nid: edges.get(nid, NO_EDGES)[0] for nid in changes}
         rows = {nid: edges_of(node) for nid, node in changes.items()}
         g._edges = table = {**edges, **rows}
-        if self.steps and self._users is None:
-            self.users(0)  # the drops below read the parent's users
-        if self._users is not None:
-            # Each entry an old or new row names is rebuilt once, in the
-            # map's order, as a fresh index lists it.
-            named: dict = {}  # input -> the changed ids naming it, once per edge
-            for nid, (ins, _, _) in rows.items():
-                for n in ins:
-                    named.setdefault(n, []).append(nid)
-            g._users = users = dict(self._users)
-            changed = changes.__contains__
-            for n in {n for ins in old.values() for n in ins}.difference(named):
-                row = tuple(filterfalse(changed, users[n]))
-                if row:
-                    users[n] = row
-                else:
-                    del users[n]
-            rank = None
-            for n, new in named.items():
-                row = [*filterfalse(changed, users.get(n, ())), *new]
-                if len(row) > 1:
-                    if rank is None:
-                        rank = dict(zip(nodes, range(len(nodes)))).__getitem__
-                    row.sort(key=rank)
-                users[n] = tuple(row)
         if self.steps:
             drop = set(changes)
-            for nid, ins in old.items():
-                drop.update(self._users.get(nid, ()))
-                for n in (*ins, *rows[nid][0]):
+            for nid, (ins, _, _) in rows.items():
+                drop.update(self.users(nid))  # this graph's users
+                for n in (*edges.get(nid, NO_EDGES)[0], *ins):
                     drop.add(n)
                     drop.update(table.get(n, NO_EDGES)[0])
             g.steps = steps = dict(self.steps)

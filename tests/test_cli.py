@@ -4,6 +4,7 @@ import pytest
 
 from conftest import corpus
 from genutil import STUCK_PHI_SIG, stuck_phi_program
+from seanode import cli
 from seanode.cli import main
 from seanode.dot import graph_to_dot
 from seanode.fileformat import dumps, load, save
@@ -288,6 +289,19 @@ def test_bad_numeric_option_is_a_usage_error(corpus_dir, capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("seanode: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("lo, hi", [(-2 ** 31, 2 ** 31 - 1), (0, cli.MAX_DOMAIN)])
+def test_a_domain_wider_than_the_cap_is_refused_before_it_is_built(corpus_dir, capsys,
+                                                                 monkeypatch, lo, hi):
+    # The full 32-bit range would be 2**32 ints: building any range fails here.
+    monkeypatch.setattr(cli, "range", lambda *_: pytest.fail("range built"), raising=False)
+    path = fact_path(corpus_dir)
+    assert main(["diff", path, path, "--method", "fact", f"--domain={lo}..{hi}"]) == 2
+    assert capsys.readouterr() == (
+        "", f"seanode: domain '{lo}..{hi}' has {hi - lo + 1} values, more than 65536\n")
+    monkeypatch.undo()
+    assert cli._parse_domain(f"1..{cli.MAX_DOMAIN}") == tuple(range(1, cli.MAX_DOMAIN + 1))
 
 
 def test_stuck_phi_update_is_classified(tmp_path, capsys):

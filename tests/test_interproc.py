@@ -12,7 +12,7 @@ from genutil import (
     CHAIN_SIG, STORE_LOOP_SIG, STUCK_PHI_SIG, damage_bases, damaged_graph, store_loop,
     stuck_phi_program,
 )
-from seanode import interproc, ir
+from seanode import interproc, ir, runtime
 from seanode.controlflow import RETURN, UNWIND, StepStuck, plan
 from seanode.dataflow import EvalStuck, ParamOutOfRange, evaluate_lanes
 from seanode.equivalence import Equivalence, data_equiv
@@ -520,6 +520,40 @@ def test_step_rate_test_fails_with_a_heap_that_copies_on_store(monkeypatch):
     monkeypatch.setattr(interproc, "DynamicHeap", _CopyingHeap)
     with pytest.raises(AssertionError, match=r"^\{400: "):  # the rate bound, not a result
         test_step_rate_does_not_fall_with_recursion_depth()
+
+
+def test_every_store_at_any_recursion_depth_writes_the_one_heap_dict(monkeypatch):
+    # The step-rate test's property by structure, so no machine speed
+    # enters: at depths 400 and 6,400 every heap version a store makes
+    # shares its run's one dict, so no store copies cells, and run's loads
+    # and stores reroot no older version, so no diff is applied.
+    p = recursive_alloc_store()
+    heap, reroot = interproc.DynamicHeap, runtime._reroot
+    store, dicts, rerooted = heap.store_field, [], []
+
+    def recording_store(self, fname, obj, v):
+        result = store(self, fname, obj, v)
+        dicts.append(id(result._version[0]))
+        return result
+
+    def recording_reroot(version):
+        rerooted.append(version)
+        return reroot(version)
+
+    monkeypatch.setattr(heap, "store_field", recording_store)
+    monkeypatch.setattr(runtime, "_reroot", recording_reroot)
+    for depth in (400, 6400):
+        dicts.clear()
+        result = run(p, REC_SIG, [IntVal(depth)])
+        assert result.value == IntVal(0) and result.heap.free == depth
+        assert len(dicts) == depth and len(set(dicts)) == 1, depth
+    assert rerooted == []
+
+
+def test_one_heap_dict_test_fails_with_a_heap_that_copies_on_store(monkeypatch):
+    monkeypatch.setattr(interproc, "DynamicHeap", _CopyingHeap)
+    with pytest.raises(AssertionError, match=r"^400\n"):  # the shared dict, not a result
+        test_every_store_at_any_recursion_depth_writes_the_one_heap_dict(monkeypatch)
 
 
 # The reference for run: the same rules applied one GlobalConfig at a time
