@@ -11,7 +11,6 @@ canonical files.
 """
 
 import json
-from dataclasses import fields as dc_fields
 from pathlib import Path
 
 from . import ir
@@ -168,36 +167,35 @@ def _signature_text(sig: Signature) -> str:
     return _field_text(_signature_record(sig))
 
 
-def _field_codec(cls, f) -> tuple:
+def _field_codec(cls, name: str, type_) -> tuple:
     """(name, parse, write, optional, plain) for one declared field of a
     kind, chosen from its annotated type; an int is a node id if the kind
     names it as an edge. parse(raw) validates and converts one JSON value,
     write(value) gives its text in a node record. A plain field holds a
     node id or a natural number, which loads takes as it is."""
-    name = f.name
     if name in cls.LIST_EDGES:
         parse = _checked(name, _is_id_list, "an array of node ids", tuple)
         return name, parse, _ids_text, False, False
     if name in cls.OPTIONAL_EDGES:
         return name, _checked(name, _is_id, "a node id"), _id_text, True, True
-    if f.type is int:
+    if type_ is int:
         what = "a node id" if name in cls.INPUTS + cls.SUCCESSORS else "a non-negative integer"
         return name, _checked(name, _is_id, what), _id_text, False, True
-    if f.type is str:
+    if type_ is str:
         parse = _checked(name, lambda raw: isinstance(raw, str), "a string")
         return name, parse, _field_text, False, False
-    if f.type is Value:
+    if type_ is Value:
         parse = _checked(name, _is_int_record, '{"int": <signed 32-bit decimal>}',
                          lambda raw: IntVal(raw["int"]))
         return name, parse, _const_text, False, False
-    if f.type is Signature:
+    if type_ is Signature:
         return name, _parse_signature, _signature_text, False, False
-    raise TypeError(f"no seanode/1 codec for {cls.__name__}.{name}: {f.type}")
+    raise TypeError(f"no seanode/1 codec for {cls.__name__}.{name}: {type_}")
 
 
 # kind name -> (node class, one codec per declared field in declared order)
 _CODECS = {
-    kind: (cls, tuple(_field_codec(cls, f) for f in dc_fields(cls)))
+    kind: (cls, tuple(_field_codec(cls, *f) for f in cls.FIELDS.items()))
     for kind, cls in ir.NODE_KINDS.items()
 }
 

@@ -1,10 +1,12 @@
 """Graph data model for the sea-of-nodes IR.
 
 A graph is a finite partial map from integer node ids to node values.
-Each node kind is declared once, as an IRNode subclass, and every per-kind
-table (role predicates, value edges, field codecs, and the evaluation and
-step entries of dataflow and controlflow) is derived from that, so generic
-code needs no per-kind cases. An edge's shape (one, optional, or a list) is
+Each node kind is declared once, as an IRNode subclass with annotated
+fields, and every per-kind table (role predicates, value edges, field
+codecs, and the evaluation and step entries of dataflow and controlflow)
+is derived from that, so generic code needs no per-kind cases; so are its
+constructor, equality and hash, the ones a frozen dataclass of its fields
+has, generated once per kind. An edge's shape (one, optional, or a list) is
 stated once, by its field's type, and the edge readers are derived from it.
 A graph decodes each node's edges once, into its edge table, and derives its
 def-use index from that table; an edit inherits the table and the control
@@ -12,9 +14,10 @@ step entries and derives its def-use index again on first use.
 """
 
 import enum
-from dataclasses import dataclass
+import inspect
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
-from typing import ClassVar, get_type_hints
+from typing import ClassVar
 
 from . import runtime
 from .runtime import Value
@@ -33,6 +36,8 @@ class Signature:
     parameterTypes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if isinstance(self.parameterTypes, str):  # tuple() would split it into letters
+            raise TypeError(f"parameterTypes must be type names, not {self.parameterTypes!r}")
         object.__setattr__(self, "parameterTypes", tuple(self.parameterTypes))
 
     def __str__(self):
@@ -75,15 +80,41 @@ def _reader(kind, names: tuple[str, ...]):
     return read
 
 
-@dataclass(frozen=True)
+def _define_methods(kind) -> None:
+    """Give kind the __init__, __eq__ and __hash__ a frozen dataclass of its
+    FIELDS has, from one generated source, and its __match_args__. __init__
+    takes the fields by position or name, stores a list edge as a tuple,
+    then runs __post_init__ if the kind has one; __eq__ compares the fields
+    of two nodes of one class, and __hash__ hashes them."""
+    names = tuple(kind.FIELDS)
+    sets = "".join(f"\n _set(self, {n!r}, {f'tuple({n})' if n in kind.LIST_EDGES else n})"
+                   for n in names)
+    post = "\n self.__post_init__()" if hasattr(kind, "__post_init__") else ""
+    mine, theirs = "".join(f"self.{n}," for n in names), "".join(f"other.{n}," for n in names)
+    namespace = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(names)}):{sets}{post}\n pass\n"
+         f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+         f"  return ({mine})==({theirs})\n return NotImplemented\n"
+         f"def __hash__(self):\n return hash(({mine}))\n", namespace)
+    for name in ("__init__", "__eq__", "__hash__"):
+        namespace[name].__qualname__ = f"{kind.__qualname__}.{name}"
+        setattr(kind, name, namespace[name])
+    kind.__match_args__ = names
+
+
 class IRNode:
     """Base of all node variants.
 
+    A kind's fields are its annotated attributes other than ClassVars, its
+    bases' first; FIELDS maps each name to its type, in that order. From
+    FIELDS each kind gets the methods a frozen dataclass would have (see
+    _define_methods), and IRNode gives every node the dataclass's repr text
+    and refuses to set or delete an attribute (FrozenInstanceError).
     INPUTS names the input-edge fields in edge order, SUCCESSORS the
     successor-edge fields. A field's type is the edge's shape: int is one
     edge, int | None an optional one, tuple[int, ...] a list, stored as a
     tuple whatever it is built from; LIST_EDGES and OPTIONAL_EDGES name the
-    fields of the last two types. Remaining dataclass fields are plain data
+    fields of the last two types. Remaining fields are plain data
     attributes. The class keywords give the kind's role (a kind with one is
     registered in NODE_KINDS), an arithmetic kind's run-time operation on
     its integer inputs, and a pure kind's anchors: inputs evaluation does
@@ -91,6 +122,7 @@ class IRNode:
     inputs, successors and value inputs.
     """
 
+    FIELDS: ClassVar[dict[str, object]] = {}
     INPUTS: ClassVar[tuple[str, ...]] = ()
     SUCCESSORS: ClassVar[tuple[str, ...]] = ()
     ROLE: ClassVar[Role | None] = None
@@ -103,14 +135,12 @@ class IRNode:
     def __init_subclass__(cls, role: Role | None = None, op=None, anchors=()):
         super().__init_subclass__()
         cls.ROLE, cls.OP = role, op
-        hints = get_type_hints(cls).items()
-        cls.LIST_EDGES = frozenset(n for n, t in hints if t == tuple[int, ...])
-        cls.OPTIONAL_EDGES = frozenset(n for n, t in hints if t == int | None)
-        if cls.LIST_EDGES:  # a kind without one keeps its own __post_init__, or none
-            def __post_init__(self):
-                for name in type(self).LIST_EDGES:
-                    object.__setattr__(self, name, tuple(getattr(self, name)))
-            cls.__post_init__ = __post_init__
+        cls.FIELDS = fields = {n: t for c in reversed(cls.__mro__)
+                               for n, t in inspect.get_annotations(c).items()
+                               if getattr(t, "__origin__", t) is not ClassVar}
+        cls.LIST_EDGES = frozenset(n for n, t in fields.items() if t == tuple[int, ...])
+        cls.OPTIONAL_EDGES = frozenset(n for n, t in fields.items() if t == int | None)
+        _define_methods(cls)
         if role is not None:
             NODE_KINDS[cls.__name__] = cls
         if role is Role.PURE:
@@ -119,12 +149,21 @@ class IRNode:
         values = inputs if cls.VALUE_EDGES == cls.INPUTS else _reader(cls, cls.VALUE_EDGES)
         cls.READERS = (inputs, _reader(cls, cls.SUCCESSORS), values)
 
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     @classmethod
     def kind_name(cls) -> str:
         return cls.__name__
 
 
-@dataclass(frozen=True)
 class NoNode(IRNode):
     """Result of looking up an unmapped id; never stored in a graph."""
 
@@ -132,12 +171,10 @@ class NoNode(IRNode):
 NO_NODE = NoNode()
 
 
-@dataclass(frozen=True)
 class ConstantNode(IRNode, role=Role.PURE):
     const: Value
 
 
-@dataclass(frozen=True)
 class ParameterNode(IRNode, role=Role.PURE):
     index: int
 
@@ -148,7 +185,6 @@ class ParameterNode(IRNode, role=Role.PURE):
             raise ValueError(f"negative parameter index: {self.index}")
 
 
-@dataclass(frozen=True)
 class ValuePhiNode(IRNode, role=Role.STATE_DATA):
     selfId: int
     values: tuple[int, ...]
@@ -158,14 +194,12 @@ class ValuePhiNode(IRNode, role=Role.STATE_DATA):
     INPUTS = ("merge", "values")
 
 
-@dataclass(frozen=True)
 class NegateNode(IRNode, role=Role.PURE, op=runtime.int_negate):
     value: int
 
     INPUTS = ("value",)
 
 
-@dataclass(frozen=True)
 class BinaryNode(IRNode):
     """Base of the kinds with two value inputs; no role, so not a kind."""
 
@@ -175,27 +209,22 @@ class BinaryNode(IRNode):
     INPUTS = ("x", "y")
 
 
-@dataclass(frozen=True)
 class AddNode(BinaryNode, role=Role.PURE, op=runtime.int_add):
     pass
 
 
-@dataclass(frozen=True)
 class SubNode(BinaryNode, role=Role.PURE, op=runtime.int_sub):
     pass
 
 
-@dataclass(frozen=True)
 class MulNode(BinaryNode, role=Role.PURE, op=runtime.int_mul):
     pass
 
 
-@dataclass(frozen=True)
 class IntegerLessThanNode(BinaryNode, role=Role.PURE, op=runtime.int_less_than):
     pass
 
 
-@dataclass(frozen=True)
 class ConditionalNode(IRNode, role=Role.PURE):
     condition: int
     trueValue: int
@@ -204,7 +233,6 @@ class ConditionalNode(IRNode, role=Role.PURE):
     INPUTS = ("condition", "trueValue", "falseValue")
 
 
-@dataclass(frozen=True)
 class ValueProxyNode(IRNode, role=Role.PURE, anchors=("loopExit",)):
     """Forwards the value of a loop-carried node past its loop exit. The
     loop-exit edge is a scheduling anchor, not a value dependency."""
@@ -215,21 +243,18 @@ class ValueProxyNode(IRNode, role=Role.PURE, anchors=("loopExit",)):
     INPUTS = ("value", "loopExit")
 
 
-@dataclass(frozen=True)
 class StartNode(IRNode, role=Role.SEQUENTIAL):
     next: int
 
     SUCCESSORS = ("next",)
 
 
-@dataclass(frozen=True)
 class BeginNode(IRNode, role=Role.SEQUENTIAL):
     next: int
 
     SUCCESSORS = ("next",)
 
 
-@dataclass(frozen=True)
 class RefNode(IRNode, role=Role.SEQUENTIAL):
     """Control no-op; the residue left by branch-removing rewrites."""
 
@@ -238,7 +263,6 @@ class RefNode(IRNode, role=Role.SEQUENTIAL):
     SUCCESSORS = ("next",)
 
 
-@dataclass(frozen=True)
 class IfNode(IRNode, role=Role.CONTROL):
     condition: int
     trueSuccessor: int
@@ -248,12 +272,10 @@ class IfNode(IRNode, role=Role.CONTROL):
     SUCCESSORS = ("trueSuccessor", "falseSuccessor")
 
 
-@dataclass(frozen=True)
 class AbstractEndNode(IRNode):
     """Base of the control edges into a merge; no role, so not a kind."""
 
 
-@dataclass(frozen=True)
 class AbstractMergeNode(IRNode):
     """Base of the control-flow merges; no role, so not a kind."""
 
@@ -264,29 +286,24 @@ class AbstractMergeNode(IRNode):
     SUCCESSORS = ("next",)
 
 
-@dataclass(frozen=True)
 class EndNode(AbstractEndNode, role=Role.CONTROL):
     pass
 
 
-@dataclass(frozen=True)
 class MergeNode(AbstractMergeNode, role=Role.SEQUENTIAL):
     pass
 
 
-@dataclass(frozen=True)
 class LoopBeginNode(AbstractMergeNode, role=Role.SEQUENTIAL):
     pass
 
 
-@dataclass(frozen=True)
 class LoopEndNode(AbstractEndNode, role=Role.CONTROL):
     loopBegin: int
 
     INPUTS = ("loopBegin",)
 
 
-@dataclass(frozen=True)
 class LoopExitNode(IRNode, role=Role.SEQUENTIAL):
     loopBegin: int
     next: int
@@ -295,7 +312,6 @@ class LoopExitNode(IRNode, role=Role.SEQUENTIAL):
     SUCCESSORS = ("next",)
 
 
-@dataclass(frozen=True)
 class NewInstanceNode(IRNode, role=Role.STATE_CONTROL):
     selfId: int
     instanceClass: str
@@ -304,7 +320,6 @@ class NewInstanceNode(IRNode, role=Role.STATE_CONTROL):
     SUCCESSORS = ("next",)
 
 
-@dataclass(frozen=True)
 class LoadFieldNode(IRNode, role=Role.STATE_CONTROL):
     selfId: int
     field: str
@@ -315,7 +330,6 @@ class LoadFieldNode(IRNode, role=Role.STATE_CONTROL):
     SUCCESSORS = ("next",)
 
 
-@dataclass(frozen=True)
 class StoreFieldNode(IRNode, role=Role.CONTROL):
     selfId: int
     field: str
@@ -327,14 +341,12 @@ class StoreFieldNode(IRNode, role=Role.CONTROL):
     SUCCESSORS = ("next",)
 
 
-@dataclass(frozen=True)
 class ReturnNode(IRNode, role=Role.CONTROL):
     resultOpt: int | None
 
     INPUTS = ("resultOpt",)
 
 
-@dataclass(frozen=True)
 class InvokeNode(IRNode, role=Role.STATE_CONTROL):
     selfId: int
     callTarget: int
@@ -344,7 +356,6 @@ class InvokeNode(IRNode, role=Role.STATE_CONTROL):
     SUCCESSORS = ("next",)
 
 
-@dataclass(frozen=True)
 class InvokeWithExceptionNode(IRNode, role=Role.STATE_CONTROL):
     selfId: int
     callTarget: int
@@ -355,7 +366,6 @@ class InvokeWithExceptionNode(IRNode, role=Role.STATE_CONTROL):
     SUCCESSORS = ("next", "exceptionEdge")
 
 
-@dataclass(frozen=True)
 class MethodCallTargetNode(IRNode, role=Role.CALL_TARGET):
     targetMethod: Signature
     arguments: tuple[int, ...]
@@ -363,7 +373,6 @@ class MethodCallTargetNode(IRNode, role=Role.CALL_TARGET):
     INPUTS = ("arguments",)
 
 
-@dataclass(frozen=True)
 class UnwindNode(IRNode, role=Role.CONTROL):
     exception: int
 

@@ -26,7 +26,7 @@ _FACTS: dict[type, tuple[bool, bool, bool]] = {}
 
 def _facts(cls: type) -> tuple[bool, bool, bool]:
     f = _FACTS[cls] = (issubclass(cls, ir.AbstractEndNode), issubclass(cls, ir.ValuePhiNode),
-                       "selfId" in cls.__dataclass_fields__)
+                       "selfId" in cls.FIELDS)
     return f
 
 

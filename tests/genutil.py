@@ -5,7 +5,6 @@ simultaneity property; instances of each data rule of optimize.RULES,
 drawn over random operands until the rule applies; and damaged graphs for
 the well-formedness gate."""
 
-import dataclasses
 import random
 
 from seanode.ir import (
@@ -71,6 +70,11 @@ _INTERESTING = (-2, -1, 0, 1, 2, 7, INT_MIN, INT_MAX)
 # The operations a random expression draws: every pure kind with value
 # inputs, as declared, so a new one reaches every generator below.
 OPERATIONS = tuple(k for k in NODE_KINDS.values() if is_pure(k) and k.VALUE_EDGES)
+
+
+def replace(node, **changes):
+    """A copy of node with the fields named in changes set to the given values."""
+    return type(node)(**{**{name: getattr(node, name) for name in node.FIELDS}, **changes})
 
 
 def build(kind, ref):
@@ -243,7 +247,7 @@ def _set_edge(nodes: dict, slot, target) -> None:
     if i is not None:
         old = getattr(node, name)
         target = old[:i] + (target,) + old[i + 1:]
-    nodes[nid] = dataclasses.replace(node, **{name: target})
+    nodes[nid] = replace(node, **{name: target})
 
 
 def _data_ids(nodes: dict) -> list[int]:
@@ -268,7 +272,7 @@ def _orphan_end(nodes, rng):
     merges = [n for n in sorted(nodes) if isinstance(nodes[n], AbstractMergeNode)]
     if merges and rng.random() < 0.5:
         m = rng.choice(merges)
-        nodes[m] = dataclasses.replace(nodes[m], ends=nodes[m].ends[1:])
+        nodes[m] = replace(nodes[m], ends=nodes[m].ends[1:])
     else:
         nodes[max(nodes) + 1] = EndNode()
 
@@ -281,18 +285,18 @@ def _break_phi(nodes, rng):
     phi = nodes[p]
     roll = rng.random()
     if roll < 0.4:
-        nodes[p] = dataclasses.replace(phi, values=phi.values[:-1])
+        nodes[p] = replace(phi, values=phi.values[:-1])
     elif roll < 0.7:
-        nodes[p] = dataclasses.replace(phi, values=phi.values + (rng.choice(sorted(nodes)),))
+        nodes[p] = replace(phi, values=phi.values + (rng.choice(sorted(nodes)),))
     else:
-        nodes[p] = dataclasses.replace(phi, merge=rng.choice(sorted(nodes) + [max(nodes) + 1]))
+        nodes[p] = replace(phi, merge=rng.choice(sorted(nodes) + [max(nodes) + 1]))
 
 
 def _bad_self_id(nodes, rng):
     owners = [n for n in sorted(nodes) if hasattr(nodes[n], "selfId")]
     if owners:
         n = rng.choice(owners)
-        nodes[n] = dataclasses.replace(nodes[n], selfId=n + rng.randint(1, 4))
+        nodes[n] = replace(nodes[n], selfId=n + rng.randint(1, 4))
 
 
 def _arm_cycle(nodes, rng):

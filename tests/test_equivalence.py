@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -15,7 +14,8 @@ import seanode.equivalence as eq_mod
 from conftest import REPO, corpus
 from genutil import (
     CHAIN_SIG, DATA_RULES, DOUBLING_SIG, OPERATIONS, STUCK_PHI_SIG, build, conditional_chain,
-    damage_bases, damaged_graph, doubling_dag, gen_rule_case, negate_chain, stuck_phi_program,
+    damage_bases, damaged_graph, doubling_dag, gen_rule_case, negate_chain, replace,
+    stuck_phi_program,
 )
 from seanode.dataflow import (
     PARAM, CyclicExpression, EvalContext, EvalStuck, evaluate, evaluate_lanes,
@@ -803,10 +803,10 @@ def _near_miss_pairs(draw):
     if how == "negate an input":
         name = draw(st.sampled_from(kind.VALUE_EDGES))
         changed[root + 1] = NegateNode(value=getattr(node, name))
-        changed[n] = dataclasses.replace(node, **{name: root + 1})
+        changed[n] = replace(node, **{name: root + 1})
     elif how == "drop a negate":
         name = draw(st.sampled_from(negated))
-        changed[n] = dataclasses.replace(node, **{name: nodes[getattr(node, name)].value})
+        changed[n] = replace(node, **{name: nodes[getattr(node, name)].value})
     elif how == "another operation":
         changed[n] = draw(st.sampled_from(_BINARY_KINDS))(x=node.x, y=node.y)
     elif how == "swap" and kind is ConditionalNode:

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -65,8 +64,8 @@ def document(program: Program) -> dict:
     return {"version": FORMAT_VERSION, "methods": [
         {"signature": _encoded(sig),
          "nodes": [{"id": nid, "kind": node.kind_name(),
-                    "fields": {f.name: _encoded(getattr(node, f.name)) for f in fields(node)
-                               if getattr(node, f.name) is not None}}
+                    "fields": {name: _encoded(getattr(node, name)) for name in node.FIELDS
+                               if getattr(node, name) is not None}}
                    for nid, node in sorted(g.items())]}
         for sig, g in program.methods.items()]}
 

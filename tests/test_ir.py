@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from functools import partial
 from pathlib import Path
@@ -149,6 +150,90 @@ def test_signature_structural_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Signature("C", "m", ())
+
+
+def test_a_signature_refuses_a_string_of_parameter_types():
+    # tuple("int") would give the parameter types ('i', 'n', 't').
+    with pytest.raises(TypeError, match="parameterTypes must be type names, not 'int'"):
+        Signature("T", "f", "int")
+    assert str(Signature("T", "f", ["int"])) == "T.f(int)"
+
+
+def test_no_node_kind_is_built_by_dataclasses():
+    # A kind declared with @dataclass would get a dataclass __init__ of its
+    # own annotations only, none for a kind that inherits its fields.
+    for cls in (*ir.NODE_KINDS.values(), ir.IRNode, ir.BinaryNode, ir.AbstractEndNode,
+                ir.AbstractMergeNode, NoNode):
+        assert not hasattr(cls, "__dataclass_params__"), cls
+
+
+def _frozen_dataclass(kind):
+    """The frozen dataclass of kind's FIELDS: its __post_init__ stores a
+    list edge as a tuple, then runs the kind's own, if any."""
+    def post_init(self):
+        for name in kind.LIST_EDGES:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if hasattr(kind, "__post_init__"):
+            kind.__post_init__(self)
+    return dataclasses.make_dataclass(kind.__name__, kind.FIELDS.items(), frozen=True,
+                                      namespace={"__post_init__": post_init})
+
+
+_REFERENCES = {kind: _frozen_dataclass(kind) for kind in (*ir.NODE_KINDS.values(), NoNode)}
+
+# A value for each field type the kinds declare, from small domains, so
+# that equal values are often drawn twice; a list edge built from a list
+# or a tuple, and negative ints, which a parameter index refuses.
+_ids = st.integers(-2, 4)
+_FIELD_VALUES = {
+    int: _ids,
+    int | None: st.none() | _ids,
+    tuple[int, ...]: st.lists(_ids, max_size=2) | st.lists(_ids, max_size=2).map(tuple),
+    ir.Value: st.builds(IntVal, st.integers(-1, 1)),
+    str: st.sampled_from(("f", "g")),
+    Signature: st.builds(Signature, st.sampled_from(("A", "B")), st.just("m"),
+                         st.lists(st.just("int"), max_size=1)),
+}
+
+
+def _outcome(act, *args, **kwargs):
+    """What act(*args, **kwargs) returns, or the type and text of what it
+    raises."""
+    try:
+        return "returned", act(*args, **kwargs)
+    except Exception as e:
+        return "raised", type(e), str(e)
+
+
+@given(st.sampled_from(tuple(_REFERENCES)), st.data())
+def test_differential_node_methods_match_a_frozen_dataclass(kind, data):
+    # Nodes of a kind and of a kind with the same FIELDS, built from the same
+    # values as the frozen dataclasses of their FIELDS, construct, compare,
+    # hash, print and refuse changes as those do.
+    ref = _REFERENCES[kind]
+    assert kind.__match_args__ == ref.__match_args__
+    values = [data.draw(_FIELD_VALUES[t]) for t in kind.FIELDS.values()]
+    got, want = _outcome(kind, *values), _outcome(ref, *values)
+    assert got[0] == want[0] and (got[0] == "returned" or got == want)
+    assert _outcome(kind, **dict(zip(kind.FIELDS, values))) == got
+    if got[0] == "raised":
+        return
+    node, twin = got[1], ref(*values)
+    assert repr(node) == repr(twin)
+    assert hash(node) == hash(twin)
+    for name in (*kind.FIELDS, "other"):
+        for act in (lambda n: setattr(n, name, 0), lambda n: delattr(n, name)):
+            assert _outcome(act, node) == _outcome(act, twin)
+    kind2 = data.draw(st.sampled_from([k for k in _REFERENCES if k.FIELDS == kind.FIELDS]))
+    values2 = [v if data.draw(st.booleans()) else data.draw(_FIELD_VALUES[t])
+               for v, t in zip(values, kind.FIELDS.values())]
+    other, other_twin = _outcome(kind2, *values2), _outcome(_REFERENCES[kind2], *values2)
+    assert other[0] == other_twin[0]
+    if other[0] == "returned":
+        def compare(a, b):
+            return a == b, b == a, a != b, b != a, a.__eq__(b), hash(b)
+        assert compare(node, other[1]) == compare(twin, other_twin[1])
+        assert (node == twin, node == tuple(values)) == (False, False)
 
 
 # Random graphs: edges may dangle; accessor laws must hold regardless.

@@ -5,8 +5,6 @@ The oracles below are the hand-written tables the modules kept before the
 schema existed, written out literally, plus SubNode where it belongs.
 """
 
-import dataclasses
-
 import pytest
 
 from seanode import controlflow, dataflow, ir
@@ -107,7 +105,7 @@ def test_derived_value_edges_equal_the_walk_table():
 def test_each_edge_is_a_field_whose_type_gives_its_shape():
     only_edges = (int | None, tuple[int, ...])
     for cls in ir.NODE_KINDS.values():
-        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        types = cls.FIELDS
         edges = cls.INPUTS + cls.SUCCESSORS
         assert all(types.get(name) in (int, *only_edges) for name in edges), cls
         assert {n for n, t in types.items() if t in only_edges} <= set(edges), cls
@@ -118,7 +116,7 @@ def test_each_edge_is_a_field_whose_type_gives_its_shape():
 def test_edge_lists_given_as_lists_are_stored_as_tuples():
     # Stored as tuples, nodes stay hashable and equal however they were built.
     for node in SAMPLES:
-        fields = {f.name: getattr(node, f.name) for f in dataclasses.fields(node)}
+        fields = {name: getattr(node, name) for name in node.FIELDS}
         lists = {n: list(v) for n, v in fields.items() if isinstance(v, tuple)}
         built = type(node)(**{**fields, **lists})
         assert all(type(getattr(built, n)) is tuple for n in lists), built
