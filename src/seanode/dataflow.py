@@ -272,13 +272,14 @@ def _truth(v, cond: int) -> bool:
 def _run(g: Graph, state: MethodState, params: tuple, roots: tuple) -> dict:
     """The evaluation core: the value of every node the roots' schedule
     runs, and of each chosen arm's. An arithmetic result is a plain int;
-    a leaf's value is kept as read, so a root that is a leaf is not boxed
-    again. Each arm runs where its conditional is met; a stuck evaluation
-    raises where evaluating the roots left to right, inputs left to right,
-    first gets stuck."""
+    a leaf's value is kept as read (a state leaf's from state.entries(),
+    rerooted once per run), so a root that is a leaf is not boxed again.
+    Each arm runs where its conditional is met; a stuck evaluation raises
+    where evaluating the roots left to right, inputs left to right, first
+    gets stuck."""
     vals = {}
     waiting = None  # conditional -> (its entries, chosen arm) while the arm runs
-    read = state.defined.get  # a state leaf's value: read(n, UNDEF) is state[n]
+    read = state.entries().get  # a state leaf's value: read(n, UNDEF) is state[n]
     kept = g.schedules
     s = kept.get(roots)
     entries = iter(schedule(g, roots) if s is None else s)

@@ -13,7 +13,8 @@ REPO = Path(__file__).parent.parent
 CORPUS_FILES = sorted((REPO / "corpus").glob("*.json"))
 
 # The default profile keeps tier-1 fast. CI also runs every property whose
-# name says "differential" and the heap persistence property under this one:
+# name says "differential" and the state and heap persistence properties
+# under this one:
 #   pytest tests -k "differential or persistence" --hypothesis-profile=differential
 settings.register_profile("differential", max_examples=2000)
 

@@ -556,6 +556,61 @@ def test_one_heap_dict_test_fails_with_a_heap_that_copies_on_store(monkeypatch):
         test_every_store_at_any_recursion_depth_writes_the_one_heap_dict(monkeypatch)
 
 
+LINE_SIG = Signature("T", "line", ())
+
+
+def straight_line_allocs(n: int) -> Program:
+    """line(): n allocations in a row, then return 0. Each allocation
+    writes one more live slot of the method state."""
+    nodes = {0: StartNode(next=1), n + 1: ReturnNode(resultOpt=n + 2),
+             n + 2: ConstantNode(IntVal(0))}
+    nodes.update({i: NewInstanceNode(i, "Cell", next=i + 1) for i in range(1, n + 1)})
+    return Program({LINE_SIG: Graph(nodes)})
+
+
+class _CopyingState(MethodState):
+    """A state whose every write copies all its slots, as writes once did.
+    No write leaves a diff, so each version holds its own dict."""
+
+    def set(self, nid, v):
+        state = _CopyingState()
+        state._version = [{**self._version[0], nid: v}]
+        return state
+
+
+def test_every_write_of_a_long_method_writes_the_one_state_dict(monkeypatch):
+    # A method with n live slots runs in time linear in n, pinned by
+    # structure, so no machine speed enters: at 1,000 and 16,000 slots every
+    # state version a write makes shares its run's one dict, so no write
+    # copies slots, and no older version is rerooted to.
+    state, reroot = interproc.MethodState, runtime._reroot
+    write, dicts, rerooted = state.set, [], []
+
+    def recording_set(self, nid, v):
+        result = write(self, nid, v)
+        dicts.append(id(result._version[0]))
+        return result
+
+    def recording_reroot(version):
+        rerooted.append(version)
+        return reroot(version)
+
+    monkeypatch.setattr(state, "set", recording_set)
+    monkeypatch.setattr(runtime, "_reroot", recording_reroot)
+    for n in (1000, 16000):
+        dicts.clear()
+        result = run(straight_line_allocs(n), LINE_SIG, [], fuel=10 ** 6)
+        assert result.value == IntVal(0) and result.heap.free == n
+        assert len(dicts) == n and len(set(dicts)) == 1, n
+    assert rerooted == []
+
+
+def test_one_state_dict_test_fails_with_a_state_that_copies_on_write(monkeypatch):
+    monkeypatch.setattr(interproc, "MethodState", _CopyingState)
+    with pytest.raises(AssertionError, match=r"^1000\n"):  # the shared dict, not a result
+        test_every_write_of_a_long_method_writes_the_one_state_dict(monkeypatch)
+
+
 # The reference for run: the same rules applied one GlobalConfig at a time
 # by step_top.
 

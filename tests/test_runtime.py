@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from seanode import ir
 from seanode.runtime import (
     INT_MAX, INT_MIN, STATIC_REF, UNDEF, DynamicHeap, IntVal, MethodState,
-    ObjRef, box, int_add, int_less_than, int_mul, int_negate, int_sub, wrap32,
+    ObjRef, UndefVal, box, int_add, int_less_than, int_mul, int_negate, int_sub, wrap32,
 )
 
 
@@ -43,6 +43,15 @@ def test_intval_range_checked():
         IntVal(INT_MAX + 1)
     with pytest.raises(ValueError):
         IntVal(INT_MIN - 1)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, False, "1", None])
+def test_intval_refuses_a_value_that_is_not_an_int(value):
+    # A bool is an int subclass: IntVal(True) would print "IntVal True" yet
+    # equal IntVal(1).
+    with pytest.raises(TypeError, match="IntVal needs an int"):
+        IntVal(value)
+    assert box(1) == IntVal(1)  # box is unchanged: it builds from a wrapped int
 
 
 @pytest.mark.parametrize("v, other, text, shown", [
@@ -293,3 +302,62 @@ def test_heap_persistence_matches_a_dict_model(ops):
         assert heap.free == free and dict(heap.fields) == model
         assert heap == DynamicHeap(model, free)
         assert heap != DynamicHeap(model, free + 1)
+
+
+_STATE_VALUES = st.sampled_from((IntVal(-1), IntVal(0), IntVal(2), ObjRef(0), UNDEF, None)).map(
+    lambda v: UndefVal() if v is None else v)  # None draws a fresh UndefVal
+_state_ops = st.lists(st.tuples(
+    st.sampled_from(("set", "set_many", "set_many_reading", "read", "eq")),
+    st.integers(0, 10 ** 6),  # which version, counted back from the newest
+    st.integers(0, 10 ** 6),  # the other version an == compares with
+    st.lists(st.tuples(st.integers(0, 4), _STATE_VALUES), max_size=3),  # ids repeat
+), max_size=40)
+
+
+def _defined(model: dict) -> dict:
+    return {nid: v for nid, v in model.items() if type(v) is not UndefVal}
+
+
+def _assert_state_reads(state, model):
+    for nid in range(6):
+        assert state[nid] == model.get(nid, UNDEF)
+        assert type(state[nid]) is type(model.get(nid, UNDEF))
+    assert sorted(state.items()) == sorted(model.items())
+
+
+@given(st.dictionaries(st.integers(0, 4), _STATE_VALUES, max_size=3), _state_ops)
+def test_state_persistence_matches_a_dict_model(start, ops):
+    # Every version reads back its own slots after any later write to any
+    # version, writes that branch from an old version included. Any UndefVal
+    # unsets its slot, one never written too.
+    given_dict = dict(start)
+    versions = [(MethodState(start), _defined(start))]
+    heap = DynamicHeap(start).store_field("a", None, IntVal(1))
+    assert start == given_dict and heap.fields[(STATIC_REF, "a")] == IntVal(1)
+    for op, pick, other, updates in ops:
+        state, model = versions[-1 - pick % len(versions)]
+        if op == "read":
+            _assert_state_reads(state, model)
+        elif op == "eq":
+            state2, model2 = versions[-1 - other % len(versions)]
+            assert (state == state2) is (model == model2)
+            assert (state != state2) is (model != model2)
+        else:
+            model = dict(model)
+            for nid, v in updates:
+                model[nid] = v
+            model = _defined(model)
+            if op == "set":
+                for nid, v in updates:
+                    state = state.set(nid, v)
+            elif op == "set_many":
+                state = state.set_many(updates)
+            else:  # the receiver is read, so rerooted to, between writes
+                receiver = state
+                state = state.set_many((nid, v) for nid, v in updates
+                                        if receiver[nid] is not None)
+            versions.append((state, model))
+    for state, model in reversed(versions):
+        _assert_state_reads(state, model)
+        assert state == MethodState(model) and repr(state) == repr(MethodState(model))
+    assert start == given_dict
