@@ -57,8 +57,9 @@ def _parse_args_list(text):
     return out
 
 
-# The most values diff --domain accepts; a wider range is a usage error,
-# raised before the range is built.
+# The most values diff --domain accepts, and the most assignments of them
+# to the method's parameters it runs; more is a usage error, raised before
+# the range is built or anything runs.
 MAX_DOMAIN = 1 << 16
 
 
@@ -150,6 +151,10 @@ def cmd_diff(args) -> int:
     left = _checked_program(args.file1)
     right = _checked_program(args.file2)
     sig = _resolve(left, args.method)
+    values, arity = len(domain.int_values), len(sig.parameterTypes)
+    if values ** arity > MAX_DOMAIN:
+        raise CliError(f"{values} values for {arity} parameters are {values ** arity} "
+                       f"assignments, more than {MAX_DOMAIN}")
     if right.graph(sig) is None:
         raise CliError(f"{args.file2} has no method {sig}")
     verdict = behavior_diff(left, right, sig, domain, fuel=fuel)

@@ -17,26 +17,25 @@ of its own, run only for the arm the condition chooses, so evaluation stays
 lazy.
 
 A control step reads one or more roots at once: an end's phi inputs, a
-store's value and object, an invoke's arguments. evaluate_roots runs their
-one schedule, read from the graph with one dict lookup (schedule is
-called only on a miss), as is each chosen arm's. Arithmetic results inside
-a run are plain ints, as in evaluate_lanes, and leaves keep the Value they
+store's value and object, an invoke's arguments. evaluate_roots runs
+their one schedule, read from the graph with one dict lookup (schedule
+is called only on a miss), as is each chosen arm's; it is the one
+evaluator, which equivalence.data_equiv samples through too. Arithmetic
+results inside a run are plain ints, and leaves keep the Value they
 read, whose int an operation reads in place; only a root's arithmetic
-result is boxed, by runtime.box, without IntVal's range check, since every
-operation wraps. A binary operation checks its operands itself; a CHECK
-entry checks its first operand before the second's entries only where that
-can fire first: where the first may not be an int (it is no IntVal
-constant and no arithmetic result) and an entry of the second may raise
-(it is no constant or state read). Runs use an explicit work stack, so
-neither the depth of an expression nor the nesting of conditionals is
-bounded by the recursion limit. evaluate_lanes runs the schedules over
-many assignments at once and raises at a CYCLE entry. post_order walks a
-value cone depth first: walk_values (every value edge, arms included, for
+result is boxed, by runtime.box, without IntVal's range check, since
+every operation wraps. A binary operation checks its operands itself; a
+CHECK entry checks its first operand before the second's entries only
+where that can fire first: where the first may not be an int (it is no
+IntVal constant and no arithmetic result) and an entry of the second may
+raise (it is no constant or state read). Runs use an explicit work
+stack, so neither the depth of an expression nor the nesting of
+conditionals is bounded by the recursion limit. post_order walks a value
+cone depth first: walk_values (every value edge, arms included, for
 wellformed.check) and equivalence's records and leaf keys are loops over
 it. Every cycle found is a CyclicExpression.
 """
 
-import itertools
 from functools import partial
 
 from . import ir
@@ -355,83 +354,3 @@ def condition_holds(g: Graph, state: MethodState, params: tuple, cond: int) -> b
     """Whether the branch condition at cond holds: an integer holds when it
     is nonzero, and any other value is stuck at cond."""
     return _truth(_run(g, state, params, (cond,))[cond], cond)
-
-
-# The outcome of a stuck lane. With every free leaf assigned an integer,
-# evaluation can only get stuck as a plain EvalStuck.
-_STUCK = f"stuck:{EvalStuck.__name__}"
-
-
-def _apply(op, cols: list[list], odd: bool) -> list:
-    """A derived lane rule: op, declared on ints, on every lane; a lane with
-    a non-int operand is stuck."""
-    if not odd:
-        return list(map(op, *cols))
-    return [op(*vs) if all(type(v) is int for v in vs) else _STUCK for vs in zip(*cols)]
-
-
-def _select(cond: list, odd: bool, t: list | None, f: list | None) -> list:
-    """A conditional's column: each lane takes the value of the arm its
-    condition chose (t or f, None for an arm no lane chose); a lane whose
-    condition is not an int is stuck."""
-    if t is None or f is None:
-        t = f = t or f or [_STUCK] * len(cond)
-    if not odd:
-        return t if t is f else [a if c else b for c, a, b in zip(cond, t, f)]
-    return [(a if c else b) if type(c) is int else _STUCK for c, a, b in zip(cond, t, f)]
-
-
-def evaluate_lanes(g: Graph, root: int, width: int, params: dict, slots: dict) -> list:
-    """The value of the expression at root on each of width lanes, given the
-    column of every parameter index and state-slot id. Runs the schedule
-    evaluate runs, on all lanes at once, keeping one column per node: an int
-    for an IntVal, any other Value as it is, _STUCK for a stuck lane. A
-    conditional runs each arm some lane chooses on every lane, then selects
-    per lane; arms are pure, so the values an unchosen arm gives a lane are
-    dropped unobserved, and an arm no lane chooses never runs. An arm that
-    needs its own conditional raises CyclicExpression there."""
-    cols: dict[int, list] = {}
-    odd: set[int] = set()  # nodes whose column may hold a non-int
-    waiting: set[int] = set()  # conditionals whose chosen arms were started
-    stack = [iter(schedule(g, (root,)))]  # the schedules being run, innermost last
-    while stack:
-        for entry in stack[-1]:
-            code, n, arg, x, y = entry
-            if n in cols or code == CHECK:  # lanes check operands where used
-                continue
-            if code == BINARY or code == UNARY:
-                ins = (x,) if code == UNARY else (x, y)
-                is_odd = not odd.isdisjoint(ins)
-                cols[n] = _apply(arg, [cols[i] for i in ins], is_odd)
-            elif code == CONST:
-                is_odd = not isinstance(arg, IntVal)
-                cols[n] = [arg if is_odd else arg.value] * width
-            elif code == PARAM:
-                cols[n], is_odd = params[arg], False
-            elif code == STATE:
-                cols[n], is_odd = slots[n], False
-            elif code == PROXY:
-                cols[n], is_odd = cols[x], x in odd
-            elif code == COND:
-                cond = cols[x]
-                ints = [c for c in cond if type(c) is int] if x in odd else cond
-                arms = [a for a, chosen in zip(arg, (any(ints), not all(ints))) if chosen]
-                todo = [schedule(g, (a,)) for a in arms if a not in cols]
-                if todo:  # run the chosen arms, then come back to this entry
-                    if n in waiting:
-                        raise CyclicExpression(n)
-                    waiting.add(n)
-                    stack.append(itertools.chain(*todo, (entry,)))
-                    break
-                t, f = (cols[a] if a in arms else None for a in arg)
-                cols[n] = _select(cond, x in odd, t, f)
-                is_odd = x in odd or not odd.isdisjoint(arms)
-            elif code == CYCLE:
-                raise CyclicExpression(n)
-            else:
-                cols[n], is_odd = [_STUCK] * width, True
-            if is_odd:
-                odd.add(n)
-        else:
-            stack.pop()
-    return cols[root]

@@ -1,23 +1,24 @@
 """Semantic-equivalence checking for rewrites.
 
 A data rewrite is checked at the rewritten id in both graphs. First each
-expression is normalized to a polynomial over Z/2^32, the ring the 32-bit
-operations wrap in: parameters and method-state slots are its variables,
-add, sub, mul and negate its operations, and any other operation, or a
-conditional whose condition is not constant, an opaque atom over its
-normalized operands. Equal normal forms prove that the two expressions
-agree on every assignment of 32-bit ints to the free leaves; a proof says
-nothing about a leaf that holds another value. Each node's form and
-leaves are derived once per graph, in dataflow.post_order over each
-cone, which raises CyclicExpression on a cycle, and kept on the graph
-(Graph.forms), numbered from one table both graphs of a pair share, so a
-proof is two lookups and a compare. Where there is no proof, the leaves
-to assign are read by another post_order over both cones, and the
-expressions are evaluated over every assignment of a finite value domain
-to them, a chunk of assignments at a time, with dataflow.evaluate_lanes.
-Either way the verdict is the one trying those assignments gives, and
-samples_tried counts the assignments it covers. Control rewrites are
-checked by differential whole-program execution.
+expression is normalized to a polynomial over Z/2^32, the ring the
+32-bit operations wrap in: parameters and method-state slots are its
+variables, add, sub, mul and negate its operations, and any other
+operation, or a conditional whose condition is not constant, an opaque
+atom over its normalized operands. Equal normal forms prove that the two
+expressions agree on every assignment of 32-bit ints to the free leaves;
+a proof says nothing about a leaf that holds another value. Each node's
+form and leaves are derived once per graph, in dataflow.post_order over
+each cone, which raises CyclicExpression on a cycle, and kept on the
+graph (Graph.forms), numbered from one table both graphs of a pair
+share, so a proof is two lookups and a compare. Where there is no proof,
+the leaves to assign are read by another post_order over both cones, and
+the expressions are evaluated over every assignment of a finite value
+domain to them, one assignment at a time, with dataflow.evaluate_roots,
+the one evaluator run uses. Either way the verdict is the one trying
+those assignments gives, and samples_tried counts the assignments it
+covers. Control rewrites are checked by differential whole-program
+execution.
 """
 
 import enum
@@ -29,11 +30,12 @@ from functools import partial
 
 from . import runtime
 from .dataflow import (
-    BINARY, COND, CONST, PARAM, PROXY, STATE, UNARY, _entry, evaluate_lanes, post_order,
+    BINARY, COND, CONST, PARAM, PROXY, STATE, UNARY, EvalStuck, _entry, evaluate_roots,
+    post_order,
 )
 from .interproc import ExecOutcome, run
 from .ir import Graph, Program, Signature
-from .runtime import FIELD_DEFAULT, INT_MAX, INT_MIN, IntVal, Value, wrap32
+from .runtime import FIELD_DEFAULT, INT_MAX, INT_MIN, IntVal, MethodState, Value, wrap32
 
 
 @dataclass(frozen=True)
@@ -332,20 +334,20 @@ def _walk(g: Graph, r: _Forms, root: int) -> None:
         forms[n] = _form(e, r)
 
 
-# Assignments decided per pass over a schedule. A refutation is found only
-# after its whole chunk is evaluated, so the first chunk is a few lanes,
-# and every later one _CHUNK, over which the per-pass cost is spread.
-_FIRST_CHUNK = 4
-_CHUNK = 1024
-
-
-def _boxed(v):
-    return IntVal(v) if type(v) is int else v
+def _outcome(g: Graph, state: MethodState, params: tuple, nid: int):
+    """The value at nid under one state and parameter tuple, by
+    dataflow.evaluate_roots, the evaluator run uses; or "stuck:EvalStuck"
+    where evaluation gets stuck. With every free leaf assigned an int and
+    both cones walked, that is a plain EvalStuck, never a cycle."""
+    try:
+        return evaluate_roots(g, state, params, (nid,))[0]
+    except EvalStuck:
+        return "stuck:EvalStuck"
 
 
 def _leaf_keys(graphs: tuple, nid: int) -> tuple[list[int], list[int]]:
     """The sorted parameter indices and state-slot ids below nid in any of
-    graphs, both arms included, which the lanes assign: the PARAM and STATE
+    graphs, both arms included, which sampling assigns: the PARAM and STATE
     entries of a post_order over each cone. Each cone has been walked, so
     it has no cycle."""
     params, slots = set(), set()
@@ -365,11 +367,11 @@ def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivV
     of the union of both graphs' free leaves. Equal normal forms prove it
     without trying any (proved, with samples_tried the assignments the
     proof covers); forms and leaves are derived once per node and kept on
-    each graph. Otherwise assignments are tried in chunks, all lanes of a
-    chunk at once, so a chunk costs at most the nodes of both cones times
-    its lanes. Either way the verdict is the one trying them one by one, in
-    order, gives. Raises CyclicExpression on a cycle in either cone, g1's
-    first."""
+    each graph. Otherwise assignments are tried one by one, in order, each
+    side evaluated once per assignment by dataflow.evaluate_roots, until
+    the first on which the sides differ, which is the witness; a proof
+    gives the verdict trying them would. Raises CyclicExpression on a
+    cycle in either cone, g1's first."""
     r1, r2 = _shared_forms(g1, g2)
     _walk(g1, r1, nid)
     _walk(g2, r2, nid)
@@ -382,24 +384,20 @@ def data_equiv(g1: Graph, g2: Graph, nid: int, dom: Domain = Domain()) -> EquivV
     arity = max(param_keys) + 1 if param_keys else 0
     _, stream = _assignments(dom, len(param_keys) + len(slot_keys))
     tried = 0
-    width = min(_FIRST_CHUNK, _CHUNK)
-    while chunk := list(itertools.islice(stream, width)):
-        columns = [list(c) for c in zip(*chunk)]
-        params = dict(zip(param_keys, columns))
-        slots = dict(zip(slot_keys, columns[len(param_keys):]))
-        left = evaluate_lanes(g1, nid, len(chunk), params, slots)
-        right = evaluate_lanes(g2, nid, len(chunk), params, slots)
+    for raw in stream:
+        tried += 1
+        vals = [IntVal(v) for v in raw]
+        param_vals: list[Value] = [IntVal(0)] * arity
+        for index, v in zip(param_keys, vals):
+            param_vals[index] = v
+        params = tuple(param_vals)
+        slots = tuple(zip(slot_keys, vals[len(param_keys):]))
+        state = MethodState(dict(slots))
+        left = _outcome(g1, state, params, nid)
+        right = _outcome(g2, state, params, nid)
         if left != right:
-            j = next(j for j, (a, b) in enumerate(zip(left, right)) if a != b)
-            vals = [IntVal(v) for v in chunk[j]]
-            param_vals: list[Value] = [IntVal(0)] * arity
-            for index, v in zip(param_keys, vals):
-                param_vals[index] = v
-            witness = Witness(tuple(zip(slot_keys, vals[len(param_keys):])),
-                              tuple(param_vals), _boxed(left[j]), _boxed(right[j]))
-            return EquivVerdict(Equivalence.NOT_EQUIVALENT, witness, tried + j + 1)
-        tried += len(chunk)
-        width = _CHUNK
+            witness = Witness(slots, params, left, right)
+            return EquivVerdict(Equivalence.NOT_EQUIVALENT, witness, tried)
     return EquivVerdict(Equivalence.EQUIVALENT, None, tried)
 
 

@@ -68,8 +68,8 @@ UNDEF = UndefVal()
 
 # The arithmetic operations, each declared once on plain 32-bit ints. An
 # arithmetic node kind names its operation (ir, op=...); evaluation, the
-# lanes of data_equiv and optimize's constant folds are derived from it.
-# The wrapping ones inline wrap32: an operation is one call.
+# normal forms of data_equiv and optimize's constant folds are derived
+# from it. The wrapping ones inline wrap32: an operation is one call.
 def int_add(a: int, b: int) -> int:
     return ((a + b + 2 ** 31) & 0xFFFFFFFF) - 2 ** 31
 

@@ -7,6 +7,7 @@ from genutil import STUCK_PHI_SIG, stuck_phi_program
 from seanode import cli
 from seanode.cli import main
 from seanode.dot import graph_to_dot
+from seanode.equivalence import Equivalence, EquivVerdict
 from seanode.fileformat import dumps, load, save
 from seanode.interproc import run
 from seanode.ir import Graph, Program, RefNode, ReturnNode, Signature, StartNode
@@ -302,6 +303,25 @@ def test_a_domain_wider_than_the_cap_is_refused_before_it_is_built(corpus_dir, c
         "", f"seanode: domain '{lo}..{hi}' has {hi - lo + 1} values, more than 65536\n")
     monkeypatch.undo()
     assert cli._parse_domain(f"1..{cli.MAX_DOMAIN}") == tuple(range(1, cli.MAX_DOMAIN + 1))
+
+
+def test_a_domain_with_too_many_assignments_is_refused_before_any_run(corpus_dir, capsys,
+                                                                     monkeypatch):
+    # max has two parameters: 65,536 values each would be 2**32 runs, and
+    # 256 values each, 65,536 runs, is the most diff accepts.
+    domains = []
+
+    def recording(left, right, sig, domain, fuel):
+        domains.append(len(domain.int_values))
+        return EquivVerdict(Equivalence.EQUIVALENT, None, len(domain.int_values) ** 2)
+    monkeypatch.setattr(cli, "behavior_diff", recording)
+    path = str(corpus_dir / "max-merge.json")
+    for domain, code in (("-32768..32767", 2), ("0..256", 2), ("0..255", 0)):
+        assert main(["diff", path, path, "--method", "max", f"--domain={domain}"]) == code
+    assert domains == [256]
+    assert capsys.readouterr().err == (
+        "seanode: 65536 values for 2 parameters are 4294967296 assignments, more than 65536\n"
+        "seanode: 257 values for 2 parameters are 66049 assignments, more than 65536\n")
 
 
 def test_stuck_phi_update_is_classified(tmp_path, capsys):

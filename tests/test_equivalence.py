@@ -18,7 +18,7 @@ from genutil import (
     stuck_phi_program,
 )
 from seanode.dataflow import (
-    PARAM, CyclicExpression, EvalContext, EvalStuck, evaluate, evaluate_lanes,
+    PARAM, CyclicExpression, EvalContext, EvalStuck, evaluate, evaluate_roots,
 )
 from seanode.equivalence import (
     Domain, Equivalence, EquivVerdict, Witness, behavior_diff, data_equiv,
@@ -108,7 +108,7 @@ def test_cyclic_expression_detected():
     arm = Graph({1: ParameterNode(0), 2: ConditionalNode(1, 3, 1), 3: NegateNode(2)})
     ctx = EvalContext(arm, MethodState(), (IntVal(1),))
     runs = (lambda: evaluate(ctx, 2), lambda: data_equiv(arm, arm, 2),
-            lambda: evaluate_lanes(arm, 2, 2, {0: [0, 1]}, {}))
+            lambda: evaluate_roots(arm, MethodState(), (IntVal(-1),), (1, 2)))
     for attempt in runs:
         with pytest.raises(CyclicExpression, match="^@2: expression has a cycle through its "
                            "value edges$"), _interrupted_after(1.0):
@@ -141,7 +141,8 @@ def test_a_cycle_only_in_an_arm_a_constant_condition_never_chooses_raises():
     with pytest.raises(CyclicExpression) as e:
         data_equiv(g, same, 4)
     assert e.value.nid == 4
-    assert evaluate_lanes(g, 4, 1, {0: [5]}, {}) == [5]  # evaluation never meets it
+    # evaluation never meets it
+    assert evaluate_roots(g, MethodState(), (IntVal(5),), (4,)) == [IntVal(5)]
 
 
 def test_a_deep_chain_is_refuted_in_bounded_time():
@@ -393,7 +394,7 @@ def test_deep_chains_get_classified_results_in_bounded_time(chain):
 
 def test_an_arm_no_lane_chooses_never_runs():
     # A constant condition over a 20,000-node dead arm that reads four
-    # parameters: 7 ** 4 lanes, every one choosing the live arm p0 + p1.
+    # parameters: 7 ** 4 assignments, every one choosing the live arm p0 + p1.
     nodes = {1 + i: ParameterNode(i) for i in range(4)}
     nodes[5] = ConstantNode(IntVal(1))
     nodes[6] = AddNode(x=1, y=2)
@@ -407,21 +408,16 @@ def test_an_arm_no_lane_chooses_never_runs():
     verdict = _timed(data_equiv, g, folded, root, with_boundary_values(Domain()))
     assert (verdict.status, verdict.samples_tried) == (Equivalence.EQUIVALENT, 7 ** 4)
 
-    # The dead arm alone reads p2 and p3: their columns are never read.
-    class Watched(dict):
-        def __getitem__(self, index):
-            read.add(index)
-            return super().__getitem__(index)
-
-    read = set()
-    params = Watched({i: [i, -i] for i in range(4)})
-    assert evaluate_lanes(g, root, 2, params, {}) == [1, -1]
-    assert read == {0, 1}
+    # Sampling evaluates the arm an assignment chooses, never the dead one:
+    # it is never even scheduled.
+    params = tuple(IntVal(i) for i in range(4))
+    assert eq_mod._outcome(g, MethodState(), params, root) == IntVal(1)
+    assert (6,) in g.schedules and (dead,) not in g.schedules
 
 
-# Differential property: the column-wise data_equiv against data_equiv
-# written one assignment at a time over the reference semantics, kept here
-# as the oracle.
+# Differential property: data_equiv against data_equiv written one
+# assignment at a time over the reference semantics, kept here as the
+# oracle.
 
 def _outcome(g, state, params, nid):
     try:
@@ -461,9 +457,9 @@ def _is_guard(node):
 @st.composite
 def _expression(draw, inputs, nodes):
     # Favouring the latest nodes makes deeper expressions. A guard tests a
-    # comparison or a parameter or slot, which vary across lanes (the domain
-    # holds 0), and a condition reads an earlier guard when there is one:
-    # a condition that is an int on some lanes and stuck on the others.
+    # comparison or a parameter or slot, which vary across assignments (the
+    # domain holds 0), and a condition reads an earlier guard when there is
+    # one: a condition that is an int on some assignments and stuck on others.
     pick = st.one_of(st.sampled_from(inputs[-3:]), st.sampled_from(inputs))
     guards = [n for n in inputs if _is_guard(nodes[n])]
     cond = st.sampled_from(guards) if guards else pick
@@ -516,16 +512,15 @@ def _unstuck(g):
 @given(_graph_pairs(),
        st.lists(st.sampled_from([-2, -1, 0, 1, 2, INT_MIN, INT_MAX]),
                 min_size=1, max_size=4, unique=True),
-       st.integers(1, 70), st.booleans())
-def test_differential_column_wise_data_equiv_matches_one_by_one(pair, values, chunk, sampled):
+       st.booleans())
+def test_differential_data_equiv_matches_one_by_one(pair, values, sampled):
     g1, g2, root = pair
     dom = Domain(tuple(values) if 0 in values else (0, *values))
-    patches = {"_CHUNK": chunk}
-    if sampled:  # past the cap: a reduced product, then seeded draws
-        patches.update(_EXHAUSTIVE_CAP=4, _RANDOM_SAMPLES=6)
-    with mock.patch.multiple(eq_mod, **patches):
-        # Against a root stuck on every lane, the first lane where g1 is not
-        # stuck is the witness, so each lane's stuck-or-value is checked too.
+    # Past the cap: a reduced product, then seeded draws.
+    with (mock.patch.multiple(eq_mod, _EXHAUSTIVE_CAP=4, _RANDOM_SAMPLES=6) if sampled
+          else contextlib.nullcontext()):
+        # Against a root stuck on every assignment, the first assignment where
+        # g1 is not stuck is the witness, so each stuck-or-value is checked too.
         stuck = g1.replace_node(root, g1.kind(6))
         for left, right in ((g1, g2), (g2, g1), (g1, _unstuck(g1)), (g1, stuck)):
             assert data_equiv(left, right, root, dom) == _data_equiv_one_by_one(
@@ -762,9 +757,10 @@ def test_a_rule_written_wrong_is_refuted_and_never_proved(mutant):
     assert verdict.status is Equivalence.NOT_EQUIVALENT and not verdict.proved, verdict
 
 
-# Differential property: whenever data_equiv proves a pair, the lanes agree
-# on the domain and on random 32-bit assignments. The pairs are near
-# misses: the second graph is the first with one node changed.
+# Differential property: whenever data_equiv proves a pair, the reference
+# semantics, which shares no code with dataflow, gives both graphs the same
+# outcome on the domain and on random 32-bit assignments. The pairs are
+# near misses: the second graph is the first with one node changed.
 
 _BINARY_KINDS = [k for k in OPERATIONS if k.OP and len(k.VALUE_EDGES) == 2]
 
@@ -827,56 +823,53 @@ _INT32 = st.integers(INT_MIN, INT_MAX)
 
 
 @given(_near_miss_pairs(), st.lists(st.tuples(_INT32, _INT32, _INT32), min_size=1, max_size=8))
-def test_differential_a_proof_never_disagrees_with_the_lanes(pair, draws):
+def test_differential_a_proof_never_disagrees_with_the_reference(pair, draws):
     (g1, g2), root = pair
     dom = with_boundary_values(Domain())
     verdict = data_equiv(g1, g2, root, dom)
     if not verdict.proved:
         return
-    lanes = list(itertools.product(dom.int_values, repeat=3)) + draws
-    p0, p1, slot = (list(column) for column in zip(*lanes))
-    params, slots = {0: p0, 1: p1}, {3: slot}
-    assert evaluate_lanes(g1, root, len(lanes), params, slots) == evaluate_lanes(
-        g2, root, len(lanes), params, slots)
+    for p0, p1, slot in list(itertools.product(dom.int_values, repeat=3)) + draws:
+        params, state = (IntVal(p0), IntVal(p1)), MethodState({3: IntVal(slot)})
+        assert _outcome(g1, state, params, root) == _outcome(g2, state, params, root), (
+            p0, p1, slot)
 
 
 # -- what data_equiv costs ---------------------------------------------------
 
-def _recording_lanes(monkeypatch):
-    """The width of every evaluate_lanes call data_equiv makes, in order."""
-    widths = []
+def _recording_sides(monkeypatch):
+    """The graph of every evaluation data_equiv samples, in order."""
+    sides = []
 
-    def recording(g, root, width, params, slots):
-        widths.append(width)
-        return evaluate_lanes(g, root, width, params, slots)
-    monkeypatch.setattr(eq_mod, "evaluate_lanes", recording)
-    return widths
+    def recording(g, state, params, nid):
+        sides.append(g)
+        return outcome(g, state, params, nid)
+    outcome = eq_mod._outcome
+    monkeypatch.setattr(eq_mod, "_outcome", recording)
+    return sides
 
 
-def test_a_refutation_on_the_first_assignment_evaluates_only_the_first_chunk(monkeypatch):
-    widths = _recording_lanes(monkeypatch)
+def test_a_refutation_on_the_first_assignment_evaluates_each_side_once(monkeypatch):
+    sides = _recording_sides(monkeypatch)
     g = Graph({1: _P0, 2: _P1, 3: AddNode(x=1, y=2)})
-    verdict = data_equiv(g, g.replace_node(3, SubNode(x=1, y=2)), 3, with_boundary_values(Domain()))
+    changed = g.replace_node(3, SubNode(x=1, y=2))
+    verdict = data_equiv(g, changed, 3, with_boundary_values(Domain()))
     assert verdict.samples_tried == 1
-    assert widths == [eq_mod._FIRST_CHUNK] * 2  # one pass on each side
+    assert len(sides) == 2 and sides[0] is g and sides[1] is changed
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 16, 1024])
-def test_chunks_grow_to_chunk_and_never_past_it(monkeypatch, chunk):
+def test_an_unproved_equal_pair_evaluates_each_side_once_per_assignment(monkeypatch):
     # Equal, but with no proof: an object constant reaches the root. 7 ** 3
     # assignments to three parameters.
-    monkeypatch.setattr(eq_mod, "_CHUNK", chunk)
-    widths = _recording_lanes(monkeypatch)
+    sides = _recording_sides(monkeypatch)
     g = Graph({1: _P0, 2: _P1, 3: ParameterNode(2), 4: _c(ObjRef(0)), 5: AddNode(x=1, y=2),
                6: AddNode(x=5, y=3), 7: AddNode(x=6, y=4)})
-    verdict = data_equiv(g, g, 7, with_boundary_values(Domain()))
+    same = Graph(dict(g.items()))
+    verdict = data_equiv(g, same, 7, with_boundary_values(Domain()))
     assert (verdict.status, verdict.samples_tried, verdict.proved) == (
         Equivalence.EQUIVALENT, 7 ** 3, False)
-    first = min(eq_mod._FIRST_CHUNK, chunk)
-    per_side = widths[::2]
-    assert widths[1::2] == per_side and sum(per_side) == 7 ** 3
-    assert per_side[0] == first and max(per_side) <= chunk
-    assert all(w == chunk for w in per_side[1:-1])
+    assert len(sides) == 2 * 7 ** 3
+    assert all(s is g for s in sides[::2]) and all(s is same for s in sides[1::2])
 
 
 @pytest.mark.parametrize("cap", [1, 4, 999, 1000, 10 ** 6, 2 ** 50 - 1])
@@ -929,15 +922,15 @@ def test_leaf_records_stay_bounded_on_a_deep_chain_of_distinct_leaves():
 
 def test_every_validate_opt_target_is_proved_without_lanes(monkeypatch):
     # The benchmark's validate-opt workload at seed 1: every rewritten data
-    # node is proved by normal form, so neither the lanes' leaf keys nor a
-    # lane are worked out.
+    # node is proved by normal form, so neither the sampled leaf keys nor a
+    # sampled evaluation are worked out.
     monkeypatch.syspath_prepend(str(REPO / "bench"))
     import gen
 
     def unexpected(*args):
-        raise AssertionError("no proof: the lanes path ran")
+        raise AssertionError("no proof: the sampling path ran")
     monkeypatch.setattr(eq_mod, "_leaf_keys", unexpected)
-    monkeypatch.setattr(eq_mod, "evaluate_lanes", unexpected)
+    monkeypatch.setattr(eq_mod, "_outcome", unexpected)
     dom = with_boundary_values(Domain())
     proved = 0
     for case in gen.generate("validate-opt", 1):

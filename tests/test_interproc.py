@@ -14,8 +14,8 @@ from genutil import (
 )
 from seanode import interproc, ir, runtime
 from seanode.controlflow import RETURN, UNWIND, StepStuck, plan
-from seanode.dataflow import EvalStuck, ParamOutOfRange, evaluate_lanes
-from seanode.equivalence import Equivalence, data_equiv
+from seanode.dataflow import EvalStuck, ParamOutOfRange
+from seanode.equivalence import Equivalence, _outcome, data_equiv
 from seanode.fileformat import load
 from seanode.optimize import PASS_NAMES, IterationCapExceeded, apply_pass
 from seanode.interproc import (
@@ -800,7 +800,8 @@ def test_damaged_seed_1480_is_stuck_at_its_conditional():
     assert g.kind(3) == ConditionalNode(condition=5, trueValue=None, falseValue=7)
     assert str(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(3)], 500)) == f"Stuck: @3: {NO_INPUT}"
     assert str(run(Program({CHAIN_SIG: g}), CHAIN_SIG, [IntVal(0)], 500)) == "Returned IntVal 0"
-    assert evaluate_lanes(g, 2, 2, {0: [0, 3]}, {}) == [0, "stuck:EvalStuck"]
+    assert [_outcome(g, MethodState(), (IntVal(p),), 2) for p in (0, 3)] == [
+        IntVal(0), "stuck:EvalStuck"]
     assert data_equiv(g, g, 2).status is Equivalence.EQUIVALENT
 
 
@@ -821,7 +822,8 @@ def test_a_chosen_arm_to_no_node_is_stuck_at_its_conditional(arm):
     assert reference.evaluate(g, MethodState(), (IntVal(0),), (4,)) == [IntVal(7)]
     with pytest.raises(EvalStuck, match=f"^@4: {NO_INPUT}$"):
         reference.evaluate(g, MethodState(), (IntVal(1),), (4,))
-    assert evaluate_lanes(g, 4, 2, {0: [1, 0]}, {}) == ["stuck:EvalStuck", 7]
+    assert [_outcome(g, MethodState(), (IntVal(p),), 4) for p in (1, 0)] == [
+        "stuck:EvalStuck", IntVal(7)]
     assert data_equiv(g, g, 4).status is Equivalence.EQUIVALENT
     verdict = data_equiv(g, method(3), 4)
     assert str(verdict) == ("NotEquivalent (1 assignments tried) "

@@ -268,7 +268,7 @@ def test_differential_check_acyclicity_against_the_walk(g):
 
 
 # Differential property: dataflow.post_order, the walk that check's
-# acyclicity, data_equiv's records and the lanes' keys loop over, against a
+# acyclicity, data_equiv's records and its sampled leaf keys loop over, against a
 # short recursive walk for the order and reference.first_cycle for where a
 # cycle is met.
 
